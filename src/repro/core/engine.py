@@ -57,7 +57,13 @@ from repro.graph.analysis import task_priorities
 from repro.graph.dag import TaskGraph
 from repro.platform.platform import Platform
 from repro.schedule.replica import Replica
-from repro.schedule.schedule import PlacementPlan, Schedule, plan_placement
+from repro.schedule.schedule import (
+    PlacementPlan,
+    Schedule,
+    ordered_sources,
+    plan_ordered,
+    plan_placement,
+)
 from repro.utils.checks import check_positive
 
 __all__ = [
@@ -233,6 +239,9 @@ class MappingEngine:
         self.kill: dict[Replica, frozenset[str]] = {}
         #: pipeline stage of every placed replica, in the traversal orientation.
         self.stage: dict[Replica, int] = {}
+        #: plans and source lists of the replica being decided (see
+        #: :meth:`_place_one_replica`); ``None`` between decisions.
+        self._memo: dict[tuple, object] | None = None
         self.schedule.stats.update(
             {
                 "one_to_one_calls": 0,
@@ -303,7 +312,15 @@ class MappingEngine:
 
     # ----------------------------------------------------------- single replica
     def _place_one_replica(self, task: str, ctx: TaskContext, policy: MappingPolicy) -> Replica:
-        plan = policy.choose(self, task, ctx)
+        # Nothing is committed while the policy decides, so every plan and
+        # source list it computes stays valid until the decision is made:
+        # R-LTF's Rule 1 and its fallbacks share them instead of re-planning
+        # the same (task, processor) pairs.
+        self._memo = {}
+        try:
+            plan = policy.choose(self, task, ctx)
+        finally:
+            self._memo = None
         if plan is None:
             if self.options.strict_throughput:
                 raise ThroughputInfeasibleError(task, self.period)
@@ -346,8 +363,18 @@ class MappingEngine:
     def _forbidden_processors(self, task: str, ctx: TaskContext) -> set[str]:
         """Processors that can never host the next replica of *task*: those in
         the kill set of a sibling replica (fault-independence) — which includes
-        the processors already hosting a replica of the task."""
-        return set(ctx.used_kill)
+        the processors already hosting a replica of the task.  The returned
+        set is the context's own: do not modify it."""
+        return ctx.used_kill
+
+    def _memoized(self, key: tuple, compute):
+        """``compute()``, computed once per replica decision."""
+        memo = self._memo
+        if memo is None:
+            return compute()
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     def regular_sources(self, task: str) -> dict[str, tuple[Replica, ...]]:
         """Full feeding: every replica of every predecessor is a source."""
@@ -355,9 +382,18 @@ class MappingEngine:
 
     def plan_regular(self, task: str, processor: str, ctx: TaskContext) -> PlacementPlan | None:
         """Plan a fully-fed replica of *task* on *processor*; ``None`` if infeasible."""
+        return self._memoized(
+            ("regular", task, processor), lambda: self._plan_regular(task, processor, ctx)
+        )
+
+    def _plan_regular(self, task: str, processor: str, ctx: TaskContext) -> PlacementPlan | None:
         if processor in self._forbidden_processors(task, ctx):
             return None
-        plan = plan_placement(self.schedule, task, processor, self.regular_sources(task))
+        flat = self._memoized(
+            ("regular-sources", task),
+            lambda: ordered_sources(self.schedule, task, self.regular_sources(task)),
+        )
+        plan = plan_ordered(self.schedule, task, processor, flat)
         if not condition_one(self.schedule, plan, self.period):
             return None
         return plan
@@ -398,6 +434,11 @@ class MappingEngine:
         new one-to-one chain (not consumed, kill set disjoint from the sibling
         chains), sorted by finish time (the head of the sorted list is the
         paper's ``H(B(t_i))``)."""
+        return self._memoized(
+            ("chain-sources", task), lambda: self._chain_source_candidates(task, ctx)
+        )
+
+    def _chain_source_candidates(self, task: str, ctx: TaskContext) -> dict[str, list[Replica]]:
         available: dict[str, list[Replica]] = {}
         for pred in self.graph.predecessors(task):
             reps = [
@@ -431,35 +472,51 @@ class MappingEngine:
         available = self.chain_source_candidates(task, ctx)
         if any(not lst for lst in available.values()):
             return None
-        forbidden = self._forbidden_processors(task, ctx)
         best: PlacementPlan | None = None
         best_key: tuple | None = None
         pool = candidates if candidates is not None else self.platform.processor_names
         for proc in pool:
-            if proc in forbidden:
-                continue
-            sources = self._pick_chain_sources(task, available, proc, prefer_colocated)
-            if sources is None:
-                continue
-            if self.options.strict_resilience:
-                support = {proc}
-                for rep in sources.values():
-                    support |= self.kill[rep]
-                if len(support) > self.max_support_size:
-                    continue
-            plan = plan_placement(
-                self.schedule,
-                task,
-                proc,
-                {pred: [rep] for pred, rep in sources.items()},
-                one_to_one=True,
+            plan = self._memoized(
+                ("chain", task, proc, prefer_colocated),
+                lambda: self._plan_chain_on(task, ctx, proc, available, prefer_colocated),
             )
-            if not condition_one(self.schedule, plan, self.period):
+            if plan is None:
                 continue
             key = self._plan_rank(plan)
             if best_key is None or key < best_key:
                 best, best_key = plan, key
         return best
+
+    def _plan_chain_on(
+        self,
+        task: str,
+        ctx: TaskContext,
+        processor: str,
+        available: Mapping[str, Sequence[Replica]],
+        prefer_colocated: bool,
+    ) -> PlacementPlan | None:
+        """The chain-fed plan of :meth:`plan_chain` on one *processor*."""
+        if processor in self._forbidden_processors(task, ctx):
+            return None
+        sources = self._pick_chain_sources(task, available, processor, prefer_colocated)
+        if sources is None:
+            return None
+        if self.options.strict_resilience:
+            support = {processor}
+            for rep in sources.values():
+                support |= self.kill[rep]
+            if len(support) > self.max_support_size:
+                return None
+        plan = plan_placement(
+            self.schedule,
+            task,
+            processor,
+            {pred: [rep] for pred, rep in sources.items()},
+            one_to_one=True,
+        )
+        if not condition_one(self.schedule, plan, self.period):
+            return None
+        return plan
 
     def _pick_chain_sources(
         self,
@@ -495,7 +552,7 @@ class MappingEngine:
                 volume = self.graph.volume(pred, task)
                 for rep in reps:
                     src_proc = self.schedule.processor_of(rep)
-                    duration = self.platform.communication_time(volume, src_proc, processor)
+                    duration = self.schedule.transfer_time(volume, src_proc, processor)
                     if (
                         self.schedule.processor_state(src_proc).comm_out_load + duration
                         <= self.period + _TOL

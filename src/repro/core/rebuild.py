@@ -31,7 +31,13 @@ from repro.exceptions import ScheduleError
 from repro.graph.dag import TaskGraph
 from repro.platform.platform import Platform
 from repro.schedule.replica import Replica
-from repro.schedule.schedule import PlacementPlan, Schedule, plan_placement
+from repro.schedule.schedule import (
+    PlacementPlan,
+    Schedule,
+    ordered_sources,
+    plan_ordered,
+    plan_placement,
+)
 
 __all__ = ["build_forward_schedule"]
 
@@ -88,6 +94,9 @@ def build_forward_schedule(
         sibling_procs = set(procs)
         used_kill: set[str] = set()
         consumed: set[Replica] = set()
+        # every replica of a predecessor is already placed, so the fully-fed
+        # source list is the same for all replicas of the task
+        full_sources = None
 
         for proc in procs:
             plan: PlacementPlan | None = None
@@ -113,8 +122,11 @@ def build_forward_schedule(
                             one_to_one=True,
                         )
             if plan is None:
-                full = {pred: schedule.replicas(pred) for pred in preds}
-                plan = plan_placement(schedule, task, proc, full, one_to_one=False)
+                if full_sources is None:
+                    full_sources = ordered_sources(
+                        schedule, task, {pred: schedule.replicas(pred) for pred in preds}
+                    )
+                plan = plan_ordered(schedule, task, proc, full_sources)
 
             replica = schedule.apply_placement(plan)
             if plan.one_to_one:
@@ -178,7 +190,7 @@ def _pick_chain_sources(
         def rank(rep: Replica) -> tuple:
             src_proc = schedule.processor_of(rep)
             eta = 0 if src_proc == processor else 1
-            duration = schedule.platform.communication_time(volume, src_proc, processor)
+            duration = schedule.transfer_time(volume, src_proc, processor)
             overloads = (
                 schedule.processor_state(src_proc).comm_out_load + duration
                 > schedule.period * (1 + 1e-9)

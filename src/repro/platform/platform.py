@@ -7,6 +7,7 @@ links are supported because nothing in the algorithms depends on symmetry.
 
 from __future__ import annotations
 
+from numbers import Real
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -26,9 +27,9 @@ class Platform:
     processors:
         The processors ``P_1 … P_m`` (at least one; names must be unique).
     bandwidths:
-        Either a single float (uniform bandwidth for every link), or a mapping
-        ``{(src_name, dst_name): bandwidth}``.  Missing pairs default to
-        ``default_bandwidth``.  Bandwidth between a processor and itself is
+        Either a single real number (uniform bandwidth for every link; a
+        ``bool`` is rejected), or a mapping ``{(src_name, dst_name):
+        bandwidth}``.  Missing pairs default to ``default_bandwidth``.  Bandwidth between a processor and itself is
         irrelevant (local communications are free) and ignored.
     default_bandwidth:
         Bandwidth used for pairs absent from *bandwidths*.
@@ -58,16 +59,25 @@ class Platform:
         check_positive(default_bandwidth, "default_bandwidth")
         self._default_bandwidth = float(default_bandwidth)
         self._bandwidths: dict[tuple[str, str], float] = {}
+        #: link table and its statistics, built on first use and dropped by
+        #: :meth:`set_bandwidth` (see :meth:`link_bandwidths`).
+        self._links: dict[tuple[str, str], float] | None = None
+        self._link_stats: tuple[float, float] | None = None
         self._failure_domains = self._check_domains(failure_domains)
 
         if bandwidths is None:
             pass
-        elif isinstance(bandwidths, (int, float)):
+        elif isinstance(bandwidths, Real) and not isinstance(bandwidths, bool):
             check_positive(float(bandwidths), "bandwidth")
             self._default_bandwidth = float(bandwidths)
-        else:
+        elif isinstance(bandwidths, Mapping):
             for (src, dst), bw in bandwidths.items():
                 self.set_bandwidth(src, dst, bw)
+        else:
+            raise PlatformError(
+                "bandwidths must be a positive number or a mapping "
+                f"{{(src, dst): bandwidth}}, got {type(bandwidths).__name__}"
+            )
 
     def _check_domains(
         self, domains: Mapping[str, Sequence[str]] | None
@@ -145,6 +155,7 @@ class Platform:
         self._bandwidths[(src, dst)] = float(bandwidth)
         if symmetric:
             self._bandwidths[(dst, src)] = float(bandwidth)
+        self._links = self._link_stats = None
 
     def bandwidth(self, src: str, dst: str) -> float:
         """Bandwidth ``d_kh`` of the link from *src* to *dst*.
@@ -152,11 +163,29 @@ class Platform:
         Local "links" (``src == dst``) report infinite bandwidth, consistent
         with communications between co-located tasks being free.
         """
-        self.processor(src)
-        self.processor(dst)
+        if src not in self._processors:
+            self.processor(src)
+        if dst not in self._processors:
+            self.processor(dst)
         if src == dst:
             return float("inf")
         return self._bandwidths.get((src, dst), self._default_bandwidth)
+
+    def link_bandwidths(self) -> Mapping[tuple[str, str], float]:
+        """``{(src, dst): d_kh}`` over every ordered pair of distinct processors.
+
+        Built on first use and kept until :meth:`set_bandwidth` changes a
+        link, so the schedulers look a link up in one dict access.  The
+        returned table is shared: do not modify it.
+        """
+        if self._links is None:
+            self._links = {
+                (src, dst): self._bandwidths.get((src, dst), self._default_bandwidth)
+                for src in self._order
+                for dst in self._order
+                if src != dst
+            }
+        return self._links
 
     # -------------------------------------------------------------------- costs
     def execution_time(self, work: float, processor: str) -> float:
@@ -191,23 +220,27 @@ class Platform:
         """Average of ``1/s_u`` — used for average execution times in priorities."""
         return float((1.0 / self.speeds).mean())
 
-    def _all_bandwidths(self) -> np.ndarray:
-        vals = []
-        for src in self._order:
-            for dst in self._order:
-                if src != dst:
-                    vals.append(self.bandwidth(src, dst))
-        return np.array(vals, dtype=float) if vals else np.array([self._default_bandwidth])
+    def _bandwidth_stats(self) -> tuple[float, float]:
+        """``(min_bandwidth, mean_inverse_bandwidth)``, cached with the link table."""
+        if self._link_stats is None:
+            links = self.link_bandwidths()
+            vals = (
+                np.array(list(links.values()), dtype=float)
+                if links
+                else np.array([self._default_bandwidth])
+            )
+            self._link_stats = (float(vals.min()), float((1.0 / vals).mean()))
+        return self._link_stats
 
     @property
     def min_bandwidth(self) -> float:
         """Bandwidth of the slowest link."""
-        return float(self._all_bandwidths().min())
+        return self._bandwidth_stats()[0]
 
     @property
     def mean_inverse_bandwidth(self) -> float:
         """Average of ``1/d_kh`` over distinct pairs — used for average communication times."""
-        return float((1.0 / self._all_bandwidths()).mean())
+        return self._bandwidth_stats()[1]
 
     @property
     def fastest_processor(self) -> str:

@@ -19,12 +19,22 @@ Candidate placements are evaluated *without mutating* the schedule through
 is then committed with :meth:`Schedule.apply_placement`.  This keeps the
 heuristics simple (no undo) while preserving the one-port semantics during the
 search.
+
+Planning is the schedulers' hot path, so a candidate pays only for its own
+slot search: it plans on check-free
+:class:`~repro.utils.intervals.ScratchTimeline` copies of the port timelines,
+reads execution times from a per-schedule memo and link bandwidths from the
+platform's cached link table, and a caller planning one task on many
+processors orders its sources once (:func:`ordered_sources`) and plans each
+candidate with :func:`plan_ordered`.  Only :meth:`Schedule.apply_placement`
+reserves, with every overlap and validity check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,9 +44,17 @@ from repro.platform.platform import Platform
 from repro.schedule.ports import ProcessorTimelines
 from repro.schedule.replica import Replica
 from repro.utils.checks import check_positive
-from repro.utils.intervals import Timeline, earliest_common_slot
+from repro.utils.intervals import earliest_common_slot
 
-__all__ = ["CommEvent", "PlacementPlan", "PlannedComm", "Schedule", "plan_placement"]
+__all__ = [
+    "CommEvent",
+    "PlacementPlan",
+    "PlannedComm",
+    "Schedule",
+    "ordered_sources",
+    "plan_ordered",
+    "plan_placement",
+]
 
 
 @dataclass(frozen=True)
@@ -66,8 +84,7 @@ class CommEvent:
         return self.duration == 0.0
 
 
-@dataclass(frozen=True)
-class PlannedComm:
+class PlannedComm(NamedTuple):
     """One communication of a not-yet-committed :class:`PlacementPlan`."""
 
     source: Replica
@@ -81,7 +98,7 @@ class PlannedComm:
         return self.start + self.duration
 
 
-@dataclass
+@dataclass(slots=True)
 class PlacementPlan:
     """The outcome of simulating the placement of one replica on one processor."""
 
@@ -146,6 +163,8 @@ class Schedule:
         self._proc_state: dict[str, ProcessorTimelines] = {
             name: ProcessorTimelines(name) for name in platform.processor_names
         }
+        #: ``(task, processor) -> execution time`` memo; works and speeds never change.
+        self._exec_times: dict[tuple[str, str], float] = {}
         #: free-form counters filled by the schedulers (one-to-one calls, fallbacks...)
         self.stats: dict[str, float] = {}
 
@@ -220,9 +239,28 @@ class Schedule:
         the kernel never touches the schedule's mutable state, it only reads
         the mapping, the communication topology and the per-replica durations.
         """
-        return self.platform.execution_time(
-            self.graph.work(replica.task), self.processor_of(replica)
-        )
+        return self.execution_time(replica.task, self.processor_of(replica))
+
+    def execution_time(self, task: str, processor: str) -> float:
+        """Execution time of *task* on *processor* (memoised per schedule)."""
+        key = (task, processor)
+        exec_time = self._exec_times.get(key)
+        if exec_time is None:
+            exec_time = self.platform.execution_time(self.graph.work(task), processor)
+            self._exec_times[key] = exec_time
+        return exec_time
+
+    def transfer_time(self, volume: float, src: str, dst: str) -> float:
+        """Transfer time of *volume* from *src* to *dst* (0 when co-located).
+
+        Equal to :meth:`Platform.communication_time` without re-validating a
+        volume the graph already checked.  The bandwidth comes from the
+        platform's link table, which :meth:`Platform.set_bandwidth` rebuilds,
+        so a duration never predates a bandwidth change.
+        """
+        if src == dst:
+            return 0.0
+        return volume / self.platform.link_bandwidths()[(src, dst)]
 
     def compute_intervals(self, processor: str) -> tuple:
         """Busy intervals of the compute resource of *processor* (read-only)."""
@@ -306,7 +344,7 @@ class Schedule:
             )
             sources.setdefault(comm.source.task, []).append(comm.source)
 
-        exec_time = self.platform.execution_time(self.graph.work(replica.task), proc)
+        exec_time = self.execution_time(replica.task, proc)
         state.reserve_compute(plan.start, exec_time, replica)
 
         self._assignment[replica] = proc
@@ -377,6 +415,10 @@ class Schedule:
 
 
 # --------------------------------------------------------------------- planning
+#: sort key of :func:`ordered_sources`: data-ready instant, then source replica.
+_READY_ORDER = itemgetter(0, 1)
+
+
 def plan_placement(
     schedule: Schedule,
     task: str,
@@ -405,27 +447,35 @@ def plan_placement(
     -------
     PlacementPlan
         Start/finish time of the replica and the planned communications, all
-        computed under the one-port model by *copying* the relevant timelines
-        (the schedule is not modified).
+        computed under the one-port model on scratch copies of the relevant
+        timelines (the schedule is not modified).
     """
-    graph, platform = schedule.graph, schedule.platform
-    replica = schedule.next_replica(task)
-    preds = set(graph.predecessors(task))
-    missing = preds - set(sources.keys())
+    schedule.next_replica(task)
+    return plan_ordered(
+        schedule, task, processor, ordered_sources(schedule, task, sources), one_to_one
+    )
+
+
+def ordered_sources(
+    schedule: Schedule, task: str, sources: Mapping[str, Iterable[Replica]]
+) -> list[tuple[float, Replica, str, float]]:
+    """Validate *sources* and flatten them for :func:`plan_ordered`.
+
+    Returns one ``(ready, source replica, source processor, volume)`` entry
+    per source, ordered by the moment its data is produced: this mimics a
+    runtime that forwards results as soon as they are available and keeps
+    the plan deterministic.  The list does not depend on the candidate
+    processor, so a caller planning *task* on many processors builds it
+    once.
+    """
+    graph = schedule.graph
+    preds = graph.predecessors(task)
+    missing = set(preds) - set(sources.keys())
     if missing:
         raise ScheduleError(
             f"placement of {task!r} is missing sources for predecessors {sorted(missing)}"
         )
-
-    state = schedule.processor_state(processor)
-    in_port: Timeline = state.in_port.copy()
-    out_ports: dict[str, Timeline] = {}
-    planned: list[PlannedComm] = []
-    data_ready = 0.0
-
-    # Flatten and order candidate communications by the moment their data is
-    # produced; this mimics the behaviour of a runtime that forwards results
-    # as soon as they are available and keeps the plan deterministic.
+    assignment, finish = schedule._assignment, schedule._finish
     flat: list[tuple[float, Replica, str, float]] = []
     for pred_task in sorted(preds):
         srcs = list(sources[pred_task])
@@ -433,36 +483,56 @@ def plan_placement(
             raise ScheduleError(f"empty source list for predecessor {pred_task!r} of {task!r}")
         vol = graph.volume(pred_task, task)
         for src in srcs:
-            if not schedule.is_placed(src):
+            src_proc = assignment.get(src)
+            if src_proc is None:
                 raise ScheduleError(f"source replica {src!r} is not placed yet")
-            flat.append((schedule.finish_time(src), src, pred_task, vol))
-    flat.sort(key=lambda item: (item[0], item[1]))
+            flat.append((finish[src], src, src_proc, vol))
+    flat.sort(key=_READY_ORDER)
+    return flat
 
-    for ready, src, _pred_task, vol in flat:
-        src_proc = schedule.processor_of(src)
+
+def plan_ordered(
+    schedule: Schedule,
+    task: str,
+    processor: str,
+    flat: Sequence[tuple[float, Replica, str, float]],
+    one_to_one: bool = False,
+) -> PlacementPlan:
+    """:func:`plan_placement` on sources already flattened by :func:`ordered_sources`.
+
+    Each remote transfer takes the earliest slot free on both the sender's
+    out-port and the receiver's in-port; the slot is occupied on scratch
+    copies of the two ports so later transfers of the same plan queue
+    behind it.
+    """
+    replica = schedule.next_replica(task)
+    state = schedule.processor_state(processor)
+    proc_state = schedule._proc_state
+    in_port = None
+    out_ports = {}
+    links = None
+    planned: list[PlannedComm] = []
+    data_ready = 0.0
+    for ready, src, src_proc, vol in flat:
         if src_proc == processor:
             planned.append(PlannedComm(src, src_proc, vol, ready, 0.0))
             arrival = ready
         else:
-            duration = platform.communication_time(vol, src_proc, processor)
+            if links is None:
+                links = schedule.platform.link_bandwidths()
+                in_port = state.in_port.scratch()
+            duration = vol / links[(src_proc, processor)]
             out = out_ports.get(src_proc)
             if out is None:
-                out = schedule.processor_state(src_proc).out_port.copy()
-                out_ports[src_proc] = out
-            start = earliest_common_slot([out, in_port], ready, duration)
-            out.reserve(start, duration, (src, replica))
-            in_port.reserve(start, duration, (src, replica))
+                out = out_ports[src_proc] = proc_state[src_proc].out_port.scratch()
+            start = earliest_common_slot((out, in_port), ready, duration)
+            out.occupy(start, duration)
+            in_port.occupy(start, duration)
             planned.append(PlannedComm(src, src_proc, vol, start, duration))
             arrival = start + duration
-        data_ready = max(data_ready, arrival)
+        if arrival > data_ready:
+            data_ready = arrival
 
-    exec_time = platform.execution_time(graph.work(task), processor)
+    exec_time = schedule.execution_time(task, processor)
     start = state.compute.earliest_slot(data_ready, exec_time)
-    return PlacementPlan(
-        replica=replica,
-        processor=processor,
-        start=start,
-        finish=start + exec_time,
-        comms=tuple(planned),
-        one_to_one=one_to_one,
-    )
+    return PlacementPlan(replica, processor, start, start + exec_time, tuple(planned), one_to_one)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-__all__ = ["Interval", "Timeline", "earliest_common_slot"]
+__all__ = ["Interval", "ScratchTimeline", "Timeline", "earliest_common_slot"]
 
 #: Tolerance used when comparing interval endpoints; avoids spurious overlaps
 #: caused by floating-point rounding in long schedules.
@@ -60,7 +60,40 @@ class Interval:
         return self.start - _EPS <= instant < self.end - _EPS
 
 
-class Timeline:
+class _BusyIndex:
+    """Parallel sorted start and end lists of non-overlapping busy intervals.
+
+    This is all the slot search reads.  Because reserved intervals never
+    overlap by more than ``_EPS`` and are longer than ``_EPS``, sorting by
+    start also sorts the ends, so both lists can be bisected.
+    """
+
+    __slots__ = ("_starts", "_ends")
+
+    def earliest_slot(self, ready: float, duration: float) -> float:
+        """Earliest instant ``>= ready`` at which a gap of *duration* starts.
+
+        A zero-duration request returns ``ready`` immediately (local
+        communications cost nothing in the model).  Intervals ending before
+        ``ready`` (within ``_EPS``) cannot delay the request, so the scan
+        bisects past them and starts at the first one that can.
+        """
+        if duration <= _EPS:
+            return ready
+        starts, ends = self._starts, self._ends
+        candidate = ready
+        for i in range(bisect.bisect_right(ends, ready + _EPS), len(ends)):
+            end = ends[i]
+            if end <= candidate + _EPS:
+                continue
+            if starts[i] >= candidate + duration - _EPS:
+                break
+            if end > candidate:
+                candidate = end
+        return candidate
+
+
+class Timeline(_BusyIndex):
     """A set of non-overlapping busy intervals on a single resource.
 
     Supports the two operations needed by insertion-based list scheduling:
@@ -69,14 +102,17 @@ class Timeline:
       is idle for ``duration`` consecutive time units;
     * :meth:`reserve` — mark ``[start, start + duration)`` as busy.
 
-    The busy intervals are kept sorted by start time; both operations are
-    ``O(log n)`` for the search plus ``O(n)`` worst case for the scan /
-    insertion, which is ample for the graph sizes used in the paper
-    (50–150 tasks, 20 processors).
+    The busy intervals are kept sorted by start time, with their end times
+    in a parallel list; both operations are ``O(log n)`` for the search plus
+    ``O(n)`` worst case for the scan / insertion, which is ample for the
+    graph sizes used in the paper (50–150 tasks, 20 processors).
+    Candidate placements plan on a :meth:`scratch` copy instead of
+    reserving here.
     """
 
     def __init__(self, intervals: Sequence[Interval] | None = None):
         self._starts: list[float] = []
+        self._ends: list[float] = []
         self._intervals: list[Interval] = []
         if intervals:
             for iv in sorted(intervals):
@@ -125,23 +161,6 @@ class Timeline:
                 return False
         return True
 
-    def earliest_slot(self, ready: float, duration: float) -> float:
-        """Earliest instant ``>= ready`` at which a gap of *duration* starts.
-
-        A zero-duration request returns ``ready`` immediately (local
-        communications cost nothing in the model).
-        """
-        if duration <= _EPS:
-            return ready
-        candidate = ready
-        for iv in self._intervals:
-            if iv.end <= candidate + _EPS:
-                continue
-            if iv.start >= candidate + duration - _EPS:
-                break
-            candidate = max(candidate, iv.end)
-        return candidate
-
     # --------------------------------------------------------------- mutation
     def reserve(self, start: float, duration: float, label: object = None) -> Interval:
         """Mark ``[start, start + duration)`` busy and return the new interval.
@@ -160,6 +179,7 @@ class Timeline:
             )
         idx = bisect.bisect_left(self._starts, start)
         self._starts.insert(idx, start)
+        self._ends.insert(idx, interval.end)
         self._intervals.insert(idx, interval)
         return interval
 
@@ -167,32 +187,76 @@ class Timeline:
         """Shallow copy of the timeline (intervals are immutable)."""
         clone = Timeline()
         clone._starts = list(self._starts)
+        clone._ends = list(self._ends)
         clone._intervals = list(self._intervals)
         return clone
 
+    def scratch(self) -> "ScratchTimeline":
+        """A planning copy that :meth:`ScratchTimeline.occupy` can fill."""
+        return ScratchTimeline(self)
+
+
+class ScratchTimeline(_BusyIndex):
+    """A throw-away planning copy of a :class:`Timeline`.
+
+    It answers :meth:`earliest_slot` exactly like its timeline, and
+    :meth:`occupy` inserts a span without the overlap check, the label or
+    the :class:`Interval` of :meth:`Timeline.reserve`: a planner only
+    occupies slots that :func:`earliest_common_slot` returned, which are
+    free by construction.  The lists are shared with the timeline until the
+    first :meth:`occupy` copies them, so the timeline must not change while
+    the scratch copy is in use.
+    """
+
+    __slots__ = ("_owned",)
+
+    def __init__(self, timeline: Timeline):
+        self._starts = timeline._starts
+        self._ends = timeline._ends
+        self._owned = False
+
+    def occupy(self, start: float, duration: float) -> None:
+        """Mark ``[start, start + duration)`` busy on this copy only."""
+        if duration <= _EPS:
+            return
+        if not self._owned:
+            self._starts = list(self._starts)
+            self._ends = list(self._ends)
+            self._owned = True
+        idx = bisect.bisect_left(self._starts, start)
+        self._starts.insert(idx, start)
+        self._ends.insert(idx, start + duration)
+
 
 def earliest_common_slot(
-    timelines: Sequence[Timeline], ready: float, duration: float
+    timelines: Sequence[_BusyIndex], ready: float, duration: float
 ) -> float:
     """Earliest instant ``>= ready`` at which *all* timelines are simultaneously free.
 
     Used to schedule a communication, which must occupy the sender's out-port
     and the receiver's in-port during the same time window (one-port model).
 
-    The search alternates between the timelines: whenever a timeline pushes the
-    candidate instant forward, the scan restarts with the later candidate, and
-    terminates because each timeline only ever moves the candidate to the end
-    of one of its finitely many busy intervals.
+    The search visits the timelines in turn; whenever one pushes the
+    candidate instant forward the others must be asked again, and the search
+    stops once every timeline in a row has accepted the candidate.  A
+    timeline that just moved the candidate accepts its own answer (a slot
+    search started at its result returns it unchanged), so it counts as the
+    first acceptance.  The search terminates because each timeline only ever
+    moves the candidate to the end of one of its finitely many busy
+    intervals.
     """
     if duration <= _EPS or not timelines:
         return ready
     candidate = ready
-    while True:
-        moved = False
-        for tl in timelines:
-            slot = tl.earliest_slot(candidate, duration)
-            if slot > candidate + _EPS:
-                candidate = slot
-                moved = True
-        if not moved:
-            return candidate
+    count = len(timelines)
+    accepted = 0
+    i = 0
+    while accepted < count:
+        slot = timelines[i].earliest_slot(candidate, duration)
+        if slot > candidate + _EPS:
+            candidate = slot
+            accepted = 1
+        else:
+            accepted += 1
+        i = i + 1 if i + 1 < count else 0
+    return candidate
