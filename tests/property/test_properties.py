@@ -17,7 +17,7 @@ from repro.platform.builders import heterogeneous_platform, homogeneous_platform
 from repro.schedule.metrics import communication_count, latency_upper_bound
 from repro.schedule.stages import compute_stages, num_stages
 from repro.schedule.validation import check_resilience, validate_schedule
-from repro.utils.intervals import Timeline
+from repro.utils.intervals import _EPS, Timeline, earliest_common_slot
 
 # Keep hypothesis examples modest: each example builds graphs and schedules.
 SLOW = settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -57,6 +57,99 @@ def test_timeline_busy_time_is_sum_of_reserved_durations(reservations):
             tl.reserve(start, dur)
             total += dur
     assert tl.busy_time == pytest.approx(total)
+
+
+# ------------------------------------------------- timeline fast path oracles
+def _naive_earliest_slot(timeline, ready, duration):
+    """The full-scan slot search the bisected one must reproduce."""
+    if duration <= _EPS:
+        return ready
+    candidate = ready
+    for iv in timeline.intervals:
+        if iv.end <= candidate + _EPS:
+            continue
+        if iv.start >= candidate + duration - _EPS:
+            break
+        candidate = max(candidate, iv.end)
+    return candidate
+
+
+def _naive_common_slot(timelines, ready, duration):
+    """Full passes over every timeline until one pass moves nothing."""
+    if duration <= _EPS or not timelines:
+        return ready
+    candidate = ready
+    while True:
+        moved = False
+        for tl in timelines:
+            slot = _naive_earliest_slot(tl, candidate, duration)
+            if slot > candidate + _EPS:
+                candidate, moved = slot, True
+        if not moved:
+            return candidate
+
+
+#: gaps between consecutive reservations: back to back, overlapping or
+#: separated by less than the tolerance, and ordinary gaps
+_gaps = st.sampled_from([0.0, _EPS / 2, -_EPS / 2, _EPS, -_EPS, 2 * _EPS]) | st.floats(0, 4)
+#: request lengths, including zero-length and sub-tolerance requests
+_durations = st.sampled_from([0.0, _EPS / 2, _EPS]) | st.floats(0.01, 6)
+
+
+@st.composite
+def _timelines(draw):
+    """A timeline whose intervals often touch within ``_EPS``."""
+    tl = Timeline()
+    instant = draw(st.floats(0, 5))
+    for gap, length in draw(st.lists(st.tuples(_gaps, st.floats(0.01, 5)), max_size=12)):
+        start = instant + gap
+        if start >= 0 and tl.is_free(start, length):
+            tl.reserve(start, length)
+            instant = start + length
+    return tl
+
+
+def _instants(timeline):
+    """Ready instants at, just around and between the interval endpoints."""
+    points = [0.0] + [x for iv in timeline for x in (iv.start, iv.end)]
+    return st.sampled_from(points).flatmap(
+        lambda p: st.sampled_from([p + k * _EPS for k in (-2, -1.5, -1, -0.5, 0, 0.5, 1)])
+    ) | st.floats(0, 80)
+
+
+@FAST
+@given(data=st.data())
+def test_bisected_earliest_slot_equals_full_scan(data):
+    tl = data.draw(_timelines())
+    ready = data.draw(_instants(tl))
+    duration = data.draw(_durations)
+    assert tl.earliest_slot(ready, duration) == _naive_earliest_slot(tl, ready, duration)
+    assert tl.scratch().earliest_slot(ready, duration) == _naive_earliest_slot(
+        tl, ready, duration
+    )
+
+
+@FAST
+@given(data=st.data())
+def test_scratch_planning_equals_copy_and_reserve(data):
+    """Planning transfers on scratch overlays of two ports gives the same
+    starts as planning them on copies with checked reservations, and leaves
+    the ports untouched."""
+    out_port, in_port = data.draw(_timelines()), data.draw(_timelines())
+    before = (out_port.intervals, in_port.intervals)
+    scratch = (out_port.scratch(), in_port.scratch())
+    copies = (out_port.copy(), in_port.copy())
+    for _ in range(data.draw(st.integers(1, 6))):
+        ready = data.draw(_instants(in_port))
+        duration = data.draw(_durations)
+        start = earliest_common_slot(scratch, ready, duration)
+        assert start == earliest_common_slot(copies, ready, duration)
+        assert start == _naive_common_slot(copies, ready, duration)
+        for tl in scratch:
+            tl.occupy(start, duration)
+        for tl in copies:
+            tl.reserve(start, duration)
+    assert (out_port.intervals, in_port.intervals) == before
 
 
 # ------------------------------------------------------------------------ graph

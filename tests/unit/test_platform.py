@@ -1,8 +1,13 @@
 """Unit tests for the platform model."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from repro.exceptions import PlatformError
+from repro.graph.analysis import task_priorities
+from repro.graph.examples import figure2_graph
 from repro.platform.builders import (
     figure1_platform,
     figure2_platform,
@@ -85,6 +90,79 @@ class TestPlatform:
     def test_contains_and_iter(self, homo4):
         assert "P1" in homo4
         assert len(list(homo4)) == 4
+
+
+class TestBandwidthArgument:
+    PROCS = [Processor("P1"), Processor("P2")]
+
+    @pytest.mark.parametrize(
+        "value", [2, 2.0, np.int64(2), np.float32(2.0), np.float64(2.0), Fraction(2)]
+    )
+    def test_any_real_scalar_sets_the_uniform_bandwidth(self, value):
+        p = Platform(self.PROCS, bandwidths=value)
+        assert p.bandwidth("P1", "P2") == 2.0
+        assert type(p.bandwidth("P1", "P2")) is float
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True)])
+    def test_bool_is_not_a_bandwidth(self, value):
+        with pytest.raises(PlatformError, match="bandwidths must be"):
+            Platform(self.PROCS, bandwidths=value)
+
+    @pytest.mark.parametrize("value", ["2", [2.0], ((("P1", "P2"), 2.0),), 2j])
+    def test_non_mapping_rejected_with_platform_error(self, value):
+        with pytest.raises(PlatformError, match="bandwidths must be"):
+            Platform(self.PROCS, bandwidths=value)
+
+    def test_non_positive_scalar_rejected(self):
+        with pytest.raises(ValueError):
+            Platform(self.PROCS, bandwidths=np.int64(0))
+
+
+class TestBandwidthCaches:
+    """Every cached view of the links follows set_bandwidth."""
+
+    def _platforms(self):
+        procs = [Processor(f"P{i}", 1.0 + i / 4) for i in range(1, 5)]
+        changed = Platform(procs, bandwidths=2.0)
+        changed.min_bandwidth, changed.mean_inverse_bandwidth  # fill the caches
+        changed.link_bandwidths()
+        changed.set_bandwidth("P1", "P3", 0.5)
+        fresh = Platform(procs, bandwidths={("P1", "P3"): 0.5}, default_bandwidth=2.0)
+        return changed, fresh
+
+    def test_link_statistics_reflect_the_new_link(self):
+        changed, fresh = self._platforms()
+        assert changed.min_bandwidth == fresh.min_bandwidth == 0.5
+        assert changed.mean_inverse_bandwidth == fresh.mean_inverse_bandwidth
+        assert changed.link_bandwidths() == fresh.link_bandwidths()
+        assert changed.link_bandwidths()[("P3", "P1")] == 0.5
+
+    def test_task_priorities_reflect_the_new_link(self):
+        graph = figure2_graph()
+        changed, fresh = self._platforms()
+        before = task_priorities(graph, Platform(changed.processors, bandwidths=2.0))
+        after = task_priorities(graph, changed)
+        assert after == task_priorities(graph, fresh)
+        assert after != before
+
+    def test_schedule_transfer_times_follow_a_bandwidth_change(self):
+        from repro.schedule.replica import Replica
+        from repro.schedule.schedule import Schedule, plan_placement
+
+        graph = figure2_graph()
+        platform = Platform([Processor(f"P{i}") for i in range(1, 4)], bandwidths=1.0)
+        schedule = Schedule(graph, platform, period=100.0)
+        schedule.apply_placement(plan_placement(schedule, "t1", "P1", {}))
+        volume = graph.volume("t1", "t2")
+        sources = {"t1": [Replica("t1", 1)]}
+        plan = plan_placement(schedule, "t2", "P2", sources)
+        assert plan.comms[0].duration == volume
+        assert schedule.transfer_time(volume, "P1", "P2") == volume
+        platform.set_bandwidth("P1", "P2", 4.0)
+        plan = plan_placement(schedule, "t2", "P2", sources)
+        assert plan.comms[0].duration == volume / 4.0
+        assert schedule.transfer_time(volume, "P1", "P2") == volume / 4.0
+        assert schedule.transfer_time(volume, "P1", "P1") == 0.0
 
 
 class TestBuilders:
