@@ -39,7 +39,11 @@ Two layers:
     ships back through the process pool for one grid point;
   * ``chunksize`` — ``parallel_map`` wall-clock on many tiny units with the
     historical ``chunksize=1`` vs the batched default (one pickle round-trip
-    per chunk instead of per unit).
+    per chunk instead of per unit);
+  * ``scheduler_builds`` — LTF and R-LTF build time on seeded paper
+    workloads of 30, 100 and 300 tasks (ε=2, period slack 2.0, 10
+    processors), one row per workload tag.  Each row is gated on its own
+    by ``bench_trajectory.py``.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.core.ltf import ltf_schedule
 from repro.core.rltf import rltf_schedule
 from repro.experiments.config import ExperimentConfig, workload_period
 from repro.experiments.parallel import parallel_map, run_runtime_campaign
@@ -150,6 +155,41 @@ def _long_stream_case():
     workload = random_paper_workload(1.0, seed=11, num_tasks=30, num_processors=10)
     period = workload_period(workload, 2, ExperimentConfig())
     return rltf_schedule(workload.graph, workload.platform, period=period, epsilon=2)
+
+
+#: task counts of the scheduler rows; every row is gated against the same
+#: workload tag of the previous run, in smoke and full mode alike.
+SCHEDULER_SIZES = (30, 100, 300)
+
+
+def scheduler_workload_tag(algorithm: str, num_tasks: int) -> str:
+    """Workload tag of one scheduler row, e.g. ``rltf-n100-eps2-slack2``."""
+    return f"{algorithm}-n{num_tasks}-eps2-slack2"
+
+
+def _scheduler_builds(repeat: int) -> dict[str, dict]:
+    """Best-of-*repeat* LTF and R-LTF build times at every SCHEDULER_SIZES.
+
+    The workload is the paper's (granularity 1.0, seed 3, 10 processors)
+    with the campaign period rule at ε=2 and slack 2.0; both heuristics
+    schedule it at every size, so a row never times a failure.
+    """
+    rows = {}
+    for num_tasks in SCHEDULER_SIZES:
+        workload = random_paper_workload(1.0, seed=3, num_tasks=num_tasks, num_processors=10)
+        period = workload_period(workload, 2, ExperimentConfig(period_slack=2.0))
+        for algorithm, build in (("ltf", ltf_schedule), ("rltf", rltf_schedule)):
+            seconds = _time(
+                lambda: build(workload.graph, workload.platform, period=period, epsilon=2),
+                repeat,
+            )
+            rows[scheduler_workload_tag(algorithm, num_tasks)] = {
+                "algorithm": algorithm,
+                "tasks": num_tasks,
+                "seconds": seconds,
+                "builds_per_sec": 1.0 / seconds if seconds else 0.0,
+            }
+    return rows
 
 
 def _bench_unit(x: int) -> int:
@@ -304,6 +344,10 @@ def run_report(smoke: bool = False) -> dict:
     )
     chunk_auto = _time(lambda: parallel_map(_bench_unit, units, jobs=2), repeat)
 
+    # --- scheduler rows: best of 3 even in smoke mode, since a 30-task build
+    # takes milliseconds and a single timing would not hold a 30% band
+    scheduler_builds = _scheduler_builds(3 if smoke else 5)
+
     return {
         "smoke": smoke,
         "campaign": {"trials": trials, "seconds": campaign_seconds},
@@ -358,6 +402,7 @@ def run_report(smoke: bool = False) -> dict:
             "auto_chunksize_seconds": chunk_auto,
             "speedup": chunk1 / chunk_auto if chunk_auto else 0.0,
         },
+        "scheduler_builds": scheduler_builds,
     }
 
 
@@ -409,6 +454,10 @@ def main(argv=None) -> int:
         [f"chunksize=1 ({chunk['units']:,} tiny units)", f"{chunk['chunksize_1_seconds']:.3f}"],
         ["auto chunksize", f"{chunk['auto_chunksize_seconds']:.3f}"],
         ["chunksize speedup", f"{chunk['speedup']:.2f}x"],
+    ]
+    rows += [
+        [f"{row['algorithm']} build, {row['tasks']} tasks (s)", f"{row['seconds']:.3f}"]
+        for row in report["scheduler_builds"].values()
     ]
     print(format_table(["benchmark", "value"], rows, title="online runtime benchmark"))
     if args.output:

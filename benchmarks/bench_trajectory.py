@@ -4,14 +4,16 @@ CI runs ``bench_runtime.py --smoke --output BENCH_runtime.json`` on every
 push, then calls this script to append the fresh report to the accumulated
 trajectory (``BENCH_trajectory.json``, restored from the previous run's
 artifact/cache) and to compare the headline throughput —
-``long_stream_datasets_per_sec`` — against the previous point::
+``long_stream_datasets_per_sec`` — and every scheduler row (LTF/R-LTF
+builds per second, one per workload tag) against the previous point::
 
     python benchmarks/bench_trajectory.py BENCH_runtime.json BENCH_trajectory.json
 
 Exit code 1 (after appending, so the regressed point is still recorded and
-re-uploaded) when the new throughput falls more than ``--max-regression``
-(default 30%) below the previous point.  A missing or unreadable trajectory
-starts a fresh one — first runs and expired caches must not fail the build.
+re-uploaded) when any gated rate falls more than ``--max-regression``
+(default 30%) below the previous comparable point.  A missing or unreadable
+trajectory starts a fresh one — first runs and expired caches must not fail
+the build.
 Shared-runner timing is noisy; the 30% band is deliberately wide, catching
 algorithmic regressions, not scheduler jitter.
 """
@@ -25,6 +27,8 @@ import sys
 from pathlib import Path
 
 HEADLINE = "long_stream_datasets_per_sec"
+#: report/point key of the scheduler rows: ``{workload tag: builds per second}``
+SCHEDULER = "scheduler_builds"
 
 
 def load_trajectory(path: Path) -> list[dict]:
@@ -67,6 +71,10 @@ def append_point(trajectory: list[dict], report: dict) -> dict:
         "sweep_transport_reduction": report.get("sweep_transport_bytes", {}).get(
             "reduction_factor"
         ),
+        SCHEDULER: {
+            tag: row.get("builds_per_sec")
+            for tag, row in report.get(SCHEDULER, {}).items()
+        },
     }
     trajectory.append(point)
     return point
@@ -86,22 +94,54 @@ def check_regression(
     value = current.get(HEADLINE)
     if value is None:
         return True, f"no {HEADLINE} in the current report; gating skipped"
-    for previous in reversed(trajectory[:-1]):
-        baseline = previous.get(HEADLINE)
-        if (
-            baseline
-            and previous.get("smoke") == current.get("smoke")
-            and previous.get("workload") == current.get("workload")
-        ):
+    baselines = (
+        (previous.get(HEADLINE), previous)
+        for previous in reversed(trajectory[:-1])
+        if previous.get("workload") == current.get("workload")
+    )
+    return _gate(HEADLINE, value, current, baselines, max_regression)
+
+
+def check_scheduler_rows(
+    trajectory: list[dict], max_regression: float
+) -> list[tuple[bool, str]]:
+    """Gate every scheduler row of the newest point on its own.
+
+    A row compares with the newest previous point of the same ``smoke``
+    flag that has a row of the same workload tag; a tag seen for the first
+    time seeds its baseline.
+    """
+    current = trajectory[-1]
+    return [
+        _gate(
+            f"{SCHEDULER}[{tag}]",
+            value,
+            current,
+            (
+                (previous.get(SCHEDULER, {}).get(tag), previous)
+                for previous in reversed(trajectory[:-1])
+            ),
+            max_regression,
+        )
+        for tag, value in sorted(current.get(SCHEDULER, {}).items())
+        if value is not None
+    ]
+
+
+def _gate(name, value, current, baselines, max_regression) -> tuple[bool, str]:
+    """Compare *value* with the first usable ``(baseline, point)`` of
+    *baselines* (newest first) whose point has the current ``smoke`` flag."""
+    for baseline, previous in baselines:
+        if baseline and previous.get("smoke") == current.get("smoke"):
             floor = baseline * (1.0 - max_regression)
             verdict = (
-                f"{HEADLINE}: {value:,.0f} vs previous {baseline:,.0f} "
-                f"(floor {floor:,.0f}, commit {previous.get('commit', '?')[:12]})"
+                f"{name}: {value:,.2f} vs previous {baseline:,.2f} "
+                f"(floor {floor:,.2f}, commit {previous.get('commit', '?')[:12]})"
             )
             return value >= floor, verdict
     return True, (
-        f"no comparable previous point; gating skipped — "
-        f"recorded {value:,.0f} as the baseline"
+        f"{name}: no comparable previous point; gating skipped — "
+        f"recorded {value:,.2f} as the baseline"
     )
 
 
@@ -123,12 +163,14 @@ def main(argv=None) -> int:
         print("trajectory: empty — this run seeds the baseline; gating skipped")
     point = append_point(trajectory, report)
     trajectory_path.write_text(json.dumps(trajectory, indent=2) + "\n")
-    ok, verdict = check_regression(trajectory, args.max_regression)
+    gates = [check_regression(trajectory, args.max_regression)]
+    gates += check_scheduler_rows(trajectory, args.max_regression)
     print(f"trajectory: {len(trajectory)} points ({trajectory_path})")
-    print(("OK  " if ok else "FAIL ") + verdict)
-    if not ok:
+    for ok, verdict in gates:
+        print(("OK  " if ok else "FAIL ") + verdict)
+    if not all(ok for ok, _ in gates):
         print(
-            f"::error::{HEADLINE} regressed more than "
+            f"::error::a gated rate regressed more than "
             f"{args.max_regression:.0%} against the previous point"
         )
         return 1

@@ -359,6 +359,22 @@ class MappingEngine:
             stage = max(stage, self.stage[comm.source] + eta)
         return stage
 
+    def stage_on(self, task: str, processor: str, sources: Iterable[Replica]) -> int:
+        """The stage a replica of *task* on *processor* fed by *sources* gets.
+
+        Equal to the stage of its plan (a source adds a stage unless its
+        transfer is free), but known before planning, so a policy that
+        filters on stages can skip the plans it would reject.
+        """
+        schedule = self.schedule
+        stage = 1
+        for src in sources:
+            duration = schedule.transfer_time(
+                self.graph.volume(src.task, task), schedule.processor_of(src), processor
+            )
+            stage = max(stage, self.stage[src] + (0 if duration == 0 else 1))
+        return stage
+
     # --------------------------------------------------------------- candidates
     def _forbidden_processors(self, task: str, ctx: TaskContext) -> set[str]:
         """Processors that can never host the next replica of *task*: those in
@@ -466,19 +482,13 @@ class MappingEngine:
         simulates the placement, checks condition (1), and finally returns the
         plan with the earliest finish time.
         """
-        preds = self.graph.predecessors(task)
-        if not preds:
-            return None
-        available = self.chain_source_candidates(task, ctx)
-        if any(not lst for lst in available.values()):
-            return None
         best: PlacementPlan | None = None
         best_key: tuple | None = None
         pool = candidates if candidates is not None else self.platform.processor_names
         for proc in pool:
             plan = self._memoized(
                 ("chain", task, proc, prefer_colocated),
-                lambda: self._plan_chain_on(task, ctx, proc, available, prefer_colocated),
+                lambda: self._plan_chain_on(task, ctx, proc, prefer_colocated),
             )
             if plan is None:
                 continue
@@ -487,19 +497,33 @@ class MappingEngine:
                 best, best_key = plan, key
         return best
 
+    def chain_sources(
+        self, task: str, ctx: TaskContext, processor: str, prefer_colocated: bool = True
+    ) -> dict[str, Replica] | None:
+        """The source per predecessor a chain of *task* ending on *processor*
+        would use, or ``None`` when some predecessor has no source left (or
+        *task* has no predecessor)."""
+        return self._memoized(
+            ("chain-pick", task, processor, prefer_colocated),
+            lambda: self._chain_sources(task, ctx, processor, prefer_colocated),
+        )
+
+    def _chain_sources(
+        self, task: str, ctx: TaskContext, processor: str, prefer_colocated: bool
+    ) -> dict[str, Replica] | None:
+        if not self.graph.predecessors(task):
+            return None
+        available = self.chain_source_candidates(task, ctx)
+        if any(not lst for lst in available.values()):
+            return None
+        return self._pick_chain_sources(task, available, processor, prefer_colocated)
+
     def _plan_chain_on(
-        self,
-        task: str,
-        ctx: TaskContext,
-        processor: str,
-        available: Mapping[str, Sequence[Replica]],
-        prefer_colocated: bool,
+        self, task: str, ctx: TaskContext, processor: str, prefer_colocated: bool
     ) -> PlacementPlan | None:
         """The chain-fed plan of :meth:`plan_chain` on one *processor*."""
-        if processor in self._forbidden_processors(task, ctx):
-            return None
-        sources = self._pick_chain_sources(task, available, processor, prefer_colocated)
-        if sources is None:
+        sources = self.chain_sources(task, ctx, processor, prefer_colocated)
+        if sources is None or processor in self._forbidden_processors(task, ctx):
             return None
         if self.options.strict_resilience:
             support = {processor}

@@ -75,20 +75,20 @@ class RLTFPolicy:
         if not succs:
             return None
         floor = self._successor_stage_floor(engine, task)
-        candidates = {
-            engine.schedule.processor_of(rep)
-            for succ in succs
-            for rep in engine.schedule.replicas(succ)
-        }
+        successor_replicas = [rep for succ in succs for rep in engine.schedule.replicas(succ)]
+        candidates = {engine.schedule.processor_of(rep) for rep in successor_replicas}
         best: PlacementPlan | None = None
         for proc in sorted(candidates):
-            for plan in (
-                engine.plan_chain(task, ctx, candidates=[proc]),
-                engine.plan_regular(task, proc, ctx),
-            ):
+            # the stage is known from the sources, so a placement past the
+            # floor is rejected without planning it
+            plans = []
+            chain = engine.chain_sources(task, ctx, proc)
+            if chain is not None and engine.stage_on(task, proc, chain.values()) <= floor:
+                plans.append(engine.plan_chain(task, ctx, candidates=[proc]))
+            if engine.stage_on(task, proc, successor_replicas) <= floor:
+                plans.append(engine.plan_regular(task, proc, ctx))
+            for plan in plans:
                 if plan is None:
-                    continue
-                if engine._plan_stage(plan) > floor:
                     continue
                 if best is None or (plan.finish, not plan.one_to_one, plan.processor) < (
                     best.finish,

@@ -1,0 +1,66 @@
+"""The CI trajectory gate: headline and scheduler rows, each on its own."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_trajectory.py"
+_spec = importlib.util.spec_from_file_location("bench_trajectory", _PATH)
+bench_trajectory = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_trajectory)
+
+
+def _report(headline=1000.0, smoke=True, **builds):
+    return {
+        "smoke": smoke,
+        "long_stream": {"workload": "quiet"},
+        "long_stream_datasets_per_sec": headline,
+        "scheduler_builds": {
+            tag: {"builds_per_sec": rate} for tag, rate in builds.items()
+        },
+    }
+
+
+def _run(tmp_path, *reports):
+    trajectory = tmp_path / "trajectory.json"
+    codes = []
+    for i, report in enumerate(reports):
+        path = tmp_path / f"report{i}.json"
+        path.write_text(json.dumps(report))
+        codes.append(bench_trajectory.main([str(path), str(trajectory)]))
+    return codes, json.loads(trajectory.read_text())
+
+
+def test_scheduler_rows_are_recorded_per_tag(tmp_path):
+    codes, points = _run(tmp_path, _report(**{"ltf-n30": 40.0, "rltf-n30": 20.0}))
+    assert codes == [0]
+    assert points[-1]["scheduler_builds"] == {"ltf-n30": 40.0, "rltf-n30": 20.0}
+
+
+@pytest.mark.parametrize("rate, code", [(15.0, 0), (13.0, 1)])
+def test_each_scheduler_row_gates_with_the_30_percent_band(tmp_path, rate, code):
+    codes, _ = _run(
+        tmp_path,
+        _report(**{"ltf-n30": 40.0, "rltf-n30": 20.0}),
+        _report(**{"ltf-n30": 40.0, "rltf-n30": rate}),
+    )
+    assert codes == [0, code]
+
+
+def test_new_tags_and_other_modes_seed_instead_of_gating(tmp_path):
+    codes, _ = _run(
+        tmp_path,
+        _report(**{"rltf-n30": 20.0}),
+        _report(smoke=False, **{"rltf-n30": 1.0}),
+        _report(**{"rltf-n30": 19.0, "rltf-n300": 0.1}),
+    )
+    assert codes == [0, 0, 0]
+
+
+def test_headline_regression_still_fails(tmp_path):
+    codes, _ = _run(tmp_path, _report(1000.0), _report(600.0))
+    assert codes == [0, 1]
