@@ -369,10 +369,11 @@ class MappingEngine:
         schedule = self.schedule
         stage = 1
         for src in sources:
-            duration = schedule.transfer_time(
-                self.graph.volume(src.task, task), schedule.processor_of(src), processor
+            src_proc = schedule.processor_of(src)
+            free = src_proc == processor or not schedule.transfer_time(
+                self.graph.volume(src.task, task), src_proc, processor
             )
-            stage = max(stage, self.stage[src] + (0 if duration == 0 else 1))
+            stage = max(stage, self.stage[src] + (0 if free else 1))
         return stage
 
     # --------------------------------------------------------------- candidates
@@ -505,18 +506,8 @@ class MappingEngine:
         *task* has no predecessor)."""
         return self._memoized(
             ("chain-pick", task, processor, prefer_colocated),
-            lambda: self._chain_sources(task, ctx, processor, prefer_colocated),
+            lambda: self._pick_chain_sources(task, ctx, processor, prefer_colocated),
         )
-
-    def _chain_sources(
-        self, task: str, ctx: TaskContext, processor: str, prefer_colocated: bool
-    ) -> dict[str, Replica] | None:
-        if not self.graph.predecessors(task):
-            return None
-        available = self.chain_source_candidates(task, ctx)
-        if any(not lst for lst in available.values()):
-            return None
-        return self._pick_chain_sources(task, available, processor, prefer_colocated)
 
     def _plan_chain_on(
         self, task: str, ctx: TaskContext, processor: str, prefer_colocated: bool
@@ -545,17 +536,19 @@ class MappingEngine:
     def _pick_chain_sources(
         self,
         task: str,
-        available: Mapping[str, Sequence[Replica]],
+        ctx: TaskContext,
         processor: str,
         prefer_colocated: bool,
     ) -> dict[str, Replica] | None:
         """Pick one source per predecessor for a chain ending on *processor*.
 
-        Every source in *available* is already disjoint from the sibling
-        chains; sources of *different* predecessors are allowed to share
-        support (overlap only weakens nothing — the chain is invalidated by a
-        failure in the union of its sources' supports either way).  The only
-        additional constraint is the support-size cap checked by the caller.
+        The candidates are :meth:`chain_source_candidates`, already disjoint
+        from the sibling chains; without a candidate for some predecessor
+        there is no chain.  Sources of *different* predecessors are allowed
+        to share support (overlap only weakens nothing — the chain is
+        invalidated by a failure in the union of its sources' supports either
+        way).  The only additional constraint is the support-size cap checked
+        by the caller.
 
         Co-located sources are preferred (no communication, no stage change);
         otherwise the head of the availability list is taken — the paper's
@@ -564,6 +557,11 @@ class MappingEngine:
         exists, because their outgoing communication would violate
         condition (1) on the source side.
         """
+        if not self.graph.predecessors(task):
+            return None
+        available = self.chain_source_candidates(task, ctx)
+        if any(not lst for lst in available.values()):
+            return None
         chosen: dict[str, Replica] = {}
         for pred, reps in available.items():
             pick: Replica | None = None

@@ -450,7 +450,6 @@ def plan_placement(
         computed under the one-port model on scratch copies of the relevant
         timelines (the schedule is not modified).
     """
-    schedule.next_replica(task)
     return plan_ordered(
         schedule, task, processor, ordered_sources(schedule, task, sources), one_to_one
     )
@@ -510,7 +509,6 @@ def plan_ordered(
     proc_state = schedule._proc_state
     in_port = None
     out_ports = {}
-    links = None
     planned: list[PlannedComm] = []
     data_ready = 0.0
     for ready, src, src_proc, vol in flat:
@@ -518,10 +516,9 @@ def plan_ordered(
             planned.append(PlannedComm(src, src_proc, vol, ready, 0.0))
             arrival = ready
         else:
-            if links is None:
-                links = schedule.platform.link_bandwidths()
+            if in_port is None:
                 in_port = state.in_port.scratch()
-            duration = vol / links[(src_proc, processor)]
+            duration = schedule.transfer_time(vol, src_proc, processor)
             out = out_ports.get(src_proc)
             if out is None:
                 out = out_ports[src_proc] = proc_state[src_proc].out_port.scratch()
