@@ -350,21 +350,16 @@ class MappingEngine:
             self.schedule.stats["regular_mappings"] += 1
         self.kill[replica] = frozenset(kill)
         ctx.used_kill |= kill
-        self.stage[replica] = self._plan_stage(plan)
-
-    def _plan_stage(self, plan: PlacementPlan) -> int:
-        stage = 1
-        for comm in plan.comms:
-            eta = 0 if comm.duration == 0 else 1
-            stage = max(stage, self.stage[comm.source] + eta)
-        return stage
+        self.stage[replica] = self.stage_on(
+            replica.task, plan.processor, (comm.source for comm in plan.comms)
+        )
 
     def stage_on(self, task: str, processor: str, sources: Iterable[Replica]) -> int:
         """The stage a replica of *task* on *processor* fed by *sources* gets.
 
-        Equal to the stage of its plan (a source adds a stage unless its
-        transfer is free), but known before planning, so a policy that
-        filters on stages can skip the plans it would reject.
+        A source adds a stage unless its transfer is free.  The stage
+        depends on the sources alone, so a policy that filters on stages
+        can skip planning the placements it would reject.
         """
         schedule = self.schedule
         stage = 1
