@@ -29,8 +29,9 @@ class Platform:
     bandwidths:
         Either a single real number (uniform bandwidth for every link; a
         ``bool`` is rejected), or a mapping ``{(src_name, dst_name):
-        bandwidth}``.  Missing pairs default to ``default_bandwidth``.  Bandwidth between a processor and itself is
-        irrelevant (local communications are free) and ignored.
+        bandwidth}``.  Missing pairs default to ``default_bandwidth``.
+        Bandwidth between a processor and itself is irrelevant (local
+        communications are free) and ignored.
     default_bandwidth:
         Bandwidth used for pairs absent from *bandwidths*.
     failure_domains:
@@ -163,10 +164,9 @@ class Platform:
         Local "links" (``src == dst``) report infinite bandwidth, consistent
         with communications between co-located tasks being free.
         """
-        if src not in self._processors:
-            self.processor(src)
-        if dst not in self._processors:
-            self.processor(dst)
+        for name in (src, dst):
+            if name not in self._processors:
+                self.processor(name)  # raises PlatformError
         if src == dst:
             return float("inf")
         return self._bandwidths.get((src, dst), self._default_bandwidth)
