@@ -44,7 +44,7 @@ from repro.platform.platform import Platform
 from repro.schedule.ports import ProcessorTimelines
 from repro.schedule.replica import Replica
 from repro.utils.checks import check_positive
-from repro.utils.intervals import earliest_common_slot
+from repro.utils.intervals import ScratchTimeline, earliest_common_slot
 
 __all__ = [
     "CommEvent",
@@ -517,11 +517,11 @@ def plan_ordered(
             arrival = ready
         else:
             if in_port is None:
-                in_port = state.in_port.scratch()
+                in_port = ScratchTimeline(state.in_port)
             duration = schedule.transfer_time(vol, src_proc, processor)
             out = out_ports.get(src_proc)
             if out is None:
-                out = out_ports[src_proc] = proc_state[src_proc].out_port.scratch()
+                out = out_ports[src_proc] = ScratchTimeline(proc_state[src_proc].out_port)
             start = earliest_common_slot((out, in_port), ready, duration)
             out.occupy(start, duration)
             in_port.occupy(start, duration)

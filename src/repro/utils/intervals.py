@@ -106,8 +106,8 @@ class Timeline(_BusyIndex):
     in a parallel list; both operations are ``O(log n)`` for the search plus
     ``O(n)`` worst case for the scan / insertion, which is ample for the
     graph sizes used in the paper (50–150 tasks, 20 processors).
-    Candidate placements plan on a :meth:`scratch` copy instead of
-    reserving here.
+    Candidate placements plan on a :class:`ScratchTimeline` copy instead
+    of reserving here.
     """
 
     def __init__(self, intervals: Sequence[Interval] | None = None):
@@ -190,10 +190,6 @@ class Timeline(_BusyIndex):
         clone._ends = list(self._ends)
         clone._intervals = list(self._intervals)
         return clone
-
-    def scratch(self) -> "ScratchTimeline":
-        """A planning copy that :meth:`ScratchTimeline.occupy` can fill."""
-        return ScratchTimeline(self)
 
 
 class ScratchTimeline(_BusyIndex):

@@ -17,7 +17,7 @@ from repro.platform.builders import heterogeneous_platform, homogeneous_platform
 from repro.schedule.metrics import communication_count, latency_upper_bound
 from repro.schedule.stages import compute_stages, num_stages
 from repro.schedule.validation import check_resilience, validate_schedule
-from repro.utils.intervals import _EPS, Timeline, earliest_common_slot
+from repro.utils.intervals import _EPS, ScratchTimeline, Timeline, earliest_common_slot
 
 # Keep hypothesis examples modest: each example builds graphs and schedules.
 SLOW = settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -124,7 +124,7 @@ def test_bisected_earliest_slot_equals_full_scan(data):
     ready = data.draw(_instants(tl))
     duration = data.draw(_durations)
     assert tl.earliest_slot(ready, duration) == _naive_earliest_slot(tl, ready, duration)
-    assert tl.scratch().earliest_slot(ready, duration) == _naive_earliest_slot(
+    assert ScratchTimeline(tl).earliest_slot(ready, duration) == _naive_earliest_slot(
         tl, ready, duration
     )
 
@@ -137,7 +137,7 @@ def test_scratch_planning_equals_copy_and_reserve(data):
     the ports untouched."""
     out_port, in_port = data.draw(_timelines()), data.draw(_timelines())
     before = (out_port.intervals, in_port.intervals)
-    scratch = (out_port.scratch(), in_port.scratch())
+    scratch = (ScratchTimeline(out_port), ScratchTimeline(in_port))
     copies = (out_port.copy(), in_port.copy())
     for _ in range(data.draw(st.integers(1, 6))):
         ready = data.draw(_instants(in_port))

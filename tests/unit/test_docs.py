@@ -106,6 +106,20 @@ def test_docs_cover_the_fast_forward_surface():
     assert "performance.md#steady-state-fast-forward" in observability
 
 
+def test_docs_cover_the_scheduler_hot_path():
+    """performance.md must explain the planning hot path, name the corpus
+    that guards it and document the gated scheduler benchmark rows."""
+    performance = (REPO / "docs" / "performance.md").read_text()
+    assert "## Scheduler hot path" in performance
+    for name in ("ScratchTimeline", "earliest_common_slot", "apply_placement",
+                 "link_bandwidths", "stage_on", "scheduler_builds"):
+        assert name in performance, f"performance.md misses {name}"
+    for path in ("tests/golden/schedule_fingerprints.json",
+                 "tests/unit/test_schedule_corpus.py"):
+        assert path in performance, f"performance.md misses {path}"
+        assert (REPO / path).is_file(), f"performance.md names missing {path}"
+
+
 def test_service_doc_covers_every_route_and_serve_flag():
     """docs/service.md must document the full HTTP surface: every route the
     WSGI app dispatches and every flag `repro-streaming serve` accepts —
