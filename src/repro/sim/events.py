@@ -1,15 +1,19 @@
-"""The event queue and simulation clock of the kernel.
+"""The event queue of the kernel.
 
 A single binary heap keyed by ``(time, sequence)``: the sequence number is a
 monotonically increasing insertion counter, so events at the same instant pop
 in push order.  This tie-breaking rule is part of the kernel's contract — the
 offline simulator relies on it to stay bit-for-bit reproducible across runs
-(and across the PR that extracted this kernel out of it).
+(and across the extraction of this kernel out of it).
 
-Event kinds are small ints (interned by CPython), not strings: the kind is
-dispatched on once per event in the kernel's hot loop, and it never takes
-part in heap ordering — ``(time, sequence)`` is always a unique sort key, so
-the comparison chain never reaches the kind or the payload.
+Entries are flat tuples ``(time, sequence, kind, *operands)``.  Event kinds
+are small ints (interned by CPython), not strings: the kind is dispatched on
+once per event in the kernel's hot loop, and it never takes part in heap
+ordering — ``(time, sequence)`` is always a unique sort key, so the
+comparison chain never reaches the kind or the operands.  The kernel pops
+:attr:`EventQueue.heap` itself (``heapq.heappop``), so the queue has no pop
+method and no clock of its own: the kernel's clock is
+:attr:`repro.sim.kernel.PipelineKernel.now`.
 """
 
 from __future__ import annotations
@@ -22,15 +26,14 @@ __all__ = ["EventQueue"]
 class EventQueue:
     """Time-ordered event heap with deterministic FIFO tie-breaking."""
 
-    __slots__ = ("heap", "_count", "_now")
+    __slots__ = ("heap", "_count")
 
     def __init__(self) -> None:
-        #: the raw heap of ``(time, seq, kind, payload)`` tuples.  The kernel's
-        #: hot loop reads ``heap[0][0]`` and pops it directly to avoid a method
+        #: the raw heap of ``(time, seq, kind, *operands)`` tuples.  The
+        #: kernel's hot loop pops and pushes it directly to avoid a method
         #: call per event; every other caller must treat it as read-only.
-        self.heap: list[tuple[float, int, int, object]] = []
+        self.heap: list[tuple] = []
         self._count = 0
-        self._now = 0.0
 
     def __len__(self) -> int:
         return len(self.heap)
@@ -38,20 +41,15 @@ class EventQueue:
     def __bool__(self) -> bool:
         return bool(self.heap)
 
-    @property
-    def now(self) -> float:
-        """Time of the most recently popped event (the simulation clock)."""
-        return self._now
-
-    def push(self, time: float, kind: int, payload: object) -> None:
-        """Schedule *payload* of type *kind* at *time*."""
+    def push(self, time: float, kind: int, *operands) -> None:
+        """Schedule the event ``(time, seq, kind, *operands)``."""
         self._count += 1
-        heapq.heappush(self.heap, (time, self._count, kind, payload))
+        heapq.heappush(self.heap, (time, self._count, kind, *operands))
 
     def next_seq(self) -> int:
         """The sequence number the *next* pushed event would receive.
 
-        Batch admission builds ``(time, seq, kind, payload)`` tuples itself
+        Batch admission builds ``(time, seq, kind, *operands)`` tuples itself
         (extending :attr:`heap` then heapifying once is O(n), n pushes are
         O(n log n)); it must draw the same consecutive sequence numbers a
         push loop would have, so ties keep resolving in admission order.
@@ -66,13 +64,3 @@ class EventQueue:
                 f"sequence numbers must grow: next_seq {seq} <= current {self._count}"
             )
         self._count = seq - 1
-
-    def peek_time(self) -> float:
-        """Time of the earliest pending event (the queue must be non-empty)."""
-        return self.heap[0][0]
-
-    def pop(self) -> tuple[float, int, object]:
-        """Pop and return the earliest event as ``(time, kind, payload)``."""
-        time, _, kind, payload = heapq.heappop(self.heap)
-        self._now = time
-        return time, kind, payload

@@ -13,7 +13,7 @@ The kernel executes the steady-state pipeline of a complete
   valid copy wins);
 * a data set *completes* when every exit task has produced it at least once.
 
-Three admission styles share this loop:
+Five admission methods share this loop:
 
 * :meth:`PipelineKernel.admit_batch` pushes the release events of a whole
   stream up front, replica-major — the exact event order of the original
@@ -25,8 +25,15 @@ Three admission styles share this loop:
   ``heapify`` instead of one Python-level ``heappush`` per event — the fast
   path for 10⁵+-dataset streams, event-for-event identical to
   :meth:`~PipelineKernel.admit_batch` on the equivalent release list;
+* :meth:`PipelineKernel.admit_stream_window` admits one window of that
+  uniform stream with the sequence numbers the one-shot admission would
+  have drawn (the steady-state fast path snapshots between windows);
 * :meth:`PipelineKernel.admit` admits one data set at a time (dataset-major),
-  which is what the online runtime does between fault events.
+  which is what the online runtime does between fault events;
+* :meth:`PipelineKernel.admit_restored` replays a checkpoint (below).
+
+Every admission rejects a NaN, infinite or negative release instant or
+period with a :class:`~repro.exceptions.ScheduleError` naming the argument.
 
 On top of plain execution the kernel supports the two online semantics the
 runtime needs:
@@ -44,28 +51,53 @@ runtime needs:
   consumers at the restore instant with no transfer cost (they come from the
   checkpoint store, not from a peer's out-port).
 
+State layout — one record per live data set
+-------------------------------------------
+
+Every valid replica gets a dense index and fixed offsets into a per-data-set
+**record**, one flat list holding everything the loop knows about that data
+set::
+
+    [refs, exits, index, release, completion,      # header
+     mask_0, finish_0, done_0,                      # replica 0
+     mask_1, finish_1, done_1, ...,                 # replica 1, ...
+     first_0, first_1, ...]                         # one per exit task
+
+``refs`` counts the pending events that reference the record, ``exits`` the
+exit tasks produced so far; ``mask_i`` is replica *i*'s input bitmask (one bit
+per predecessor task), ``finish_i`` the scheduled finish of its compute
+(``None`` until it starts), ``done_i`` its actual completion, and
+``first_k`` the first completion of exit task *k*.  Records live in one dict
+keyed by data-set index, in admission order.
+
+Heap entries are flat tuples ``(time, seq, kind, operand, record)``: the
+operand is the replica state (release, compute completion), ``None`` (the
+merged release of every entry replica) or a prebuilt, shared *link* tuple
+(transfer arrival) — so the loop allocates exactly one tuple per event and
+reaches the record without a dictionary lookup.  Compute, out-port and
+in-port free times are lists indexed by processor index, and the crashed set
+holds indices.
+
 Memory model — the ``retain_history`` flag
 ------------------------------------------
 
-By default (``retain_history=True``) the kernel keeps the full per-dataset
-book-keeping of every data set it ever saw: ``completions`` /
-:meth:`completion_of` answer for the whole run, which is what the offline
-simulator's :class:`~repro.failures.simulator.SimulationResult` is built
-from.  That state grows linearly with the stream, and on 10⁵+-dataset streams
-the dictionary churn — not the event arithmetic — dominates the run time.
+By default (``retain_history=True``) the kernel keeps the record of every
+data set it ever saw: ``completions`` / :meth:`completion_of` answer for the
+whole run, which is what the offline simulator's
+:class:`~repro.failures.simulator.SimulationResult` is built from.
 
-``retain_history=False`` turns on **watermark-based eviction**: the kernel
-counts the outstanding events of every data set, and the moment a *completed*
-data set's count drops to zero (its watermark — no pending event references
-it, so nothing can ever touch its state again) every trace of it is retired:
-the per-replica ``received``/``finished``/``done`` entries, the exit-task
-ledger, the admission record and the completion entry.  Live state is then
-bounded by the number of in-flight data sets (the pipeline depth), not the
-stream length.  Completions are reported **only** through the
-:meth:`run_until` / :meth:`run_to_completion` drains — ``completion_of``
-returns ``None`` once a data set has been evicted — and re-admitting a
-retired index raises (indices at or below the highest evicted index are
-rejected, the constant-memory stand-in for the per-dataset duplicate check).  Eviction is pure book-keeping: every event is processed
+``retain_history=False`` turns on **watermark-based eviction**: every event
+pushed for a data set increments its record's ``refs`` and every event
+popped decrements it, and the moment a *completed* data set's count drops to
+zero (its watermark — no pending event references it, so nothing can ever
+touch its state again) its record leaves the dict: one ``dict.pop``.  Live
+state is then bounded by the number of in-flight data sets (the pipeline
+depth), not the stream length.  Completions are reported **only** through
+the :meth:`run_until` / :meth:`run_to_completion` drains —
+``completion_of`` returns ``None`` once a data set has been evicted — and
+re-admitting a retired index raises (indices at or below the highest evicted
+index are rejected, the constant-memory stand-in for the per-dataset
+duplicate check).  Eviction is pure book-keeping: every event is processed
 identically in both modes, so the drained completions are bit-for-bit equal
 (property-tested in ``tests/property``).
 """
@@ -73,6 +105,7 @@ identically in both modes, so the drained completions are bit-for-bit equal
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -103,38 +136,65 @@ _RELEASE_ALL = 3
 #: the vocabulary of :meth:`repro.obs.probe.Probe.on_kernel_events` counters.
 EVENT_KIND_NAMES = ("release", "compute-complete", "transfer-arrive", "release-all")
 
+#: header slots of a data-set record (see the module docstring); replica
+#: slots start at ``_HEADER``.
+_REFS = 0
+_EXITS = 1
+_INDEX = 2
+_RELEASED = 3
+_COMPLETION = 4
+_HEADER = 5
+
 
 @dataclass(slots=True)
 class _ReplicaRun:
-    """Book-keeping of one alive replica during the simulation.
+    """Static description of one alive replica: where its state sits in a
+    data-set record, and where its outputs go.
 
     ``__slots__`` (via ``dataclass(slots=True)``): one of these exists per
     valid replica and its attributes are read on every event — fixed slot
     offsets beat a per-instance ``__dict__`` on both memory and access time.
 
-    Input tracking is a **bitmask** per data set, not a set of task names:
-    every predecessor task owns one bit (``pred_bit``), a replica may start
-    once ``received[dataset] == full_mask``, and a duplicate arrival (active
-    replication: several source replicas forward the same task's output) is
-    an OR that changes nothing — no per-pair set allocations, no hashing of
-    task names in the hot loop.
+    Input tracking is a **bitmask** per data set (record slot
+    ``mask_slot``), not a set of task names: every predecessor task owns one
+    bit (``pred_bit``), a replica may start once the mask equals
+    ``full_mask``, and a duplicate arrival (active replication: several
+    source replicas forward the same task's output) is an OR that changes
+    nothing — no per-pair set allocations, no hashing of task names in the
+    hot loop.
     """
 
     replica: Replica
-    processor: str
+    #: dense index of this state in the kernel's replica order.
+    index: int
+    #: processor index (position in the platform's processor names).
+    proc: int
     duration: float
+    #: record slots of the input mask, the scheduled finish and the actual
+    #: completion of this replica's compute.
+    mask_slot: int
+    finish_slot: int
+    done_slot: int
+    #: record slot of the first completion of this replica's task when it is
+    #: an exit task, ``0`` (never a valid exit slot) otherwise.
+    exit_slot: int = 0
     #: predecessor task -> its bit in the input mask (fixed at construction;
     #: empty for entry replicas, which need no inputs).
     pred_bit: dict[str, int] = field(default_factory=dict)
-    #: value of ``received[dataset]`` once every input is in.
+    #: value of the input mask once every input is in.
     full_mask: int = 0
-    received: dict[int, int] = field(default_factory=dict)  # dataset -> input bitmask
-    finished: dict[int, float] = field(default_factory=dict)  # dataset -> scheduled finish
-    done: dict[int, float] = field(default_factory=dict)  # dataset -> actual completion
-    #: outgoing communications: ``(destination state, transfer duration,
-    #: destination's bit for this replica's task)`` — resolved once at
+    #: outgoing communications: ``(link, transfer duration, destination
+    #: processor)`` where ``link = (destination state, destination's bit for
+    #: this replica's task, destination processor, source processor)`` is the
+    #: shared operand of the transfer-arrival events — resolved once at
     #: construction so the hot loop never looks anything up by name.
     links: list = field(default_factory=list)
+
+
+def _check_instant(value, name: str) -> None:
+    """Reject a NaN, infinite or negative admission instant or period."""
+    if not 0.0 <= value < math.inf:
+        raise ScheduleError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 class PipelineKernel:
@@ -155,7 +215,7 @@ class PipelineKernel:
         *failed* (e.g. the offline simulator's constructor) hand the result
         over instead of recomputing it here.  *retain_history* selects the
         memory model (see the module docstring): ``False`` evicts a data
-        set's state at its watermark, bounding live memory by the pipeline
+        set's record at its watermark, bounding live memory by the pipeline
         depth instead of the stream length.  *probe* is an optional
         :class:`repro.obs.probe.Probe`: per-kind event counts are accumulated
         in a local list and flushed once per drain, so a ``None`` probe costs
@@ -184,48 +244,69 @@ class PipelineKernel:
         self.schedule = schedule
         self.graph = graph
         valid_set = {r for reps in valid.values() for r in reps}
+        names = schedule.platform.processor_names
+        self._proc_index = {name: i for i, name in enumerate(names)}
+        exit_tasks = graph.exit_tasks()
 
-        self._states: dict[Replica, _ReplicaRun] = {}
+        by_replica: dict[Replica, _ReplicaRun] = {}
+        slot = _HEADER
         for replica in schedule.all_replicas():
             if replica not in valid_set:
                 continue
             preds = graph.predecessors(replica.task)
-            pred_bit = {pred: 1 << i for i, pred in enumerate(preds)}
-            self._states[replica] = _ReplicaRun(
+            by_replica[replica] = _ReplicaRun(
                 replica=replica,
-                processor=schedule.processor_of(replica),
+                index=len(by_replica),
+                proc=self._proc_index[schedule.processor_of(replica)],
                 duration=schedule.execution_time_of(replica),
-                pred_bit=pred_bit,
+                mask_slot=slot,
+                finish_slot=slot + 1,
+                done_slot=slot + 2,
+                pred_bit={pred: 1 << i for i, pred in enumerate(preds)},
                 full_mask=(1 << len(preds)) - 1,
             )
-        self._entry_states = [s for s in self._states.values() if not s.pred_bit]
+            slot += 3
+        self._states: list[_ReplicaRun] = list(by_replica.values())
+        self._entry_states = [s for s in self._states if not s.pred_bit]
+        #: exit task -> record slot of its first completion
+        self._exit_slot = {task: slot + k for k, task in enumerate(exit_tasks)}
+        for state in self._states:
+            state.exit_slot = self._exit_slot.get(state.replica.task, 0)
+        self._n_exits = len(exit_tasks)
+        #: the record of a freshly admitted data set (copied per admission)
+        self._template: list = [0, 0, -1, 0.0, None]
+        for _ in self._states:
+            self._template += (0, None, None)
+        self._template += [None] * len(exit_tasks)
+        #: the record slots that hold instants (the rest are counts, the
+        #: index and input masks) — what a snapshot normalizes
+        self._time_slots = (
+            _RELEASED,
+            _COMPLETION,
+            *(slot for s in self._states for slot in (s.finish_slot, s.done_slot)),
+            *self._exit_slot.values(),
+        )
 
         # communications between valid replicas only, resolved to run states
         # (including the receiver's input bit for the sender's task)
         for event in schedule.comm_events:
-            if event.source in self._states and event.destination in self._states:
-                dst = self._states[event.destination]
-                self._states[event.source].links.append(
-                    (dst, event.duration, dst.pred_bit[event.source.task])
-                )
+            src = by_replica.get(event.source)
+            dst = by_replica.get(event.destination)
+            if src is not None and dst is not None:
+                link = (dst, dst.pred_bit[event.source.task], dst.proc, src.proc)
+                src.links.append((link, event.duration, dst.proc))
 
-        names = schedule.platform.processor_names
-        self._compute_free: dict[str, float] = {p: 0.0 for p in names}
-        self._out_free: dict[str, float] = dict(self._compute_free)
-        self._in_free: dict[str, float] = dict(self._compute_free)
+        self._compute_free: list[float] = [0.0] * len(names)
+        self._out_free: list[float] = [0.0] * len(names)
+        self._in_free: list[float] = [0.0] * len(names)
 
-        self._dead: set[str] = set()  # processors crashed *after* construction
+        self._dead: set[int] = set()  # processors crashed *after* construction
         self._queue = EventQueue()
         self._now = 0.0
-        self._exit_tasks = graph.exit_tasks()
-        self._exit_done: dict[int, dict[str, float]] = {}
-        self._completion: dict[int, float] = {}
-        self._admitted: dict[int, float] = {}  # dataset -> release instant
+        #: data-set index -> record, in admission order
+        self._live: dict[int, list] = {}
         self._fresh: list[tuple[int, float]] = []  # completions since last drain
         self.retain_history = bool(retain_history)
-        #: dataset -> outstanding events referencing it (eviction mode only);
-        #: ``None`` is the retained mode's zero-overhead marker.
-        self._refs: dict[int, int] | None = None if self.retain_history else {}
         self._evicted = 0
         self._max_evicted = -1  # highest retired index: re-admission guard
         self._peak_live = 0
@@ -248,22 +329,28 @@ class PipelineKernel:
 
     @property
     def completions(self) -> dict[int, float]:
-        """Completion instant of every completed, non-evicted data set."""
-        return dict(self._completion)
+        """Completion instant of every completed, non-evicted data set, in
+        admission order."""
+        return {
+            j: rec[_COMPLETION]
+            for j, rec in self._live.items()
+            if rec[_COMPLETION] is not None
+        }
 
     def completion_of(self, dataset: int) -> float | None:
         """Completion instant of *dataset* (``None`` while in flight — or,
         with ``retain_history=False``, once it has been evicted)."""
-        return self._completion.get(dataset)
+        rec = self._live.get(dataset)
+        return None if rec is None else rec[_COMPLETION]
 
     def pending_datasets(self) -> tuple[int, ...]:
         """Admitted data sets that have not completed yet, in admission order."""
-        return tuple(j for j in self._admitted if j not in self._completion)
+        return tuple(j for j, rec in self._live.items() if rec[_COMPLETION] is None)
 
     @property
     def live_datasets(self) -> int:
         """Data sets currently holding kernel state (admitted, not evicted)."""
-        return len(self._admitted)
+        return len(self._live)
 
     @property
     def evicted_datasets(self) -> int:
@@ -273,7 +360,7 @@ class PipelineKernel:
     @property
     def peak_live_datasets(self) -> int:
         """High-water mark of :attr:`live_datasets` over the run so far."""
-        return max(self._peak_live, len(self._admitted))
+        return max(self._peak_live, len(self._live))
 
     def completed_tasks(self, dataset: int) -> frozenset[str]:
         """Tasks whose output for *dataset* has actually been produced.
@@ -283,18 +370,21 @@ class PipelineKernel:
         a previous checkpoint), so its output is in stable storage and can be
         replayed into a rebuilt schedule with :meth:`admit_restored`.
         """
+        rec = self._live.get(dataset)
+        if rec is None:
+            return frozenset()
         return frozenset(
-            s.replica.task for s in self._states.values() if dataset in s.done
+            s.replica.task for s in self._states if rec[s.done_slot] is not None
         )
 
     # ---------------------------------------------------------------- admission
     def admit(self, dataset: int, release: float) -> None:
         """Admit one data set: entry replicas receive it at *release*."""
-        self._register(dataset, release)
-        refs = self._refs
-        if refs is not None:
-            refs[dataset] = refs.get(dataset, 0) + 1
-        self._queue.push(release, _RELEASE_ALL, (dataset,))
+        _check_instant(release, "release")
+        rec = self._register(dataset, release)
+        if not self.retain_history:
+            rec[_REFS] = 1
+        self._queue.push(release, _RELEASE_ALL, None, rec)
 
     def admit_batch(self, releases: Sequence[float], first_index: int = 0) -> None:
         """Admit a whole stream up front (offline-simulator event order).
@@ -305,16 +395,12 @@ class PipelineKernel:
         ties therefore resolve exactly as they always did.
         """
         for k, release in enumerate(releases):
+            _check_instant(release, f"releases[{k}]")
+        records = [
             self._register(first_index + k, release)
-        refs = self._refs
-        if refs is not None:
-            entries = len(self._entry_states)
-            for k in range(len(releases)):
-                j = first_index + k
-                refs[j] = refs.get(j, 0) + entries
-        for state in self._entry_states:
-            for k, release in enumerate(releases):
-                self._queue.push(release, _RELEASE, (state, first_index + k))
+            for k, release in enumerate(releases)
+        ]
+        self._push_releases(records, releases, self._queue.next_seq(), len(records))
 
     def admit_batch_vectorized(
         self, num_datasets: int, period: float, first_index: int = 0, offset: float = 0.0
@@ -332,32 +418,13 @@ class PipelineKernel:
         """
         if num_datasets < 1:
             raise ScheduleError(f"num_datasets must be >= 1, got {num_datasets}")
-        if period < 0 or offset < 0:
-            raise ScheduleError("period and offset must be non-negative")
-        indices = range(first_index, first_index + num_datasets)
+        _check_instant(period, "period")
+        _check_instant(offset, "offset")
+        # the last instant bounds the rest (IEEE products, as numpy computes)
+        _check_instant((num_datasets - 1) * period + offset, "offset + last index * period")
         times = (np.arange(num_datasets, dtype=np.float64) * period + offset).tolist()
-        if first_index <= self._max_evicted:
-            raise ScheduleError(f"data set {first_index} was already admitted")
-        if self._admitted:
-            for j in indices:
-                if j in self._admitted:
-                    raise ScheduleError(f"data set {j} was already admitted")
-        self._admitted.update(zip(indices, times))
-        refs = self._refs
-        if refs is not None:
-            entries = len(self._entry_states)
-            refs.update((j, refs.get(j, 0) + entries) for j in indices)
-        queue = self._queue
-        heap = queue.heap
-        seq = queue.next_seq()
-        for state in self._entry_states:
-            heap.extend(
-                (t, s, _RELEASE, (state, j))
-                for s, (j, t) in enumerate(zip(indices, times), start=seq)
-            )
-            seq += num_datasets
-        queue.set_next_seq(seq)
-        heapq.heapify(heap)
+        records = self._register_run(first_index, times)
+        self._push_releases(records, times, self._queue.next_seq(), num_datasets)
 
     def admit_stream_window(
         self, start: int, stop: int, period: float, stream_total: int
@@ -380,32 +447,15 @@ class PipelineKernel:
             raise ScheduleError(
                 f"window [{start}, {stop}) outside stream of {stream_total}"
             )
-        if period < 0:
-            raise ScheduleError("period must be non-negative")
-        indices = range(start, stop)
+        _check_instant(period, "period")
+        _check_instant((stop - 1) * period, "last index * period")
         times = (np.arange(start, stop, dtype=np.float64) * period).tolist()
-        if start <= self._max_evicted:
-            raise ScheduleError(f"data set {start} was already admitted")
-        if self._admitted:
-            for j in indices:
-                if j in self._admitted:
-                    raise ScheduleError(f"data set {j} was already admitted")
-        self._admitted.update(zip(indices, times))
-        refs = self._refs
-        if refs is not None:
-            entries = len(self._entry_states)
-            refs.update((j, refs.get(j, 0) + entries) for j in indices)
+        records = self._register_run(start, times)
+        self._push_releases(records, times, 1 + start, stream_total)
         queue = self._queue
-        heap = queue.heap
-        for e, state in enumerate(self._entry_states):
-            base = 1 + e * stream_total
-            heap.extend(
-                (t, base + j, _RELEASE, (state, j)) for j, t in zip(indices, times)
-            )
         floor = len(self._entry_states) * stream_total
         if queue._count < floor:
             queue._count = floor
-        heapq.heapify(heap)
 
     def admit_restored(
         self, dataset: int, restore: float, done_tasks: Iterable[str] = ()
@@ -417,42 +467,100 @@ class PipelineKernel:
         whose inputs are fully satisfied by the checkpoint (including entry
         replicas of non-restored tasks) are kicked at *restore*.
         """
+        _check_instant(restore, "restore")
         done = frozenset(done_tasks)
-        self._register(dataset, restore)
-        exit_done = self._exit_done.setdefault(dataset, {})
+        rec = self._register(dataset, restore)
         for task in done:
-            if task in self._exit_tasks:
-                exit_done[task] = restore
-        if exit_done and len(exit_done) == len(self._exit_tasks):
-            self._complete(dataset, restore)
-            if self._refs is not None and not self._refs.get(dataset):
-                self._evict(dataset)
+            slot = self._exit_slot.get(task)
+            if slot is not None:
+                rec[slot] = restore
+                rec[_EXITS] += 1
+        if rec[_EXITS] == self._n_exits:
+            rec[_COMPLETION] = restore
+            self._fresh.append((dataset, restore))
+            if not self.retain_history:
+                self._retire(dataset)
             return
-        refs = self._refs
-        for state in self._states.values():
+        evicting = not self.retain_history
+        for state in self._states:
             if state.replica.task in done:
-                state.finished[dataset] = restore
-                state.done[dataset] = restore
+                rec[state.finish_slot] = restore
+                rec[state.done_slot] = restore
                 continue
             if state.pred_bit:
-                bits = state.received.get(dataset, 0)
+                bits = rec[state.mask_slot]
                 for task in done.intersection(state.pred_bit):
                     bits |= state.pred_bit[task]
-                state.received[dataset] = bits
+                rec[state.mask_slot] = bits
                 if bits != state.full_mask:
                     continue
-            if refs is not None:
-                refs[dataset] = refs.get(dataset, 0) + 1
-            self._queue.push(restore, _RELEASE, (state, dataset))
+            if evicting:
+                rec[_REFS] += 1
+            self._queue.push(restore, _RELEASE, state, rec)
 
-    def _register(self, dataset: int, release: float) -> None:
-        if dataset in self._admitted or dataset <= self._max_evicted:
+    def _register(self, dataset: int, release: float) -> list:
+        """The fresh record of *dataset*, registered as live."""
+        if dataset in self._live or dataset <= self._max_evicted:
             # the second arm keeps the duplicate-admission guard alive in
-            # evicting mode: a retired index left no per-dataset record to
-            # collide with, but the eviction watermark (indices are admitted
-            # in increasing order by every driver) still catches the reuse
+            # evicting mode: a retired index left no record to collide with,
+            # but the eviction watermark (indices are admitted in increasing
+            # order by every driver) still catches the reuse
             raise ScheduleError(f"data set {dataset} was already admitted")
-        self._admitted[dataset] = release
+        rec = self._template.copy()
+        rec[_INDEX] = dataset
+        rec[_RELEASED] = release
+        self._live[dataset] = rec
+        return rec
+
+    def _register_run(self, first: int, times: list[float]) -> list[list]:
+        """Fresh records of data sets ``first, first + 1, ...`` released at
+        *times* (the vectorized admissions' bulk form of :meth:`_register`)."""
+        live = self._live
+        if first <= self._max_evicted:
+            raise ScheduleError(f"data set {first} was already admitted")
+        if live:
+            for j in range(first, first + len(times)):
+                if j in live:
+                    raise ScheduleError(f"data set {j} was already admitted")
+        template = self._template
+        records = []
+        for j, t in enumerate(times, start=first):
+            rec = template.copy()
+            rec[_INDEX] = j
+            rec[_RELEASED] = t
+            live[j] = rec
+            records.append(rec)
+        return records
+
+    def _push_releases(self, records: list, times: list, seq: int, stride: int) -> None:
+        """Push one release event per (entry replica, record), replica-major.
+
+        Entry replica ``e`` draws the sequence numbers ``seq + e·stride + k``
+        for its *k*-th record; the counter moves past every number drawn.
+        """
+        entries = self._entry_states
+        if not self.retain_history:
+            for rec in records:
+                rec[_REFS] += len(entries)
+        queue = self._queue
+        heap = queue.heap
+        for e, state in enumerate(entries):
+            base = seq + e * stride
+            heap.extend(
+                (t, base + k, _RELEASE, state, rec)
+                for k, (t, rec) in enumerate(zip(times, records))
+            )
+        end = seq + (len(entries) - 1) * stride + len(records)
+        if end > queue.next_seq():
+            queue.set_next_seq(end)
+        heapq.heapify(heap)
+
+    def _retire(self, dataset: int) -> None:
+        """Evict the record of a completed, quiescent data set (watermark)."""
+        del self._live[dataset]
+        self._evicted += 1
+        if dataset > self._max_evicted:
+            self._max_evicted = dataset
 
     # ----------------------------------------------------------------- failures
     def crash(self, processor: str) -> None:
@@ -460,9 +568,13 @@ class PipelineKernel:
 
         Pending events touching the processor are cancelled lazily when they
         surface; call :meth:`run_until` with the crash instant *before* this so
-        that operations finishing at or before the crash still count.
+        that operations finishing at or before the crash still count.  A
+        processor outside the schedule's platform hosts nothing here and is
+        ignored.
         """
-        self._dead.add(processor)
+        index = self._proc_index.get(processor)
+        if index is not None:
+            self._dead.add(index)
 
     # ---------------------------------------------------------------- execution
     def run_until(self, time: float) -> list[tuple[int, float]]:
@@ -477,21 +589,26 @@ class PipelineKernel:
 
     def run_to_completion(self) -> list[tuple[int, float]]:
         """Process every pending event; return the completions since last drain."""
-        self._run_loop(None)
+        self._run_loop(math.inf)
         return self._drain()
 
-    def _run_loop(self, limit: float | None) -> None:
-        """The hot loop: pop and dispatch events (bounded by *limit* if given).
+    def _run_loop(self, limit: float) -> None:
+        """The hot loop: pop and dispatch events up to *limit*.
 
         One flat function, everything in locals: the event arithmetic is a
-        few dict operations per event, so per-event *dispatch* cost — method
-        calls, attribute loads, the push wrapper — used to dominate.  Popping
-        the raw heap, pushing with ``heapq.heappush`` directly (the sequence
-        counter is a local, written back on exit) and inlining the
-        try-to-start logic keeps the kernel at the speed of the
-        pre-extraction closure-based simulator loop.  The eviction watermark
-        (``refs is not None``) settles after each event; the retained mode
-        pays one pointer comparison for the feature.
+        few list operations per event, so per-event *dispatch* cost — method
+        calls, attribute loads, allocations — dominates.  Every entry is one
+        flat 5-tuple ``(time, seq, kind, operand, record)`` unpacked in a
+        single step; the record is a list indexed by the replica's fixed
+        slots, so an event touches no dictionary.  Pushes go through
+        ``heapq.heappush`` directly (the sequence counter is a local,
+        written back on exit).
+
+        The eviction watermark settles after each event: the popped event
+        releases one reference, every push takes one, and a completed
+        record whose count reaches zero is dropped from the live dict.  A
+        transfer arrival that starts a compute releases and takes one, so
+        it skips the book-keeping; the retained mode pays one boolean test.
         """
         queue = self._queue
         heap = queue.heap
@@ -502,149 +619,113 @@ class PipelineKernel:
         compute_free = self._compute_free
         out_free = self._out_free
         in_free = self._in_free
-        exit_tasks = self._exit_tasks
-        exit_done_map = self._exit_done
-        completion = self._completion
+        n_exits = self._n_exits
         fresh = self._fresh
         entry_states = self._entry_states
-        refs = self._refs
-        evict = self._evict
+        evicting = not self.retain_history
+        retire = self._retire
         now = self._now
         probe = self._probe
         # per-kind event tallies, flushed once at loop exit: with no probe
         # attached the loop pays exactly one `is None` check per event
         ev_counts = None if probe is None else [0, 0, 0, 0]
-        if refs is not None:
-            live = len(self._admitted)
-            if live > self._peak_live:
-                self._peak_live = live
-
-        def try_start(state: _ReplicaRun, dataset: int) -> None:
-            nonlocal count
-            if dataset in state.finished or state.processor in dead:
-                return
-            if state.full_mask and state.received.get(dataset, 0) != state.full_mask:
-                return
-            free = compute_free[state.processor]
-            start = now if now > free else free
-            finish = start + state.duration
-            compute_free[state.processor] = finish
-            state.finished[dataset] = finish
-            if refs is not None:
-                refs[dataset] += 1
-            count += 1
-            push(heap, (finish, count, _COMPUTED, (state, dataset)))
+        if evicting and len(self._live) > self._peak_live:
+            self._peak_live = len(self._live)
 
         while heap:
-            if limit is not None and heap[0][0] > limit:
+            entry = pop(heap)
+            time, _, kind, operand, rec = entry
+            if time > limit:
+                push(heap, entry)  # same (time, seq): the pop order is unchanged
                 break
-            now, _, kind, payload = pop(heap)
+            now = time
             if ev_counts is not None:
                 ev_counts[kind] += 1
+            pushed = 0
             if kind == _ARRIVED:
-                src_state, dst_state, bit, dataset = payload
-                if not dead or (
-                    src_state.processor not in dead
-                    and dst_state.processor not in dead
-                ):
-                    received = dst_state.received
-                    got = received.get(dataset, 0)
+                dst, bit, dst_proc, src_proc = operand
+                if not dead or (src_proc not in dead and dst_proc not in dead):
+                    slot = dst.mask_slot
+                    got = rec[slot]
                     new = got | bit
                     if new != got:
-                        received[dataset] = new
+                        rec[slot] = new
                         if (
-                            new == dst_state.full_mask
-                            and dataset not in dst_state.finished
-                            and dst_state.processor not in dead
+                            new == dst.full_mask
+                            and rec[dst.finish_slot] is None
+                            and dst_proc not in dead
                         ):
                             # every input is in: start the compute (inline —
-                            # this is the single most frequent path)
-                            free = compute_free[dst_state.processor]
+                            # this is the single most frequent path); the
+                            # record's reference passes to the new event
+                            free = compute_free[dst_proc]
                             start = now if now > free else free
-                            finish = start + dst_state.duration
-                            compute_free[dst_state.processor] = finish
-                            dst_state.finished[dataset] = finish
-                            if refs is not None:
-                                refs[dataset] += 1
+                            finish = start + dst.duration
+                            compute_free[dst_proc] = finish
+                            rec[dst.finish_slot] = finish
                             count += 1
-                            push(heap, (finish, count, _COMPUTED, (dst_state, dataset)))
+                            push(heap, (finish, count, _COMPUTED, dst, rec))
+                            continue
                 # else: the transfer was in flight when an endpoint died
             elif kind == _COMPUTED:
-                state, dataset = payload
-                if dead and state.processor in dead:
-                    pass  # the processor died while this compute was in flight
-                else:
-                    state.done[dataset] = now
-                    task = state.replica.task
-                    if task in exit_tasks:
-                        exit_done = exit_done_map.get(dataset)
-                        if exit_done is None:
-                            exit_done = exit_done_map[dataset] = {}
-                        if task not in exit_done:
-                            exit_done[task] = now
-                            if len(exit_done) == len(exit_tasks):
-                                completion[dataset] = now
-                                fresh.append((dataset, now))
+                src_proc = operand.proc
+                if not dead or src_proc not in dead:
+                    rec[operand.done_slot] = now
+                    slot = operand.exit_slot
+                    if slot and rec[slot] is None:
+                        rec[slot] = now
+                        exits = rec[_EXITS] + 1
+                        rec[_EXITS] = exits
+                        if exits == n_exits:
+                            rec[_COMPLETION] = now
+                            fresh.append((rec[_INDEX], now))
                     # forward the result along every recorded communication
-                    src_proc = state.processor
-                    for dst_state, duration, bit in state.links:
-                        if dead and dst_state.processor in dead:
+                    for link, duration, dst_proc in operand.links:
+                        if dead and dst_proc in dead:
                             continue  # no point sending to a dead receiver
-                        if refs is not None:
-                            refs[dataset] += 1
+                        pushed += 1
                         count += 1
                         if duration == 0.0:
-                            push(heap, (now, count, _ARRIVED, (state, dst_state, bit, dataset)))
+                            push(heap, (now, count, _ARRIVED, link, rec))
                         else:
                             start = out_free[src_proc]
                             if now > start:
                                 start = now
-                            free = in_free[dst_state.processor]
+                            free = in_free[dst_proc]
                             if free > start:
                                 start = free
                             arrive = start + duration
                             out_free[src_proc] = arrive
-                            in_free[dst_state.processor] = arrive
-                            push(heap, (arrive, count, _ARRIVED, (state, dst_state, bit, dataset)))
-            elif kind == _RELEASE_ALL:
-                dataset = payload[0]
-                for state in entry_states:
-                    try_start(state, dataset)
-            else:  # _RELEASE: one (replica, data set) kick from batch admission
-                state, dataset = payload
-                try_start(state, dataset)
-            if refs is not None:
-                dataset = payload[-1]
-                left = refs[dataset] - 1
-                if left:
-                    refs[dataset] = left
-                elif dataset in completion:
-                    evict(dataset)
-                else:
-                    refs[dataset] = 0
+                            in_free[dst_proc] = arrive
+                            push(heap, (arrive, count, _ARRIVED, link, rec))
+                # else: the processor died while this compute was in flight
+            else:
+                # _RELEASE kicks one entry replica (batch admission),
+                # _RELEASE_ALL every entry replica in declaration order
+                for state in entry_states if operand is None else (operand,):
+                    proc = state.proc
+                    if rec[state.finish_slot] is not None or proc in dead:
+                        continue
+                    if state.full_mask and rec[state.mask_slot] != state.full_mask:
+                        continue
+                    free = compute_free[proc]
+                    start = now if now > free else free
+                    finish = start + state.duration
+                    compute_free[proc] = finish
+                    rec[state.finish_slot] = finish
+                    pushed += 1
+                    count += 1
+                    push(heap, (finish, count, _COMPUTED, state, rec))
+            if evicting:
+                left = rec[_REFS] + pushed - 1
+                rec[_REFS] = left
+                if not left and rec[_COMPLETION] is not None:
+                    retire(rec[_INDEX])
         queue._count = count
         self._now = now
         if ev_counts is not None and any(ev_counts):
             probe.on_kernel_events(ev_counts, now)
 
-    def _evict(self, dataset: int) -> None:
-        """Retire every trace of a completed, quiescent data set (watermark)."""
-        for state in self._states.values():
-            state.received.pop(dataset, None)
-            state.finished.pop(dataset, None)
-            state.done.pop(dataset, None)
-        self._exit_done.pop(dataset, None)
-        self._admitted.pop(dataset, None)
-        self._completion.pop(dataset, None)
-        self._refs.pop(dataset, None)
-        self._evicted += 1
-        if dataset > self._max_evicted:
-            self._max_evicted = dataset
-
     def _drain(self) -> list[tuple[int, float]]:
         fresh, self._fresh = self._fresh, []
         return fresh
-
-    def _complete(self, dataset: int, time: float) -> None:
-        self._completion[dataset] = time
-        self._fresh.append((dataset, time))

@@ -42,8 +42,11 @@ The snapshot (:func:`capture`) normalizes away the two running offsets:
   ``j_base`` is the next index to admit, so window ``k`` and window ``k+1``
   produce identical tuples in steady state.
 
-Heap events are normalized in ``(time, seq)`` order with their payloads
-resolved to replica-state indices; re-materializing them with fresh
+The kernel keeps one record per live data set (see :mod:`repro.sim.kernel`);
+a snapshot lists the live records in index order, each with its index and
+every time slot normalized.  Heap events are normalized in ``(time, seq)``
+order with their operands resolved to replica-state indices and their
+record to its normalized index; re-materializing them with fresh
 consecutive sequence numbers (:func:`restore`) preserves the pop order the
 tie-breaking contract of :mod:`repro.sim.events` promises.
 
@@ -59,7 +62,7 @@ from __future__ import annotations
 
 import math
 
-from repro.sim.kernel import _ARRIVED, _RELEASE, _RELEASE_ALL
+from repro.sim.kernel import _ARRIVED, _INDEX, _RELEASE_ALL
 
 __all__ = [
     "DEFAULT_WINDOW",
@@ -129,9 +132,9 @@ def certified_grid(kernel, period: float, horizon: float) -> int | None:
     if not getattr(kernel, "fast_forward", False) or kernel.retain_history:
         return None
     values = [period]
-    for state in kernel._states.values():
+    for state in kernel._states:
         values.append(state.duration)
-        for _dst, duration, _bit in state.links:
+        for _link, duration, _proc in state.links:
             values.append(duration)
     grid_exp: int | None = None
     try:
@@ -167,88 +170,44 @@ def capture(kernel, t_base: float, j_base: int, grid_exp: int):
     grid, or an undrained completion).  The tuple doubles as the restore
     payload for :func:`restore`.
     """
-    if kernel._fresh or kernel._refs is None:
+    if kernel._fresh or kernel.retain_history:
         return None
-    states = list(kernel._states.values())
-    index = {id(state): i for i, state in enumerate(states)}
+    slots = kernel._time_slots
+    links = {
+        id(link): (s.index, link[0].index, link[1])
+        for s in kernel._states
+        for link, _duration, _proc in s.links
+    }
     try:
-        state_part = tuple(
-            (
-                tuple(sorted((j - j_base, m) for j, m in s.received.items())),
-                tuple(
-                    sorted(
-                        (j - j_base, _norm(t, t_base, grid_exp))
-                        for j, t in s.finished.items()
-                    )
-                ),
-                tuple(
-                    sorted(
-                        (j - j_base, _norm(t, t_base, grid_exp))
-                        for j, t in s.done.items()
-                    )
-                ),
-            )
-            for s in states
-        )
+        records = []
+        for j in sorted(kernel._live):
+            rec = list(kernel._live[j])
+            rec[_INDEX] = j - j_base
+            for slot in slots:
+                t = rec[slot]
+                if t is not None:
+                    rec[slot] = _norm(t, t_base, grid_exp)
+            records.append(tuple(rec))
         # one-port reservations in the past are unobservable: every future
         # start is max(event_time, free) with event_time > t_base, so any
         # free <= t_base behaves identically — collapse them to one sentinel
         frees = tuple(
-            tuple(
-                None if freemap[name] <= t_base else _norm(freemap[name], t_base, grid_exp)
-                for name in sorted(freemap)
-            )
-            for freemap in (kernel._compute_free, kernel._out_free, kernel._in_free)
+            tuple(None if t <= t_base else _norm(t, t_base, grid_exp) for t in free)
+            for free in (kernel._compute_free, kernel._out_free, kernel._in_free)
         )
         events = []
-        for t, _seq, kind, payload in sorted(kernel._queue.heap):
+        for t, _seq, kind, operand, rec in sorted(kernel._queue.heap):
             dt = _norm(t, t_base, grid_exp)
+            dj = rec[_INDEX] - j_base
             if kind == _ARRIVED:
-                src, dst, bit, j = payload
-                events.append((dt, kind, index[id(src)], index[id(dst)], bit, j - j_base))
+                events.append((dt, kind, *links[id(operand)], dj))
             elif kind == _RELEASE_ALL:
-                events.append((dt, kind, -1, -1, 0, payload[0] - j_base))
-            else:  # _RELEASE / _COMPUTED: (state, dataset)
-                state, j = payload
-                events.append((dt, kind, index[id(state)], -1, 0, j - j_base))
-        exit_done = tuple(
-            sorted(
-                (
-                    j - j_base,
-                    tuple(
-                        sorted(
-                            (task, _norm(t, t_base, grid_exp)) for task, t in d.items()
-                        )
-                    ),
-                )
-                for j, d in kernel._exit_done.items()
-            )
-        )
-        admitted = tuple(
-            sorted(
-                (j - j_base, _norm(t, t_base, grid_exp))
-                for j, t in kernel._admitted.items()
-            )
-        )
-        completion = tuple(
-            sorted(
-                (j - j_base, _norm(t, t_base, grid_exp))
-                for j, t in kernel._completion.items()
-            )
-        )
-        refs = tuple(sorted((j - j_base, c) for j, c in kernel._refs.items()))
+                events.append((dt, kind, -1, -1, 0, dj))
+            else:  # _RELEASE / _COMPUTED: the operand is the replica state
+                events.append((dt, kind, operand.index, -1, 0, dj))
     except _OffGrid:
         return None
-    return (
-        state_part,
-        frees,
-        tuple(events),
-        exit_done,
-        admitted,
-        completion,
-        refs,
-        tuple(sorted(kernel._dead)),
-    )
+    return (tuple(records), frees, tuple(events), tuple(sorted(kernel._dead)))
 
 
 def restore(kernel, snapshot, t_new: float, j_new: int, skipped: int) -> None:
@@ -263,41 +222,44 @@ def restore(kernel, snapshot, t_new: float, j_new: int, skipped: int) -> None:
     relative order the full simulation would have produced.  *skipped* data
     sets completed inside the jump and are accounted as evicted.
     """
-    state_part, frees, events, exit_done, admitted, completion, refs, dead = snapshot
-    states = list(kernel._states.values())
-    for state, (received, finished, done) in zip(states, state_part):
-        state.received = {dj + j_new: m for dj, m in received}
-        state.finished = {dj + j_new: dt + t_new for dj, dt in finished}
-        state.done = {dj + j_new: dt + t_new for dj, dt in done}
-    for freemap, values in zip(
+    records, frees, events, _dead = snapshot
+    slots = kernel._time_slots
+    live = {}
+    for normalized in records:
+        rec = list(normalized)
+        rec[_INDEX] += j_new
+        for slot in slots:
+            dt = rec[slot]
+            if dt is not None:
+                rec[slot] = dt + t_new
+        live[rec[_INDEX]] = rec
+    for free, values in zip(
         (kernel._compute_free, kernel._out_free, kernel._in_free), frees
     ):
-        for name, value in zip(sorted(freemap), values):
-            freemap[name] = t_new if value is None else value + t_new
+        free[:] = [t_new if dt is None else dt + t_new for dt in values]
+    states = kernel._states
+    links = {
+        (s.index, link[0].index, link[1]): link
+        for s in states
+        for link, _duration, _proc in s.links
+    }
     queue = kernel._queue
     seq = queue._count
     heap = []
     for offset, (dt, kind, a, b, bit, dj) in enumerate(events, start=1):
-        j = dj + j_new
         if kind == _ARRIVED:
-            payload = (states[a], states[b], bit, j)
+            operand = links[a, b, bit]
         elif kind == _RELEASE_ALL:
-            payload = (j,)
+            operand = None
         else:
-            payload = (states[a], j)
-        heap.append((dt + t_new, seq + offset, kind, payload))
+            operand = states[a]
+        heap.append((dt + t_new, seq + offset, kind, operand, live[dj + j_new]))
     queue.heap = heap  # ascending (time, seq): already a valid min-heap
     queue._count = seq + len(events)
-    kernel._exit_done = {
-        dj + j_new: {task: dt + t_new for task, dt in d} for dj, d in exit_done
-    }
-    kernel._admitted = {dj + j_new: dt + t_new for dj, dt in admitted}
-    kernel._completion = {dj + j_new: dt + t_new for dj, dt in completion}
-    kernel._refs = {dj + j_new: c for dj, c in refs}
+    kernel._live = live
     kernel._fresh = []
     kernel._now = t_new
     kernel._evicted += skipped
-    live = kernel._admitted
     watermark = j_new - 1
     while watermark in live:
         watermark -= 1
