@@ -1,5 +1,8 @@
 """Unit tests of the shared discrete-event simulation kernel (repro.sim)."""
 
+import heapq
+import math
+
 import pytest
 
 from repro.core.ltf import ltf_schedule
@@ -20,19 +23,24 @@ def strict():
     )
 
 
+def _pop(q: EventQueue) -> tuple:
+    """Pop the earliest entry the way the kernel does: straight off the heap."""
+    return heapq.heappop(q.heap)
+
+
 class TestEventQueue:
     def test_orders_by_time(self):
         q = EventQueue()
         q.push(3.0, 0, 1)
         q.push(1.0, 1, 2)
         q.push(2.0, 2, 3)
-        assert [q.pop()[0] for _ in range(3)] == [1.0, 2.0, 3.0]
+        assert [_pop(q)[0] for _ in range(3)] == [1.0, 2.0, 3.0]
 
     def test_fifo_on_ties(self):
         q = EventQueue()
         for k in range(5):
             q.push(1.0, 0, k)
-        assert [q.pop()[2] for _ in range(5)] == [0, 1, 2, 3, 4]
+        assert [_pop(q)[3] for _ in range(5)] == [0, 1, 2, 3, 4]
 
     def test_kind_never_participates_in_ordering(self):
         # (time, seq) is always a unique sort key: same-time events pop in
@@ -40,32 +48,29 @@ class TestEventQueue:
         q = EventQueue()
         q.push(1.0, 9, "first")
         q.push(1.0, 0, "second")
-        assert [q.pop()[2] for _ in range(2)] == ["first", "second"]
+        assert [_pop(q)[3] for _ in range(2)] == ["first", "second"]
 
-    def test_clock_tracks_last_pop(self):
+    def test_push_builds_flat_entries(self):
+        # operands are spliced into the entry: no payload tuple per event
         q = EventQueue()
-        q.push(4.5, 0, None)
-        assert q.now == 0.0
-        q.pop()
-        assert q.now == 4.5
+        q.push(4.5, 2, "a", "b", None)
+        assert q.heap == [(4.5, 1, 2, "a", "b", None)]
+        assert len(q) == 1
+        _pop(q)
         assert not q
 
     def test_batch_sequence_numbering_matches_push(self):
         """next_seq/set_next_seq let batch admission hand-build heap entries
         with exactly the sequence numbers a push loop would have drawn."""
-        import heapq
-
-        import pytest
-
         q = EventQueue()
         q.push(5.0, 0, "pushed")
         seq = q.next_seq()
         q.heap.extend((1.0, s, 0, f"batch{i}") for i, s in enumerate((seq, seq + 1)))
         q.set_next_seq(seq + 2)
         heapq.heapify(q.heap)
-        assert [q.pop()[2] for _ in range(3)] == ["batch0", "batch1", "pushed"]
+        assert [_pop(q)[3] for _ in range(3)] == ["batch0", "batch1", "pushed"]
         q.push(0.5, 0, "after")  # the counter really advanced past the batch
-        assert q.pop() == (0.5, 0, "after")
+        assert _pop(q) == (0.5, 4, 0, "after")
         with pytest.raises(ValueError):
             q.set_next_seq(1)  # sequence numbers must never move backwards
 
@@ -191,3 +196,73 @@ class TestCheckpointRestore:
         late = kernel.completed_tasks(0)
         assert early <= late
         assert late == frozenset(strict.graph.task_names)
+
+
+#: release instants and periods every admission method must refuse
+BAD_INSTANTS = [math.nan, math.inf, -math.inf, -1.0]
+
+
+class TestAdmissionRejectsBadInstants:
+    """A NaN, infinite or negative release or period is a ScheduleError that
+    names the argument, raised before anything is registered.  Unchecked, a
+    NaN release "completed" at an arbitrary instant, a NaN period completed
+    data sets out of order and an infinite one returned infinite
+    completions."""
+
+    @staticmethod
+    def _rejects(kernel, match, admit):
+        with pytest.raises(ScheduleError, match=match):
+            admit()
+        assert kernel.live_datasets == 0
+        assert len(kernel._queue) == 0
+
+    @pytest.mark.parametrize("bad", BAD_INSTANTS)
+    def test_admit(self, strict, bad):
+        kernel = PipelineKernel(strict)
+        self._rejects(kernel, "release", lambda: kernel.admit(0, bad))
+
+    @pytest.mark.parametrize("bad", BAD_INSTANTS)
+    def test_admit_batch(self, strict, bad):
+        kernel = PipelineKernel(strict)
+        self._rejects(
+            kernel, r"releases\[1\]", lambda: kernel.admit_batch([0.0, bad, 2.0])
+        )
+
+    @pytest.mark.parametrize("bad", BAD_INSTANTS)
+    def test_admit_batch_vectorized(self, strict, bad):
+        kernel = PipelineKernel(strict)
+        self._rejects(
+            kernel, "period", lambda: kernel.admit_batch_vectorized(3, bad)
+        )
+        self._rejects(
+            kernel, "offset",
+            lambda: kernel.admit_batch_vectorized(3, strict.period, offset=bad),
+        )
+
+    @pytest.mark.parametrize("bad", BAD_INSTANTS)
+    def test_admit_stream_window(self, strict, bad):
+        kernel = PipelineKernel(strict, retain_history=False)
+        self._rejects(
+            kernel, "period", lambda: kernel.admit_stream_window(0, 4, bad, 8)
+        )
+
+    @pytest.mark.parametrize("bad", BAD_INSTANTS)
+    def test_admit_restored(self, strict, bad):
+        kernel = PipelineKernel(strict)
+        self._rejects(kernel, "restore", lambda: kernel.admit_restored(0, bad, ()))
+
+    def test_finite_period_overflowing_to_infinity(self, strict):
+        kernel = PipelineKernel(strict, retain_history=False)
+        self._rejects(
+            kernel, "period", lambda: kernel.admit_batch_vectorized(3, 1e308)
+        )
+        self._rejects(
+            kernel, "period", lambda: kernel.admit_stream_window(0, 4, 1e308, 8)
+        )
+
+    def test_zero_release_and_period_are_valid(self, strict):
+        kernel = PipelineKernel(strict)
+        kernel.admit(0, 0.0)
+        kernel.admit_batch_vectorized(2, 0.0, first_index=1)
+        assert sorted(kernel.run_to_completion()) == sorted(kernel.completions.items())
+        assert sorted(kernel.completions) == [0, 1, 2]
