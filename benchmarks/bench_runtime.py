@@ -43,7 +43,12 @@ Two layers:
   * ``scheduler_builds`` — LTF and R-LTF build time on seeded paper
     workloads of 30, 100 and 300 tasks (ε=2, period slack 2.0, 10
     processors), one row per workload tag.  Each row is gated on its own
-    by ``bench_trajectory.py``.
+    by ``bench_trajectory.py``;
+  * ``kernel_steady`` — kernel events/s and data sets/s of the bare
+    one-port kernel on a *steady* replicated schedule: the pinned ε=1 R-LTF
+    schedule of paper seed 2 (30 tasks, 10 processors; fault-free achieved
+    period 1.000Δ), admitted one data set at a time as the online runtime
+    does, fault-free.  Gated on its data sets/s by ``bench_trajectory.py``.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ from repro.failures.scenarios import FaultEvent, FaultTrace
 from repro.graph.generator import random_paper_workload
 from repro.runtime.engine import OnlineRuntime
 from repro.runtime.montecarlo import RuntimeTrialSpec
+from repro.sim.kernel import PipelineKernel
 from repro.utils.ascii import format_table
 
 SPEC = RuntimeTrialSpec(
@@ -190,6 +196,60 @@ def _scheduler_builds(repeat: int) -> dict[str, dict]:
                 "builds_per_sec": 1.0 / seconds if seconds else 0.0,
             }
     return rows
+
+
+#: workload tag of the steady-kernel row (see :func:`_kernel_steady`).
+KERNEL_WORKLOAD = "rltf-n30-eps1-seed2-steady"
+
+
+def _steady_schedule():
+    """The pinned ε=1 R-LTF schedule of paper seed 2 (30 tasks, 10
+    processors, the scenario defaults otherwise): the schedule of the
+    ``stream-replicated`` perfbench workload, whose fault-free stream is
+    steady — a kernel rate measured on it is not a growing heap's."""
+    from repro.scenario import SchedulerSpec, WorkloadSpec
+    from repro.scenario.run import build_schedule, build_workload, resolve_period
+
+    workload = build_workload(WorkloadSpec(num_tasks=30, num_processors=10, seed=2), 2)
+    scheduler = SchedulerSpec(epsilon=1)
+    return build_schedule(workload, scheduler, resolve_period(workload, scheduler))
+
+
+def _kernel_steady(num_datasets: int, repeat: int) -> dict[str, dict]:
+    """Best-of-*repeat* kernel rates on the steady schedule, fault-free.
+
+    Each data set is admitted at ``j·Δ`` and the kernel runs up to that
+    instant before the next admission (the online runtime's pattern), with
+    eviction on.  The event count comes from one untimed run with a
+    :class:`~repro.obs.MetricsProbe`; the timed runs carry no probe.
+    """
+    from repro.obs import MetricsProbe
+
+    schedule = _steady_schedule()
+    period = schedule.period
+
+    def drive(probe=None) -> int:
+        kernel = PipelineKernel(schedule, retain_history=False, probe=probe)
+        completed = 0
+        for j in range(num_datasets):
+            kernel.admit(j, j * period)
+            completed += len(kernel.run_until(j * period))
+        return completed + len(kernel.run_to_completion())
+
+    probe = MetricsProbe()
+    if drive(probe) != num_datasets:
+        raise RuntimeError("the steady kernel row lost data sets on a fault-free stream")
+    events = probe.registry.counter("kernel.events.total")
+    seconds = _time(drive, repeat)
+    return {
+        KERNEL_WORKLOAD: {
+            "datasets": num_datasets,
+            "events": events,
+            "seconds": seconds,
+            "events_per_sec": events / seconds if seconds else 0.0,
+            "datasets_per_sec": num_datasets / seconds if seconds else 0.0,
+        }
+    }
 
 
 def _bench_unit(x: int) -> int:
@@ -348,6 +408,9 @@ def run_report(smoke: bool = False) -> dict:
     # takes milliseconds and a single timing would not hold a 30% band
     scheduler_builds = _scheduler_builds(3 if smoke else 5)
 
+    # --- steady kernel: best of 3 in smoke mode too, for the 30% band
+    kernel_steady = _kernel_steady(4_000 if smoke else 20_000, 3 if smoke else 5)
+
     return {
         "smoke": smoke,
         "campaign": {"trials": trials, "seconds": campaign_seconds},
@@ -403,6 +466,7 @@ def run_report(smoke: bool = False) -> dict:
             "speedup": chunk1 / chunk_auto if chunk_auto else 0.0,
         },
         "scheduler_builds": scheduler_builds,
+        "kernel_steady": kernel_steady,
     }
 
 
@@ -458,6 +522,13 @@ def main(argv=None) -> int:
     rows += [
         [f"{row['algorithm']} build, {row['tasks']} tasks (s)", f"{row['seconds']:.3f}"]
         for row in report["scheduler_builds"].values()
+    ]
+    rows += [
+        [
+            f"steady kernel {tag} ({row['datasets']:,} data sets)",
+            f"{row['events_per_sec']:,.0f} events/s, {row['datasets_per_sec']:,.0f} datasets/s",
+        ]
+        for tag, row in report["kernel_steady"].items()
     ]
     print(format_table(["benchmark", "value"], rows, title="online runtime benchmark"))
     if args.output:

@@ -4,8 +4,10 @@ CI runs ``bench_runtime.py --smoke --output BENCH_runtime.json`` on every
 push, then calls this script to append the fresh report to the accumulated
 trajectory (``BENCH_trajectory.json``, restored from the previous run's
 artifact/cache) and to compare the headline throughput —
-``long_stream_datasets_per_sec`` — and every scheduler row (LTF/R-LTF
-builds per second, one per workload tag) against the previous point::
+``long_stream_datasets_per_sec`` — every scheduler row (LTF/R-LTF builds
+per second, one per workload tag) and the steady-kernel row (data sets per
+second through the bare kernel, one per workload tag) against the previous
+point::
 
     python benchmarks/bench_trajectory.py BENCH_runtime.json BENCH_trajectory.json
 
@@ -29,6 +31,12 @@ from pathlib import Path
 HEADLINE = "long_stream_datasets_per_sec"
 #: report/point key of the scheduler rows: ``{workload tag: builds per second}``
 SCHEDULER = "scheduler_builds"
+#: report/point key of the steady-kernel row: ``{workload tag: data sets per
+#: second}``.  Its events per second move with it: a tag's event count is
+#: fixed, since the kernel's traces are bit-identical across changes.
+KERNEL = "kernel_steady"
+#: gated row sets: report/point key -> the rate each report row is gated on
+ROW_RATES = {SCHEDULER: "builds_per_sec", KERNEL: "datasets_per_sec"}
 
 
 def load_trajectory(path: Path) -> list[dict]:
@@ -71,11 +79,9 @@ def append_point(trajectory: list[dict], report: dict) -> dict:
         "sweep_transport_reduction": report.get("sweep_transport_bytes", {}).get(
             "reduction_factor"
         ),
-        SCHEDULER: {
-            tag: row.get("builds_per_sec")
-            for tag, row in report.get(SCHEDULER, {}).items()
-        },
     }
+    for key, rate in ROW_RATES.items():
+        point[key] = {tag: row.get(rate) for tag, row in report.get(key, {}).items()}
     trajectory.append(point)
     return point
 
@@ -102,10 +108,10 @@ def check_regression(
     return _gate(HEADLINE, value, current, baselines, max_regression)
 
 
-def check_scheduler_rows(
-    trajectory: list[dict], max_regression: float
+def check_rows(
+    trajectory: list[dict], key: str, max_regression: float
 ) -> list[tuple[bool, str]]:
-    """Gate every scheduler row of the newest point on its own.
+    """Gate every row of the newest point's *key* rows on its own.
 
     A row compares with the newest previous point of the same ``smoke``
     flag that has a row of the same workload tag; a tag seen for the first
@@ -114,16 +120,16 @@ def check_scheduler_rows(
     current = trajectory[-1]
     return [
         _gate(
-            f"{SCHEDULER}[{tag}]",
+            f"{key}[{tag}]",
             value,
             current,
             (
-                (previous.get(SCHEDULER, {}).get(tag), previous)
+                (previous.get(key, {}).get(tag), previous)
                 for previous in reversed(trajectory[:-1])
             ),
             max_regression,
         )
-        for tag, value in sorted(current.get(SCHEDULER, {}).items())
+        for tag, value in sorted(current.get(key, {}).items())
         if value is not None
     ]
 
@@ -164,7 +170,8 @@ def main(argv=None) -> int:
     point = append_point(trajectory, report)
     trajectory_path.write_text(json.dumps(trajectory, indent=2) + "\n")
     gates = [check_regression(trajectory, args.max_regression)]
-    gates += check_scheduler_rows(trajectory, args.max_regression)
+    for key in ROW_RATES:
+        gates += check_rows(trajectory, key, args.max_regression)
     print(f"trajectory: {len(trajectory)} points ({trajectory_path})")
     for ok, verdict in gates:
         print(("OK  " if ok else "FAIL ") + verdict)

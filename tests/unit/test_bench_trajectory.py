@@ -1,4 +1,4 @@
-"""The CI trajectory gate: headline and scheduler rows, each on its own."""
+"""The CI trajectory gate: headline, scheduler and steady-kernel rows, each on its own."""
 
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ bench_trajectory = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_trajectory)
 
 
-def _report(headline=1000.0, smoke=True, **builds):
-    return {
+def _report(headline=1000.0, smoke=True, kernel=None, **builds):
+    report = {
         "smoke": smoke,
         "long_stream": {"workload": "quiet"},
         "long_stream_datasets_per_sec": headline,
@@ -23,6 +23,12 @@ def _report(headline=1000.0, smoke=True, **builds):
             tag: {"builds_per_sec": rate} for tag, rate in builds.items()
         },
     }
+    if kernel is not None:
+        report["kernel_steady"] = {
+            tag: {"datasets_per_sec": rate, "events_per_sec": 100 * rate}
+            for tag, rate in kernel.items()
+        }
+    return report
 
 
 def _run(tmp_path, *reports):
@@ -64,3 +70,32 @@ def test_new_tags_and_other_modes_seed_instead_of_gating(tmp_path):
 def test_headline_regression_still_fails(tmp_path):
     codes, _ = _run(tmp_path, _report(1000.0), _report(600.0))
     assert codes == [0, 1]
+
+
+STEADY = "rltf-n30-eps1-seed2-steady"
+
+
+def test_steady_kernel_row_is_recorded_per_tag(tmp_path):
+    codes, points = _run(tmp_path, _report(kernel={STEADY: 5000.0}))
+    assert codes == [0]
+    assert points[-1]["kernel_steady"] == {STEADY: 5000.0}
+
+
+@pytest.mark.parametrize("rate, code", [(3600.0, 0), (3400.0, 1)])
+def test_steady_kernel_row_gates_with_the_30_percent_band(tmp_path, rate, code):
+    codes, _ = _run(
+        tmp_path,
+        _report(kernel={STEADY: 5000.0}),
+        _report(kernel={STEADY: rate}),
+    )
+    assert codes == [0, code]
+
+
+def test_steady_kernel_row_seeds_on_a_new_tag_or_mode(tmp_path):
+    codes, _ = _run(
+        tmp_path,
+        _report(kernel={STEADY: 5000.0}),
+        _report(smoke=False, kernel={STEADY: 100.0}),
+        _report(kernel={"other-steady": 1.0}),
+    )
+    assert codes == [0, 0, 0]
