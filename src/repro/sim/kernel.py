@@ -274,10 +274,10 @@ class PipelineKernel:
             state.exit_slot = self._exit_slot.get(state.replica.task, 0)
         self._n_exits = len(exit_tasks)
         #: the record of a freshly admitted data set (copied per admission)
-        self._template: list = [0, 0, -1, 0.0, None]
-        for _ in self._states:
-            self._template += (0, None, None)
-        self._template += [None] * len(exit_tasks)
+        self._template: list = (
+            [0, 0, -1, 0.0, None] + [0, None, None] * len(self._states)
+            + [None] * len(exit_tasks)
+        )
         #: the record slots that hold instants (the rest are counts, the
         #: index and input masks) — what a snapshot normalizes
         self._time_slots = (
@@ -396,10 +396,7 @@ class PipelineKernel:
         """
         for k, release in enumerate(releases):
             _check_instant(release, f"releases[{k}]")
-        records = [
-            self._register(first_index + k, release)
-            for k, release in enumerate(releases)
-        ]
+        records = self._register_run(first_index, releases)
         self._push_releases(records, releases, self._queue.next_seq(), len(records))
 
     def admit_batch_vectorized(
@@ -452,10 +449,9 @@ class PipelineKernel:
         times = (np.arange(start, stop, dtype=np.float64) * period).tolist()
         records = self._register_run(start, times)
         self._push_releases(records, times, 1 + start, stream_total)
-        queue = self._queue
         floor = len(self._entry_states) * stream_total
-        if queue._count < floor:
-            queue._count = floor
+        if self._queue.next_seq() <= floor:
+            self._queue.set_next_seq(floor + 1)
 
     def admit_restored(
         self, dataset: int, restore: float, done_tasks: Iterable[str] = ()
@@ -512,9 +508,9 @@ class PipelineKernel:
         self._live[dataset] = rec
         return rec
 
-    def _register_run(self, first: int, times: list[float]) -> list[list]:
+    def _register_run(self, first: int, times: Sequence[float]) -> list[list]:
         """Fresh records of data sets ``first, first + 1, ...`` released at
-        *times* (the vectorized admissions' bulk form of :meth:`_register`)."""
+        *times* (the batch admissions' bulk form of :meth:`_register`)."""
         live = self._live
         if first <= self._max_evicted:
             raise ScheduleError(f"data set {first} was already admitted")
@@ -532,7 +528,9 @@ class PipelineKernel:
             records.append(rec)
         return records
 
-    def _push_releases(self, records: list, times: list, seq: int, stride: int) -> None:
+    def _push_releases(
+        self, records: list, times: Sequence[float], seq: int, stride: int
+    ) -> None:
         """Push one release event per (entry replica, record), replica-major.
 
         Entry replica ``e`` draws the sequence numbers ``seq + e·stride + k``

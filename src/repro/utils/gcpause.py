@@ -1,7 +1,7 @@
 """Pause the cyclic garbage collector around allocation-heavy hot loops.
 
 The simulation kernel and the online engine allocate millions of small,
-acyclic objects per run (heap events, payload tuples, per-dataset records).
+acyclic objects per run (heap events, per-dataset records).
 None of them form reference cycles — every collection during a long stream
 frees exactly zero objects — yet the collector's generation scans grow with
 the accumulated stream history and turn per-dataset cost super-linear on
