@@ -120,6 +120,24 @@ def test_docs_cover_the_scheduler_hot_path():
         assert (REPO / path).is_file(), f"performance.md names missing {path}"
 
 
+def test_docs_cover_the_kernel_hot_path():
+    """performance.md must explain the kernel's record layout, flat heap
+    entries and O(1) watermark, name the corpus that guards them and the
+    gated steady-kernel benchmark row."""
+    performance = (REPO / "docs" / "performance.md").read_text()
+    assert "## The kernel hot path" in performance
+    for heading in ("### One record per live data set", "### Flat heap entries",
+                    "### The eviction watermark (`retain_history=False`)"):
+        assert heading in performance, f"performance.md misses {heading}"
+    for name in ("(time, seq, kind, operand, record)", "O(1)", "kernel_steady",
+                 "rltf-n30-eps1-seed2-steady"):
+        assert name in performance, f"performance.md misses {name}"
+    for path in ("tests/golden/kernel_trace_fingerprints.json",
+                 "tests/unit/test_kernel_corpus.py"):
+        assert path in performance, f"performance.md misses {path}"
+        assert (REPO / path).is_file(), f"performance.md names missing {path}"
+
+
 def test_service_doc_covers_every_route_and_serve_flag():
     """docs/service.md must document the full HTTP surface: every route the
     WSGI app dispatches and every flag `repro-streaming serve` accepts —
