@@ -177,7 +177,7 @@ class _ReplicaRun:
     done_slot: int
     #: record slot of the first completion of this replica's task when it is
     #: an exit task, ``0`` (never a valid exit slot) otherwise.
-    exit_slot: int = 0
+    exit_slot: int
     #: predecessor task -> its bit in the input mask (fixed at construction;
     #: empty for entry replicas, which need no inputs).
     pred_bit: dict[str, int] = field(default_factory=dict)
@@ -248,30 +248,29 @@ class PipelineKernel:
         self._proc_index = {name: i for i, name in enumerate(names)}
         exit_tasks = graph.exit_tasks()
 
+        replicas = [r for r in schedule.all_replicas() if r in valid_set]
+        #: exit task -> record slot of its first completion (after the
+        #: three slots of every replica)
+        exits_at = _HEADER + 3 * len(replicas)
+        self._exit_slot = {task: exits_at + k for k, task in enumerate(exit_tasks)}
         by_replica: dict[Replica, _ReplicaRun] = {}
-        slot = _HEADER
-        for replica in schedule.all_replicas():
-            if replica not in valid_set:
-                continue
+        for index, replica in enumerate(replicas):
             preds = graph.predecessors(replica.task)
+            slot = _HEADER + 3 * index
             by_replica[replica] = _ReplicaRun(
                 replica=replica,
-                index=len(by_replica),
+                index=index,
                 proc=self._proc_index[schedule.processor_of(replica)],
                 duration=schedule.execution_time_of(replica),
                 mask_slot=slot,
                 finish_slot=slot + 1,
                 done_slot=slot + 2,
+                exit_slot=self._exit_slot.get(replica.task, 0),
                 pred_bit={pred: 1 << i for i, pred in enumerate(preds)},
                 full_mask=(1 << len(preds)) - 1,
             )
-            slot += 3
         self._states: list[_ReplicaRun] = list(by_replica.values())
         self._entry_states = [s for s in self._states if not s.pred_bit]
-        #: exit task -> record slot of its first completion
-        self._exit_slot = {task: slot + k for k, task in enumerate(exit_tasks)}
-        for state in self._states:
-            state.exit_slot = self._exit_slot.get(state.replica.task, 0)
         self._n_exits = len(exit_tasks)
         #: the record of a freshly admitted data set (copied per admission)
         self._template: list = (
