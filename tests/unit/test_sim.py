@@ -160,6 +160,18 @@ class TestMidRunCrash:
             crashed.completions[j] != baseline.completions[j] for j in range(n)
         )
 
+    def test_crash_outside_the_platform_changes_nothing(self, strict):
+        # an elastic pool member that never joined hosts nothing here
+        n = 10
+        baseline = PipelineKernel(strict)
+        crashed = PipelineKernel(strict)
+        for kernel in (baseline, crashed):
+            for j in range(n):
+                kernel.admit(j, j * strict.period)
+            kernel.run_until(2.5 * strict.period)
+        crashed.crash("spare-1")
+        assert baseline.run_to_completion() == crashed.run_to_completion()
+
 
 class TestCheckpointRestore:
     def test_restored_outputs_are_not_recomputed(self, strict):
