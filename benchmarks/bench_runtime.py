@@ -37,9 +37,6 @@ Two layers:
   * ``sweep_transport_bytes`` — pickled campaign payload per sweep point in
     ``reduce="traces"`` vs ``reduce="stats"`` worker mode: the bytes a worker
     ships back through the process pool for one grid point;
-  * ``chunksize`` — ``parallel_map`` wall-clock on many tiny units with the
-    historical ``chunksize=1`` vs the batched default (one pickle round-trip
-    per chunk instead of per unit);
   * ``scheduler_builds`` — LTF and R-LTF build time on seeded paper
     workloads of 30, 100 and 300 tasks (ε=2, period slack 2.0, 10
     processors), one row per workload tag.  Each row is gated on its own
@@ -63,20 +60,28 @@ from pathlib import Path
 from repro.core.ltf import ltf_schedule
 from repro.core.rltf import rltf_schedule
 from repro.experiments.config import ExperimentConfig, workload_period
-from repro.experiments.parallel import parallel_map, run_runtime_campaign
+from repro.experiments.parallel import run_runtime_campaign
 from repro.failures.scenarios import FaultEvent, FaultTrace
 from repro.graph.generator import random_paper_workload
 from repro.runtime.engine import OnlineRuntime
-from repro.runtime.montecarlo import RuntimeTrialSpec
+from repro.scenario import (
+    FaultSpec,
+    RuntimeSpec,
+    ScenarioSpec,
+    SchedulerSpec,
+    WorkloadSpec,
+)
 from repro.sim.kernel import PipelineKernel
 from repro.utils.ascii import format_table
 
-SPEC = RuntimeTrialSpec(
-    num_tasks=25,
-    num_processors=8,
-    epsilon=1,
-    num_datasets=100,
-    mttf_periods=80.0,
+SPEC = ScenarioSpec(
+    name="runtime-trial",
+    workload=WorkloadSpec(
+        generator="paper", granularity=1.0, num_tasks=25, num_processors=8
+    ),
+    scheduler=SchedulerSpec(name="rltf", epsilon=1, period_slack=2.0, fallback=True),
+    faults=FaultSpec(mttf_periods=80.0),
+    runtime=RuntimeSpec(num_datasets=100),
 )
 
 
@@ -252,11 +257,6 @@ def _kernel_steady(num_datasets: int, repeat: int) -> dict[str, dict]:
     }
 
 
-def _bench_unit(x: int) -> int:
-    """A deliberately tiny work unit: transport dominates, compute does not."""
-    return x * x
-
-
 def _stats_match(a, b) -> bool:
     """Field-wise RuntimeStats equality that treats NaN as matching NaN.
 
@@ -330,7 +330,7 @@ def run_report(smoke: bool = False) -> dict:
 
     campaign_seconds = _time(
         lambda: run_runtime_campaign(
-            SPEC.with_overrides(num_datasets=60 if smoke else 100),
+            SPEC.updated({"runtime.num_datasets": 60 if smoke else 100}),
             trials=trials,
             seed=0,
             jobs=1,
@@ -383,7 +383,7 @@ def run_report(smoke: bool = False) -> dict:
     )
 
     # --- per-point transport of the two worker reductions
-    transport_spec = SPEC.with_overrides(num_datasets=200).to_scenario()
+    transport_spec = SPEC.updated({"runtime.num_datasets": 200})
     transport_trials = 3 if smoke else 10
     full = run_runtime_campaign(transport_spec, trials=transport_trials, seed=0)
     lean = run_runtime_campaign(
@@ -396,13 +396,6 @@ def run_report(smoke: bool = False) -> dict:
         )
     traces_bytes = len(pickle.dumps(full))
     stats_bytes = len(pickle.dumps(lean))
-
-    # --- chunksize: many tiny units through a 2-worker pool
-    units = list(range(2_000 if smoke else 10_000))
-    chunk1 = _time(
-        lambda: parallel_map(_bench_unit, units, jobs=2, chunksize=1), repeat
-    )
-    chunk_auto = _time(lambda: parallel_map(_bench_unit, units, jobs=2), repeat)
 
     # --- scheduler rows: best of 3 even in smoke mode, since a 30-task build
     # takes milliseconds and a single timing would not hold a 30% band
@@ -459,12 +452,6 @@ def run_report(smoke: bool = False) -> dict:
             "stats": stats_bytes,
             "reduction_factor": traces_bytes / stats_bytes if stats_bytes else 0.0,
         },
-        "chunksize": {
-            "units": len(units),
-            "chunksize_1_seconds": chunk1,
-            "auto_chunksize_seconds": chunk_auto,
-            "speedup": chunk1 / chunk_auto if chunk_auto else 0.0,
-        },
         "scheduler_builds": scheduler_builds,
         "kernel_steady": kernel_steady,
     }
@@ -486,7 +473,6 @@ def main(argv=None) -> int:
         return run_ff_smoke()
     report = run_report(smoke=args.smoke)
     transport = report["sweep_transport_bytes"]
-    chunk = report["chunksize"]
     rows = [
         ["campaign (s)", f"{report['campaign']['seconds']:.3f}"],
         ["multi-segment incremental (s)", f"{report['multisegment']['incremental_seconds']:.3f}"],
@@ -515,9 +501,6 @@ def main(argv=None) -> int:
         ["sweep point payload (traces)", f"{transport['traces']:,} B"],
         ["sweep point payload (stats)", f"{transport['stats']:,} B"],
         ["transport reduction", f"{transport['reduction_factor']:.1f}x"],
-        [f"chunksize=1 ({chunk['units']:,} tiny units)", f"{chunk['chunksize_1_seconds']:.3f}"],
-        ["auto chunksize", f"{chunk['auto_chunksize_seconds']:.3f}"],
-        ["chunksize speedup", f"{chunk['speedup']:.2f}x"],
     ]
     rows += [
         [f"{row['algorithm']} build, {row['tasks']} tasks (s)", f"{row['seconds']:.3f}"]

@@ -94,7 +94,6 @@ from repro.runtime import (
     OnlineRuntime,
     run_online,
     RuntimeTrace,
-    RuntimeTrialSpec,
     run_trial,
     summarize_traces,
 )
@@ -224,7 +223,6 @@ __all__ = [
     "OnlineRuntime",
     "run_online",
     "RuntimeTrace",
-    "RuntimeTrialSpec",
     "run_trial",
     "summarize_traces",
     # baselines

@@ -18,42 +18,35 @@ Print the worked examples and the extra studies::
     repro-streaming baselines
     repro-streaming scaling
 
-Run the online streaming runtime: 20 Monte-Carlo trials of a schedule
-executing under stochastic processor failures with live rescheduling, 4
-trials at a time (identical statistics for any ``--jobs``)::
-
-    repro-streaming runtime --seed 0 --trials 20 --jobs 4
-    repro-streaming runtime --policy remap --mttf 200 --mttr 50 --distribution weibull
-    repro-streaming runtime --admission queue --rebuild-on-repair
-
-Sweep a whole grid of failure regimes (mttf × mttr × Weibull shape) into a
-figure-style report::
-
-    repro-streaming runtime --sweep --jobs 4
-    repro-streaming runtime --sweep --sweep-mttf 50,100,200 --sweep-mttr none,25 --sweep-shapes 0.7,1,1.5
-
-Declarative scenarios: define a scenario once as JSON and drive any front end
-(schedule / simulate / online run / Monte-Carlo campaign) through the
-:class:`~repro.api.Session` facade::
-
-    repro-streaming run examples/scenario.json                     # online run
-    repro-streaming run examples/scenario.json --mode monte-carlo --trials 50 --jobs 4
-    repro-streaming run examples/scenario.json --mode schedule
-    repro-streaming run examples/scenario.json --smoke             # tiny run of all four modes
+Declarative scenarios: define a scenario once as JSON — ``config`` builds
+one from flags — and drive any front end (schedule / simulate / online run /
+Monte-Carlo campaign) through the :class:`~repro.api.Session` facade.  The
+online streaming runtime executes a schedule under stochastic processor
+failures with live rescheduling; a campaign runs many seeded trials of it, 4
+at a time (identical statistics for any ``--jobs``)::
 
     repro-streaming config --emit > scenario.json                  # dump the default spec
-    repro-streaming config --mttf 60 --mttr 30 --admission queue --emit
+    repro-streaming config --policy remap --mttf 200 --mttr 50 --distribution weibull --emit > s.json
     repro-streaming config --scenario scenario.json                # validate a file
+
+    repro-streaming run s.json                                     # one online run
+    repro-streaming run s.json --mode monte-carlo --trials 20 --jobs 4
+    repro-streaming run s.json --mode schedule
+    repro-streaming run s.json --smoke                             # tiny run of all four modes
 
 Scenario *suites*: one JSON file holding a base scenario plus named axes,
 executed as a single sharded campaign with spec-hash result caching — an
 unchanged suite re-runs entirely from cache, and replacing an axis value
-re-executes only the changed grid points::
+re-executes only the changed grid points.  A failure-regime sweep is a suite
+over ``faults.mttf_periods`` × ``faults.mttr_periods`` ×
+``faults.weibull_shape``; a suite with ``"axes": {}`` is one cached,
+resumable campaign::
 
     repro-streaming suite run examples/suite.json --jobs 4
     repro-streaming suite run examples/suite.json --x-axis faults.mttf_periods
     repro-streaming suite run examples/suite.json --no-cache
     repro-streaming suite run examples/suite.json --smoke          # tiny CI pass
+    repro-streaming suite run campaign.json --resume --chaos crash=0.2,seed=7
     repro-streaming suite emit > suite.json                        # starter suite
 
 Observability: the latency-distribution report of a suite (a warm cache
@@ -63,14 +56,13 @@ self-contained HTML page for ``.html`` paths)::
 
     repro-streaming suite report examples/suite.json
     repro-streaming suite report examples/suite.json --trajectory BENCH_trajectory.json
-    repro-streaming runtime --metrics metrics.json --gantt run.svg
+    repro-streaming run examples/scenario.json --metrics metrics.json --gantt run.svg
     repro-streaming run examples/scenario.json --gantt run.html --sample 0.25
 
 Wide sweeps and big campaigns can ship statistics instead of full traces —
 the worker summarizes each trial before anything crosses the process
 boundary (identical numbers, a tiny fraction of the transfer)::
 
-    repro-streaming runtime --trials 200 --jobs 8 --reduce stats
     repro-streaming suite run suite.json --jobs 8 --reduce stats
 
 Cache maintenance: inspect the result cache and prune it to a size bound
@@ -141,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_scale_options(p)
     sub.add_parser("examples", help="print the Figure 1 and Figure 2 worked examples")
-    _add_runtime_parser(sub)
     _add_run_parser(sub)
     _add_config_parser(sub)
     _add_suite_parser(sub)
@@ -184,34 +175,30 @@ def _mttr_value(text: str) -> float | None:
     return float(text)
 
 
-def _add_spec_options(p: argparse.ArgumentParser, suppress: bool = False) -> None:
-    """The scenario-building flags shared by ``runtime`` and ``config``.
+def _add_spec_options(p: argparse.ArgumentParser) -> None:
+    """The scenario-building flags of ``config``.
 
-    With ``suppress=True`` the flags have no defaults (``argparse.SUPPRESS``):
-    only flags the user actually typed land in the namespace, so ``config``
-    can apply them as *overrides* on top of a scenario file.
+    The flags have no defaults (``argparse.SUPPRESS``): only flags the user
+    actually typed land in the namespace, so ``config`` applies them as
+    *overrides* on top of a scenario file (or the default spec).
     """
-
-    def default(value):
-        return argparse.SUPPRESS if suppress else value
-
-    p.add_argument("--datasets", type=int, default=default(200), help="data sets per trial")
-    p.add_argument("--epsilon", type=int, default=default(2), help="fault-tolerance degree ε")
+    p.add_argument("--datasets", type=int, default=argparse.SUPPRESS, help="data sets per trial")
+    p.add_argument("--epsilon", type=int, default=argparse.SUPPRESS, help="fault-tolerance degree ε")
     p.add_argument(
-        "--granularity", type=float, default=default(1.0), help="workload granularity"
+        "--granularity", type=float, default=argparse.SUPPRESS, help="workload granularity"
     )
-    p.add_argument("--tasks", type=int, default=default(30), help="tasks per random workload")
-    p.add_argument("--processors", type=int, default=default(10), help="platform size")
+    p.add_argument("--tasks", type=int, default=argparse.SUPPRESS, help="tasks per random workload")
+    p.add_argument("--processors", type=int, default=argparse.SUPPRESS, help="platform size")
     p.add_argument(
         "--mttf",
         type=float,
-        default=default(500.0),
+        default=argparse.SUPPRESS,
         help="mean time to failure per processor, in stream periods",
     )
     p.add_argument(
         "--mttr",
         type=_mttr_value,
-        default=default(None),
+        default=argparse.SUPPRESS,
         help=(
             "mean time to repair, in stream periods; 'none' = fail-stop "
             "(default: no repair)"
@@ -220,16 +207,16 @@ def _add_spec_options(p: argparse.ArgumentParser, suppress: bool = False) -> Non
     p.add_argument(
         "--distribution",
         choices=("exponential", "weibull"),
-        default=default("exponential"),
+        default=argparse.SUPPRESS,
         help="inter-failure time distribution",
     )
     p.add_argument(
-        "--weibull-shape", type=float, default=default(1.5), help="Weibull shape parameter"
+        "--weibull-shape", type=float, default=argparse.SUPPRESS, help="Weibull shape parameter"
     )
     p.add_argument(
         "--repair-shape",
         type=float,
-        default=default(None),
+        default=argparse.SUPPRESS,
         help=(
             "Weibull shape for repair delays (mean stays --mttr); "
             "default: exponential repairs"
@@ -237,7 +224,7 @@ def _add_spec_options(p: argparse.ArgumentParser, suppress: bool = False) -> Non
     )
     p.add_argument(
         "--fault-trace",
-        default=default(None),
+        default=argparse.SUPPRESS,
         metavar="CSV",
         help=(
             "replay a recorded availability log (time,node,down|up CSV) "
@@ -247,7 +234,7 @@ def _add_spec_options(p: argparse.ArgumentParser, suppress: bool = False) -> Non
     p.add_argument(
         "--group-size",
         type=int,
-        default=default(None),
+        default=argparse.SUPPRESS,
         help=(
             "correlated crash groups: processors fail (and repair) together "
             "in declaration-order chunks of this size"
@@ -256,7 +243,7 @@ def _add_spec_options(p: argparse.ArgumentParser, suppress: bool = False) -> Non
     p.add_argument(
         "--load-coupling",
         type=float,
-        default=default(0.0),
+        default=argparse.SUPPRESS,
         help=(
             "load-dependent hazards: failure intensity scales with "
             "1 + coupling × processor utilization in the initial schedule"
@@ -265,7 +252,7 @@ def _add_spec_options(p: argparse.ArgumentParser, suppress: bool = False) -> Non
     p.add_argument(
         "--spares",
         type=int,
-        default=default(0),
+        default=argparse.SUPPRESS,
         help=(
             "elastic platform: this many processors start outside the "
             "platform and join mid-stream (requires --join-periods)"
@@ -274,13 +261,13 @@ def _add_spec_options(p: argparse.ArgumentParser, suppress: bool = False) -> Non
     p.add_argument(
         "--join-periods",
         type=float,
-        default=default(None),
+        default=argparse.SUPPRESS,
         help="mean node-join delay, in stream periods (with --spares/--preempt-periods)",
     )
     p.add_argument(
         "--preempt-periods",
         type=float,
-        default=default(None),
+        default=argparse.SUPPRESS,
         help=(
             "spot-preemption mean time between preemptions, in stream "
             "periods (preempted nodes rejoin after --join-periods)"
@@ -292,25 +279,25 @@ def _add_spec_options(p: argparse.ArgumentParser, suppress: bool = False) -> Non
     p.add_argument(
         "--policy",
         choices=RESCHEDULE_POLICIES.names,
-        default=default("rltf"),
+        default=argparse.SUPPRESS,
         help="online rescheduling policy",
     )
     p.add_argument(
         "--admission",
         choices=ADMISSION_POLICIES.names,
-        default=default("shed"),
+        default=argparse.SUPPRESS,
         help="admission policy during downtime/throttling (shed drops, queue buffers)",
     )
     p.add_argument(
         "--queue-capacity",
         type=int,
-        default=default(64),
+        default=argparse.SUPPRESS,
         help="admission buffer size for --admission queue (0 = unbounded)",
     )
     p.add_argument(
         "--no-checkpoint",
         action="store_true",
-        default=default(False),
+        default=argparse.SUPPRESS,
         help=(
             "disable checkpoint/restart: legacy flush-and-restart execution "
             "(in-flight data sets do not survive a rebuild)"
@@ -319,7 +306,7 @@ def _add_spec_options(p: argparse.ArgumentParser, suppress: bool = False) -> Non
     p.add_argument(
         "--rebuild-on-repair",
         action="store_true",
-        default=default(False),
+        default=argparse.SUPPRESS,
         help=(
             "anticipatory rebuilds on repair events (only when a speculative "
             "reschedule shows the repaired processor improves the schedule)"
@@ -328,13 +315,13 @@ def _add_spec_options(p: argparse.ArgumentParser, suppress: bool = False) -> Non
     p.add_argument(
         "--rebuild-overhead",
         type=float,
-        default=default(1.0),
+        default=argparse.SUPPRESS,
         help="rebuild downtime, in stream periods",
     )
     p.add_argument(
         "--no-fast-forward",
         action="store_true",
-        default=default(False),
+        default=argparse.SUPPRESS,
         help=(
             "disable the analytic steady-state fast forward (quiet stretches "
             "are then simulated event by event; results are bit-identical "
@@ -380,59 +367,19 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
     }
 
 
-def _add_runtime_parser(sub) -> None:
-    p = sub.add_parser(
-        "runtime",
-        help="Monte-Carlo campaign of the online runtime under stochastic failures",
-    )
-    p.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
-    p.add_argument("--trials", type=int, default=20, help="number of Monte-Carlo trials")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for the trials")
-    _add_spec_options(p)
-    p.add_argument(
-        "--sweep",
-        action="store_true",
-        help="sweep an mttf/mttr × Weibull-shape grid into a figure-style report",
-    )
-    p.add_argument(
-        "--sweep-mttf",
-        default="50,100,200,400",
-        help="comma-separated mttf grid (periods) for --sweep",
-    )
-    p.add_argument(
-        "--sweep-mttr",
-        default="none,25",
-        help="comma-separated mttr grid (periods; 'none' = fail-stop) for --sweep",
-    )
-    p.add_argument(
-        "--sweep-shapes",
-        default="0.7,1,1.5",
-        help="comma-separated Weibull shapes for --sweep (1 = exponential)",
-    )
-    p.add_argument(
-        "--sweep-group-sizes",
-        default=None,
-        help=(
-            "comma-separated crash-group sizes appended as a --sweep axis "
-            "('none' = independent failures)"
-        ),
-    )
-    p.add_argument(
-        "--sweep-load",
-        default=None,
-        help="comma-separated load-coupling factors appended as a --sweep axis",
-    )
-    p.add_argument(
-        "--no-plot", action="store_true", help="print only the tables, no ASCII plots"
-    )
-    _add_reduce_option(p)
-    _add_resilience_options(p)
-    _add_cache_options(p)
-    _add_obs_options(p)
+def _sample_fraction(text: str) -> float:
+    """``--sample`` argument: a retention fraction in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid fraction {text!r}") from None
+    if not 0.0 <= value <= 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text!r}")
+    return value
 
 
-def _add_obs_options(p: argparse.ArgumentParser, sample: bool = False) -> None:
-    """The observability-export flags shared by ``runtime`` and ``run``."""
+def _add_obs_options(p: argparse.ArgumentParser) -> None:
+    """The observability-export flags of ``run``."""
     p.add_argument(
         "--metrics",
         default=None,
@@ -451,18 +398,17 @@ def _add_obs_options(p: argparse.ArgumentParser, sample: bool = False) -> None:
             "contained page, any other suffix a static SVG"
         ),
     )
-    if sample:
-        p.add_argument(
-            "--sample",
-            type=float,
-            default=None,
-            metavar="P",
-            help=(
-                "sampled trace retention for the --gantt export: keep every "
-                "faulted data set and this fraction of the completed ones "
-                "(seeded, deterministic)"
-            ),
-        )
+    p.add_argument(
+        "--sample",
+        type=_sample_fraction,
+        default=None,
+        metavar="P",
+        help=(
+            "sampled trace retention for the --gantt export: keep every "
+            "faulted data set and this fraction (0 to 1) of the completed "
+            "ones (seeded, deterministic)"
+        ),
+    )
 
 
 def _export_obs(args: argparse.Namespace, trace, probe) -> None:
@@ -473,9 +419,8 @@ def _export_obs(args: argparse.Namespace, trace, probe) -> None:
         from repro.obs import sample_trace, write_gantt
 
         export = trace
-        sample = getattr(args, "sample", None)
-        if sample is not None:
-            export = sample_trace(trace, sample, seed=args.seed)
+        if args.sample is not None:
+            export = sample_trace(trace, args.sample, seed=args.seed)
         # overlay analytically-skipped stretches when the run fast-forwarded
         ff_spans = [s for s in getattr(probe, "spans", ()) if s[0] == "fast-forward"]
         path = write_gantt(export, args.gantt, spans=ff_spans)
@@ -514,11 +459,11 @@ def _add_run_parser(sub) -> None:
             "four modes once — the CI configuration smoke test"
         ),
     )
-    _add_obs_options(p, sample=True)
+    _add_obs_options(p)
 
 
 def _add_reduce_option(p: argparse.ArgumentParser) -> None:
-    """The worker-transport flag shared by ``runtime`` and ``suite run``."""
+    """The worker-transport flag of ``suite run`` and ``suite report``."""
     p.add_argument(
         "--reduce",
         choices=("traces", "stats"),
@@ -532,7 +477,7 @@ def _add_reduce_option(p: argparse.ArgumentParser) -> None:
 
 
 def _add_resilience_options(p: argparse.ArgumentParser) -> None:
-    """The supervised-execution flags shared by ``suite`` and ``runtime``."""
+    """The supervised-execution flags of ``suite run`` and ``suite report``."""
     p.add_argument(
         "--max-retries",
         type=int,
@@ -574,29 +519,21 @@ def _add_resilience_options(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_cache_options(
-    p: argparse.ArgumentParser, cache_by_default: bool = False
-) -> None:
-    """The result-cache flags shared by ``suite run`` and ``runtime``.
+def _add_cache_options(p: argparse.ArgumentParser) -> None:
+    """The result-cache flags shared by ``suite run`` and ``serve``.
 
-    ``suite run`` caches by default in the *user's* cache directory (never
-    the cwd — see :func:`repro.cache.default_cache_dir`); ``runtime`` opts in
-    via an explicit ``--cache-dir``, keeping its output byte-stable run over
-    run.
+    Both cache by default in the *user's* cache directory (never the cwd —
+    see :func:`repro.cache.default_cache_dir`).
     """
-    if cache_by_default:
-        from repro.cache import default_cache_dir
+    from repro.cache import default_cache_dir
 
-        default_dir, default_help = (
-            str(default_cache_dir()),
-            " (default: the user cache dir; $REPRO_CACHE_DIR overrides)",
-        )
-    else:
-        default_dir, default_help = None, " (off by default)"
     p.add_argument(
         "--cache-dir",
-        default=default_dir,
-        help="directory of the spec-hash result cache" + default_help,
+        default=str(default_cache_dir()),
+        help=(
+            "directory of the spec-hash result cache (default: the user "
+            "cache dir; $REPRO_CACHE_DIR overrides)"
+        ),
     )
     p.add_argument(
         "--no-cache",
@@ -694,7 +631,7 @@ def _add_suite_exec_options(p: argparse.ArgumentParser) -> None:
     )
     _add_reduce_option(p)
     _add_resilience_options(p)
-    _add_cache_options(p, cache_by_default=True)
+    _add_cache_options(p)
 
 
 def _run_suite_command(args: argparse.Namespace) -> int:
@@ -963,7 +900,7 @@ def _add_serve_parser(sub) -> None:
         default=200,
         help="datasets between two progress events on the job event stream",
     )
-    _add_cache_options(p, cache_by_default=True)
+    _add_cache_options(p)
 
 
 def _run_serve_command(args: argparse.Namespace) -> int:
@@ -1107,7 +1044,7 @@ def _add_config_parser(sub) -> None:
         action="store_true",
         help="print the resolved spec as JSON (pipe into a scenario file)",
     )
-    _add_spec_options(p, suppress=True)
+    _add_spec_options(p)
 
 
 def _config(args: argparse.Namespace):
@@ -1115,153 +1052,6 @@ def _config(args: argparse.Namespace):
     if args.graphs is not None:
         config = config.with_overrides(num_graphs=args.graphs)
     return config
-
-
-def _parse_grid(text: str, option: str) -> tuple:
-    """Parse a comma-separated float grid; ``none`` maps to ``None``."""
-    values = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token.lower() in ("none", "inf"):
-            values.append(None)
-        else:
-            try:
-                values.append(float(token))
-            except ValueError:
-                raise ValueError(f"{option}: invalid grid value {token!r}") from None
-    if not values:
-        raise ValueError(f"{option}: empty grid")
-    return tuple(values)
-
-
-def _scenario_from_flags(args: argparse.Namespace, name: str = "cli"):
-    """Parse the shared spec flags into a declarative ScenarioSpec."""
-    from repro.runtime.montecarlo import RuntimeTrialSpec
-
-    spec = RuntimeTrialSpec(
-        granularity=args.granularity,
-        num_tasks=args.tasks,
-        num_processors=args.processors,
-        epsilon=args.epsilon,
-        num_datasets=args.datasets,
-        mttf_periods=args.mttf,
-        distribution=args.distribution,
-        weibull_shape=args.weibull_shape,
-        mttr_periods=args.mttr,
-        policy=args.policy,
-        admission=args.admission,
-        queue_capacity=None if args.queue_capacity == 0 else args.queue_capacity,
-        checkpoint=not args.no_checkpoint,
-        rebuild_on_repair=args.rebuild_on_repair,
-        rebuild_overhead=args.rebuild_overhead,
-        fast_forward=not args.no_fast_forward,
-    ).to_scenario(name=name)
-    # The failure-world flags postdate the legacy trial-spec bridge: they are
-    # applied as overrides so the default spec stays byte-identical.
-    world = {
-        "faults.repair_shape": args.repair_shape,
-        "faults.trace_file": args.fault_trace,
-        "faults.group_size": args.group_size,
-        "faults.load_coupling": args.load_coupling or None,
-        "faults.spares": args.spares or None,
-        "faults.join_periods": args.join_periods,
-        "faults.preempt_periods": args.preempt_periods,
-    }
-    overrides = {path: value for path, value in world.items() if value is not None}
-    return spec.updated(overrides) if overrides else spec
-
-
-def _run_runtime_command(args: argparse.Namespace) -> int:
-    from repro.api import Session
-    from repro.exceptions import SchedulingError
-    from repro.experiments.reporting import render_sweep
-    from repro.experiments.sweep import run_runtime_sweep
-    from repro.resilience import ExecutionError
-    from repro.resilience.supervisor import ExecutionInterrupted
-    from repro.utils.ascii import format_table
-
-    if args.sweep and (args.metrics or args.gantt):
-        print(
-            "repro-streaming runtime: error: --metrics/--gantt instrument a "
-            "single online run and cannot be combined with --sweep",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        spec = _scenario_from_flags(args, name="runtime-cli")
-        if args.sweep:
-            group_sizes = None
-            if args.sweep_group_sizes is not None:
-                group_sizes = tuple(
-                    None if v is None else int(v)
-                    for v in _parse_grid(args.sweep_group_sizes, "--sweep-group-sizes")
-                )
-            load_couplings = None
-            if args.sweep_load is not None:
-                load_couplings = _parse_grid(args.sweep_load, "--sweep-load")
-            sweep = run_runtime_sweep(
-                spec,
-                mttf_grid=_parse_grid(args.sweep_mttf, "--sweep-mttf"),
-                mttr_grid=_parse_grid(args.sweep_mttr, "--sweep-mttr"),
-                shapes=_parse_grid(args.sweep_shapes, "--sweep-shapes"),
-                trials=args.trials,
-                seed=args.seed,
-                jobs=args.jobs,
-                cache=_open_cli_cache(args),
-                reduce=args.reduce,
-                group_sizes=group_sizes,
-                load_couplings=load_couplings,
-            )
-            print(render_sweep(sweep, plot=not args.no_plot))
-            return 0
-        from repro.resilience import drain_signals
-
-        session = Session(spec)
-        with drain_signals() as stop:
-            result = session.monte_carlo(
-                trials=args.trials,
-                seed=args.seed,
-                jobs=args.jobs,
-                cache=_open_cli_cache(args),
-                reduce=args.reduce,
-                max_retries=args.max_retries,
-                trial_timeout=args.trial_timeout,
-                resume=args.resume,
-                chaos=args.chaos,
-                stop=stop,
-            )
-        probe = online = None
-        if args.metrics or args.gantt:
-            # one instrumented run of the campaign's seed: the exported
-            # metrics/Gantt describe trial 0, not the aggregate
-            from repro.obs import MetricsProbe
-
-            probe = MetricsProbe()
-            online = session.run_online(args.seed, probe=probe)
-    except ExecutionInterrupted:
-        print(
-            "repro-streaming runtime: interrupted — re-run with --resume and "
-            "a --cache-dir to execute only the missing trials",
-            file=sys.stderr,
-        )
-        return 130
-    except ExecutionError as exc:
-        print(f"repro-streaming runtime: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, SchedulingError) as exc:
-        print(f"repro-streaming runtime: error: {exc}", file=sys.stderr)
-        return 2
-    title = (
-        f"Online runtime campaign — {args.trials} trials, seed {args.seed}, "
-        f"policy {args.policy}, admission {args.admission}, mttf {args.mttf:g}Δ"
-        + ("" if args.mttr is None else f", mttr {args.mttr:g}Δ")
-    )
-    print(format_table(["statistic", "value"], result.as_rows(), title=title))
-    if probe is not None:
-        _export_obs(args, online.trace, probe)
-    return 0
 
 
 def _print_result(result, title: str) -> None:
@@ -1376,8 +1166,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print()
         print(render_example_rows(figure2_example(), "Figure 2 — LTF vs R-LTF"))
         return 0
-    if command == "runtime":
-        return _run_runtime_command(args)
     if command == "run":
         return _run_run_command(args)
     if command == "config":

@@ -8,13 +8,13 @@
   (3a, 3b, 3c, 4a, 4b, 4c) plus the ablation / baseline / scaling studies;
 * :mod:`repro.experiments.tables` — the worked examples of Figures 1 and 2;
 * :mod:`repro.experiments.reporting` — ASCII rendering of the results;
-* :mod:`repro.experiments.parallel` — the parallel Monte-Carlo campaign
-  engine (``jobs``-way process fan-out of runtime trials and per-graph
-  campaign work units, deterministic regardless of the worker count);
+* :mod:`repro.experiments.parallel` — the Monte-Carlo campaign runner of
+  the online runtime (one executor for single campaigns and suites,
+  ``jobs``-way supervised fan-out, deterministic regardless of the worker
+  count);
 * :mod:`repro.experiments.sweep` — suite execution (:func:`run_suite`,
   :class:`SweepResult` with arbitrary-axis panel pivots, spec-hash result
-  caching) and the failure-regime sweep of the online runtime
-  (mttf/mttr grid × Weibull shapes → figure-style report) built on it.
+  caching).
 """
 
 from repro.experiments.config import ExperimentConfig, bench_config, paper_config, workload_period
@@ -36,17 +36,12 @@ from repro.experiments.reporting import (
     render_series,
     render_point_table,
     render_suite,
-    render_sweep,
 )
 from repro.experiments.parallel import (
-    parallel_map,
     RuntimeCampaignResult,
     run_runtime_campaign,
 )
 from repro.experiments.sweep import (
-    SweepPoint,
-    RuntimeSweepResult,
-    run_runtime_sweep,
     SuitePointResult,
     SweepResult,
     run_suite,
@@ -75,14 +70,9 @@ __all__ = [
     "figure2_example",
     "render_series",
     "render_point_table",
-    "render_sweep",
     "render_suite",
-    "parallel_map",
     "RuntimeCampaignResult",
     "run_runtime_campaign",
-    "SweepPoint",
-    "RuntimeSweepResult",
-    "run_runtime_sweep",
     "SuitePointResult",
     "SweepResult",
     "run_suite",

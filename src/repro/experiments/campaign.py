@@ -293,45 +293,53 @@ def run_point(
     config: ExperimentConfig,
     algorithms: Mapping[str, Callable[..., Schedule]] | None = None,
     jobs: int | None = 1,
-    chunksize: int | None = None,
 ) -> PointResult:
     """Run one (granularity, ε) point of the campaign.
 
     With ``jobs > 1`` the graph instances of the point are sharded across
     worker processes; every instance carries its own pre-derived seed, so the
-    result is bit-for-bit identical for any ``jobs`` value.  *chunksize* is
-    accepted for backward compatibility (it tuned transport, never results);
-    execution runs under the supervised pool, so a worker crash retries only
-    the lost instances instead of aborting the point.
+    result is bit-for-bit identical for any ``jobs`` value.  Execution runs
+    under the supervised pool, so a worker crash retries only the lost
+    instances instead of aborting the point.
     """
     items = [(granularity, s) for s in instance_seeds(config, granularity, epsilon)]
     results = _supervised_instances(items, epsilon, config, algorithms, jobs)
     return _reduce_point(granularity, epsilon, config, results, algorithms)
 
 
-def _supervised_instances(units, epsilon, config, algorithms, jobs):
-    """Fan graph instances across the supervised pool; raise on exhaustion.
+def _supervised_units(fn, units, jobs: int | None, what: str, tokens=None) -> list:
+    """``[fn(unit) for unit in units]`` over the supervised pool, in input order.
 
-    The figure campaigns have no partial-result shape (a point averages over
-    *all* its instances), so units still missing after the retry budget raise
-    :class:`~repro.resilience.supervisor.ExecutionError` — but a transient
-    worker death no longer costs the whole campaign, and each unit's seed
-    travels as its supervision token so failures stay attributable.
+    The one pool primitive of the figure studies.  They have no partial-result
+    shape (a point averages over *all* its instances), so units still missing
+    after the retry budget raise :class:`~repro.resilience.supervisor.
+    ExecutionError` naming *what* — but a transient worker death no longer
+    costs the whole study.  *tokens* (default: the unit index) name the units
+    in failures and key the chaos decisions of ``$REPRO_CHAOS``.  ``jobs`` of
+    ``None``, 0 or 1 runs serially in-process, with the same results.
     """
     from repro.resilience import ExecutionError, resolve_chaos, supervised_map
 
     outcome = supervised_map(
+        fn, units, jobs=jobs or 1, tokens=tokens, chaos=resolve_chaos(None)
+    )
+    if outcome.failures:
+        raise ExecutionError(outcome.failures, what=what)
+    return outcome.values
+
+
+def _supervised_instances(units, epsilon, config, algorithms, jobs):
+    """Fan graph instances across the supervised pool; each unit's seed
+    travels as its supervision token so failures stay attributable."""
+    return _supervised_units(
         partial(
             run_graph_instance, epsilon=epsilon, config=config, algorithms=algorithms
         ),
         units,
-        jobs=jobs,
+        jobs,
+        what=f"campaign (epsilon {epsilon})",
         tokens=[unit_seed for _granularity, unit_seed in units],
-        chaos=resolve_chaos(None),
     )
-    if outcome.failures:
-        raise ExecutionError(outcome.failures, what=f"campaign (epsilon {epsilon})")
-    return outcome.values
 
 
 def run_campaign(
@@ -339,7 +347,6 @@ def run_campaign(
     config: ExperimentConfig,
     algorithms: Mapping[str, Callable[..., Schedule]] | None = None,
     jobs: int | None = 1,
-    chunksize: int | None = None,
 ) -> CampaignResult:
     """Sweep every granularity of *config* for the given ε.
 
@@ -348,9 +355,8 @@ def run_campaign(
     when there are fewer granularity points than workers (per-graph sharding
     *within* a point).  Every unit carries its own pre-derived seed, so the
     campaign is bit-for-bit identical for any ``jobs`` value (custom
-    *algorithms* must be picklable, i.e. module-level functions); *chunksize*
-    is accepted for backward compatibility (it tuned transport, never
-    results).  Execution runs under the supervised pool of
+    *algorithms* must be picklable, i.e. module-level functions).  Execution
+    runs under the supervised pool of
     :mod:`repro.resilience`, so a transient worker death retries only the
     lost instances instead of aborting the campaign.
     """

@@ -21,9 +21,13 @@ from repro.core.fault_free import fault_free_schedule
 from repro.core.ltf import ltf_schedule
 from repro.core.rltf import rltf_schedule
 from repro.exceptions import SchedulingError
-from repro.experiments.campaign import CampaignResult, point_seed, run_campaign
+from repro.experiments.campaign import (
+    CampaignResult,
+    point_seed,
+    run_campaign,
+    _supervised_units,
+)
 from repro.experiments.config import ExperimentConfig, bench_config, workload_period
-from repro.experiments.parallel import parallel_map
 from repro.graph.generator import random_paper_workload
 from repro.schedule.metrics import communication_count, latency_upper_bound
 from repro.utils.rng import derive_seed, ensure_rng
@@ -266,10 +270,11 @@ def ablation_rules(
     processes without changing the numbers.
     """
     config = config or bench_config()
-    points = parallel_map(
+    points = _supervised_units(
         partial(_ablation_point, config=config, epsilon=epsilon),
         config.granularities,
-        jobs=jobs,
+        jobs,
+        what=f"ablation study (epsilon {epsilon})",
     )
     latency_names = list(points[0][0]) if points else []
     comm_names = list(points[0][1]) if points else []
@@ -325,8 +330,11 @@ def baseline_comparison(
 ) -> FigureSeries:
     """Baseline sweep B1: fault-free latency of R-LTF vs the related-work heuristics."""
     config = config or bench_config()
-    points = parallel_map(
-        partial(_baseline_point, config=config), config.granularities, jobs=jobs
+    points = _supervised_units(
+        partial(_baseline_point, config=config),
+        config.granularities,
+        jobs,
+        what="baseline comparison",
     )
     names = list(points[0]) if points else []
     return FigureSeries(
@@ -383,8 +391,12 @@ def scaling_study(
     config = config or bench_config()
     rng = ensure_rng(config.seed + 13)
     items = [(size, derive_seed(rng)) for size in sizes]
-    points = parallel_map(
-        partial(_scaling_point, epsilon=epsilon, config=config), items, jobs=jobs
+    points = _supervised_units(
+        partial(_scaling_point, epsilon=epsilon, config=config),
+        items,
+        jobs,
+        what=f"scaling study (epsilon {epsilon})",
+        tokens=[seed for _size, seed in items],
     )
     return FigureSeries(
         name="scaling_study",

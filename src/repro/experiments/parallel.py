@@ -1,38 +1,31 @@
-"""Parallel Monte-Carlo campaign engine.
+"""The Monte-Carlo campaign runner of the online runtime.
 
-Fans independent units of work — online-runtime trials and the per-granularity
-points of the figure campaigns — across CPU cores with
-:class:`concurrent.futures.ProcessPoolExecutor`.
+One executor runs every campaign of the package: a list of ``(spec, seed)``
+campaigns is probed against the result cache, the missed campaigns unroll
+into their individual trials, and all those trials share one supervised pool
+(:func:`repro.resilience.supervised_map`).  :func:`run_runtime_campaign` is
+the one-campaign call of that executor; :func:`repro.experiments.sweep.
+run_suite` hands it every grid point of a suite at once.
 
-Determinism is non-negotiable: every unit receives its own child seed derived
-*before* dispatch from the campaign seed (via
-:func:`repro.utils.rng.derive_seed`), and the results are collected in
-submission order, so ``jobs=1`` and ``jobs=N`` produce bit-for-bit identical
-results.  Work functions must be module-level (picklable) pure functions of
-their arguments — both :func:`repro.runtime.montecarlo.run_trial` and
-:func:`repro.experiments.campaign.run_point` qualify.
+Determinism is non-negotiable: every trial receives its own child seed
+derived *before* dispatch from its campaign seed
+(:func:`campaign_trial_seeds`), and the results are collected in submission
+order, so ``jobs=1`` and ``jobs=N`` produce bit-for-bit identical results.
 
-Transport is the second lever.  ``executor.map`` round-trips one pickle per
-work unit by default; :func:`parallel_map` always passes an explicit
-``chunksize`` (≈ four chunks per worker unless overridden), which batches the
-small units of wide campaigns into a few pickles per worker.  And campaigns
-that only need statistics can run with ``reduce="stats"``: the worker
-summarizes each trace to a :class:`~repro.runtime.trace.TraceSummary` *before*
-shipping it back, so a cacheless sweep transfers a few floats per trial
-instead of megabytes of trace pickles — with
+Campaigns that only need statistics can run with ``reduce="stats"``: the
+worker summarizes each trace to a :class:`~repro.runtime.trace.TraceSummary`
+*before* shipping it back, so a cacheless sweep transfers a few floats per
+trial instead of megabytes of trace pickles — with
 :meth:`RuntimeCampaignResult.stats` equal to the ``reduce="traces"`` value by
 construction (see :func:`repro.runtime.trace.combine_summaries`).
 """
 
 from __future__ import annotations
 
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Sequence, TypeVar, Union
 
-from repro.runtime.montecarlo import RuntimeTrialSpec, run_trial, run_trial_summary
+from repro.runtime.montecarlo import run_trial, run_trial_summary
 from repro.runtime.trace import (
     RuntimeStats,
     RuntimeTrace,
@@ -44,7 +37,6 @@ from repro.scenario.spec import ScenarioSpec
 from repro.utils.rng import derive_seed, ensure_rng
 
 __all__ = [
-    "parallel_map",
     "REDUCTIONS",
     "check_reduce",
     "campaign_trial_seeds",
@@ -52,39 +44,10 @@ __all__ = [
     "run_runtime_campaign",
 ]
 
-T = TypeVar("T")
-R = TypeVar("R")
-
 #: worker-side reductions of a campaign: ship full traces, or summarize each
 #: trace to a TraceSummary inside the worker (identical statistics, a tiny
 #: fraction of the inter-process transfer).
 REDUCTIONS = ("traces", "stats")
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    jobs: int | None = 1,
-    chunksize: int | None = None,
-) -> list[R]:
-    """``[fn(x) for x in items]``, optionally across *jobs* worker processes.
-
-    Results always come back in input order.  ``jobs`` of ``None``, 0 or 1 —
-    or a single-item input — runs serially in-process (no pool overhead, same
-    results).  *chunksize* batches units into one pickle round-trip per chunk;
-    the default aims at four chunks per worker, which amortizes the transport
-    of small units while keeping the pool load-balanced (``executor.map``'s
-    own default of 1 round-trips every unit individually).  Neither knob
-    changes results — only how the identical work units travel.
-    """
-    items = list(items)
-    if jobs is None or jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    workers = min(jobs, len(items))
-    if chunksize is None:
-        chunksize = max(1, len(items) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        return list(executor.map(fn, items, chunksize=chunksize))
 
 
 def campaign_trial_seeds(seed: int, trials: int) -> tuple[int, ...]:
@@ -117,7 +80,7 @@ class RuntimeCampaignResult:
     processes.  :attr:`stats` is identical either way.
     """
 
-    spec: Union[ScenarioSpec, RuntimeTrialSpec]
+    spec: ScenarioSpec
     seed: int
     trial_seeds: tuple[int, ...]
     traces: tuple[RuntimeTrace, ...] | None
@@ -149,7 +112,7 @@ class RuntimeCampaignResult:
 
 
 def run_runtime_campaign(
-    spec: Union[ScenarioSpec, RuntimeTrialSpec],
+    spec: ScenarioSpec,
     trials: int = 20,
     seed: int = 0,
     jobs: int | None = 1,
@@ -162,14 +125,13 @@ def run_runtime_campaign(
     chaos=None,
     stop=None,
 ) -> RuntimeCampaignResult:
-    """Run *trials* independent online-runtime trials, *jobs* at a time.
+    """Run *trials* independent online-runtime trials of *spec*, *jobs* at a time.
 
-    *spec* is a declarative :class:`~repro.scenario.spec.ScenarioSpec` (or,
-    deprecated, a legacy flat :class:`~repro.runtime.montecarlo.
-    RuntimeTrialSpec` — both run the same scenario path and produce identical
-    traces).  The child seeds are drawn up-front from *seed*, so the campaign
-    result is identical for any value of *jobs* and any machine; two
-    campaigns with the same ``(spec, trials, seed)`` produce equal traces.
+    The child seeds are drawn up-front from *seed*, so the campaign result is
+    identical for any value of *jobs* and any machine; two campaigns with the
+    same ``(spec, trials, seed)`` produce equal traces.  A campaign is a suite
+    with zero axes: :func:`repro.experiments.sweep.run_suite` runs its points
+    through the same executor.
 
     That purity is what *cache* exploits: a cache object from
     :mod:`repro.cache` (or a directory path) serves the whole campaign from
@@ -194,9 +156,9 @@ def run_runtime_campaign(
     above.  Because trial seeds are pre-derived, a recovered campaign is
     bit-identical to an undisturbed one.  A campaign has no partial shape to
     degrade into, so retry exhaustion raises
-    :class:`~repro.resilience.supervisor.ExecutionError` (suites instead
-    annotate the failed point — see
-    :func:`repro.experiments.sweep.run_suite`).
+    :class:`~repro.resilience.supervisor.ExecutionError` and a drain raises
+    :class:`~repro.resilience.supervisor.ExecutionInterrupted` (suites
+    instead annotate the failed point).
 
     *resume* opts into trial-level checkpointing: each completed trial is
     written to the cache under its own :func:`~repro.cache.keys.trial_key` as
@@ -208,68 +170,162 @@ def run_runtime_campaign(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     check_reduce(reduce)
-    if isinstance(spec, RuntimeTrialSpec):
-        warnings.warn(
-            "passing a RuntimeTrialSpec to run_runtime_campaign is deprecated; "
-            "build a ScenarioSpec (see RuntimeTrialSpec.to_scenario) — the "
-            "signature will require one in a future release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        spec = spec.to_scenario()
-    from repro.cache import MISS, campaign_key, open_cache
-    from repro.resilience import ExecutionError, resolve_chaos, supervised_map
-    from repro.resilience.supervisor import ExecutionInterrupted, RetryPolicy
+    from repro.cache import open_cache
+    from repro.resilience import ExecutionError, resolve_chaos
+    from repro.resilience.supervisor import ExecutionInterrupted
 
     cache = open_cache(cache)
     chaos = resolve_chaos(chaos)
-    key = campaign_key(spec, seed, trials, reduce=reduce) if cache.enabled else None
-    if key is not None:
-        hit = cache.get(key, expect=RuntimeCampaignResult)
-        if hit is not MISS:
-            return hit
-    trial_seeds = campaign_trial_seeds(seed, trials)
-    checkpoints = _probe_trial_checkpoints(
-        cache, spec, seed, range(trials), reduce, resume
+    run = _execute_campaigns(
+        [(spec, seed)], trials, jobs, cache, reduce,
+        max_retries=max_retries, trial_timeout=trial_timeout, resume=resume,
+        chaos=chaos, stop=stop,
     )
-    pending = [t for t in range(trials) if t not in checkpoints]
-    fn = partial(run_trial_summary if reduce == "stats" else run_trial, spec)
+    if run.outcome.failures:
+        raise ExecutionError(run.outcome.failures, what=f"campaign (seed {seed})")
+    if run.outcome.interrupted:
+        raise ExecutionInterrupted(
+            f"campaign (seed {seed})", resumable=resume and cache.enabled
+        )
+    return run.results[0]
+
+
+def _run_trial_unit(item: tuple[ScenarioSpec, int], reduce: str):
+    """Execute one (campaign, trial) unit — the picklable unit of campaign work.
+
+    With ``reduce="stats"`` the trace never leaves the worker — only its
+    :class:`~repro.runtime.trace.TraceSummary` does.
+    """
+    spec, trial_seed = item
+    if reduce == "stats":
+        return run_trial_summary(spec, trial_seed)
+    return run_trial(spec, trial_seed)
+
+
+@dataclass(frozen=True)
+class _CampaignRun:
+    """What :func:`_execute_campaigns` delivers, campaign by campaign."""
+
+    #: the campaign result, or ``None`` where trials were lost or drained.
+    results: list
+    #: whether each campaign was served whole from the result cache.
+    cached: list
+    #: campaign index -> why that campaign has no result.
+    notes: dict
+    #: the supervised map over every executed trial of the batch.
+    outcome: "SupervisedOutcome"  # noqa: F821 - imported lazily
+    resumed_trials: int
+    executed_trials: int
+
+
+def _execute_campaigns(
+    campaigns: list[tuple[ScenarioSpec, int]],
+    trials: int,
+    jobs: int | None,
+    cache,
+    reduce: str,
+    *,
+    max_retries: int,
+    trial_timeout: float | None,
+    resume: bool,
+    chaos,
+    stop,
+) -> _CampaignRun:
+    """Run *trials* trials of every ``(spec, seed)`` campaign over one pool.
+
+    *cache* is an opened cache object and *chaos* a resolved chaos spec (or
+    ``None``).  Every campaign is first probed in *cache* under
+    its :func:`~repro.cache.keys.campaign_key`; the missed ones unroll into
+    their trials — minus the trials already checkpointed when *resume* is on —
+    and all those (campaign, trial) units share one supervised pool, so
+    workers stay busy even when there are fewer campaigns than workers, and
+    each unit's return payload is one trace (or one summary), never a whole
+    campaign pickle.  Completed campaigns are written back from the parent.
+    """
+    from repro.cache import MISS, campaign_key, trial_key
+    from repro.resilience import supervised_map
+    from repro.resilience.supervisor import RetryPolicy
+
+    # with caching off there is nothing to address: skip the hashing and the
+    # probe loop entirely so a cacheless run carries all-zero stats.
+    keys = [
+        campaign_key(spec, seed, trials, reduce=reduce) if cache.enabled else None
+        for spec, seed in campaigns
+    ]
+    results = [
+        MISS if key is None else cache.get(key, expect=RuntimeCampaignResult)
+        for key in keys
+    ]
+    cached = [result is not MISS for result in results]
+    missed = [i for i, hit in enumerate(cached) if not hit]
+    trial_seeds = {i: campaign_trial_seeds(campaigns[i][1], trials) for i in missed}
+    # resume: trials already checkpointed by an interrupted run (or by a
+    # smaller-trials run — trial keys ignore the campaign's total count) are
+    # served from the cache; only the missing ones become work units.
+    done = {
+        i: _probe_trial_checkpoints(cache, *campaigns[i], range(trials), reduce, resume)
+        for i in missed
+    }
+    resumed_trials = sum(len(found) for found in done.values())
+    units = [(i, t) for i in missed for t in range(trials) if t not in done[i]]
 
     def checkpoint(slot: int, value) -> None:
-        from repro.cache import trial_key
-
-        cache.put(trial_key(spec, seed, pending[slot], reduce=reduce), value)
+        i, t = units[slot]
+        spec, seed = campaigns[i]
+        cache.put(trial_key(spec, seed, t, reduce=reduce), value)
 
     outcome = supervised_map(
-        fn,
-        [trial_seeds[t] for t in pending],
+        partial(_run_trial_unit, reduce=reduce),
+        [(campaigns[i][0], trial_seeds[i][t]) for i, t in units],
         jobs=jobs,
-        tokens=[trial_seeds[t] for t in pending],
+        tokens=[trial_seeds[i][t] for i, t in units],
         policy=RetryPolicy(max_retries=max_retries),
         timeout=trial_timeout,
         chaos=chaos,
         on_result=checkpoint if (resume and cache.enabled) else None,
         stop=stop,
     )
-    if outcome.failures:
-        raise ExecutionError(outcome.failures, what=f"campaign (seed {seed})")
-    if outcome.interrupted:
-        raise ExecutionInterrupted(
-            f"campaign (seed {seed})", resumable=resume and cache.enabled
+    failed_slots = {f.index: f for f in outcome.failures}
+    lost: dict[int, list[str]] = {i: [] for i in missed}
+    executed_trials = 0
+    for slot, (i, t) in enumerate(units):
+        failure = failed_slots.get(slot)
+        if failure is not None:
+            lost[i].append(f"trial {t} {failure.kind}: {failure.error}")
+        elif outcome.values[slot] is not None:
+            done[i][t] = outcome.values[slot]
+            executed_trials += 1
+    notes: dict[int, str] = {}
+    for i in missed:
+        values = done[i]
+        if len(values) < trials:
+            results[i] = None
+            notes[i] = (
+                f"{trials - len(values)} of {trials} trials lost after retry "
+                f"exhaustion ({'; '.join(lost[i][:2])})"
+                if lost[i]
+                else f"interrupted with {len(values)} of {trials} trials done"
+            )
+            continue
+        payload = tuple(values[t] for t in range(trials))
+        spec, seed = campaigns[i]
+        results[i] = RuntimeCampaignResult(
+            spec=spec,
+            seed=seed,
+            trial_seeds=trial_seeds[i],
+            traces=payload if reduce == "traces" else None,
+            summaries=payload if reduce == "stats" else None,
         )
-    values = dict(checkpoints)
-    values.update(zip(pending, outcome.values))
-    payload = tuple(values[t] for t in range(trials))
-    result = RuntimeCampaignResult(
-        spec=spec,
-        seed=seed,
-        trial_seeds=trial_seeds,
-        traces=payload if reduce == "traces" else None,
-        summaries=payload if reduce == "stats" else None,
+        if keys[i] is not None:
+            cache.put(keys[i], results[i])
+    return _CampaignRun(
+        results=results,
+        cached=cached,
+        notes=notes,
+        outcome=outcome,
+        resumed_trials=resumed_trials,
+        executed_trials=executed_trials,
     )
-    if key is not None:
-        cache.put(key, result)
-    return result
 
 
 def _probe_trial_checkpoints(
@@ -284,7 +340,6 @@ def _probe_trial_checkpoints(
     if not resume or not cache.enabled:
         return {}
     from repro.cache import MISS, trial_key
-    from repro.runtime.trace import RuntimeTrace, TraceSummary
 
     expect = TraceSummary if reduce == "stats" else RuntimeTrace
     found: dict[int, object] = {}

@@ -10,13 +10,12 @@ from repro.experiments.tables import ExampleRow
 from repro.utils.ascii import ascii_plot, format_table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweep imports figures)
-    from repro.experiments.sweep import RuntimeSweepResult, SweepResult
+    from repro.experiments.sweep import SweepResult
 
 __all__ = [
     "render_series",
     "render_point_table",
     "render_example_rows",
-    "render_sweep",
     "render_suite",
     "render_latency_report",
     "render_trajectory",
@@ -86,22 +85,6 @@ def _resilience_lines(result: "SweepResult") -> list[str]:
             "--resume to execute only the missing trials"
         )
     return lines
-
-
-def render_sweep(result: "RuntimeSweepResult", plot: bool = True) -> str:
-    """Render every panel of a runtime failure-regime sweep (one per metric)."""
-    header = (
-        f"Online runtime sweep — {result.trials} trials/point, seed {result.seed}, "
-        f"policy {result.spec.runtime.policy}, admission {result.spec.runtime.admission}, "
-        f"mttf grid {[f'{m:g}' for m in result.mttf_grid]}"
-    )
-    lines = [header]
-    # only when a real cache backed the run: a cacheless `runtime --sweep`
-    # keeps its historical, byte-stable report.
-    if result.sweep is not None and result.sweep.cache_enabled:
-        lines.append(_cache_line(result.sweep))
-    panels = [render_series(figure, plot=plot) for figure in result.figures()]
-    return "\n\n".join(["\n".join(lines), *panels])
 
 
 def render_suite(

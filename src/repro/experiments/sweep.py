@@ -1,15 +1,13 @@
-"""Sweep campaigns of the online runtime: generic suites and the failure grid.
+"""Suite campaigns of the online runtime.
 
-Two layers live here.  The generic layer executes a
-:class:`~repro.scenario.suite.SuiteSpec` — any axes over any base scenario —
-as one sharded, cached campaign (:func:`run_suite`) and returns a
+:func:`run_suite` executes a :class:`~repro.scenario.suite.SuiteSpec` — any
+axes over any base scenario — as one sharded, cached campaign and returns a
 :class:`SweepResult` whose :meth:`~SweepResult.panel` pivots the grid into
 figure-ready :class:`~repro.experiments.figures.FigureSeries` panels for
-arbitrary ``(x_axis, metric, y_axis)`` choices.  The historical failure-regime
-sweep — mttf × mttr × Weibull shape, the ``repro-streaming runtime --sweep``
-command — is now a *special case*: :func:`run_runtime_sweep` builds the
-equivalent suite and adapts the generic result, bit-for-bit identical to the
-pre-suite implementation.
+arbitrary ``(x_axis, metric, y_axis)`` choices.  A failure-regime sweep is a
+suite over ``faults.mttf_periods`` × ``faults.mttr_periods`` ×
+``faults.weibull_shape`` of a Weibull base scenario; a single campaign is a
+suite with zero axes.
 
 Execution model (what makes sweeps deterministic *and* cacheable):
 
@@ -27,33 +25,25 @@ Execution model (what makes sweeps deterministic *and* cacheable):
   (*reshaping* an axis shifts the in-grid-order seeds of later points, so
   those re-execute too — see docs/scenarios.md for the exact reuse rules).
 
-The Weibull shape axis stresses the failure-arrival law itself: ``shape < 1``
-gives infant-mortality bursts, ``shape = 1`` is the exponential (memoryless)
-case of the paper, ``shape > 1`` models wear-out.
+The points run through the campaign executor of
+:mod:`repro.experiments.parallel`: every cache-missed point unrolls into its
+trials, and all of them share one supervised pool.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Union
 
-from repro.cache import MISS, CacheStats, campaign_key, open_cache
+from repro.cache import CacheStats, open_cache
 from repro.exceptions import SpecificationError
 from repro.experiments.figures import FigureSeries
-from repro.runtime.montecarlo import RuntimeTrialSpec
 from repro.runtime.trace import RuntimeStats
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.suite import SuiteSpec
 from repro.utils.rng import derive_seed, ensure_rng
 
 __all__ = [
-    "SweepPoint",
-    "RuntimeSweepResult",
-    "run_runtime_sweep",
     "SWEEP_METRICS",
-    "EXTRA_SWEEP_AXES",
     "REPORT_METRICS",
     "SuitePointResult",
     "SweepResult",
@@ -81,21 +71,6 @@ REPORT_METRICS: dict[str, str] = {
     "max latency": "max_latency",
     "mean latency": "mean_latency",
 }
-
-#: the dotted spec axes swept by :func:`run_runtime_sweep`, in grid order.
-SWEEP_AXES = (
-    "faults.mttf_periods",
-    "faults.mttr_periods",
-    "faults.weibull_shape",
-)
-
-#: optional failure-world axes appended (in this order) when the sweep is
-#: given ``group_sizes`` / ``load_couplings`` grids.
-EXTRA_SWEEP_AXES = (
-    "faults.group_size",
-    "faults.load_coupling",
-)
-
 
 # ---------------------------------------------------------------- generic suites
 def _resolve_metric(metric: str) -> str:
@@ -332,23 +307,6 @@ class SweepResult:
         return rows
 
 
-def _run_trial_unit(item: tuple[ScenarioSpec, int], reduce: str):
-    """Execute one (grid point, trial) unit — the picklable unit of suite work.
-
-    The suite executor flattens every cache-missed grid point into its
-    individual trials, so one process pool load-balances trials × points at
-    once (a grid with fewer points than workers still saturates the pool).
-    With ``reduce="stats"`` the trace never leaves the worker — only its
-    :class:`~repro.runtime.trace.TraceSummary` does.
-    """
-    from repro.runtime.montecarlo import run_trial, run_trial_summary
-
-    point_spec, trial_seed = item
-    if reduce == "stats":
-        return run_trial_summary(point_spec, trial_seed)
-    return run_trial(point_spec, trial_seed)
-
-
 def run_suite(
     suite: SuiteSpec,
     seed: int | None = None,
@@ -407,14 +365,8 @@ def run_suite(
     probes and writes change a run's cache traffic, and the full-campaign
     entry already serves the common case.
     """
-    from repro.experiments.parallel import (
-        RuntimeCampaignResult,
-        _probe_trial_checkpoints,
-        campaign_trial_seeds,
-        check_reduce,
-    )
-    from repro.resilience import resolve_chaos, supervised_map
-    from repro.resilience.supervisor import RetryPolicy
+    from repro.experiments.parallel import _execute_campaigns, check_reduce
+    from repro.resilience import resolve_chaos
 
     check_reduce(reduce)
     cache = open_cache(cache)
@@ -427,114 +379,20 @@ def run_suite(
     specs = suite.points()
     rng = ensure_rng(run_seed)
     seeds = [derive_seed(rng) for _ in specs]
-    # with caching off there is nothing to address: skip the hashing and the
-    # probe loop entirely so a cacheless run carries all-zero stats.
-    keys = (
-        [
-            campaign_key(spec, point_seed, run_trials, reduce=reduce)
-            for spec, point_seed in zip(specs, seeds)
-        ]
-        if cache.enabled
-        else [None] * len(specs)
+    run = _execute_campaigns(
+        list(zip(specs, seeds)), run_trials, jobs, cache, reduce,
+        max_retries=max_retries, trial_timeout=trial_timeout, resume=resume,
+        chaos=chaos, stop=stop,
     )
-    campaigns: list = [MISS] * len(specs)
-    miss_indices: list[int] = []
-    for i, key in enumerate(keys):
-        value = (
-            cache.get(key, expect=RuntimeCampaignResult) if key is not None else MISS
-        )
-        if value is MISS:
-            miss_indices.append(i)
-        else:
-            campaigns[i] = value
-    # nested fan-out: every missed point unrolls into its trials, and all the
-    # (point, trial) units share one pool — workers stay busy even when the
-    # grid has fewer points than workers, and each unit's return payload is
-    # one trace (or one summary), never a whole campaign pickle.
-    trial_seed_of = {i: campaign_trial_seeds(seeds[i], run_trials) for i in miss_indices}
-    # resume: trials already checkpointed by an interrupted run (or by a
-    # smaller-trials run — trial keys ignore the campaign's total count) are
-    # served from the cache; only the missing ones become work units.
-    checkpoint_of = {
-        i: _probe_trial_checkpoints(
-            cache, specs[i], seeds[i], range(run_trials), reduce, resume
-        )
-        for i in miss_indices
-    }
-    unit_meta: list[tuple[int, int]] = []  # (grid index, trial index) per unit
-    units = []
-    for i in miss_indices:
-        for t in range(run_trials):
-            if t not in checkpoint_of[i]:
-                unit_meta.append((i, t))
-                units.append((specs[i], trial_seed_of[i][t]))
-
-    def checkpoint(slot: int, value) -> None:
-        from repro.cache import trial_key
-
-        i, t = unit_meta[slot]
-        cache.put(trial_key(specs[i], seeds[i], t, reduce=reduce), value)
-
-    outcome = supervised_map(
-        partial(_run_trial_unit, reduce=reduce),
-        units,
-        jobs=jobs,
-        tokens=[trial_seed_of[i][t] for i, t in unit_meta],
-        policy=RetryPolicy(max_retries=max_retries),
-        timeout=trial_timeout,
-        chaos=chaos,
-        on_result=checkpoint if (resume and cache.enabled) else None,
-        stop=stop,
-    )
-    failure_of_slot = {f.index: f for f in outcome.failures}
-    values_of: dict[int, dict[int, object]] = {
-        i: dict(checkpoint_of[i]) for i in miss_indices
-    }
-    lost_of: dict[int, list[str]] = {i: [] for i in miss_indices}
-    executed_trials = 0
-    for slot, (i, t) in enumerate(unit_meta):
-        failure = failure_of_slot.get(slot)
-        if failure is not None:
-            lost_of[i].append(f"trial {t} {failure.kind}: {failure.error}")
-        elif outcome.values[slot] is not None:
-            values_of[i][t] = outcome.values[slot]
-            executed_trials += 1
-    failure_note: dict[int, str] = {}
-    for i in miss_indices:
-        values = values_of[i]
-        if len(values) == run_trials:
-            chunk = tuple(values[t] for t in range(run_trials))
-            campaign = RuntimeCampaignResult(
-                spec=specs[i],
-                seed=seeds[i],
-                trial_seeds=trial_seed_of[i],
-                traces=chunk if reduce == "traces" else None,
-                summaries=chunk if reduce == "stats" else None,
-            )
-            if keys[i] is not None:
-                cache.put(keys[i], campaign)
-            campaigns[i] = campaign
-        elif lost_of[i]:
-            failure_note[i] = (
-                f"{run_trials - len(values)} of {run_trials} trials lost "
-                f"after retry exhaustion ({'; '.join(lost_of[i][:2])})"
-            )
-        else:  # drained before this point's trials all ran
-            failure_note[i] = (
-                f"interrupted with {len(values)} of {run_trials} trials done"
-            )
-    missed = set(miss_indices)
     points = tuple(
         SuitePointResult(
             spec=spec,
             seed=point_seed,
-            campaign=None if i in failure_note else campaign,
-            cached=i not in missed,
-            failure=failure_note.get(i),
+            campaign=run.results[i],
+            cached=run.cached[i],
+            failure=run.notes.get(i),
         )
-        for i, (spec, point_seed, campaign) in enumerate(
-            zip(specs, seeds, campaigns)
-        )
+        for i, (spec, point_seed) in enumerate(zip(specs, seeds))
     )
     after = cache.stats
     return SweepResult(
@@ -551,161 +409,8 @@ def run_suite(
             quarantined=after.quarantined - stats_before.quarantined,
         ),
         cache_enabled=cache.enabled,
-        interrupted=outcome.interrupted,
-        resumed_trials=sum(len(found) for found in checkpoint_of.values()),
-        executed_trials=executed_trials,
-        resilience=dict(outcome.counters),
-    )
-
-
-# ------------------------------------------------------- failure-regime sweep
-@dataclass(frozen=True)
-class SweepPoint:
-    """One failure regime of the sweep and its campaign statistics."""
-
-    mttf_periods: float
-    mttr_periods: float | None
-    shape: float
-    seed: int
-    stats: RuntimeStats
-    group_size: int | None = None
-    load_coupling: float = 0.0
-
-    @property
-    def series_label(self) -> str:
-        """Label of the curve this point belongs to (one per mttr × shape,
-        extended with the failure-world axes when they are swept)."""
-        mttr = "∞" if self.mttr_periods is None else f"{self.mttr_periods:g}Δ"
-        label = f"mttr={mttr}, shape={self.shape:g}"
-        if self.group_size is not None:
-            label += f", groups={self.group_size}"
-        if self.load_coupling:
-            label += f", load={self.load_coupling:g}"
-        return label
-
-
-@dataclass(frozen=True)
-class RuntimeSweepResult:
-    """All grid points of one failure-regime sweep, in grid order.
-
-    ``sweep`` carries the generic :class:`SweepResult` this run was executed
-    through (pivoting helpers, cache accounting); the flat fields keep the
-    historical report shape.
-    """
-
-    spec: ScenarioSpec
-    seed: int
-    trials: int
-    mttf_grid: tuple[float, ...]
-    points: tuple[SweepPoint, ...]
-    sweep: "SweepResult | None" = None
-
-    def figure(self, metric: str) -> FigureSeries:
-        """One panel: *metric* vs mttf, one curve per (mttr, shape) combo."""
-        attr = SWEEP_METRICS[metric]
-        series: dict[str, list[float]] = {}
-        for point in self.points:
-            series.setdefault(point.series_label, []).append(
-                getattr(point.stats, attr)
-            )
-        # mean latency is reported in periods of the *trial* schedule, which
-        # varies per workload; the panel still orders regimes correctly.
-        return FigureSeries(
-            name=f"runtime_sweep:{metric}",
-            x_label="mttf (periods)",
-            x=self.mttf_grid,
-            series={label: tuple(vals) for label, vals in series.items()},
-            description=(
-                f"Online runtime {metric} vs mttf "
-                f"({self.trials} trials/point, policy {self.spec.runtime.policy}, "
-                f"admission {self.spec.runtime.admission})"
-            ),
-        )
-
-    def figures(self) -> list[FigureSeries]:
-        """Every panel of the sweep report, in :data:`SWEEP_METRICS` order."""
-        return [self.figure(metric) for metric in SWEEP_METRICS]
-
-
-def run_runtime_sweep(
-    spec: Union[ScenarioSpec, RuntimeTrialSpec],
-    mttf_grid: tuple[float, ...] = (50.0, 100.0, 200.0, 400.0),
-    mttr_grid: tuple[float | None, ...] = (None, 25.0),
-    shapes: tuple[float, ...] = (0.7, 1.0, 1.5),
-    trials: int = 10,
-    seed: int = 0,
-    jobs: int | None = 1,
-    cache=None,
-    reduce: str = "traces",
-    group_sizes: tuple[int | None, ...] | None = None,
-    load_couplings: tuple[float, ...] | None = None,
-) -> RuntimeSweepResult:
-    """Sweep the failure-regime grid; deterministic for any *jobs* value.
-
-    *group_sizes* / *load_couplings* optionally append the failure-world axes
-    (:data:`EXTRA_SWEEP_AXES` — correlated crash-group size, load-dependent
-    hazard coupling) after the historical mttf × mttr × shape grid; left at
-    ``None`` the grid, its per-point seeds and the report are bit-identical
-    to the three-axis sweep.
-
-    Since the suite layer this is a thin adapter: the grid is the
-    :class:`~repro.scenario.suite.SuiteSpec` over :data:`SWEEP_AXES` — ordered
-    mttf-major → mttr → shape — executed by :func:`run_suite` (every point's
-    campaign seed derived from *seed* in grid order before any work is
-    dispatched, results bit-identical to the historical direct
-    implementation).  *cache* enables spec-hash result caching and *reduce*
-    the stats-only worker transport, exactly as in :func:`run_suite` — the
-    sweep report only reads per-point statistics, so ``reduce="stats"`` is
-    safe for any use of this function and cuts the inter-process transfer to
-    a few floats per trial.
-    """
-    if not mttf_grid or not shapes:
-        raise ValueError("mttf_grid and shapes must be non-empty")
-    if any(m is None for m in mttf_grid) or any(s is None for s in shapes):
-        raise ValueError("mttf_grid and shapes must be numeric (only mttr may be none)")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if isinstance(spec, RuntimeTrialSpec):
-        warnings.warn(
-            "passing a RuntimeTrialSpec to run_runtime_sweep is deprecated; "
-            "build a ScenarioSpec (see RuntimeTrialSpec.to_scenario) — the "
-            "signature will require one in a future release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        spec = spec.to_scenario()
-    axes: dict = dict(
-        zip(SWEEP_AXES, (tuple(mttf_grid), tuple(mttr_grid), tuple(shapes)))
-    )
-    if group_sizes is not None:
-        axes["faults.group_size"] = tuple(group_sizes)
-    if load_couplings is not None:
-        axes["faults.load_coupling"] = tuple(float(c) for c in load_couplings)
-    suite = SuiteSpec(
-        base=spec.updated({"faults.distribution": "weibull"}),
-        axes=axes,
-        name=f"{spec.name}-failure-regimes",
-        trials=trials,
-        seed=seed,
-    )
-    result = run_suite(suite, jobs=jobs, cache=cache, reduce=reduce)
-    points = tuple(
-        SweepPoint(
-            mttf_periods=point.spec.faults.mttf_periods,
-            mttr_periods=point.spec.faults.mttr_periods,
-            shape=point.spec.faults.weibull_shape,
-            seed=point.seed,
-            stats=point.stats,
-            group_size=point.spec.faults.group_size,
-            load_coupling=point.spec.faults.load_coupling,
-        )
-        for point in result.points
-    )
-    return RuntimeSweepResult(
-        spec=spec,
-        seed=seed,
-        trials=trials,
-        mttf_grid=tuple(float(m) for m in mttf_grid),
-        points=points,
-        sweep=result,
+        interrupted=run.outcome.interrupted,
+        resumed_trials=run.resumed_trials,
+        executed_trials=run.executed_trials,
+        resilience=dict(run.outcome.counters),
     )

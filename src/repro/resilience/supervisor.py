@@ -1,9 +1,9 @@
 """Supervised process pool: retry, timeout-kill, respawn, drain.
 
-:func:`supervised_map` is the resilient sibling of
-:func:`repro.experiments.parallel.parallel_map`.  Both map a picklable
-function over a list bit-identically to a serial loop; the supervised
-variant additionally survives the infrastructure failing:
+:func:`supervised_map` is the one pool primitive of the package: campaigns,
+suites and the figure studies all fan out through it.  It maps a picklable
+function over a list bit-identically to a serial loop, and survives the
+infrastructure failing:
 
 * a **dead worker** (``BrokenProcessPool``) respawns the pool and retries
   only the units that were in flight, each with a bounded attempt budget

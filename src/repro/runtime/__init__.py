@@ -45,7 +45,7 @@ from repro.runtime.trace import (
     summarize_trace,
     summarize_traces,
 )
-from repro.runtime.montecarlo import RuntimeTrialSpec, run_trial, run_trial_summary
+from repro.runtime.montecarlo import run_trial, run_trial_summary
 
 __all__ = [
     "OnlineRuntime",
@@ -68,7 +68,6 @@ __all__ = [
     "combine_summaries",
     "summarize_trace",
     "summarize_traces",
-    "RuntimeTrialSpec",
     "run_trial",
     "run_trial_summary",
 ]

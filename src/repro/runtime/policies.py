@@ -22,7 +22,7 @@ Both are deterministic: given the same inputs they return the same schedule.
 
 Policies are resolved *by name* through the :data:`RESCHEDULE_POLICIES`
 registry (:class:`~repro.utils.registry.PolicyRegistry`): the CLI derives its
-``--policy`` choices from it, :class:`~repro.runtime.montecarlo.RuntimeTrialSpec`
+``--policy`` choices from it, :class:`~repro.scenario.spec.RuntimeSpec`
 validates against it, and the experiment sweeps iterate it — registering a new
 policy class here is all it takes to expose it everywhere.
 """

@@ -5,8 +5,8 @@ Weibull shape, granularity × ε, policy × admission, …).  Here an *axis* is 
 dotted path into the spec tree (``"faults.mttf_periods"``) mapped to a
 sequence of values, and :func:`expand_grid` turns a base spec plus an axis
 dict into the product list of fully-validated specs — the first axis is the
-major (slowest-varying) one, matching the historical grid order of
-:func:`repro.experiments.sweep.run_runtime_sweep`.
+major (slowest-varying) one, matching the grid order of
+:func:`repro.experiments.sweep.run_suite`.
 
 Because every point is a self-contained :class:`~repro.scenario.spec.
 ScenarioSpec`, the expansion shards trivially across processes: a worker

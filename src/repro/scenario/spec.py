@@ -476,7 +476,7 @@ class ScenarioSpec:
 
         Axes are dotted paths mapped to value sequences; the product iterates
         the *last* axis fastest (first axis major), matching the grid order of
-        :func:`repro.experiments.sweep.run_runtime_sweep`.  Keyword axes use
+        :func:`repro.experiments.sweep.run_suite`.  Keyword axes use
         ``__`` for the dot: ``grid(faults__mttf_periods=[50, 100])``.
 
         >>> specs = ScenarioSpec().grid({

@@ -190,14 +190,13 @@ def test_scenarios_doc_covers_the_failure_worlds():
     for term in ("down", "up", "did-you-mean", "bit for bit"):
         assert term in text, f"scenarios.md walkthrough misses {term!r}"
     for flag in ("--fault-trace", "--group-size", "--load-coupling", "--spares",
-                 "--join-periods", "--preempt-periods",
-                 "--sweep-group-sizes", "--sweep-load"):
+                 "--join-periods", "--preempt-periods"):
         assert flag in text, f"scenarios.md misses CLI flag {flag}"
 
 
 def test_resilience_doc_covers_the_supervision_surface():
     """docs/resilience.md must document the resilient-execution surface: the
-    CLI knobs on both suite and runtime, the chaos spec vocabulary, resume
+    CLI knobs of ``suite run``, the chaos spec vocabulary, resume
     semantics and the partial-result contract — adding a knob without a docs
     row fails here."""
     text = (REPO / "docs" / "resilience.md").read_text()
@@ -210,23 +209,16 @@ def test_resilience_doc_covers_the_supervision_surface():
     subparsers = next(
         action.choices
         for action in parser._actions
-        if hasattr(action, "choices") and action.choices and "runtime" in action.choices
+        if hasattr(action, "choices") and action.choices and "suite" in action.choices
     )
-    for command in ("runtime", "suite"):
-        sub = subparsers[command]
-        if command == "suite":
-            sub = next(
-                action.choices["run"]
-                for action in sub._actions
-                if hasattr(action, "choices") and action.choices
-            )
-        flags = {
-            opt
-            for action in sub._actions
-            for opt in action.option_strings
-        }
-        for flag in ("--max-retries", "--trial-timeout", "--resume", "--chaos"):
-            assert flag in flags, f"{command} lost documented flag {flag}"
+    suite_run = next(
+        action.choices["run"]
+        for action in subparsers["suite"]._actions
+        if hasattr(action, "choices") and action.choices
+    )
+    flags = {opt for action in suite_run._actions for opt in action.option_strings}
+    for flag in ("--max-retries", "--trial-timeout", "--resume", "--chaos"):
+        assert flag in flags, f"suite run lost documented flag {flag}"
     for name in ("supervised_map", "RetryPolicy", "ChaosSpec", "trial_key",
                  "drain_signals", "ExecutionError", "REPRO_CHAOS"):
         assert name in text, f"resilience.md misses API {name}"
@@ -258,6 +250,13 @@ def test_example_trace_replay_parses_and_replays():
 def test_example_suite_parses_and_expands():
     suite = SuiteSpec.from_file(REPO / "examples" / "suite.json")
     assert suite.num_points == len(suite.points()) >= 2
+
+
+def test_example_campaign_is_a_zero_axis_suite():
+    campaign = SuiteSpec.from_file(REPO / "examples" / "campaign.json")
+    assert campaign.axes == {} and campaign.points() == [campaign.base]
+    for doc in ("README.md", "docs/resilience.md"):
+        assert "examples/campaign.json" in (REPO / doc).read_text()
 
 
 def test_scenarios_reference_covers_every_spec_field():

@@ -30,20 +30,23 @@ from repro.obs import (
     sample_trace,
     write_gantt,
 )
-from repro.runtime.montecarlo import RuntimeTrialSpec, run_trial
+from repro.runtime.montecarlo import run_trial
+from repro.scenario import ScenarioSpec
 from repro.scenario.run import run_scenario_online
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
 #: The spec of `TestGoldenSeedResults` in test_runtime.py — its seed-0 trace
 #: is the frozen golden run the Gantt export is pinned to.
-GOLDEN_SPEC = RuntimeTrialSpec(
-    num_tasks=20,
-    num_processors=8,
-    epsilon=2,
-    num_datasets=80,
-    mttf_periods=30.0,
-    mttr_periods=10.0,
+GOLDEN_SPEC = ScenarioSpec(name="runtime-trial").updated(
+    {
+        "workload.num_tasks": 20,
+        "workload.num_processors": 8,
+        "scheduler.epsilon": 2,
+        "runtime.num_datasets": 80,
+        "faults.mttf_periods": 30.0,
+        "faults.mttr_periods": 10.0,
+    }
 )
 
 
@@ -139,14 +142,14 @@ class TestMetricsRegistry:
 class TestMetricsProbe:
     @pytest.fixture(scope="class")
     def probed_run(self):
-        spec = GOLDEN_SPEC.to_scenario(name="probed")
+        spec = GOLDEN_SPEC.updated({"name": "probed"})
         probe = MetricsProbe()
         trace = run_scenario_online(spec, seed=0, probe=probe)
         return trace, probe
 
     def test_probe_does_not_perturb_the_trace(self, probed_run):
         trace, _ = probed_run
-        bare = run_scenario_online(GOLDEN_SPEC.to_scenario(name="probed"), seed=0)
+        bare = run_scenario_online(GOLDEN_SPEC.updated({"name": "probed"}), seed=0)
         assert trace == bare
 
     def test_counters_reconcile_with_the_trace(self, probed_run):
@@ -200,7 +203,7 @@ class TestCampaignPercentiles:
     def test_stats_reduce_matches_traces_reduce_exactly(self):
         from repro.experiments.parallel import run_runtime_campaign
 
-        spec = GOLDEN_SPEC.to_scenario(name="pctl")
+        spec = GOLDEN_SPEC.updated({"name": "pctl"})
         full = run_runtime_campaign(spec, trials=4, seed=0)
         lean = run_runtime_campaign(spec, trials=4, seed=0, reduce="stats")
         for attr in (
@@ -212,7 +215,7 @@ class TestCampaignPercentiles:
     def test_campaign_percentiles_equal_whole_set_percentiles(self):
         from repro.experiments.parallel import run_runtime_campaign
 
-        spec = GOLDEN_SPEC.to_scenario(name="pctl")
+        spec = GOLDEN_SPEC.updated({"name": "pctl"})
         result = run_runtime_campaign(spec, trials=4, seed=0)
         latencies = [
             lat for trace in result.traces for lat in trace.latencies
@@ -226,7 +229,7 @@ class TestCampaignPercentiles:
     def test_stats_rows_render_percentiles(self):
         from repro.experiments.parallel import run_runtime_campaign
 
-        spec = GOLDEN_SPEC.to_scenario(name="pctl")
+        spec = GOLDEN_SPEC.updated({"name": "pctl"})
         rows = dict(run_runtime_campaign(spec, trials=2, seed=0).stats.as_rows())
         for label in ("latency (p50)", "latency (p95)", "latency (p99)", "latency (max)"):
             assert label in rows
@@ -294,7 +297,7 @@ class TestSampleTrace:
 class TestObsCli:
     def _scenario_file(self, tmp_path):
         path = tmp_path / "scenario.json"
-        path.write_text(GOLDEN_SPEC.to_scenario(name="obs-cli").to_json())
+        path.write_text(GOLDEN_SPEC.updated({"name": "obs-cli"}).to_json())
         return path
 
     def test_run_exports_gantt_and_metrics(self, tmp_path, capsys):
@@ -324,6 +327,14 @@ class TestObsCli:
         assert main(args) == 0
         assert "of 80 records)" in capsys.readouterr().out
         assert gantt.read_text().startswith("<!DOCTYPE html>")
+        # a fraction outside [0, 1] is a usage error before any work is done
+        gantt.unlink()
+        for bad in ("2", "-1", "nan"):
+            with pytest.raises(SystemExit) as exc:
+                main([*args[:-1], bad])
+            assert exc.value.code == 2
+            assert "--sample" in capsys.readouterr().err
+            assert not gantt.exists()
 
     def test_run_obs_flags_require_online_mode(self, tmp_path, capsys):
         from repro.cli import main
@@ -333,12 +344,6 @@ class TestObsCli:
         assert "--mode online" in capsys.readouterr().err
         assert main(["run", str(path), "--sample", "0.5"]) == 2
         assert "--gantt" in capsys.readouterr().err
-
-    def test_runtime_obs_flags_reject_sweep(self, capsys):
-        from repro.cli import main
-
-        assert main(["runtime", "--sweep", "--gantt", "x.svg"]) == 2
-        assert "--sweep" in capsys.readouterr().err
 
     def test_cache_ls_prints_sizes_and_totals(self, tmp_path, capsys):
         from repro.cache import DiskCache

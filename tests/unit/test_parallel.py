@@ -2,15 +2,19 @@
 
 import pytest
 
-from repro.experiments.campaign import instance_seeds, run_campaign, run_point
+from repro.exceptions import SpecificationError
+from repro.experiments.campaign import (
+    _supervised_units,
+    instance_seeds,
+    run_campaign,
+    run_point,
+)
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import ablation_rules, baseline_comparison, scaling_study
-from repro.experiments.parallel import (
-    parallel_map,
-    run_runtime_campaign,
-)
-from repro.experiments.sweep import run_runtime_sweep
-from repro.runtime.montecarlo import RuntimeTrialSpec, run_trial
+from repro.experiments.parallel import run_runtime_campaign
+from repro.experiments.sweep import run_suite
+from repro.runtime.montecarlo import run_trial
+from repro.scenario import ScenarioSpec, SuiteSpec
 
 TINY = ExperimentConfig(
     granularities=(0.5, 1.5),
@@ -21,13 +25,29 @@ TINY = ExperimentConfig(
     seed=1,
 )
 
-SPEC = RuntimeTrialSpec(
-    num_tasks=15,
-    num_processors=6,
-    epsilon=1,
-    num_datasets=30,
-    mttf_periods=40.0,
+SPEC = ScenarioSpec(name="runtime-trial").updated(
+    {
+        "workload.num_tasks": 15,
+        "workload.num_processors": 6,
+        "scheduler.epsilon": 1,
+        "runtime.num_datasets": 30,
+        "faults.mttf_periods": 40.0,
+    }
 )
+
+
+def _failure_regimes(spec: ScenarioSpec, trials: int, seed: int) -> SuiteSpec:
+    """A two-point failure-regime sweep over mttf, as a suite."""
+    return SuiteSpec(
+        base=spec.updated({"faults.distribution": "weibull"}),
+        axes={
+            "faults.mttf_periods": (30.0, 60.0),
+            "faults.mttr_periods": (None,),
+            "faults.weibull_shape": (1.0,),
+        },
+        trials=trials,
+        seed=seed,
+    )
 
 
 def _square(x: int) -> int:
@@ -35,16 +55,18 @@ def _square(x: int) -> int:
 
 
 class TestParallelMap:
+    """The figure studies' parallel map: the supervised pool, in input order."""
+
     def test_serial_preserves_order(self):
-        assert parallel_map(_square, [3, 1, 2], jobs=1) == [9, 1, 4]
+        assert _supervised_units(_square, [3, 1, 2], 1, what="t") == [9, 1, 4]
 
     def test_parallel_matches_serial(self):
         items = list(range(8))
-        assert parallel_map(_square, items, jobs=4) == [x * x for x in items]
+        assert _supervised_units(_square, items, 4, what="t") == [x * x for x in items]
 
     def test_none_and_zero_jobs_run_serially(self):
-        assert parallel_map(_square, [2], jobs=None) == [4]
-        assert parallel_map(_square, [2, 3], jobs=0) == [4, 9]
+        assert _supervised_units(_square, [2], None, what="t") == [4]
+        assert _supervised_units(_square, [2, 3], 0, what="t") == [4, 9]
 
 
 class TestRuntimeCampaign:
@@ -72,17 +94,17 @@ class TestRuntimeCampaign:
     def test_validation(self):
         with pytest.raises(ValueError):
             run_runtime_campaign(SPEC, trials=0)
-        with pytest.raises(ValueError):
-            RuntimeTrialSpec(mttf_periods=-1.0)
-        with pytest.raises(ValueError):
-            RuntimeTrialSpec(distribution="zipf")
-        with pytest.raises(ValueError):
-            RuntimeTrialSpec(epsilon=10, num_processors=5)
+        with pytest.raises(SpecificationError):
+            SPEC.updated({"faults.mttf_periods": -1.0})
+        with pytest.raises(SpecificationError):
+            SPEC.updated({"faults.distribution": "zipf"})
+        with pytest.raises(SpecificationError):
+            SPEC.updated({"scheduler.epsilon": 10, "workload.num_processors": 5})
 
     def test_spec_overrides(self):
-        spec = SPEC.with_overrides(policy="remap")
-        assert spec.policy == "remap"
-        assert spec.num_tasks == SPEC.num_tasks
+        spec = SPEC.updated({"runtime.policy": "remap"})
+        assert spec.runtime.policy == "remap"
+        assert spec.workload == SPEC.workload
 
 
 class TestCampaignJobs:
@@ -120,28 +142,22 @@ class TestCampaignJobs:
         assert set(serial.series) == set(fanned.series) == {"LTF", "R-LTF"}
 
     def test_runtime_sweep_jobs_are_bit_for_bit_identical(self):
-        spec = SPEC.with_overrides(num_datasets=20)
-        serial = run_runtime_sweep(
-            spec, mttf_grid=(30.0, 60.0), mttr_grid=(None,), shapes=(1.0,),
-            trials=2, seed=3, jobs=1,
-        )
-        fanned = run_runtime_sweep(
-            spec, mttf_grid=(30.0, 60.0), mttr_grid=(None,), shapes=(1.0,),
-            trials=2, seed=3, jobs=2,
-        )
+        suite = _failure_regimes(SPEC.updated({"runtime.num_datasets": 20}), 2, 3)
+        serial = run_suite(suite, jobs=1)
+        fanned = run_suite(suite, jobs=2)
         assert serial.points == fanned.points
-        figure = serial.figure("availability")
-        assert figure.x == (30.0, 60.0)
-        assert set(figure.series) == {"mttr=∞, shape=1"}
-        assert len(serial.figures()) == 4
+        panel = serial.panel(metric="availability")
+        assert panel.x == (30.0, 60.0)
+        assert set(panel.series) == {"mttr_periods=∞, weibull_shape=1"}
+        assert len(serial.panels()) == 4
 
     def test_runtime_sweep_validation(self):
         with pytest.raises(ValueError):
-            run_runtime_sweep(SPEC, mttf_grid=(), trials=1)
+            SuiteSpec(base=SPEC, axes={"faults.mttf_periods": ()})
         with pytest.raises(ValueError):
-            run_runtime_sweep(SPEC, trials=0)
+            run_suite(_failure_regimes(SPEC, 1, 0), trials=0)
         with pytest.raises(ValueError):
-            run_runtime_sweep(SPEC, mttf_grid=(None,), trials=1)
+            SuiteSpec(base=SPEC, axes={"faults.mttf_periods": (None,)}).points()
 
     def test_ablations_parallel_identical(self):
         serial = ablation_rules(TINY, jobs=1)
@@ -154,28 +170,14 @@ class TestCampaignJobs:
         assert serial.series == fanned.series
 
 
-class TestChunkedTransport:
-    def test_explicit_chunksize_matches_serial(self):
-        items = list(range(23))
-        expected = [x * x for x in items]
-        assert parallel_map(_square, items, jobs=3, chunksize=5) == expected
-        assert parallel_map(_square, items, jobs=3, chunksize=1) == expected
-        assert parallel_map(_square, items, jobs=3) == expected  # auto chunking
-
-    def test_auto_chunksize_aims_at_four_chunks_per_worker(self):
-        # the heuristic itself: len // (workers * 4), floored at 1
-        assert max(1, 100 // (4 * 4)) == 6
-        assert max(1, 3 // (2 * 4)) == 1
-
-
 class TestStatsReduction:
     def test_stats_reduce_equals_trace_summaries(self):
         """Acceptance: reduce='stats' stats ≡ summarize_traces(reduce='traces')."""
         from repro.runtime.trace import summarize_traces
 
-        full = run_runtime_campaign(SPEC.to_scenario(), trials=4, seed=3)
+        full = run_runtime_campaign(SPEC, trials=4, seed=3)
         lean = run_runtime_campaign(
-            SPEC.to_scenario(), trials=4, seed=3, reduce="stats"
+            SPEC, trials=4, seed=3, reduce="stats"
         )
         assert lean.stats == full.stats == summarize_traces(full.traces)
         assert lean.trial_seeds == full.trial_seeds
@@ -185,10 +187,10 @@ class TestStatsReduction:
 
     def test_stats_reduce_is_jobs_invariant(self):
         serial = run_runtime_campaign(
-            SPEC.to_scenario(), trials=4, seed=2, jobs=1, reduce="stats"
+            SPEC, trials=4, seed=2, jobs=1, reduce="stats"
         )
         fanned = run_runtime_campaign(
-            SPEC.to_scenario(), trials=4, seed=2, jobs=4, reduce="stats"
+            SPEC, trials=4, seed=2, jobs=4, reduce="stats"
         )
         assert fanned == serial
 
@@ -198,7 +200,7 @@ class TestStatsReduction:
         # is ≥10× less transfer
         import pickle
 
-        spec = SPEC.with_overrides(num_datasets=200).to_scenario()
+        spec = SPEC.updated({"runtime.num_datasets": 200})
         full = run_runtime_campaign(spec, trials=2, seed=3)
         lean = run_runtime_campaign(spec, trials=2, seed=3, reduce="stats")
         assert len(pickle.dumps(lean)) * 10 < len(pickle.dumps(full))
@@ -217,20 +219,20 @@ class TestStatsReduction:
 
     def test_invalid_reduce_rejected(self):
         with pytest.raises(ValueError, match="reduce"):
-            run_runtime_campaign(SPEC.to_scenario(), trials=2, seed=0, reduce="bogus")
+            run_runtime_campaign(SPEC, trials=2, seed=0, reduce="bogus")
 
     def test_campaign_result_requires_exactly_one_payload(self):
         from repro.experiments.parallel import RuntimeCampaignResult
 
         with pytest.raises(ValueError, match="exactly one"):
             RuntimeCampaignResult(
-                spec=SPEC.to_scenario(), seed=0, trial_seeds=(1,), traces=None
+                spec=SPEC, seed=0, trial_seeds=(1,), traces=None
             )
 
     def test_session_monte_carlo_stats_mode(self):
         from repro.api import Session
 
-        session = Session(SPEC.to_scenario())
+        session = Session(SPEC)
         full = session.monte_carlo(trials=2, seed=1)
         lean = session.monte_carlo(trials=2, seed=1, reduce="stats")
         assert lean.stats == full.stats
@@ -242,7 +244,7 @@ class TestStatsReduction:
         """The sweep report is identical whichever payload the workers ship."""
         from repro.api import Session
 
-        session = Session(SPEC.to_scenario())
+        session = Session(SPEC)
         axes = {"faults.mttf_periods": [30.0, 60.0]}
         full = session.sweep(axes, trials=2, seed=4)
         lean = session.sweep(axes, trials=2, seed=4, reduce="stats")
@@ -254,27 +256,20 @@ class TestStatsReduction:
 
     def test_suite_flattened_fanout_is_jobs_invariant(self):
         """trials × points share one pool; any jobs value is bit-identical."""
-        serial = run_runtime_sweep(
-            SPEC, mttf_grid=(30.0, 60.0), mttr_grid=(None,), shapes=(1.0,),
-            trials=3, seed=6, jobs=1,
-        )
-        fanned = run_runtime_sweep(
-            SPEC, mttf_grid=(30.0, 60.0), mttr_grid=(None,), shapes=(1.0,),
-            trials=3, seed=6, jobs=4,
-        )
+        suite = _failure_regimes(SPEC, 3, 6)
+        serial = run_suite(suite, jobs=1)
+        fanned = run_suite(suite, jobs=4)
         assert fanned.points == serial.points
-        assert [p.campaign for p in fanned.sweep.points] == [
-            p.campaign for p in serial.sweep.points
-        ]
+        assert fanned.executed_trials == serial.executed_trials == 6
 
-    def test_cli_reduce_flag(self, capsys):
+    def test_cli_reduce_flag(self, tmp_path, capsys):
         from repro.cli import main
 
-        code = main(
-            [
-                "runtime", "--trials", "2", "--datasets", "20", "--tasks", "12",
-                "--processors", "6", "--epsilon", "1", "--reduce", "stats",
-            ]
-        )
-        assert code == 0
-        assert "availability" in capsys.readouterr().out
+        path = tmp_path / "campaign.json"
+        SuiteSpec(base=SPEC, axes={}, trials=2).save(path)
+        args = ["suite", "run", str(path), "--no-cache"]
+        assert main(args) == 0
+        full = capsys.readouterr().out
+        assert main(args + ["--reduce", "stats"]) == 0
+        assert capsys.readouterr().out == full
+        assert "availability" in full

@@ -213,12 +213,17 @@ class TestCampaignResilience:
     """The engine-facing surface: run_runtime_campaign / run_suite."""
 
     def _spec(self):
-        from repro.runtime.montecarlo import RuntimeTrialSpec
+        from repro.scenario.spec import ScenarioSpec
 
-        return RuntimeTrialSpec(
-            num_tasks=10, num_processors=5, epsilon=1,
-            num_datasets=15, mttf_periods=40.0,
-        ).to_scenario()
+        return ScenarioSpec.from_dict(
+            {
+                "name": "runtime-trial",
+                "workload": {"num_tasks": 10, "num_processors": 5},
+                "scheduler": {"epsilon": 1},
+                "faults": {"mttf_periods": 40.0},
+                "runtime": {"num_datasets": 15},
+            }
+        )
 
     def test_campaign_recovers_from_chaos_bit_identically(self):
         from repro.experiments.parallel import run_runtime_campaign
@@ -381,17 +386,23 @@ class TestCliResilience:
         out = capsys.readouterr().out
         assert "quarantine (1 corrupted)" in out
 
-    def test_runtime_chaos_flag_recovers(self, capsys):
+    def test_runtime_chaos_flag_recovers(self, tmp_path, capsys):
         from repro.cli import main
+        from repro.scenario.suite import SuiteSpec
 
-        args = [
-            "runtime", "--trials", "2", "--datasets", "15", "--tasks", "10",
-            "--processors", "5", "--epsilon", "1", "--mttf", "40",
-        ]
+        # a campaign is a suite with zero axes
+        path = tmp_path / "campaign.json"
+        SuiteSpec(
+            base=TestCampaignResilience()._spec(), axes={}, trials=2, seed=0
+        ).save(path)
+        args = ["suite", "run", str(path), "--no-cache"]
         assert main(args) == 0
         clean = capsys.readouterr().out
         assert (
             main(args + ["--chaos", "crash=0.4,seed=11", "--max-retries", "6"])
             == 0
         )
-        assert capsys.readouterr().out == clean
+        chaotic = capsys.readouterr().out
+        assert "resilience:" in chaotic  # the chaos did strike
+        table = clean.index("grid points")
+        assert chaotic[chaotic.index("grid points"):] == clean[table:]

@@ -17,7 +17,8 @@ from repro.runtime.admission import (
     resolve_admission,
 )
 from repro.runtime.engine import OnlineRuntime, run_online
-from repro.runtime.montecarlo import RuntimeTrialSpec, run_trial
+from repro.runtime.montecarlo import run_trial
+from repro.scenario import ScenarioSpec
 from repro.runtime.policies import (
     RESCHEDULE_POLICIES,
     RemapReschedulePolicy,
@@ -515,71 +516,27 @@ class TestRuntimeTrace:
 
 
 # ------------------------------------------------------------------------- CLI
-class TestRuntimeCli:
-    def test_runtime_command_smoke(self, capsys):
-        code = main(
-            [
-                "runtime",
-                "--seed",
-                "0",
-                "--trials",
-                "2",
-                "--datasets",
-                "30",
-                "--tasks",
-                "15",
-                "--processors",
-                "6",
-                "--epsilon",
-                "1",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "trials" in out and "rebuilds" in out
+class TestCampaignCli:
+    """A campaign from flags: ``config --emit`` then ``run --mode monte-carlo``."""
 
-    def test_runtime_command_with_queue_admission(self, capsys):
-        code = main(
-            [
-                "runtime", "--seed", "1", "--trials", "2", "--datasets", "25",
-                "--tasks", "12", "--processors", "5", "--epsilon", "1",
-                "--admission", "queue", "--queue-capacity", "0",
-                "--rebuild-on-repair", "--mttr", "20",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "admission queue" in out
+    def _emit(self, tmp_path, capsys, *flags) -> str:
+        assert main(["config", "--emit", *flags]) == 0
+        path = tmp_path / "scenario.json"
+        path.write_text(capsys.readouterr().out)
+        return str(path)
 
-    def test_runtime_sweep_command_smoke(self, capsys):
-        args = [
-            "runtime", "--sweep", "--trials", "1", "--datasets", "20",
-            "--tasks", "12", "--processors", "6", "--epsilon", "1",
-            "--sweep-mttf", "40,80", "--sweep-mttr", "none",
-            "--sweep-shapes", "1", "--no-plot",
-        ]
+    def test_emitted_campaign_is_seed_deterministic(self, tmp_path, capsys):
+        path = self._emit(
+            tmp_path, capsys, "--datasets", "25", "--tasks", "12",
+            "--processors", "5", "--epsilon", "1", "--admission", "queue",
+            "--queue-capacity", "0", "--rebuild-on-repair", "--mttr", "20",
+        )
+        args = ["run", path, "--mode", "monte-carlo", "--seed", "3", "--trials", "2"]
         assert main(args) == 0
         first = capsys.readouterr().out
-        assert "runtime_sweep:availability" in first
-        assert "runtime_sweep:loss rate" in first
-        assert main(args) == 0
-        assert capsys.readouterr().out == first  # seed-deterministic
-
-    def test_runtime_sweep_rejects_bad_grids(self, capsys):
-        code = main(
-            ["runtime", "--sweep", "--sweep-mttf", "frequently", "--trials", "1"]
-        )
-        assert code == 2
-        assert "invalid grid value" in capsys.readouterr().err
-
-    def test_runtime_command_is_seed_deterministic(self, capsys):
-        args = ["runtime", "--seed", "3", "--trials", "2", "--datasets", "20",
-                "--tasks", "12", "--processors", "5", "--epsilon", "1"]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert main(args) == 0
-        second = capsys.readouterr().out
-        assert first == second
+        assert "admission=queue" in first and "rebuilds" in first
+        assert main(args + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == first
 
 
 class TestGoldenSeedResults:
@@ -590,13 +547,15 @@ class TestGoldenSeedResults:
     which the fast path, by contract, must never do.
     """
 
-    SPEC = RuntimeTrialSpec(
-        num_tasks=20,
-        num_processors=8,
-        epsilon=2,
-        num_datasets=80,
-        mttf_periods=30.0,
-        mttr_periods=10.0,
+    SPEC = ScenarioSpec(name="runtime-trial").updated(
+        {
+            "workload.num_tasks": 20,
+            "workload.num_processors": 8,
+            "scheduler.epsilon": 2,
+            "runtime.num_datasets": 80,
+            "faults.mttf_periods": 30.0,
+            "faults.mttr_periods": 10.0,
+        }
     )
 
     @staticmethod
@@ -635,7 +594,9 @@ class TestGoldenSeedResults:
         assert self._fingerprint(trace) == fingerprint
 
     def test_queue_admission_with_repair_rebuilds_golden(self):
-        spec = self.SPEC.with_overrides(admission="queue", rebuild_on_repair=True)
+        spec = self.SPEC.updated(
+            {"runtime.admission": "queue", "runtime.rebuild_on_repair": True}
+        )
         trace = run_trial(spec, 3)
         assert trace.completed_count == 80
         assert trace.num_rebuilds == 10

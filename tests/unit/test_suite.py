@@ -9,6 +9,7 @@ failure-regime sweep is reproduced exactly through the generic engine.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -17,12 +18,7 @@ from repro.api import Session
 from repro.cache import DiskCache, NullCache
 from repro.exceptions import SpecificationError
 from repro.experiments.parallel import run_runtime_campaign
-from repro.experiments.sweep import (
-    SWEEP_AXES,
-    SweepResult,
-    run_runtime_sweep,
-    run_suite,
-)
+from repro.experiments.sweep import SweepResult, run_suite
 from repro.scenario import ScenarioSpec, SuiteSpec
 from repro.utils.rng import derive_seed, ensure_rng
 
@@ -76,8 +72,6 @@ class TestSuiteSpec:
             BASE.grid({"faults.mttf_periods": []})
         with pytest.raises(ValueError, match="'faults.mttf_periods' has no values"):
             BASE.grid(faults__mttf_periods=[])
-        with pytest.raises(ValueError, match="'faults.mttr_periods' has no values"):
-            run_runtime_sweep(BASE, mttr_grid=(), trials=1)
 
     def test_grid_accepts_iterables_and_unwraps_numpy(self):
         np = pytest.importorskip("numpy")
@@ -140,15 +134,28 @@ class TestSuiteSpec:
 
 class TestRunSuite:
     def test_points_reproduce_direct_campaigns(self):
-        result = run_suite(SUITE)
-        rng = ensure_rng(SUITE.seed)
-        for point, spec in zip(result.points, SUITE.points()):
-            seed = derive_seed(rng)
-            assert point.seed == seed
-            assert point.spec == spec
-            assert not point.cached
-            direct = run_runtime_campaign(spec, trials=SUITE.trials, seed=seed)
-            assert point.campaign == direct
+        # a campaign is a suite with zero axes: its one point is the base
+        for suite in (SUITE, SuiteSpec(base=BASE, axes={}, trials=2, seed=4)):
+            result = run_suite(suite)
+            rng = ensure_rng(suite.seed)
+            for point, spec in zip(result.points, suite.points(), strict=True):
+                seed = derive_seed(rng)
+                assert point.seed == seed
+                assert point.spec == spec
+                assert not point.cached
+                direct = run_runtime_campaign(spec, trials=suite.trials, seed=seed)
+                assert point.campaign == direct
+
+    def test_resume_executes_only_the_missing_trials(self, tmp_path):
+        campaign = SuiteSpec(base=BASE, axes={}, trials=2, seed=4)
+        small = run_suite(campaign, trials=1, cache=DiskCache(tmp_path), resume=True)
+        grown = run_suite(campaign, cache=DiskCache(tmp_path), resume=True)
+        assert small.executed_trials == 1
+        assert grown.resumed_trials == 1 and grown.executed_trials == 1
+        assert grown.points[0].campaign.traces[:1] == small.points[0].campaign.traces
+        warm = run_suite(campaign, cache=DiskCache(tmp_path))
+        assert warm.cached_count == 1 and warm.executed_trials == 0
+        assert warm.points[0].campaign == grown.points[0].campaign
 
     def test_jobs_do_not_change_results(self):
         serial = run_suite(SUITE, jobs=1)
@@ -274,44 +281,37 @@ class TestSweepResultPanels:
 
 
 class TestFailureRegimeSweepIsASpecialCase:
+    """A failure-regime sweep is a suite over mttf × mttr × Weibull shape."""
+
+    AXES = {
+        "faults.mttf_periods": (30.0, 60.0),
+        "faults.mttr_periods": (None,),
+        "faults.weibull_shape": (1.0,),
+    }
+
+    def _suite(self) -> SuiteSpec:
+        base = BASE.updated({"faults.distribution": "weibull"})
+        return SuiteSpec(base=base, axes=self.AXES, trials=1, seed=2)
+
     def test_runtime_sweep_rides_on_the_generic_engine(self):
-        sweep = run_runtime_sweep(
-            BASE, mttf_grid=(30.0, 60.0), mttr_grid=(None,), shapes=(1.0,),
-            trials=1, seed=2, jobs=1,
-        )
-        assert isinstance(sweep.sweep, SweepResult)
-        assert list(sweep.sweep.axes) == list(SWEEP_AXES)
-        for point, generic in zip(sweep.points, sweep.sweep.points):
-            assert point.stats == generic.stats
-            assert point.seed == generic.seed
-        # the mttf panel of the generic result carries the same numbers as
-        # the historical figure
-        figure = sweep.figure("availability")
-        panel = sweep.sweep.panel("faults.mttf_periods", metric="availability")
-        assert figure.x == panel.x
-        assert list(figure.series.values()) == list(panel.series.values())
-
-    def test_cacheless_sweep_report_has_no_cache_line(self, capsys):
-        """`runtime --sweep` without --cache-dir keeps its historical report."""
-        from repro.cli import main
-
-        args = [
-            "runtime", "--sweep", "--trials", "1", "--datasets", "15",
-            "--tasks", "10", "--processors", "5", "--epsilon", "1",
-            "--sweep-mttf", "40", "--sweep-mttr", "none",
-            "--sweep-shapes", "1", "--no-plot",
+        sweep = run_suite(self._suite())
+        assert list(sweep.axes) == list(self.AXES)
+        rng = ensure_rng(2)
+        assert [p.seed for p in sweep.points] == [derive_seed(rng) for _ in range(2)]
+        panel = sweep.panel("faults.mttf_periods", metric="availability")
+        assert panel.x == (30.0, 60.0)
+        assert list(panel.series) == ["mttr_periods=∞, weibull_shape=1"]
+        assert list(panel.series.values()) == [
+            tuple(p.stats.mean_availability for p in sweep.points)
         ]
-        assert main(args) == 0
-        assert "cache:" not in capsys.readouterr().out
 
     def test_runtime_sweep_caches(self, tmp_path):
-        kwargs = dict(
-            mttf_grid=(30.0,), mttr_grid=(None,), shapes=(1.0,), trials=1, seed=0
+        cold = run_suite(self._suite(), cache=DiskCache(tmp_path))
+        warm = run_suite(self._suite(), cache=DiskCache(tmp_path))
+        assert warm.executed_count == 0
+        assert warm.points == tuple(
+            dataclasses.replace(p, cached=True) for p in cold.points
         )
-        cold = run_runtime_sweep(BASE, cache=DiskCache(tmp_path), **kwargs)
-        warm = run_runtime_sweep(BASE, cache=DiskCache(tmp_path), **kwargs)
-        assert warm.sweep.executed_count == 0
-        assert warm.points == cold.points
 
 
 class TestSessionSweep:
