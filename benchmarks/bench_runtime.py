@@ -234,7 +234,7 @@ def _kernel_steady(num_datasets: int, repeat: int) -> dict[str, dict]:
     period = schedule.period
 
     def drive(probe=None) -> int:
-        kernel = PipelineKernel(schedule, retain_history=False, probe=probe)
+        kernel = PipelineKernel(schedule, probe=probe)
         completed = 0
         for j in range(num_datasets):
             kernel.admit(j, j * period)

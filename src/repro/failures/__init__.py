@@ -7,9 +7,9 @@
   given crash pattern (effective pipeline stages over the surviving replicas);
 * :mod:`repro.failures.simulator` — an event-driven simulator of the pipelined
   execution of consecutive data sets, with or without crashes, used to
-  validate the analytic latency model ``L = (2S−1)·Δ``; since the kernel
-  extraction it is a thin batch driver over :mod:`repro.sim` (the same event
-  loop that powers the online runtime).
+  validate the analytic latency model ``L = (2S−1)·Δ``; it is a thin
+  windowed driver over :mod:`repro.sim` (the same event loop that powers the
+  online runtime).
 
 The module also provides the *timed* failure model consumed by the online
 runtime (:mod:`repro.runtime`): :class:`~repro.failures.scenarios.FaultTrace`

@@ -6,13 +6,13 @@ event-driven simulator of the actual execution of ``K`` consecutive data sets
 under the one-port model, used to sanity-check the analytic model (and to
 observe what really happens when processors crash mid-stream).
 
-Since the kernel extraction, the actual event loop lives in
-:class:`repro.sim.kernel.PipelineKernel` — the same loop that powers the
-online runtime (:mod:`repro.runtime.engine`).  :class:`StreamingSimulator` is
-the *batch driver* of that kernel: it admits every data set up front
-(replica-major event order, preserved byte-for-byte across the extraction),
-runs the kernel to completion under a fixed crash scenario, and packages the
-per-dataset latencies into a :class:`SimulationResult`:
+The event loop lives in :class:`repro.sim.kernel.PipelineKernel` — the same
+loop that powers the online runtime (:mod:`repro.runtime.engine`).
+:class:`StreamingSimulator` is its *offline driver*: under a fixed crash
+scenario it admits the uniform stream one window at a time
+(:meth:`~repro.sim.kernel.PipelineKernel.admit_stream_window`), drains the
+completions at every window boundary and packages the per-dataset latencies
+into a :class:`SimulationResult`:
 
 * every replica executes one *compute operation* per data set, on its assigned
   processor, in FIFO order of the data sets;
@@ -32,17 +32,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.exceptions import ScheduleError
 from repro.failures.scenarios import CrashScenario
-from repro.schedule.replica import Replica
 from repro.schedule.schedule import Schedule
 from repro.schedule.validation import valid_replicas_under_failures
 from repro.sim import steady
 from repro.sim.kernel import PipelineKernel
+from repro.utils.checks import check_count
 from repro.utils.gcpause import gc_paused
 
 __all__ = ["StreamingSimulator", "SimulationResult", "simulate_stream"]
@@ -88,16 +88,15 @@ class SimulationResult:
 
 
 class StreamingSimulator:
-    """Batch driver of the shared pipeline kernel for a complete schedule.
+    """Offline driver of the shared pipeline kernel for a complete schedule.
 
-    *fast_forward* (default on) enables the analytic steady-state fast path
-    for uniform ``j·Δ`` streams: once two successive admission windows prove
-    a repeating kernel state under the exactness certificate of
-    :mod:`repro.sim.steady`, the remaining quiet stretch is emitted in
-    closed form — O(warm-up + pipeline depth) events instead of
-    O(num_datasets) — with results bit-identical to the full event loop.
-    Workloads that fail the certificate (non-grid durations), explicit
-    release lists, and short streams simply take the historical batch path.
+    *fast_forward* (default on) enables the analytic steady-state fast path:
+    once two successive admission windows prove a repeating kernel state
+    under the exactness certificate of :mod:`repro.sim.steady`, the remaining
+    quiet stretch is emitted in closed form — O(warm-up + pipeline depth)
+    events instead of O(num_datasets) — with results bit-identical to the
+    full event loop.  Workloads that fail the certificate (non-grid
+    durations) and short streams run every event of the same windowed loop.
     """
 
     def __init__(
@@ -116,10 +115,7 @@ class StreamingSimulator:
         #: diagnostics of the last :meth:`run`: how many windows/data sets
         #: the steady-state fast path skipped (zeros when it never engaged).
         self.last_fast_forward: dict[str, int] = {"windows": 0, "datasets": 0}
-        # Replicas that can produce valid results under the crash pattern.
         valid = valid_replicas_under_failures(schedule, scenario.failed)
-        self._valid_map: dict[str, list[Replica]] = valid
-        self._valid: set[Replica] = {r for reps in valid.values() for r in reps}
         for task in schedule.graph.exit_tasks():
             if not valid[task]:
                 raise ScheduleError(
@@ -127,122 +123,35 @@ class StreamingSimulator:
                 )
 
     # ------------------------------------------------------------------ running
-    def run(
-        self,
-        num_datasets: int = 10,
-        release_times: Sequence[float] | None = None,
-    ) -> SimulationResult:
+    def run(self, num_datasets: int = 10) -> SimulationResult:
         """Simulate *num_datasets* consecutive data sets and return their latencies.
 
-        Parameters
-        ----------
-        release_times:
-            Optional per-dataset release instants (non-decreasing, one per data
-            set).  By default data set ``j`` enters the system at ``j·Δ``; the
-            online runtime passes explicit admission times so that a stream
-            segment can resume mid-trace.
+        Data set ``j`` enters the system at ``j·Δ``.  Admission happens one
+        window at a time, and each window's ``run_until`` stops just *below*
+        the next window's first release: the windowed releases carry the
+        sequence numbers a one-shot admission of the whole stream would have
+        drawn, so the pop order is that admission's, tie for tie.  With the
+        fast path engaged, the detector fingerprints the kernel at each
+        boundary; on a lock the remaining quiet windows are emitted as the
+        last window's completions shifted by exact multiples of
+        ``(window·Δ, window)`` and the kernel lands at the far end.
         """
-        if num_datasets < 1:
-            raise ValueError(f"num_datasets must be >= 1, got {num_datasets}")
+        num_datasets = check_count(num_datasets, "num_datasets")
         period = self.schedule.period
-        uniform = release_times is None
-        if uniform:
-            releases = (np.arange(num_datasets, dtype=np.float64) * period).tolist()
-        else:
-            releases = [float(t) for t in release_times]
-            if len(releases) != num_datasets:
-                raise ValueError(
-                    f"release_times has {len(releases)} entries, expected {num_datasets}"
-                )
-            if any(b < a for a, b in zip(releases, releases[1:])) or (
-                releases and releases[0] < 0
-            ):
-                raise ValueError("release_times must be non-negative and non-decreasing")
-
-        self.last_fast_forward = {"windows": 0, "datasets": 0}
-        if uniform and self.fast_forward and period > 0:
-            window = steady.DEFAULT_WINDOW
-            if num_datasets >= 3 * window:
-                kernel = PipelineKernel(
-                    self.schedule,
-                    self.scenario.failed,
-                    require_exit_coverage=False,
-                    valid_replicas=self._valid_map,
-                    retain_history=False,
-                    fast_forward=True,
-                )
-                grid_exp = steady.certified_grid(
-                    kernel, period, num_datasets * period
-                )
-                if grid_exp is not None:
-                    return self._run_fast(
-                        kernel, num_datasets, period, grid_exp, window
-                    )
-
-        # The constructor already computed the validity closure and checked
-        # exit coverage; hand both over so the kernel does not redo the work.
-        kernel = PipelineKernel(
-            self.schedule,
-            self.scenario.failed,
-            require_exit_coverage=False,
-            valid_replicas=self._valid_map,
-        )
-        if uniform:
-            # Uniform j·Δ releases take the vectorized fast path: the release
-            # events come from a numpy arange + one heapify, event-for-event
-            # identical to admit_batch on the equivalent release list.
-            kernel.admit_batch_vectorized(num_datasets, period)
-        else:
-            kernel.admit_batch(releases)
-        with gc_paused():
-            # millions of acyclic allocations; the cycle detector's scans are
-            # pure overhead that grows with the stream (see repro.utils.gcpause)
-            kernel.run_to_completion()
-
-        latencies = []
-        completions = []
-        for dataset in range(num_datasets):
-            completion = kernel.completion_of(dataset)
-            if completion is None:
-                raise ScheduleError(
-                    f"data set {dataset} never completed — inconsistent schedule or scenario"
-                )
-            completions.append(completion)
-            latencies.append(completion - releases[dataset])
-        return SimulationResult(
-            latencies=tuple(latencies),
-            completion_times=tuple(completions),
-            period=period,
-        )
-
-    def _run_fast(
-        self,
-        kernel: PipelineKernel,
-        num_datasets: int,
-        period: float,
-        grid_exp: int,
-        window: int,
-    ) -> SimulationResult:
-        """The steady-state windowed drive (certified workloads only).
-
-        Admission happens one window at a time through
-        :meth:`~repro.sim.kernel.PipelineKernel.admit_stream_window`, whose
-        preassigned sequence numbers make the pop order identical to the
-        one-shot vectorized admission.  Each ``run_until`` stops just *below*
-        the next window's first release, so same-instant release/compute
-        ties keep resolving release-first exactly as they would with every
-        release already in the heap.  At each boundary the detector
-        fingerprints the kernel; on a lock the remaining quiet windows are
-        emitted as the last window's completions shifted by exact multiples
-        of ``(window·Δ, window)`` and the kernel lands at the far end.
-        """
+        window = steady.DEFAULT_WINDOW
+        kernel = PipelineKernel(self.schedule, self.scenario.failed)
+        detector = None
+        if self.fast_forward and num_datasets >= 3 * window:
+            grid_exp = steady.certified_grid(kernel, period, num_datasets * period)
+            if grid_exp is not None:
+                detector = steady.SteadyStateDetector(kernel, grid_exp, period, window)
         completions: list[float | None] = [None] * num_datasets
-        detector = steady.SteadyStateDetector(kernel, grid_exp, period, window)
-        delta = detector.delta
         skipped_windows = 0
         template: list[tuple[int, float]] = []
         j = 0
         with gc_paused():
+            # millions of acyclic allocations; the cycle detector's scans are
+            # pure overhead that grows with the stream (see repro.utils.gcpause)
             while j < num_datasets:
                 stop = min(j + window, num_datasets)
                 kernel.admit_stream_window(j, stop, period, num_datasets)
@@ -253,6 +162,8 @@ class StreamingSimulator:
                 drained = kernel.run_until(math.nextafter(boundary, -math.inf))
                 for d, t in drained:
                     completions[d] = t
+                if detector is None:
+                    continue
                 template.extend(drained)
                 locked = detector.observe(boundary, j, True)
                 if not locked or len(template) != window:
@@ -263,7 +174,7 @@ class StreamingSimulator:
                 )
                 if m >= 1:
                     for s in range(1, m + 1):
-                        base = boundary + s * delta
+                        base = boundary + s * detector.delta
                         step = s * window
                         for d, t in template:
                             completions[d + step] = (t - boundary) + base

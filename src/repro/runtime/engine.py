@@ -70,6 +70,7 @@ from repro.schedule.schedule import Schedule
 from repro.schedule.validation import valid_replicas_under_failures
 from repro.sim.kernel import PipelineKernel
 from repro.sim.steady import SteadyStateDetector, certified_grid
+from repro.utils.checks import check_count
 from repro.utils.gcpause import gc_paused
 
 __all__ = ["OnlineRuntime", "run_online"]
@@ -103,20 +104,15 @@ def _effective_period(schedule: Schedule) -> float:
 class _IncrementalExecutor:
     """Data plane of ``checkpoint=True``: one kernel across fault events.
 
-    The kernel runs with ``retain_history=False``: completions reach the
-    control plane exclusively through the ``run_until`` drains, so a data
-    set's book-keeping is evicted at its watermark and the executor's live
-    state is bounded by the pipeline depth, not the stream length (the
-    constant-memory fast path for 10⁵+-dataset streams — bit-identical to
-    the retaining kernel, see ``tests/property``).
+    Completions reach the control plane through the kernel's ``run_until``
+    drains; the kernel evicts each data set at its watermark, so the
+    executor's live state is bounded by the pipeline depth, not the stream
+    length.
     """
 
-    def __init__(self, schedule: Schedule, probe=None, fast_forward: bool = False):
+    def __init__(self, schedule: Schedule, probe=None):
         self._probe = probe
-        self._fast_forward = bool(fast_forward)
-        self._kernel: PipelineKernel | None = PipelineKernel(
-            schedule, retain_history=False, probe=probe, fast_forward=self._fast_forward
-        )
+        self._kernel: PipelineKernel | None = PipelineKernel(schedule, probe=probe)
         self._ckpt: dict[int, frozenset[str]] = {}
 
     def kernel(self) -> PipelineKernel | None:
@@ -152,12 +148,7 @@ class _IncrementalExecutor:
         self._kernel = None
 
     def on_rebuild_complete(self, schedule: Schedule, now: float, pending: Iterable[int]) -> None:
-        self._kernel = PipelineKernel(
-            schedule,
-            retain_history=False,
-            probe=self._probe,
-            fast_forward=self._fast_forward,
-        )
+        self._kernel = PipelineKernel(schedule, probe=self._probe)
         for dataset in pending:
             self._kernel.admit_restored(dataset, now, self._ckpt.pop(dataset, ()))
 
@@ -201,10 +192,10 @@ class _FlushExecutor:
         # land a hair before it; clamp to keep the kernel releases
         # non-negative (its recorded release stays exact).
         kernel.admit_batch([max(0.0, t - seg_start) for _, t in batch])
-        kernel.run_to_completion()
+        done = dict(kernel.run_to_completion())
         completions = []
         for k, (dataset, _) in enumerate(batch):
-            completion = kernel.completion_of(k)
+            completion = done.get(k)
             if completion is None:
                 raise ScheduleError(
                     f"data set {dataset} never completed — inconsistent schedule or scenario"
@@ -322,8 +313,7 @@ class OnlineRuntime:
     # ---------------------------------------------------------------- execution
     def run(self, num_datasets: int = 100) -> RuntimeTrace:
         """Stream *num_datasets* consecutive data sets through the fault trace."""
-        if num_datasets < 1:
-            raise ValueError(f"num_datasets must be >= 1, got {num_datasets}")
+        num_datasets = check_count(num_datasets, "num_datasets")
         # The run allocates millions of acyclic objects and the cyclic GC's
         # scans grow with the accumulated stream history; pausing it keeps
         # per-dataset cost flat (see repro.utils.gcpause).
@@ -369,7 +359,7 @@ class OnlineRuntime:
             )
         )
         executor = (
-            _IncrementalExecutor(initial, probe, fast_forward=ff_eligible)
+            _IncrementalExecutor(initial, probe)
             if self.checkpoint
             else _FlushExecutor(initial, probe)
         )

@@ -30,6 +30,7 @@ message names the field, and every name lookup suggests close matches.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
@@ -51,6 +52,44 @@ __all__ = [
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SpecificationError(message)
+
+
+def _is_int(value) -> bool:
+    """An ``int`` that is not a ``bool`` (JSON ``true`` is not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_int(obj, path: str, minimum: int, nullable: bool = False) -> None:
+    """Require an int >= *minimum* at the dotted field *path* of *obj*
+    (``None`` too if *nullable*)."""
+    value = getattr(obj, path.partition(".")[2])
+    if nullable and value is None:
+        return
+    _require(
+        _is_int(value) and value >= minimum,
+        f"{path} must be an int >= {minimum}{' or null' if nullable else ''}, "
+        f"got {value!r}",
+    )
+
+
+def _check_real(obj, path: str, positive: bool = True, nullable: bool = False) -> None:
+    """Require a finite real > 0 (``>= 0`` unless *positive*) at the dotted
+    field *path* of *obj*, stored back as a float (``None`` passes if
+    *nullable*).  A bool is not a number, and an infinity is not a duration
+    or a ratio."""
+    name = path.partition(".")[2]
+    value = getattr(obj, name)
+    if nullable and value is None:
+        return
+    _require(
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and (value > 0 if positive else value >= 0),
+        f"{path} must be a finite number {'>' if positive else '>='} 0"
+        f"{' or null' if nullable else ''}, got {value!r}",
+    )
+    _set(obj, name, float(value))
 
 
 def _check_name(registry, name: str, field_name: str) -> None:
@@ -106,25 +145,14 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         _check_name(WORKLOAD_GENERATORS, self.generator, "workload.generator")
-        _require(
-            isinstance(self.granularity, (int, float)) and self.granularity > 0,
-            f"workload.granularity must be > 0, got {self.granularity!r}",
-        )
-        _set(self, "granularity", float(self.granularity))
-        if self.num_tasks is not None:
-            _require(
-                isinstance(self.num_tasks, int) and self.num_tasks >= 2,
-                f"workload.num_tasks must be an int >= 2 or null, got {self.num_tasks!r}",
-            )
-        _require(
-            isinstance(self.num_processors, int) and self.num_processors >= 1,
-            f"workload.num_processors must be an int >= 1, got {self.num_processors!r}",
-        )
+        _check_real(self, "workload.granularity")
+        _check_int(self, "workload.num_tasks", 2, nullable=True)
+        _check_int(self, "workload.num_processors", 1)
         if self.task_range is not None:
             _require(
                 isinstance(self.task_range, Sequence)
                 and len(self.task_range) == 2
-                and all(isinstance(v, int) for v in self.task_range),
+                and all(_is_int(v) for v in self.task_range),
                 f"workload.task_range must be [low, high] ints or null, "
                 f"got {self.task_range!r}",
             )
@@ -142,11 +170,7 @@ class WorkloadSpec:
                 f"paper platform and cannot honour {self.platform!r}; omit "
                 f"platform or pick a graph generator (chain, layered, ...)",
             )
-        if self.seed is not None:
-            _require(
-                isinstance(self.seed, int) and self.seed >= 0,
-                f"workload.seed must be a non-negative int or null, got {self.seed!r}",
-            )
+        _check_int(self, "workload.seed", 0, nullable=True)
         _set(self, "options", _check_options(self.options, "workload"))
 
 
@@ -174,10 +198,7 @@ class SchedulerSpec:
 
     def __post_init__(self) -> None:
         _check_name(SCHEDULERS, self.name, "scheduler.name")
-        _require(
-            isinstance(self.epsilon, int) and self.epsilon >= 0,
-            f"scheduler.epsilon must be an int >= 0, got {self.epsilon!r}",
-        )
+        _check_int(self, "scheduler.epsilon", 0)
         entry = SCHEDULERS.lookup(self.name)
         if not entry.supports_epsilon:
             _require(
@@ -185,17 +206,8 @@ class SchedulerSpec:
                 f"scheduler.epsilon: the {self.name!r} scheduler does not replicate "
                 f"tasks, epsilon must be 0 (got {self.epsilon})",
             )
-        if self.period is not None:
-            _require(
-                isinstance(self.period, (int, float)) and self.period > 0,
-                f"scheduler.period must be > 0 or null, got {self.period!r}",
-            )
-            _set(self, "period", float(self.period))
-        _require(
-            isinstance(self.period_slack, (int, float)) and self.period_slack > 0,
-            f"scheduler.period_slack must be > 0, got {self.period_slack!r}",
-        )
-        _set(self, "period_slack", float(self.period_slack))
+        _check_real(self, "scheduler.period", nullable=True)
+        _check_real(self, "scheduler.period_slack")
         _require(
             isinstance(self.fallback, bool),
             f"scheduler.fallback must be a bool, got {self.fallback!r}",
@@ -251,65 +263,21 @@ class FaultSpec:
     preempt_periods: float | None = None
 
     def __post_init__(self) -> None:
-        _require(
-            isinstance(self.mttf_periods, (int, float)) and self.mttf_periods > 0,
-            f"faults.mttf_periods must be > 0, got {self.mttf_periods!r}",
-        )
-        _set(self, "mttf_periods", float(self.mttf_periods))
-        if self.mttr_periods is not None:
-            _require(
-                isinstance(self.mttr_periods, (int, float)) and self.mttr_periods > 0,
-                f"faults.mttr_periods must be > 0 or null, got {self.mttr_periods!r}",
-            )
-            _set(self, "mttr_periods", float(self.mttr_periods))
+        _check_real(self, "faults.mttf_periods")
+        _check_real(self, "faults.mttr_periods", nullable=True)
         _require(
             self.distribution in FAULT_DISTRIBUTIONS,
             f"faults.distribution must be one of {list(FAULT_DISTRIBUTIONS)}, "
             f"got {self.distribution!r}",
         )
-        _require(
-            isinstance(self.weibull_shape, (int, float)) and self.weibull_shape > 0,
-            f"faults.weibull_shape must be > 0, got {self.weibull_shape!r}",
-        )
-        _set(self, "weibull_shape", float(self.weibull_shape))
-        if self.repair_shape is not None:
-            _require(
-                isinstance(self.repair_shape, (int, float)) and self.repair_shape > 0,
-                f"faults.repair_shape must be > 0 or null, got {self.repair_shape!r}",
-            )
-            _set(self, "repair_shape", float(self.repair_shape))
-        if self.seed is not None:
-            _require(
-                isinstance(self.seed, int) and self.seed >= 0,
-                f"faults.seed must be a non-negative int or null, got {self.seed!r}",
-            )
-        if self.group_size is not None:
-            _require(
-                isinstance(self.group_size, int) and self.group_size >= 1,
-                f"faults.group_size must be an int >= 1 or null, got {self.group_size!r}",
-            )
-        _require(
-            isinstance(self.load_coupling, (int, float)) and self.load_coupling >= 0,
-            f"faults.load_coupling must be >= 0, got {self.load_coupling!r}",
-        )
-        _set(self, "load_coupling", float(self.load_coupling))
-        _require(
-            isinstance(self.spares, int) and not isinstance(self.spares, bool)
-            and self.spares >= 0,
-            f"faults.spares must be an int >= 0, got {self.spares!r}",
-        )
-        if self.join_periods is not None:
-            _require(
-                isinstance(self.join_periods, (int, float)) and self.join_periods > 0,
-                f"faults.join_periods must be > 0 or null, got {self.join_periods!r}",
-            )
-            _set(self, "join_periods", float(self.join_periods))
-        if self.preempt_periods is not None:
-            _require(
-                isinstance(self.preempt_periods, (int, float)) and self.preempt_periods > 0,
-                f"faults.preempt_periods must be > 0 or null, got {self.preempt_periods!r}",
-            )
-            _set(self, "preempt_periods", float(self.preempt_periods))
+        _check_real(self, "faults.weibull_shape")
+        _check_real(self, "faults.repair_shape", nullable=True)
+        _check_int(self, "faults.seed", 0, nullable=True)
+        _check_int(self, "faults.group_size", 1, nullable=True)
+        _check_real(self, "faults.load_coupling", positive=False)
+        _check_int(self, "faults.spares", 0)
+        _check_real(self, "faults.join_periods", nullable=True)
+        _check_real(self, "faults.preempt_periods", nullable=True)
         _require(
             not ((self.spares or self.preempt_periods is not None)
                  and self.join_periods is None),
@@ -365,18 +333,10 @@ class RuntimeSpec:
     fast_forward: bool = True
 
     def __post_init__(self) -> None:
-        _require(
-            isinstance(self.num_datasets, int) and self.num_datasets >= 1,
-            f"runtime.num_datasets must be an int >= 1, got {self.num_datasets!r}",
-        )
+        _check_int(self, "runtime.num_datasets", 1)
         _check_name(RESCHEDULE_POLICIES, self.policy, "runtime.policy")
         _check_name(ADMISSION_POLICIES, self.admission, "runtime.admission")
-        if self.queue_capacity is not None:
-            _require(
-                isinstance(self.queue_capacity, int) and self.queue_capacity >= 1,
-                f"runtime.queue_capacity must be an int >= 1 or null, "
-                f"got {self.queue_capacity!r}",
-            )
+        _check_int(self, "runtime.queue_capacity", 1, nullable=True)
         _require(
             isinstance(self.checkpoint, bool),
             f"runtime.checkpoint must be a bool, got {self.checkpoint!r}",
@@ -385,11 +345,7 @@ class RuntimeSpec:
             isinstance(self.rebuild_on_repair, bool),
             f"runtime.rebuild_on_repair must be a bool, got {self.rebuild_on_repair!r}",
         )
-        _require(
-            isinstance(self.rebuild_overhead, (int, float)) and self.rebuild_overhead >= 0,
-            f"runtime.rebuild_overhead must be >= 0, got {self.rebuild_overhead!r}",
-        )
-        _set(self, "rebuild_overhead", float(self.rebuild_overhead))
+        _check_real(self, "runtime.rebuild_overhead", positive=False)
         _require(
             isinstance(self.fast_forward, bool),
             f"runtime.fast_forward must be a bool, got {self.fast_forward!r}",

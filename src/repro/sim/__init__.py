@@ -3,10 +3,10 @@
 This package is the single event loop under both execution front ends of the
 reproduction:
 
-* the **offline simulator** (:mod:`repro.failures.simulator`) drives the
-  kernel in *batch* mode: every data set is admitted up front and the kernel
-  runs to completion under a fixed crash scenario — this is the sanity check
-  of the analytic latency model ``L = (2S − 1)·Δ``;
+* the **offline simulator** (:mod:`repro.failures.simulator`) admits the
+  uniform ``j·Δ`` stream one window at a time under a fixed crash scenario
+  and drains the completions at every window boundary — this is the sanity
+  check of the analytic latency model ``L = (2S − 1)·Δ``;
 * the **online runtime** (:mod:`repro.runtime.engine`) drives the kernel
   *incrementally*: data sets are admitted as the stream releases them, fault
   events interleave with compute/transfer events in a single loop
@@ -18,7 +18,7 @@ Layering (bottom to top)::
 
     repro.sim            event queue + one-port pipeline kernel
       │                  + steady-state fast forward (repro.sim.steady)
-      ├── repro.failures.simulator   batch driver  (StreamingSimulator)
+      ├── repro.failures.simulator   offline driver (StreamingSimulator)
       └── repro.runtime.engine       incremental driver (OnlineRuntime)
             └── repro.experiments / repro.cli   campaigns, sweeps, reports
 

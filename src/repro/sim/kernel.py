@@ -13,21 +13,17 @@ The kernel executes the steady-state pipeline of a complete
   valid copy wins);
 * a data set *completes* when every exit task has produced it at least once.
 
-Five admission methods share this loop:
+Four admission methods share this loop:
 
 * :meth:`PipelineKernel.admit_batch` pushes the release events of a whole
-  stream up front, replica-major — the exact event order of the original
-  offline simulator, preserved so that
-  :class:`~repro.failures.simulator.StreamingSimulator` results stay
-  byte-identical across the kernel extraction;
-* :meth:`PipelineKernel.admit_batch_vectorized` is the same admission for the
-  uniform ``j·Δ`` release pattern, built from a numpy arange plus one
-  ``heapify`` instead of one Python-level ``heappush`` per event — the fast
-  path for 10⁵+-dataset streams, event-for-event identical to
-  :meth:`~PipelineKernel.admit_batch` on the equivalent release list;
-* :meth:`PipelineKernel.admit_stream_window` admits one window of that
-  uniform stream with the sequence numbers the one-shot admission would
-  have drawn (the steady-state fast path snapshots between windows);
+  release list up front, replica-major (one ``heapify``) — the event order
+  of the original offline simulator, and what the online runtime's
+  flush-and-restart executor simulates each cold batch with;
+* :meth:`PipelineKernel.admit_stream_window` admits one window of the
+  uniform ``j·Δ`` stream with the sequence numbers a one-shot
+  :meth:`~PipelineKernel.admit_batch` of the whole stream would have drawn —
+  the offline simulator's drive, which the steady-state fast path snapshots
+  between windows;
 * :meth:`PipelineKernel.admit` admits one data set at a time (dataset-major),
   which is what the online runtime does between fault events;
 * :meth:`PipelineKernel.admit_restored` replays a checkpoint (below).
@@ -78,28 +74,18 @@ reaches the record without a dictionary lookup.  Compute, out-port and
 in-port free times are lists indexed by processor index, and the crashed set
 holds indices.
 
-Memory model — the ``retain_history`` flag
-------------------------------------------
+Memory model — the eviction watermark
+-------------------------------------
 
-By default (``retain_history=True``) the kernel keeps the record of every
-data set it ever saw: ``completions`` / :meth:`completion_of` answer for the
-whole run, which is what the offline simulator's
-:class:`~repro.failures.simulator.SimulationResult` is built from.
-
-``retain_history=False`` turns on **watermark-based eviction**: every event
-pushed for a data set increments its record's ``refs`` and every event
-popped decrements it, and the moment a *completed* data set's count drops to
-zero (its watermark — no pending event references it, so nothing can ever
-touch its state again) its record leaves the dict: one ``dict.pop``.  Live
-state is then bounded by the number of in-flight data sets (the pipeline
-depth), not the stream length.  Completions are reported **only** through
-the :meth:`run_until` / :meth:`run_to_completion` drains —
-``completion_of`` returns ``None`` once a data set has been evicted — and
-re-admitting a retired index raises (indices at or below the highest evicted
-index are rejected, the constant-memory stand-in for the per-dataset
-duplicate check).  Eviction is pure book-keeping: every event is processed
-identically in both modes, so the drained completions are bit-for-bit equal
-(property-tested in ``tests/property``).
+Every event pushed for a data set increments its record's ``refs`` and every
+event popped decrements it; the moment a *completed* data set's count drops
+to zero (no pending event references it, so nothing can touch its state
+again) its record leaves the dict.  Live state is bounded by the pipeline
+depth, not the stream length.  Completions are therefore reported through
+the :meth:`run_until` / :meth:`run_to_completion` drains: the queries
+(:meth:`completion_of`, :meth:`pending_datasets`, :meth:`completed_tasks`)
+see live records only, and re-admitting a retired index raises (indices at
+or below the highest evicted one are rejected).
 """
 
 from __future__ import annotations
@@ -200,47 +186,23 @@ def _check_instant(value, name: str) -> None:
 class PipelineKernel:
     """Discrete-event executor of one schedule under one (mutable) crash set."""
 
-    def __init__(
-        self,
-        schedule: Schedule,
-        failed: Iterable[str] = (),
-        require_exit_coverage: bool = True,
-        valid_replicas: dict[str, list[Replica]] | None = None,
-        retain_history: bool = True,
-        probe=None,
-        fast_forward: bool = False,
-    ):
-        """*valid_replicas* lets a driver that already ran
-        :func:`~repro.schedule.validation.valid_replicas_under_failures` for
-        *failed* (e.g. the offline simulator's constructor) hand the result
-        over instead of recomputing it here.  *retain_history* selects the
-        memory model (see the module docstring): ``False`` evicts a data
-        set's record at its watermark, bounding live memory by the pipeline
-        depth instead of the stream length.  *probe* is an optional
+    def __init__(self, schedule: Schedule, failed: Iterable[str] = (), probe=None):
+        """*failed* processors are down from the start; every exit task must
+        keep a valid replica under them.  *probe* is an optional
         :class:`repro.obs.probe.Probe`: per-kind event counts are accumulated
         in a local list and flushed once per drain, so a ``None`` probe costs
-        a single pointer comparison per event.  *fast_forward* marks the
-        kernel as snapshot/restore-capable for the steady-state fast path
-        (:mod:`repro.sim.steady`): the driver may then capture its state at
-        admission-window boundaries and, under the exactness certificate,
-        jump it over provably periodic stretches; it requires the evicting
-        memory model (``retain_history=False``)."""
+        a single pointer comparison per event."""
         if not schedule.is_complete():
             raise ScheduleError("cannot simulate an incomplete schedule")
         failed = frozenset(failed)
         graph = schedule.graph
-        valid = (
-            valid_replicas
-            if valid_replicas is not None
-            else valid_replicas_under_failures(schedule, failed)
-        )
-        if require_exit_coverage:
-            for task in graph.exit_tasks():
-                if not valid[task]:
-                    raise ScheduleError(
-                        f"exit task {task!r} has no valid replica under scenario "
-                        f"CrashScenario({sorted(failed)})"
-                    )
+        valid = valid_replicas_under_failures(schedule, failed)
+        for task in graph.exit_tasks():
+            if not valid[task]:
+                raise ScheduleError(
+                    f"exit task {task!r} has no valid replica under scenario "
+                    f"CrashScenario({sorted(failed)})"
+                )
         self.schedule = schedule
         self.graph = graph
         valid_set = {r for reps in valid.values() for r in reps}
@@ -305,20 +267,10 @@ class PipelineKernel:
         #: data-set index -> record, in admission order
         self._live: dict[int, list] = {}
         self._fresh: list[tuple[int, float]] = []  # completions since last drain
-        self.retain_history = bool(retain_history)
         self._evicted = 0
         self._max_evicted = -1  # highest retired index: re-admission guard
         self._peak_live = 0
         self._probe = probe
-        if fast_forward and self.retain_history:
-            raise ScheduleError(
-                "fast_forward requires the evicting memory model "
-                "(retain_history=False)"
-            )
-        #: the driver may snapshot/fast-forward this kernel (see
-        #: :mod:`repro.sim.steady`); purely a capability marker — the kernel
-        #: itself processes events identically either way.
-        self.fast_forward = bool(fast_forward)
 
     # ------------------------------------------------------------------ queries
     @property
@@ -326,19 +278,9 @@ class PipelineKernel:
         """Simulation clock (time of the last processed event)."""
         return self._now
 
-    @property
-    def completions(self) -> dict[int, float]:
-        """Completion instant of every completed, non-evicted data set, in
-        admission order."""
-        return {
-            j: rec[_COMPLETION]
-            for j, rec in self._live.items()
-            if rec[_COMPLETION] is not None
-        }
-
     def completion_of(self, dataset: int) -> float | None:
-        """Completion instant of *dataset* (``None`` while in flight — or,
-        with ``retain_history=False``, once it has been evicted)."""
+        """Completion instant of *dataset* while its record is live (``None``
+        while in flight, and once it has been evicted)."""
         rec = self._live.get(dataset)
         return None if rec is None else rec[_COMPLETION]
 
@@ -381,55 +323,31 @@ class PipelineKernel:
         """Admit one data set: entry replicas receive it at *release*."""
         _check_instant(release, "release")
         rec = self._register(dataset, release)
-        if not self.retain_history:
-            rec[_REFS] = 1
+        rec[_REFS] = 1
         self._queue.push(release, _RELEASE_ALL, None, rec)
 
-    def admit_batch(self, releases: Sequence[float], first_index: int = 0) -> None:
-        """Admit a whole stream up front (offline-simulator event order).
+    def admit_batch(self, releases: Sequence[float]) -> None:
+        """Admit data sets ``0, 1, ...`` released at *releases*, up front.
 
         Release events are pushed replica-major — for each entry replica, all
-        data sets in order — which is the historical push order of
-        :class:`~repro.failures.simulator.StreamingSimulator`; same-instant
-        ties therefore resolve exactly as they always did.
+        data sets in order — the historical push order of the offline
+        simulator; same-instant ties therefore resolve exactly as they
+        always did.
         """
         for k, release in enumerate(releases):
             _check_instant(release, f"releases[{k}]")
-        records = self._register_run(first_index, releases)
+        records = self._register_run(0, releases)
         self._push_releases(records, releases, self._queue.next_seq(), len(records))
-
-    def admit_batch_vectorized(
-        self, num_datasets: int, period: float, first_index: int = 0, offset: float = 0.0
-    ) -> None:
-        """Admit the uniform stream ``release(j) = offset + j·period`` at once.
-
-        Event-for-event identical to :meth:`admit_batch` on
-        ``[offset + k * period for k in range(num_datasets)]`` (numpy computes
-        the same IEEE-754 products), but the release instants come from one
-        ``numpy.arange`` and the ``num_datasets × entry_replicas`` release
-        events land in the queue through a single ``heapify`` instead of one
-        ``heappush`` each — O(n) instead of O(n log n), with no Python-level
-        arithmetic per data set.  This is the admission path for 10⁵+-dataset
-        streams.
-        """
-        if num_datasets < 1:
-            raise ScheduleError(f"num_datasets must be >= 1, got {num_datasets}")
-        _check_instant(period, "period")
-        _check_instant(offset, "offset")
-        # the last instant bounds the rest (IEEE products, as numpy computes)
-        _check_instant((num_datasets - 1) * period + offset, "offset + last index * period")
-        times = (np.arange(num_datasets, dtype=np.float64) * period + offset).tolist()
-        records = self._register_run(first_index, times)
-        self._push_releases(records, times, self._queue.next_seq(), num_datasets)
 
     def admit_stream_window(
         self, start: int, stop: int, period: float, stream_total: int
     ) -> None:
         """Admit data sets ``[start, stop)`` of the uniform ``j·period`` stream.
 
-        The windowed form of :meth:`admit_batch_vectorized` for a stream of
-        *stream_total* data sets: release events carry the **exact sequence
-        numbers** the one-shot vectorized admission would have assigned
+        The windowed form of :meth:`admit_batch` on the *stream_total*
+        releases ``[j * period for j in range(stream_total)]``: release
+        events carry the **exact sequence numbers** the one-shot admission
+        would have assigned on a fresh kernel
         (``1 + entry_index·stream_total + j``), and the queue counter is
         floored at ``entry_replicas·stream_total`` so every event pushed by
         the run loop sorts after every release.  A windowed drive —
@@ -473,10 +391,8 @@ class PipelineKernel:
         if rec[_EXITS] == self._n_exits:
             rec[_COMPLETION] = restore
             self._fresh.append((dataset, restore))
-            if not self.retain_history:
-                self._retire(dataset)
+            self._retire(dataset)
             return
-        evicting = not self.retain_history
         for state in self._states:
             if state.replica.task in done:
                 rec[state.finish_slot] = restore
@@ -489,17 +405,15 @@ class PipelineKernel:
                 rec[state.mask_slot] = bits
                 if bits != state.full_mask:
                     continue
-            if evicting:
-                rec[_REFS] += 1
+            rec[_REFS] += 1
             self._queue.push(restore, _RELEASE, state, rec)
 
     def _register(self, dataset: int, release: float) -> list:
         """The fresh record of *dataset*, registered as live."""
         if dataset in self._live or dataset <= self._max_evicted:
-            # the second arm keeps the duplicate-admission guard alive in
-            # evicting mode: a retired index left no record to collide with,
-            # but the eviction watermark (indices are admitted in increasing
-            # order by every driver) still catches the reuse
+            # a retired index left no record to collide with, but the
+            # eviction watermark (indices are admitted in increasing order
+            # by every driver) still catches the reuse
             raise ScheduleError(f"data set {dataset} was already admitted")
         rec = self._template.copy()
         rec[_INDEX] = dataset
@@ -536,9 +450,8 @@ class PipelineKernel:
         for its *k*-th record; the counter moves past every number drawn.
         """
         entries = self._entry_states
-        if not self.retain_history:
-            for rec in records:
-                rec[_REFS] += len(entries)
+        for rec in records:
+            rec[_REFS] += len(entries)
         queue = self._queue
         heap = queue.heap
         for e, state in enumerate(entries):
@@ -605,7 +518,7 @@ class PipelineKernel:
         releases one reference, every push takes one, and a completed
         record whose count reaches zero is dropped from the live dict.  A
         transfer arrival that starts a compute releases and takes one, so
-        it skips the book-keeping; the retained mode pays one boolean test.
+        it skips the book-keeping.
         """
         queue = self._queue
         heap = queue.heap
@@ -619,14 +532,13 @@ class PipelineKernel:
         n_exits = self._n_exits
         fresh = self._fresh
         entry_states = self._entry_states
-        evicting = not self.retain_history
         retire = self._retire
         now = self._now
         probe = self._probe
         # per-kind event tallies, flushed once at loop exit: with no probe
         # attached the loop pays exactly one `is None` check per event
         ev_counts = None if probe is None else [0, 0, 0, 0]
-        if evicting and len(self._live) > self._peak_live:
+        if len(self._live) > self._peak_live:
             self._peak_live = len(self._live)
 
         while heap:
@@ -713,11 +625,10 @@ class PipelineKernel:
                     pushed += 1
                     count += 1
                     push(heap, (finish, count, _COMPUTED, state, rec))
-            if evicting:
-                left = rec[_REFS] + pushed - 1
-                rec[_REFS] = left
-                if not left and rec[_COMPLETION] is not None:
-                    retire(rec[_INDEX])
+            left = rec[_REFS] + pushed - 1
+            rec[_REFS] = left
+            if not left and rec[_COMPLETION] is not None:
+                retire(rec[_INDEX])
         queue._count = count
         self._now = now
         if ev_counts is not None and any(ev_counts):

@@ -129,8 +129,6 @@ def certified_grid(kernel, period: float, horizon: float) -> int | None:
     """
     if period <= 0.0 or not math.isfinite(period) or not math.isfinite(horizon):
         return None
-    if not getattr(kernel, "fast_forward", False) or kernel.retain_history:
-        return None
     values = [period]
     for state in kernel._states:
         values.append(state.duration)
@@ -170,7 +168,7 @@ def capture(kernel, t_base: float, j_base: int, grid_exp: int):
     grid, or an undrained completion).  The tuple doubles as the restore
     payload for :func:`restore`.
     """
-    if kernel._fresh or kernel.retain_history:
+    if kernel._fresh:
         return None
     slots = kernel._time_slots
     links = {

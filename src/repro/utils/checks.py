@@ -8,15 +8,25 @@ rather than as obscure failures deep inside a heuristic.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Any
 
 __all__ = [
+    "check_count",
     "check_positive",
     "check_non_negative",
     "check_probability",
     "check_type",
     "check_in_range",
 ]
+
+
+def check_count(value: Any, name: str, minimum: int = 1) -> int:
+    """Return *value* if it is an integer ``>= minimum``, raise ``ValueError``
+    otherwise (a ``bool`` is not a count, nor is a float or NaN)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def check_positive(value: float, name: str) -> float:

@@ -143,35 +143,21 @@ def test_offline_fast_forward_engages_and_reports():
 
 
 # ------------------------------------------------------------- certificate
-def _ff_kernel(schedule=_EPS1):
-    return PipelineKernel(
-        schedule, require_exit_coverage=False, retain_history=False,
-        fast_forward=True,
-    )
-
-
 def test_certificate_holds_on_integer_schedule():
-    kernel = _ff_kernel()
+    kernel = PipelineKernel(_EPS1)
     assert steady.certified_grid(kernel, _EPS1.period, 10_000 * _EPS1.period) is not None
 
 
 def test_certificate_rejects_off_grid_period():
     """A full-mantissa period produces a ~2**-51 grid: the range screen
     fails immediately and the fast path self-disables."""
-    kernel = _ff_kernel()
+    kernel = PipelineKernel(_EPS1)
     assert steady.certified_grid(kernel, math.pi, 1000 * math.pi) is None
 
 
 def test_certificate_rejects_out_of_range_horizon():
-    kernel = _ff_kernel()
+    kernel = PipelineKernel(_EPS1)
     assert steady.certified_grid(kernel, _EPS1.period, float(2**60)) is None
-
-
-def test_certificate_requires_the_kernel_flag():
-    """A kernel built without ``fast_forward=True`` never certifies — the
-    flag marks that the driver opted in and history retention is off."""
-    kernel = PipelineKernel(_EPS1, require_exit_coverage=False)
-    assert steady.certified_grid(kernel, _EPS1.period, 100 * _EPS1.period) is None
 
 
 @given(x=st.integers(min_value=1, max_value=2**40), e=st.integers(min_value=-20, max_value=20))
@@ -191,7 +177,7 @@ def test_detector_locks_and_jump_matches_full_simulation():
     period = _EPS1.period
 
     def drive(fast):
-        kernel = _ff_kernel()
+        kernel = PipelineKernel(_EPS1)
         grid_exp = steady.certified_grid(kernel, period, n * period)
         assert grid_exp is not None
         detector = steady.SteadyStateDetector(kernel, grid_exp, period, window)
@@ -228,7 +214,7 @@ def test_detector_locks_and_jump_matches_full_simulation():
 
 
 def test_dirty_boundary_resets_the_detector():
-    kernel = _ff_kernel()
+    kernel = PipelineKernel(_EPS1)
     grid_exp = steady.certified_grid(kernel, _EPS1.period, 10_000 * _EPS1.period)
     detector = steady.SteadyStateDetector(kernel, grid_exp, _EPS1.period, 4)
     n, period = 64, _EPS1.period

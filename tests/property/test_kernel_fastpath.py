@@ -1,25 +1,27 @@
-"""Property tests of the kernel fast path (eviction + vectorized admission).
+"""Property tests of the kernel's eviction watermark and windowed admission.
 
-The constant-memory kernel mode (``retain_history=False``) and the vectorized
-batch admission are *pure optimizations*: every event is processed
-identically, so the observable outputs — the drained completion sequences,
-the set of data sets that never complete under a crash pattern, the
-checkpoint contents of in-flight data sets — must be bit-for-bit equal to the
-retaining kernel's across arbitrary fault injections.  The memory regression
-test then pins down what the eviction buys: peak kernel memory bounded by the
-pipeline depth, not the stream length.
+Eviction is pure book-keeping: under arbitrary fault injections every
+admitted data set is either drained exactly once or still pending, and every
+admitted data set holds a live record or has been evicted.  The windowed
+admission the offline simulator drives is an event-for-event re-expression
+of one-shot ``admit_batch`` on the same release list.  The memory regression
+test then pins down what the eviction buys: peak kernel memory bounded by
+the pipeline depth, not the stream length.
 """
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.ltf import ltf_schedule
 from repro.graph.examples import figure2_graph
-from repro.platform.builders import figure2_platform
+from repro.graph.generator import fork_join_graph
+from repro.platform.builders import figure2_platform, homogeneous_platform
+from repro.schedule.validation import valid_replicas_under_failures
 from repro.sim.kernel import PipelineKernel
 
 SLOW = settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -27,6 +29,14 @@ SLOW = settings(max_examples=15, deadline=None, suppress_health_check=[HealthChe
 _EPS1 = ltf_schedule(
     figure2_graph(), figure2_platform(10), throughput=0.05, epsilon=1,
     strict_resilience=True,
+)
+
+# A fork-join whose transfers land on an entry replica's processor exactly at
+# a release instant: the windowed drive only matches the one-shot admission
+# on it because the window's releases keep their one-shot sequence numbers.
+_FORK_JOIN = ltf_schedule(
+    fork_join_graph(3, work=8.0, volume=4.0), homogeneous_platform(6),
+    throughput=0.04, epsilon=1,
 )
 
 
@@ -60,8 +70,9 @@ def _drive(kernel: PipelineKernel, num_datasets: int, crashes):
 
 @SLOW
 @given(data=st.data(), num_datasets=st.integers(min_value=1, max_value=30))
-def test_evicting_kernel_is_bit_identical_to_retaining(data, num_datasets):
-    """retain_history=False ≡ retain_history=True under random fault traces."""
+def test_eviction_accounts_for_every_admitted_dataset(data, num_datasets):
+    """Drained exactly once or still pending; live or evicted; and nothing
+    lost while the crash set leaves every exit task a valid replica."""
     used = sorted(_EPS1.used_processors())
     crashes = data.draw(
         st.lists(
@@ -73,54 +84,78 @@ def test_evicting_kernel_is_bit_identical_to_retaining(data, num_datasets):
             unique_by=lambda c: c[1],
         )
     )
-    retained = _drive(PipelineKernel(_EPS1), num_datasets, crashes)
-    evicting = _drive(
-        PipelineKernel(_EPS1, retain_history=False), num_datasets, crashes
-    )
-    assert evicting == retained  # drains, pending sets and checkpoints
+    kernel = PipelineKernel(_EPS1)
+    drained, pending, checkpoints = _drive(kernel, num_datasets, crashes)
+    indices = [j for j, _ in drained]
+    assert len(indices) == len(set(indices))  # drained at most once
+    assert pending == tuple(j for j in range(num_datasets) if j not in set(indices))
+    assert kernel.live_datasets + kernel.evicted_datasets == num_datasets
+    assert kernel.evicted_datasets == len(indices)
+    assert all(kernel.completion_of(j) is None for j in indices)  # evicted
+    assert all(tasks < frozenset(_EPS1.graph.task_names) for tasks in checkpoints.values())
+    valid = valid_replicas_under_failures(_EPS1, {victim for _, victim in crashes})
+    if all(valid[task] for task in _EPS1.graph.exit_tasks()):
+        assert sorted(indices) == list(range(num_datasets))
 
 
-@SLOW
-@given(num_datasets=st.integers(min_value=1, max_value=40))
-def test_vectorized_admission_matches_batch(num_datasets):
-    period = _EPS1.period
-    batch = PipelineKernel(_EPS1)
-    batch.admit_batch([j * period for j in range(num_datasets)])
-    batch.run_to_completion()
-    vectorized = PipelineKernel(_EPS1)
-    vectorized.admit_batch_vectorized(num_datasets, period)
-    vectorized.run_to_completion()
-    assert vectorized.completions == batch.completions
+def _windowed_drive(kernel, num_datasets: int, window: int, crash):
+    """The offline simulator's drive: admit one window, run to just below
+    the next window's first release; *crash* fires at a window boundary."""
+    period = kernel.schedule.period
+    drained = []
+    j = 0
+    while j < num_datasets:
+        stop = min(j + window, num_datasets)
+        kernel.admit_stream_window(j, stop, period, num_datasets)
+        j = stop
+        drained += kernel.run_until(math.nextafter(j * period, -math.inf))
+        if crash is not None and crash[0] == j:
+            kernel.crash(crash[1])
+    return drained + kernel.run_to_completion()
+
+
+def _batch_drive(kernel, num_datasets: int, crash):
+    """One-shot admit_batch of the same releases, the same crash instant."""
+    period = kernel.schedule.period
+    kernel.admit_batch([j * period for j in range(num_datasets)])
+    drained = []
+    if crash is not None:
+        drained += kernel.run_until(math.nextafter(crash[0] * period, -math.inf))
+        kernel.crash(crash[1])
+    return drained + kernel.run_to_completion()
 
 
 @SLOW
 @given(
-    num_datasets=st.integers(min_value=1, max_value=20),
-    first_index=st.integers(min_value=0, max_value=100),
-    offset_periods=st.floats(min_value=0.0, max_value=3.0),
+    data=st.data(),
+    num_datasets=st.integers(min_value=1, max_value=60),
+    window=st.integers(min_value=1, max_value=70),
 )
-def test_vectorized_admission_with_offset_and_index(
-    num_datasets, first_index, offset_periods
-):
-    period = _EPS1.period
-    offset = offset_periods * period
-    batch = PipelineKernel(_EPS1)
-    batch.admit_batch(
-        [offset + j * period for j in range(num_datasets)], first_index=first_index
+def test_windowed_admission_matches_batch(data, num_datasets, window):
+    """admit_stream_window + run_until below each boundary ≡ admit_batch,
+    drain for drain, under a start-up crash set and a crash at a window
+    boundary."""
+    schedule = data.draw(st.sampled_from([_EPS1, _FORK_JOIN]))
+    used = sorted(schedule.used_processors())
+    failed = data.draw(st.lists(st.sampled_from(used), max_size=2, unique=True))
+    valid = valid_replicas_under_failures(schedule, failed)
+    assume(all(valid[task] for task in schedule.graph.exit_tasks()))
+    boundaries = list(range(window, num_datasets, window))
+    crash = None
+    if boundaries and data.draw(st.booleans()):
+        crash = (data.draw(st.sampled_from(boundaries)), data.draw(st.sampled_from(used)))
+    windowed = PipelineKernel(schedule, failed)
+    batch = PipelineKernel(schedule, failed)
+    assert _windowed_drive(windowed, num_datasets, window, crash) == _batch_drive(
+        batch, num_datasets, crash
     )
-    drain_b = batch.run_to_completion()
-    vectorized = PipelineKernel(_EPS1, retain_history=False)
-    vectorized.admit_batch_vectorized(
-        num_datasets, period, first_index=first_index, offset=offset
-    )
-    drain_v = vectorized.run_to_completion()
-    assert drain_v == drain_b
-    assert vectorized.evicted_datasets == num_datasets
+    assert windowed.pending_datasets() == batch.pending_datasets()
+    assert windowed.evicted_datasets == batch.evicted_datasets
 
 
-def _peak_memory(num_datasets: int, retain_history: bool) -> int:
+def _peak_memory(num_datasets: int) -> int:
     """Peak traced allocation of a windowed incremental run of *num_datasets*."""
-    kernel = PipelineKernel(_EPS1, retain_history=retain_history)
+    kernel = PipelineKernel(_EPS1)
     period = _EPS1.period
     tracemalloc.start()
     try:
@@ -132,31 +167,24 @@ def _peak_memory(num_datasets: int, retain_history: bool) -> int:
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    if not retain_history:
-        assert kernel.evicted_datasets == num_datasets
-        assert kernel.live_datasets == 0
+    assert kernel.evicted_datasets == num_datasets
+    assert kernel.live_datasets == 0
     return peak
 
 
 def test_eviction_bounds_peak_memory_sublinearly():
-    """4× the stream must cost far less than 4× the memory (and the retaining
-    kernel, whose state is the whole history, shows the linear growth the
-    eviction removes)."""
+    """4× the stream must cost far less than 4× the memory."""
     small, large = 400, 1600
-    evict_small = _peak_memory(small, retain_history=False)
-    evict_large = _peak_memory(large, retain_history=False)
+    evict_small = _peak_memory(small)
+    evict_large = _peak_memory(large)
     assert evict_large < 2.0 * evict_small, (
         f"evicting kernel peak grew {evict_large / evict_small:.2f}x "
         f"over a 4x longer stream ({evict_small} -> {evict_large} bytes)"
     )
-    retain_small = _peak_memory(small, retain_history=True)
-    retain_large = _peak_memory(large, retain_history=True)
-    assert retain_large > 2.0 * retain_small  # the baseline really is linear
-    assert evict_large < retain_large
 
 
 def test_eviction_watermark_tracks_live_state():
-    kernel = PipelineKernel(_EPS1, retain_history=False)
+    kernel = PipelineKernel(_EPS1)
     period = _EPS1.period
     for j in range(64):
         kernel.admit(j, j * period)
@@ -175,14 +203,14 @@ def test_evicted_index_cannot_be_readmitted():
 
     from repro.exceptions import ScheduleError
 
-    kernel = PipelineKernel(_EPS1, retain_history=False)
+    kernel = PipelineKernel(_EPS1)
     kernel.admit(0, 0.0)
     kernel.run_to_completion()
     assert kernel.evicted_datasets == 1
     with pytest.raises(ScheduleError, match="already admitted"):
         kernel.admit(0, 1.0)
     with pytest.raises(ScheduleError, match="already admitted"):
-        kernel.admit_batch_vectorized(2, _EPS1.period, first_index=0)
+        kernel.admit_batch([0.0, _EPS1.period])
     kernel.admit(1, _EPS1.period)  # fresh indices above the watermark are fine
     kernel.run_to_completion()
     assert kernel.evicted_datasets == 2

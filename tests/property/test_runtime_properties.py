@@ -13,7 +13,7 @@ Invariants promised by the design:
 * with **checkpointing disabled** the engine reproduces the historical
   flush-and-restart traces exactly: each batch of releases between two state
   changes is simulated from a cold pipeline (checked against a direct
-  StreamingSimulator oracle).
+  cold-kernel ``admit_batch`` oracle).
 """
 
 from __future__ import annotations
@@ -66,31 +66,20 @@ def test_no_faults_matches_offline_simulator(num_datasets):
 
 
 @SLOW
-@given(num_datasets=st.integers(min_value=2, max_value=30))
-def test_default_release_times_are_equivalent(num_datasets):
-    period = _EPS1.period
-    explicit = StreamingSimulator(_EPS1).run(
-        num_datasets, release_times=[j * period for j in range(num_datasets)]
-    )
-    implicit = StreamingSimulator(_EPS1).run(num_datasets)
-    assert explicit == implicit
-
-
-@SLOW
 @given(num_datasets=st.integers(min_value=1, max_value=30))
 def test_incremental_kernel_admission_matches_batch(num_datasets):
     """Zero-fault invariant at the kernel level: admit() ≡ admit_batch()."""
     period = _EPS1.period
     batch = PipelineKernel(_EPS1)
     batch.admit_batch([j * period for j in range(num_datasets)])
-    batch.run_to_completion()
+    drained = batch.run_to_completion()
     incremental = PipelineKernel(_EPS1)
     for j in range(num_datasets):
         incremental.admit(j, j * period)
-    incremental.run_to_completion()
-    assert incremental.completions == batch.completions
+    assert incremental.run_to_completion() == drained
     sim = StreamingSimulator(_EPS1).run(num_datasets)
-    assert tuple(batch.completions[j] for j in range(num_datasets)) == sim.completion_times
+    done = dict(drained)
+    assert tuple(done[j] for j in range(num_datasets)) == sim.completion_times
 
 
 # ------------------------------------------------- ≤ ε crashes lose no data set
@@ -158,7 +147,7 @@ def _flush_and_restart_oracle(schedule, victim: str, crash_time: float, num_data
     data sets released after it are simulated from a *new* cold pipeline under
     the crash set, with releases measured from the crash instant.  Every data
     set is admitted (one crash within ε never sheds), so the oracle is a pair
-    of StreamingSimulator batches.
+    of cold-kernel ``admit_batch`` runs.
     """
     period = schedule.period
     tol = 1e-9 * period
@@ -167,18 +156,17 @@ def _flush_and_restart_oracle(schedule, victim: str, crash_time: float, num_data
     after = [j for j in range(num_datasets) if j not in before]
     completions: dict[int, float] = {}
     if before:
-        sim = StreamingSimulator(schedule).run(
-            len(before), release_times=[releases[j] for j in before]
-        )
+        kernel = PipelineKernel(schedule)
+        kernel.admit_batch([releases[j] for j in before])
+        done = dict(kernel.run_to_completion())
         for k, j in enumerate(before):
-            completions[j] = sim.completion_times[k]
+            completions[j] = done[k]
     if after:
-        sim = StreamingSimulator(schedule, frozenset([victim])).run(
-            len(after),
-            release_times=[max(0.0, releases[j] - crash_time) for j in after],
-        )
+        kernel = PipelineKernel(schedule, frozenset([victim]))
+        kernel.admit_batch([max(0.0, releases[j] - crash_time) for j in after])
+        done = dict(kernel.run_to_completion())
         for k, j in enumerate(after):
-            completions[j] = crash_time + sim.completion_times[k]
+            completions[j] = crash_time + done[k]
     return completions
 
 

@@ -127,7 +127,7 @@ def test_docs_cover_the_kernel_hot_path():
     performance = (REPO / "docs" / "performance.md").read_text()
     assert "## The kernel hot path" in performance
     for heading in ("### One record per live data set", "### Flat heap entries",
-                    "### The eviction watermark (`retain_history=False`)"):
+                    "### The eviction watermark"):
         assert heading in performance, f"performance.md misses {heading}"
     for name in ("(time, seq, kind, operand, record)", "O(1)", "kernel_steady",
                  "rltf-n30-eps1-seed2-steady"):

@@ -159,8 +159,10 @@ class TestSimulator:
             simulate_stream(replicated, 4, failed_processors=replicated.used_processors())
 
     def test_invalid_dataset_count(self, replicated):
-        with pytest.raises(ValueError):
-            simulate_stream(replicated, num_datasets=0)
+        # a bool is not a count, and a float or NaN is not an int: all named
+        for bad in (0, -1, True, 2.5, math.nan):
+            with pytest.raises(ValueError, match="num_datasets"):
+                simulate_stream(replicated, num_datasets=bad)
 
     def test_chain_simulation_matches_pipeline_model(self):
         graph = chain_graph(4, work=10.0, volume=1.0)

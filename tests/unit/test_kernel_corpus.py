@@ -14,16 +14,19 @@ runtime — and records what the run produced:
 * ``live_peak`` / ``evicted`` — the kernel occupancy gauges, sampled at the
   drains; ``peak`` — the kernels' own high-water mark of live data sets.
 
-The covered ground: ``admit_batch``, ``admit_batch_vectorized``,
-``admit_stream_window`` and one-at-a-time ``admit`` in both memory models,
-mid-run crashes, checkpoint restore through ``admit_restored``; the online
+The covered ground: ``admit_batch``, ``admit_stream_window`` and
+one-at-a-time ``admit`` under the eviction watermark, mid-run crashes,
+checkpoint restore through ``admit_restored``; the online
 runtime with shed and queue admission, ``checkpoint`` on and off and
 ``rebuild_on_repair``; correlated, elastic-spare and trace-replay fault
 worlds; and a dyadic workload whose quiet stretches are fast-forwarded.
 
 The goldens in ``tests/golden/kernel_trace_fingerprints.json`` were generated
 on the kernel *before* its per-dataset record layout, so they pin that
-rewrite as behaviour-preserving.  Regenerate them only for an intended change
+rewrite as behaviour-preserving; they also outlived the kernel's retaining
+memory model and the simulator's one-shot batch drive (the
+``kernel/*/vectorized`` cases and the simulator's ``E`` entries were recorded
+through admission methods that have since been folded into ``admit_batch``).  Regenerate them only for an intended change
 of kernel behaviour::
 
     PYTHONPATH=src python tests/unit/test_kernel_corpus.py --write
@@ -129,37 +132,38 @@ def _finish(rec: _Record, kernel, n: int) -> dict:
     return rec.result()
 
 
-def _batch(schedule, retain: bool) -> dict:
+def _batch(schedule) -> dict:
     """admit_batch on jittered releases; a crash a third of the way in."""
     rec = _Record()
     period = schedule.period
     releases = [j * period + (j % 3) * 0.25 * period for j in range(N)]
-    kernel = PipelineKernel(schedule, retain_history=retain, probe=rec.probe)
+    kernel = PipelineKernel(schedule, probe=rec.probe)
     kernel.admit_batch(releases)
     rec.drained(kernel.run_until(N * period / 3))
     kernel.crash(_victim(schedule))
     return _finish(rec, kernel, N)
 
 
-def _vectorized(schedule, retain: bool) -> dict:
-    """admit_batch_vectorized with an offset, drained in four slices."""
+def _vectorized(schedule) -> dict:
+    """admit_batch on a uniform stream with an offset, drained in four
+    slices."""
     rec = _Record()
     period = schedule.period
-    kernel = PipelineKernel(schedule, retain_history=retain, probe=rec.probe)
-    kernel.admit_batch_vectorized(N, period, offset=0.5 * period)
+    kernel = PipelineKernel(schedule, probe=rec.probe)
+    kernel.admit_batch([k * period + 0.5 * period for k in range(N)])
     for k in range(1, 4):
         rec.drained(kernel.run_until(k * N * period / 4))
         rec.gauges(kernel)
     return _finish(rec, kernel, N)
 
 
-def _window(schedule, retain: bool) -> dict:
+def _window(schedule) -> dict:
     """admit_stream_window drive, run just below each window boundary; a
     crash inside the second window."""
     rec = _Record()
     period = schedule.period
     window = 64
-    kernel = PipelineKernel(schedule, retain_history=retain, probe=rec.probe)
+    kernel = PipelineKernel(schedule, probe=rec.probe)
     j = 0
     while j < N:
         stop = min(j + window, N)
@@ -172,12 +176,12 @@ def _window(schedule, retain: bool) -> dict:
     return _finish(rec, kernel, N)
 
 
-def _one_at_a_time(schedule, retain: bool) -> dict:
+def _one_at_a_time(schedule) -> dict:
     """admit per data set, a crash, then a checkpoint restore of the pending
     data sets into a fresh kernel (the online runtime's rebuild path)."""
     rec = _Record()
     period = schedule.period
-    kernel = PipelineKernel(schedule, retain_history=retain, probe=rec.probe)
+    kernel = PipelineKernel(schedule, probe=rec.probe)
     half = N // 2
     for j in range(half):
         kernel.admit(j, j * period)
@@ -190,7 +194,7 @@ def _one_at_a_time(schedule, retain: bool) -> dict:
     checkpoints = [(j, kernel.completed_tasks(j)) for j in pending]
     for j, tasks in checkpoints:
         rec.add("K", (j, sorted(tasks)))
-    restored = PipelineKernel(schedule, retain_history=retain, probe=rec.probe)
+    restored = PipelineKernel(schedule, probe=rec.probe)
     for j, tasks in checkpoints:
         restored.admit_restored(j, now, tasks)
     for j in range(half, N):
@@ -204,8 +208,9 @@ def _one_at_a_time(schedule, retain: bool) -> dict:
 
 
 def _simulator(schedule) -> dict:
-    """The offline simulator: uniform (vectorized), explicit releases
-    (admit_batch) and — on the dyadic schedule — the windowed fast path."""
+    """The offline simulator (windowed drive, fast path on the dyadic
+    schedule) and the kernel's admit_batch on explicit releases under the
+    same crash set."""
     rec = _Record()
     period = schedule.period
     n = 800
@@ -214,8 +219,13 @@ def _simulator(schedule) -> dict:
         result = sim.run(n)
         rec.add("U", (result.completion_times, result.latencies))
         rec.add("F", sim.last_fast_forward)
-        explicit = sim.run(n, [j * period + (j % 2) * 0.5 * period for j in range(n)])
-        rec.add("E", (explicit.completion_times, explicit.latencies))
+        releases = [j * period + (j % 2) * 0.5 * period for j in range(n)]
+        kernel = PipelineKernel(schedule, failed)
+        kernel.admit_batch(releases)
+        done = dict(kernel.run_to_completion())
+        completions = tuple(done[j] for j in range(n))
+        latencies = tuple(t - r for t, r in zip(completions, releases))
+        rec.add("E", (completions, latencies))
     return rec.result()
 
 
@@ -296,9 +306,7 @@ def corpus() -> dict[str, dict]:
     built = schedules()
     for sname, schedule in built.items():
         for drive, run in KERNEL_DRIVES.items():
-            for retain in (True, False):
-                mode = "retained" if retain else "evicting"
-                produced[f"kernel/{sname}/{drive}/{mode}"] = run(schedule, retain)
+            produced[f"kernel/{sname}/{drive}/evicting"] = run(schedule)
         produced[f"simulator/{sname}"] = _simulator(schedule)
     for name, spec in ONLINE_CASES.items():
         for seed in (0, 1):

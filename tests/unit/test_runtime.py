@@ -1,5 +1,7 @@
 """Unit tests for the online runtime: fault traces, policies, engine, traces, CLI."""
 
+import math
+
 import pytest
 
 from repro.cli import main
@@ -473,6 +475,12 @@ class TestOnlineRuntime:
     def test_run_online_wrapper(self, replicated):
         trace = run_online(replicated, empty_trace(replicated, 5), num_datasets=5)
         assert trace.completed_count == 5
+
+    def test_invalid_dataset_count(self, replicated):
+        runtime = OnlineRuntime(replicated, empty_trace(replicated, 5))
+        for bad in (0, -1, True, 2.5, math.nan):
+            with pytest.raises(ValueError, match="num_datasets"):
+                runtime.run(bad)
 
     def test_validation(self, replicated, fig2, fig2_platform):
         with pytest.raises(ValueError):

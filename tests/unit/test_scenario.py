@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,33 @@ from repro.scenario import (
     WorkloadSpec,
     build_workload,
 )
+from repro.scenario.spec import SECTION_TYPES
+
+#: every numeric spec field -> the type it holds (``int`` counts and seeds,
+#: ``float`` durations and ratios)
+NUMERIC_FIELDS = {
+    "workload.granularity": float,
+    "workload.num_tasks": int,
+    "workload.num_processors": int,
+    "workload.seed": int,
+    "scheduler.epsilon": int,
+    "scheduler.period": float,
+    "scheduler.period_slack": float,
+    "faults.mttf_periods": float,
+    "faults.mttr_periods": float,
+    "faults.weibull_shape": float,
+    "faults.repair_shape": float,
+    "faults.seed": int,
+    "faults.group_size": int,
+    "faults.load_coupling": float,
+    "faults.spares": int,
+    "faults.join_periods": float,
+    "faults.preempt_periods": float,
+    "runtime.num_datasets": int,
+    "runtime.queue_capacity": int,
+    "runtime.rebuild_overhead": float,
+}
+
 
 # --------------------------------------------------------------- strategies
 def _workloads_for(generator: str):
@@ -156,6 +185,43 @@ class TestValidation:
             RuntimeSpec(queue_capacity=0)
         with pytest.raises(SpecificationError, match="scheduler.epsilon"):
             SchedulerSpec(epsilon=-1)
+
+    @pytest.mark.parametrize(
+        "path, bad",
+        [
+            (path, bad)
+            for path, kind in NUMERIC_FIELDS.items()
+            for bad in (True, False, "3")
+            + ((math.inf, -math.inf, math.nan) if kind is float else (2.5,))
+        ],
+    )
+    def test_numeric_fields_reject_booleans_and_non_finite_values(self, path, bad):
+        """A JSON ``true`` is not a count or a ratio, and an infinity is not
+        a duration: every numeric field rejects them, naming itself."""
+        section, name = path.split(".")
+        with pytest.raises(SpecificationError, match=path):
+            ScenarioSpec.from_dict({section: {name: bad}})
+
+    def test_task_range_rejects_booleans(self):
+        with pytest.raises(SpecificationError, match="workload.task_range"):
+            WorkloadSpec(task_range=(True, 3))
+
+    def test_every_numeric_field_is_checked(self):
+        numeric = {
+            f"{section}.{f.name}"
+            for section, cls in SECTION_TYPES.items()
+            for f in dataclasses.fields(cls)
+            if f.type.split(" ")[0] in ("int", "float")
+        }
+        assert numeric == set(NUMERIC_FIELDS)
+
+    def test_invalid_numeric_field_exits_2_on_the_cli(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "bad.json"
+        path.write_text('{"runtime": {"num_datasets": true}}')
+        assert main(["run", str(path)]) == 2
+        assert "runtime.num_datasets" in capsys.readouterr().err
 
     def test_paper_generator_rejects_foreign_platform(self):
         with pytest.raises(SpecificationError, match="paper platform"):

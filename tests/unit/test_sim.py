@@ -81,21 +81,19 @@ class TestBatchKernel:
         releases = [j * strict.period for j in range(n)]
         kernel = PipelineKernel(strict)
         kernel.admit_batch(releases)
-        kernel.run_to_completion()
+        done = dict(kernel.run_to_completion())
         sim = StreamingSimulator(strict).run(n)
-        assert tuple(kernel.completions[j] for j in range(n)) == sim.completion_times
+        assert tuple(done[j] for j in range(n)) == sim.completion_times
 
     def test_incremental_admission_matches_batch(self, strict):
         n = 10
         releases = [j * strict.period for j in range(n)]
         batch = PipelineKernel(strict)
         batch.admit_batch(releases)
-        batch.run_to_completion()
         incremental = PipelineKernel(strict)
         for j, r in enumerate(releases):
             incremental.admit(j, r)
-        incremental.run_to_completion()
-        assert incremental.completions == batch.completions
+        assert incremental.run_to_completion() == batch.run_to_completion()
 
     def test_run_until_is_progressive(self, strict):
         kernel = PipelineKernel(strict)
@@ -135,30 +133,28 @@ class TestMidRunCrash:
         for j in range(n):
             kernel.admit(j, j * strict.period)
         crash_time = 4.5 * strict.period
-        kernel.run_until(crash_time)
+        done = dict(kernel.run_until(crash_time))
         kernel.crash(victim)
-        kernel.run_to_completion()
-        assert sorted(kernel.completions) == list(range(n))
+        done.update(kernel.run_to_completion())
+        assert sorted(done) == list(range(n))
 
     def test_crash_degrades_latency_of_in_flight_work(self, strict):
         victim = strict.used_processors()[0]
         n = 10
         baseline = PipelineKernel(strict)
         baseline.admit_batch([j * strict.period for j in range(n)])
-        baseline.run_to_completion()
+        expected = dict(baseline.run_to_completion())
         crashed = PipelineKernel(strict)
         for j in range(n):
             crashed.admit(j, j * strict.period)
-        crashed.run_until(2.5 * strict.period)
+        done = dict(crashed.run_until(2.5 * strict.period))
         crashed.crash(victim)
-        crashed.run_to_completion()
+        done.update(crashed.run_to_completion())
         # nothing lost, and the crash really interleaved with the pipeline:
         # at least one in-flight data set completes at a different instant
         # (losing the victim changes both the compute and the port contention)
-        assert sorted(crashed.completions) == list(range(n))
-        assert any(
-            crashed.completions[j] != baseline.completions[j] for j in range(n)
-        )
+        assert sorted(done) == list(range(n))
+        assert any(done[j] != expected[j] for j in range(n))
 
     def test_crash_outside_the_platform_changes_nothing(self, strict):
         # an elastic pool member that never joined hosts nothing here
@@ -177,37 +173,37 @@ class TestCheckpointRestore:
     def test_restored_outputs_are_not_recomputed(self, strict):
         probe = PipelineKernel(strict)
         probe.admit(0, 0.0)
-        probe.run_to_completion()
-        full_latency = probe.completions[0]
+        [(_, full_latency)] = probe.run_to_completion()
 
-        done = probe.completed_tasks(0)
-        assert done  # every task completed
         restore_at = 100.0
         restored = PipelineKernel(strict)
         # restore everything except the exit tasks: only they recompute
-        partial = done - frozenset(strict.graph.exit_tasks())
+        partial = frozenset(strict.graph.task_names) - frozenset(strict.graph.exit_tasks())
         restored.admit_restored(0, restore_at, partial)
-        restored.run_to_completion()
-        assert restored.completions[0] - restore_at < full_latency
+        [(_, completion)] = restored.run_to_completion()
+        assert completion - restore_at < full_latency
 
     def test_restore_with_no_checkpoint_is_plain_admission(self, strict):
         a = PipelineKernel(strict)
         a.admit(0, 5.0)
-        a.run_to_completion()
         b = PipelineKernel(strict)
         b.admit_restored(0, 5.0, ())
-        b.run_to_completion()
-        assert a.completions == b.completions
+        assert a.run_to_completion() == b.run_to_completion()
 
     def test_completed_tasks_grow_monotonically(self, strict):
+        """The checkpoint of an in-flight data set only grows, event instant
+        by event instant, until the data set completes and is evicted."""
         kernel = PipelineKernel(strict)
         kernel.admit(0, 0.0)
-        kernel.run_until(0.0)
-        early = kernel.completed_tasks(0)
+        snapshots = []
+        while kernel.pending_datasets():
+            snapshots.append(kernel.completed_tasks(0))
+            kernel.run_until(kernel._queue.heap[0][0])
+        assert all(a <= b for a, b in zip(snapshots, snapshots[1:]))
+        exits = frozenset(strict.graph.exit_tasks())
+        assert snapshots[-1] | exits == frozenset(strict.graph.task_names)
         kernel.run_to_completion()
-        late = kernel.completed_tasks(0)
-        assert early <= late
-        assert late == frozenset(strict.graph.task_names)
+        assert kernel.completed_tasks(0) == frozenset()  # evicted
 
 
 #: release instants and periods every admission method must refuse
@@ -241,19 +237,8 @@ class TestAdmissionRejectsBadInstants:
         )
 
     @pytest.mark.parametrize("bad", BAD_INSTANTS)
-    def test_admit_batch_vectorized(self, strict, bad):
-        kernel = PipelineKernel(strict)
-        self._rejects(
-            kernel, "period", lambda: kernel.admit_batch_vectorized(3, bad)
-        )
-        self._rejects(
-            kernel, "offset",
-            lambda: kernel.admit_batch_vectorized(3, strict.period, offset=bad),
-        )
-
-    @pytest.mark.parametrize("bad", BAD_INSTANTS)
     def test_admit_stream_window(self, strict, bad):
-        kernel = PipelineKernel(strict, retain_history=False)
+        kernel = PipelineKernel(strict)
         self._rejects(
             kernel, "period", lambda: kernel.admit_stream_window(0, 4, bad, 8)
         )
@@ -264,10 +249,7 @@ class TestAdmissionRejectsBadInstants:
         self._rejects(kernel, "restore", lambda: kernel.admit_restored(0, bad, ()))
 
     def test_finite_period_overflowing_to_infinity(self, strict):
-        kernel = PipelineKernel(strict, retain_history=False)
-        self._rejects(
-            kernel, "period", lambda: kernel.admit_batch_vectorized(3, 1e308)
-        )
+        kernel = PipelineKernel(strict)
         self._rejects(
             kernel, "period", lambda: kernel.admit_stream_window(0, 4, 1e308, 8)
         )
@@ -275,6 +257,7 @@ class TestAdmissionRejectsBadInstants:
     def test_zero_release_and_period_are_valid(self, strict):
         kernel = PipelineKernel(strict)
         kernel.admit(0, 0.0)
-        kernel.admit_batch_vectorized(2, 0.0, first_index=1)
-        assert sorted(kernel.run_to_completion()) == sorted(kernel.completions.items())
-        assert sorted(kernel.completions) == [0, 1, 2]
+        assert [j for j, _ in kernel.run_to_completion()] == [0]
+        windowed = PipelineKernel(strict)
+        windowed.admit_stream_window(0, 2, 0.0, 2)
+        assert sorted(j for j, _ in windowed.run_to_completion()) == [0, 1]
