@@ -1,23 +1,16 @@
-"""Online-runtime benchmark: campaign timing and incremental-vs-flush modes.
+"""Online-runtime benchmark: the quiet and saturated streams, the scheduler
+builds and the steady kernel.
 
-Two layers:
+A script with no pytest-benchmark dependency, used by CI::
 
-* **pytest-benchmark** tests (``pytest benchmarks/bench_runtime.py``) timing a
-  seeded Monte-Carlo campaign, the serial-vs-parallel engine, and the two
-  execution modes of the engine (``checkpoint=True`` incremental vs
-  ``checkpoint=False`` flush-and-restart) on a dense multi-segment stream;
-* a **script mode** with no pytest-benchmark dependency, used by CI::
+    python benchmarks/bench_runtime.py --smoke --output BENCH_runtime.json
 
-      python benchmarks/bench_runtime.py --smoke --output BENCH_runtime.json
+It times the workloads below (fewer repetitions with ``--smoke``) and writes
+a JSON report so the perf trajectory of the runtime is recorded per commit.
+End-to-end campaign throughput and per-point transport are perfbench's
+(``trials_per_s``, ``experiments.payload_bytes``; see ``perfbench/``).  The
+rows:
 
-  It times the same workloads (fewer repetitions with ``--smoke``) and writes
-  a JSON report so the perf trajectory of the runtime is recorded per commit.
-  The headline numbers:
-
-  * ``incremental_speedup_multisegment`` — how much faster the single-loop
-    incremental engine executes a stream cut into many fault segments (≥ 5
-    fault events) than the flush-and-restart baseline, which pays a pipeline
-    setup + cold restart per segment;
   * ``long_stream_datasets_per_sec`` — sustained throughput on a long
     (10⁵ data sets at full scale) zero-fault *quiet* stream: a feasible
     integer-duration schedule where the steady-state fast forward
@@ -34,9 +27,6 @@ Two layers:
     ``repro.obs.MetricsProbe`` attached, measured interleaved (A/B/A/B)
     so runner noise cannot invert the sign: the instrumentation must be
     (near) free when off and cheap when on;
-  * ``sweep_transport_bytes`` — pickled campaign payload per sweep point in
-    ``reduce="traces"`` vs ``reduce="stats"`` worker mode: the bytes a worker
-    ships back through the process pool for one grid point;
   * ``scheduler_builds`` — LTF and R-LTF build time on seeded paper
     workloads of 30, 100 and 300 tasks (ε=2, period slack 2.0, 10
     processors), one row per workload tag.  Each row is gated on its own
@@ -52,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import pickle
 import sys
 import time
 from pathlib import Path
@@ -60,48 +49,11 @@ from pathlib import Path
 from repro.core.ltf import ltf_schedule
 from repro.core.rltf import rltf_schedule
 from repro.experiments.config import ExperimentConfig, workload_period
-from repro.experiments.parallel import run_runtime_campaign
-from repro.failures.scenarios import FaultEvent, FaultTrace
+from repro.failures.scenarios import FaultTrace
 from repro.graph.generator import random_paper_workload
 from repro.runtime.engine import OnlineRuntime
-from repro.scenario import (
-    FaultSpec,
-    RuntimeSpec,
-    ScenarioSpec,
-    SchedulerSpec,
-    WorkloadSpec,
-)
 from repro.sim.kernel import PipelineKernel
 from repro.utils.ascii import format_table
-
-SPEC = ScenarioSpec(
-    name="runtime-trial",
-    workload=WorkloadSpec(
-        generator="paper", granularity=1.0, num_tasks=25, num_processors=8
-    ),
-    scheduler=SchedulerSpec(name="rltf", epsilon=1, period_slack=2.0, fallback=True),
-    faults=FaultSpec(mttf_periods=80.0),
-    runtime=RuntimeSpec(num_datasets=100),
-)
-
-
-def _multisegment_case(num_datasets: int = 200):
-    """A schedule plus a dense fault trace (alternating crash/repair of one
-    replica-hosting processor): ≥ 5 fault events, every one a segment boundary
-    for the flush-and-restart engine, none losing a single data set."""
-    workload = random_paper_workload(1.0, seed=4, num_tasks=40, num_processors=10)
-    period = workload_period(workload, 2, ExperimentConfig())
-    schedule = rltf_schedule(workload.graph, workload.platform, period=period, epsilon=2)
-    victim = schedule.used_processors()[0]
-    events = []
-    t = 1.25
-    while t < num_datasets - 2:
-        events.append(FaultEvent(t * schedule.period, victim, "crash"))
-        events.append(FaultEvent((t + 1.25) * schedule.period, victim, "repair"))
-        t += 2.5
-    trace = FaultTrace(tuple(events), horizon=num_datasets * schedule.period)
-    assert len(trace.events) >= 5
-    return schedule, trace, num_datasets
 
 
 def _time(fn, repeat: int = 3) -> float:
@@ -257,25 +209,6 @@ def _kernel_steady(num_datasets: int, repeat: int) -> dict[str, dict]:
     }
 
 
-def _stats_match(a, b) -> bool:
-    """Field-wise RuntimeStats equality that treats NaN as matching NaN.
-
-    ``mean_latency`` is NaN when no trial completed anything, and dataclass
-    ``==`` would report two such (identical) stats as unequal.
-    """
-    import dataclasses
-    import math
-
-    for spec_field in dataclasses.fields(a):
-        x, y = getattr(a, spec_field.name), getattr(b, spec_field.name)
-        if isinstance(x, float) and isinstance(y, float):
-            if math.isnan(x) and math.isnan(y):
-                continue
-        if x != y:
-            return False
-    return True
-
-
 # --------------------------------------------------------------- script mode
 def run_ff_smoke(num_datasets: int = 10_000) -> int:
     """CI gate of the steady-state fast forward: correctness, then speed.
@@ -324,27 +257,6 @@ def run_ff_smoke(num_datasets: int = 10_000) -> int:
 
 def run_report(smoke: bool = False) -> dict:
     """Time the benchmark workloads and return the JSON-ready report."""
-    repeat = 1 if smoke else 3
-    trials = 3 if smoke else 5
-    datasets = 120 if smoke else 200
-
-    campaign_seconds = _time(
-        lambda: run_runtime_campaign(
-            SPEC.updated({"runtime.num_datasets": 60 if smoke else 100}),
-            trials=trials,
-            seed=0,
-            jobs=1,
-        ),
-        repeat,
-    )
-
-    schedule, trace, n = _multisegment_case(datasets)
-    incr = _time(lambda: OnlineRuntime(schedule, trace, checkpoint=True).run(n), repeat)
-    flush = _time(lambda: OnlineRuntime(schedule, trace, checkpoint=False).run(n), repeat)
-    empty = FaultTrace((), horizon=n * schedule.period)
-    incr0 = _time(lambda: OnlineRuntime(schedule, empty, checkpoint=True).run(n), repeat)
-    flush0 = _time(lambda: OnlineRuntime(schedule, empty, checkpoint=False).run(n), repeat)
-
     # --- headline: quiet certified stream through the steady-state fast path
     quiet_n = 20_000 if smoke else 100_000
     quiet_schedule = _quiet_stream_case()
@@ -372,30 +284,13 @@ def run_report(smoke: bool = False) -> dict:
     long_schedule = _long_stream_case()
     long_empty = FaultTrace((), horizon=long_n * long_schedule.period)
     long_seconds, probe_seconds = _time_interleaved(
-        lambda: OnlineRuntime(long_schedule, long_empty, checkpoint=True).run(long_n),
-        lambda: OnlineRuntime(
-            long_schedule, long_empty, checkpoint=True, probe=MetricsProbe()
-        ).run(long_n),
+        lambda: OnlineRuntime(long_schedule, long_empty).run(long_n),
+        lambda: OnlineRuntime(long_schedule, long_empty, probe=MetricsProbe()).run(long_n),
         repeat=2 if smoke else 3,
     )
     overhead_raw = (
         (probe_seconds - long_seconds) / long_seconds if long_seconds else 0.0
     )
-
-    # --- per-point transport of the two worker reductions
-    transport_spec = SPEC.updated({"runtime.num_datasets": 200})
-    transport_trials = 3 if smoke else 10
-    full = run_runtime_campaign(transport_spec, trials=transport_trials, seed=0)
-    lean = run_runtime_campaign(
-        transport_spec, trials=transport_trials, seed=0, reduce="stats"
-    )
-    if not _stats_match(lean.stats, full.stats):  # the reduction must be lossless
-        raise RuntimeError(
-            "reduce='stats' diverged from reduce='traces' statistics — "
-            "refusing to report transport numbers for non-equivalent payloads"
-        )
-    traces_bytes = len(pickle.dumps(full))
-    stats_bytes = len(pickle.dumps(lean))
 
     # --- scheduler rows: best of 3 even in smoke mode, since a 30-task build
     # takes milliseconds and a single timing would not hold a 30% band
@@ -406,20 +301,6 @@ def run_report(smoke: bool = False) -> dict:
 
     return {
         "smoke": smoke,
-        "campaign": {"trials": trials, "seconds": campaign_seconds},
-        "multisegment": {
-            "datasets": n,
-            "fault_events": len(trace.events),
-            "incremental_seconds": incr,
-            "flush_seconds": flush,
-        },
-        "zero_fault": {
-            "datasets": n,
-            "incremental_seconds": incr0,
-            "flush_seconds": flush0,
-        },
-        "incremental_speedup_multisegment": flush / incr if incr > 0 else float("inf"),
-        "incremental_speedup_zero_fault": flush0 / incr0 if incr0 > 0 else float("inf"),
         "long_stream": {
             "datasets": quiet_n,
             "workload": QUIET_WORKLOAD,
@@ -445,13 +326,6 @@ def run_report(smoke: bool = False) -> dict:
             "overhead_fraction_raw": overhead_raw,
             "within_noise": overhead_raw < 0.0,
         },
-        "sweep_transport_bytes": {
-            "datasets": 200,
-            "trials": transport_trials,
-            "traces": traces_bytes,
-            "stats": stats_bytes,
-            "reduction_factor": traces_bytes / stats_bytes if stats_bytes else 0.0,
-        },
         "scheduler_builds": scheduler_builds,
         "kernel_steady": kernel_steady,
     }
@@ -472,15 +346,7 @@ def main(argv=None) -> int:
     if args.ff_smoke:
         return run_ff_smoke()
     report = run_report(smoke=args.smoke)
-    transport = report["sweep_transport_bytes"]
     rows = [
-        ["campaign (s)", f"{report['campaign']['seconds']:.3f}"],
-        ["multi-segment incremental (s)", f"{report['multisegment']['incremental_seconds']:.3f}"],
-        ["multi-segment flush (s)", f"{report['multisegment']['flush_seconds']:.3f}"],
-        ["multi-segment speedup", f"{report['incremental_speedup_multisegment']:.2f}x"],
-        ["zero-fault incremental (s)", f"{report['zero_fault']['incremental_seconds']:.3f}"],
-        ["zero-fault flush (s)", f"{report['zero_fault']['flush_seconds']:.3f}"],
-        ["zero-fault speedup", f"{report['incremental_speedup_zero_fault']:.2f}x"],
         [
             f"quiet stream ({report['long_stream']['datasets']:,} data sets, fast forward)",
             f"{report['long_stream_datasets_per_sec']:,.0f} datasets/s",
@@ -498,9 +364,6 @@ def main(argv=None) -> int:
                 else f"{report['obs_overhead']['overhead_fraction'] * 100:+.1f}%"
             ),
         ],
-        ["sweep point payload (traces)", f"{transport['traces']:,} B"],
-        ["sweep point payload (stats)", f"{transport['stats']:,} B"],
-        ["transport reduction", f"{transport['reduction_factor']:.1f}x"],
     ]
     rows += [
         [f"{row['algorithm']} build, {row['tasks']} tasks (s)", f"{row['seconds']:.3f}"]
@@ -518,45 +381,6 @@ def main(argv=None) -> int:
         Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.output}")
     return 0
-
-
-# ------------------------------------------------------------ pytest benchmarks
-try:
-    import pytest
-except ImportError:  # pragma: no cover - script mode without pytest
-    pytest = None
-
-if pytest is not None:
-
-    @pytest.mark.benchmark(group="runtime")
-    def test_runtime_campaign_serial(benchmark):
-        result = benchmark(lambda: run_runtime_campaign(SPEC, trials=5, seed=0, jobs=1))
-        stats = result.stats
-        print()
-        print(format_table(["statistic", "value"], stats.as_rows(), title="online runtime, 5 trials"))
-        assert stats.trials == 5
-        assert 0.0 <= stats.mean_availability <= 1.0
-
-    @pytest.mark.benchmark(group="runtime")
-    def test_runtime_campaign_parallel_matches_serial(benchmark):
-        serial = run_runtime_campaign(SPEC, trials=4, seed=1, jobs=1)
-        fanned = benchmark(lambda: run_runtime_campaign(SPEC, trials=4, seed=1, jobs=4))
-        assert fanned.traces == serial.traces
-
-    @pytest.mark.benchmark(group="runtime")
-    def test_incremental_beats_flush_on_multisegment_streams(benchmark):
-        """Acceptance: the incremental engine is faster once the stream is cut
-        into many fault segments (the flush baseline restarts the pipeline and
-        rebuilds the kernel at every one of the ≥ 5 fault events)."""
-        schedule, trace, n = _multisegment_case(160)
-        incremental = benchmark(
-            lambda: OnlineRuntime(schedule, trace, checkpoint=True).run(n)
-        )
-        flush = OnlineRuntime(schedule, trace, checkpoint=False).run(n)
-        # same stream outcome, different wall-clock (reported by the script
-        # mode / JSON artifact; not asserted here to keep CI timing-agnostic)
-        assert incremental.completed_count == flush.completed_count
-        assert incremental.lost_by_reason() == flush.lost_by_reason()
 
 
 if __name__ == "__main__":

@@ -73,12 +73,6 @@ def append_point(trajectory: list[dict], report: dict) -> dict:
         "workload": report.get("long_stream", {}).get("workload"),
         HEADLINE: report.get(HEADLINE),
         "fast_forward_speedup": report.get("fast_forward_speedup"),
-        "incremental_speedup_multisegment": report.get(
-            "incremental_speedup_multisegment"
-        ),
-        "sweep_transport_reduction": report.get("sweep_transport_bytes", {}).get(
-            "reduction_factor"
-        ),
     }
     for key, rate in ROW_RATES.items():
         point[key] = {tag: row.get(rate) for tag, row in report.get(key, {}).items()}
@@ -159,9 +153,11 @@ def main(argv=None) -> int:
         "--max-regression",
         type=float,
         default=0.30,
-        help="tolerated fractional drop of the headline metric (default 0.30)",
+        help="tolerated fractional drop of every gated rate, in [0, 1) (default 0.30)",
     )
     args = parser.parse_args(argv)
+    if not 0.0 <= args.max_regression < 1.0:  # also rejects nan
+        parser.error(f"--max-regression must be in [0, 1), got {args.max_regression!r}")
     report = json.loads(Path(args.report).read_text())
     trajectory_path = Path(args.trajectory)
     trajectory = load_trajectory(trajectory_path)

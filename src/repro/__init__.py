@@ -92,7 +92,6 @@ from repro.failures import (
 )
 from repro.runtime import (
     OnlineRuntime,
-    run_online,
     RuntimeTrace,
     run_trial,
     summarize_traces,
@@ -221,7 +220,6 @@ __all__ = [
     "sample_fault_trace",
     # online runtime
     "OnlineRuntime",
-    "run_online",
     "RuntimeTrace",
     "run_trial",
     "summarize_traces",

@@ -295,15 +295,6 @@ def _add_spec_options(p: argparse.ArgumentParser) -> None:
         help="admission buffer size for --admission queue (0 = unbounded)",
     )
     p.add_argument(
-        "--no-checkpoint",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help=(
-            "disable checkpoint/restart: legacy flush-and-restart execution "
-            "(in-flight data sets do not survive a rebuild)"
-        ),
-    )
-    p.add_argument(
         "--rebuild-on-repair",
         action="store_true",
         default=argparse.SUPPRESS,
@@ -351,7 +342,6 @@ _FLAG_PATHS: dict[str, tuple[str, Callable]] = {
     "policy": ("runtime.policy", lambda v: v),
     "admission": ("runtime.admission", lambda v: v),
     "queue_capacity": ("runtime.queue_capacity", lambda v: None if v == 0 else v),
-    "no_checkpoint": ("runtime.checkpoint", lambda v: not v),
     "no_fast_forward": ("runtime.fast_forward", lambda v: not v),
     "rebuild_on_repair": ("runtime.rebuild_on_repair", lambda v: v),
     "rebuild_overhead": ("runtime.rebuild_overhead", lambda v: v),

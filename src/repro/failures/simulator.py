@@ -9,10 +9,10 @@ observe what really happens when processors crash mid-stream).
 The event loop lives in :class:`repro.sim.kernel.PipelineKernel` — the same
 loop that powers the online runtime (:mod:`repro.runtime.engine`).
 :class:`StreamingSimulator` is its *offline driver*: under a fixed crash
-scenario it admits the uniform stream one window at a time
-(:meth:`~repro.sim.kernel.PipelineKernel.admit_stream_window`), drains the
-completions at every window boundary and packages the per-dataset latencies
-into a :class:`SimulationResult`:
+scenario it admits the uniform stream one window at a time, one data set at
+a time (:meth:`~repro.sim.kernel.PipelineKernel.admit`, the online runtime's
+admission too), drains the completions at every window boundary and
+packages the per-dataset latencies into a :class:`SimulationResult`:
 
 * every replica executes one *compute operation* per data set, on its assigned
   processor, in FIFO order of the data sets;
@@ -127,19 +127,22 @@ class StreamingSimulator:
         """Simulate *num_datasets* consecutive data sets and return their latencies.
 
         Data set ``j`` enters the system at ``j·Δ``.  Admission happens one
-        window at a time, and each window's ``run_until`` stops just *below*
-        the next window's first release: the windowed releases carry the
-        sequence numbers a one-shot admission of the whole stream would have
-        drawn, so the pop order is that admission's, tie for tie.  With the
-        fast path engaged, the detector fingerprints the kernel at each
-        boundary; on a lock the remaining quiet windows are emitted as the
-        last window's completions shifted by exact multiples of
-        ``(window·Δ, window)`` and the kernel lands at the far end.
+        window at a time, one data set at a time, on a ``releases_first``
+        kernel: every release pops before all other events at its instant,
+        so the pop order is a one-shot admission's of the whole stream, tie
+        for tie.  Each window's ``run_until`` stops just *below* the next
+        window's first release.  With the fast path engaged, the detector
+        fingerprints the kernel at each boundary; on a lock the remaining
+        quiet windows are emitted as the last window's completions shifted
+        by exact multiples of ``(window·Δ, window)`` and the kernel lands at
+        the far end.
         """
         num_datasets = check_count(num_datasets, "num_datasets")
         period = self.schedule.period
         window = steady.DEFAULT_WINDOW
-        kernel = PipelineKernel(self.schedule, self.scenario.failed)
+        kernel = PipelineKernel(
+            self.schedule, self.scenario.failed, releases_first=True
+        )
         detector = None
         if self.fast_forward and num_datasets >= 3 * window:
             grid_exp = steady.certified_grid(kernel, period, num_datasets * period)
@@ -154,7 +157,8 @@ class StreamingSimulator:
             # pure overhead that grows with the stream (see repro.utils.gcpause)
             while j < num_datasets:
                 stop = min(j + window, num_datasets)
-                kernel.admit_stream_window(j, stop, period, num_datasets)
+                for k in range(j, stop):
+                    kernel.admit(k, k * period)
                 j = stop
                 if j >= num_datasets:
                     break

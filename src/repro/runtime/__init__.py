@@ -27,7 +27,7 @@ from repro.runtime.admission import (
     ADMISSION_POLICIES,
     resolve_admission,
 )
-from repro.runtime.engine import OnlineRuntime, run_online
+from repro.runtime.engine import OnlineRuntime
 from repro.runtime.policies import (
     ReschedulePolicy,
     RLTFReschedulePolicy,
@@ -49,7 +49,6 @@ from repro.runtime.montecarlo import run_trial, run_trial_summary
 
 __all__ = [
     "OnlineRuntime",
-    "run_online",
     "AdmissionPolicy",
     "ShedAdmissionPolicy",
     "QueueAdmissionPolicy",

@@ -91,8 +91,9 @@ class RuntimeTrace:
     aborted: bool
     final_alive: tuple[str, ...]
     policy: str
-    #: admission policy name and execution mode of the run (see
-    #: :mod:`repro.runtime.admission` and :mod:`repro.runtime.engine`).
+    #: admission policy name of the run (see :mod:`repro.runtime.admission`)
+    #: and its execution mode — always checkpoint/restart, kept because
+    #: frozen trace fingerprints hash it.
     admission: str = "shed"
     checkpoint: bool = True
 

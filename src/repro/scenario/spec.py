@@ -12,7 +12,7 @@ of pure-data dataclasses:
 * :class:`FaultSpec` — the stochastic failure regime (mttf/mttr, distribution,
   Weibull shape, trace seed);
 * :class:`RuntimeSpec` — the online-runtime options (rescheduling and
-  admission policies by name, checkpoint mode, rebuild behaviour).
+  admission policies by name, rebuild behaviour).
 
 Because a spec is pure data it serializes losslessly to JSON
 (:meth:`ScenarioSpec.to_dict` / :meth:`ScenarioSpec.from_dict`, see
@@ -316,7 +316,11 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class RuntimeSpec:
-    """Options of the online runtime (stream length, policies, checkpointing).
+    """Options of the online runtime (stream length, policies, rebuilds).
+
+    ``checkpoint`` accepts only ``True``: checkpoint/restart is the runtime's
+    one execution mode.  The field stays so that existing spec files and
+    their cache keys keep loading unchanged.
 
     ``policy`` and ``admission`` name entries of the runtime policy registries
     (:data:`~repro.runtime.policies.RESCHEDULE_POLICIES`,
@@ -338,8 +342,9 @@ class RuntimeSpec:
         _check_name(ADMISSION_POLICIES, self.admission, "runtime.admission")
         _check_int(self, "runtime.queue_capacity", 1, nullable=True)
         _require(
-            isinstance(self.checkpoint, bool),
-            f"runtime.checkpoint must be a bool, got {self.checkpoint!r}",
+            self.checkpoint is True,
+            f"runtime.checkpoint must be true (checkpoint/restart is the only "
+            f"execution mode), got {self.checkpoint!r}",
         )
         _require(
             isinstance(self.rebuild_on_repair, bool),

@@ -4,7 +4,10 @@ A single binary heap keyed by ``(time, sequence)``: the sequence number is a
 monotonically increasing insertion counter, so events at the same instant pop
 in push order.  This tie-breaking rule is part of the kernel's contract — the
 offline simulator relies on it to stay bit-for-bit reproducible across runs
-(and across the extraction of this kernel out of it).
+(and across the extraction of this kernel out of it).  The one exception is
+a ``releases_first`` kernel's admissions, which the kernel pushes with
+numbers from a lane below the counter so they win every same-instant tie
+(see :class:`repro.sim.kernel.PipelineKernel`).
 
 Entries are flat tuples ``(time, sequence, kind, *operands)``.  Event kinds
 are small ints (interned by CPython), not strings: the kind is dispatched on

@@ -13,23 +13,19 @@ The kernel executes the steady-state pipeline of a complete
   valid copy wins);
 * a data set *completes* when every exit task has produced it at least once.
 
-Four admission methods share this loop:
+Three admission methods share this loop:
 
+* :meth:`PipelineKernel.admit` admits one data set at a time (dataset-major):
+  the drive of the online runtime between fault events and of the offline
+  simulator, window by window;
 * :meth:`PipelineKernel.admit_batch` pushes the release events of a whole
   release list up front, replica-major (one ``heapify``) — the event order
-  of the original offline simulator, and what the online runtime's
-  flush-and-restart executor simulates each cold batch with;
-* :meth:`PipelineKernel.admit_stream_window` admits one window of the
-  uniform ``j·Δ`` stream with the sequence numbers a one-shot
-  :meth:`~PipelineKernel.admit_batch` of the whole stream would have drawn —
-  the offline simulator's drive, which the steady-state fast path snapshots
-  between windows;
-* :meth:`PipelineKernel.admit` admits one data set at a time (dataset-major),
-  which is what the online runtime does between fault events;
+  of the original offline simulator, kept as the reference the other drives
+  are tested against;
 * :meth:`PipelineKernel.admit_restored` replays a checkpoint (below).
 
-Every admission rejects a NaN, infinite or negative release instant or
-period with a :class:`~repro.exceptions.ScheduleError` naming the argument.
+Every admission rejects a NaN, infinite or negative release instant with
+a :class:`~repro.exceptions.ScheduleError` naming the argument.
 
 On top of plain execution the kernel supports the two online semantics the
 runtime needs:
@@ -94,8 +90,6 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from repro.exceptions import ScheduleError
 from repro.schedule.replica import Replica
@@ -178,7 +172,7 @@ class _ReplicaRun:
 
 
 def _check_instant(value, name: str) -> None:
-    """Reject a NaN, infinite or negative admission instant or period."""
+    """Reject a NaN, infinite or negative admission instant."""
     if not 0.0 <= value < math.inf:
         raise ScheduleError(f"{name} must be a finite number >= 0, got {value!r}")
 
@@ -186,12 +180,26 @@ def _check_instant(value, name: str) -> None:
 class PipelineKernel:
     """Discrete-event executor of one schedule under one (mutable) crash set."""
 
-    def __init__(self, schedule: Schedule, failed: Iterable[str] = (), probe=None):
+    def __init__(
+        self,
+        schedule: Schedule,
+        failed: Iterable[str] = (),
+        probe=None,
+        releases_first: bool = False,
+    ):
         """*failed* processors are down from the start; every exit task must
         keep a valid replica under them.  *probe* is an optional
         :class:`repro.obs.probe.Probe`: per-kind event counts are accumulated
         in a local list and flushed once per drain, so a ``None`` probe costs
-        a single pointer comparison per event."""
+        a single pointer comparison per event.
+
+        *releases_first* orders every :meth:`admit` release before all other
+        events at its instant, however late it was admitted: the order of a
+        stream whose releases all exist before the run starts (the offline
+        simulator's, and :meth:`admit_batch`'s), so that admitting it window
+        by window pops the same events, tie for tie, as admitting it whole.
+        Off (the online runtime, which decides admissions as it goes), a
+        release ties in push order like every other event."""
         if not schedule.is_complete():
             raise ScheduleError("cannot simulate an incomplete schedule")
         failed = frozenset(failed)
@@ -263,6 +271,9 @@ class PipelineKernel:
 
         self._dead: set[int] = set()  # processors crashed *after* construction
         self._queue = EventQueue()
+        #: sequence numbers of releases_first admissions: a lane below every
+        #: number the queue draws, so they win every same-instant tie
+        self._release_seq = -(2**62) if releases_first else None
         self._now = 0.0
         #: data-set index -> record, in admission order
         self._live: dict[int, list] = {}
@@ -324,7 +335,13 @@ class PipelineKernel:
         _check_instant(release, "release")
         rec = self._register(dataset, release)
         rec[_REFS] = 1
-        self._queue.push(release, _RELEASE_ALL, None, rec)
+        if self._release_seq is None:
+            self._queue.push(release, _RELEASE_ALL, None, rec)
+        else:
+            self._release_seq += 1
+            heapq.heappush(
+                self._queue.heap, (release, self._release_seq, _RELEASE_ALL, None, rec)
+            )
 
     def admit_batch(self, releases: Sequence[float]) -> None:
         """Admit data sets ``0, 1, ...`` released at *releases*, up front.
@@ -336,39 +353,22 @@ class PipelineKernel:
         """
         for k, release in enumerate(releases):
             _check_instant(release, f"releases[{k}]")
-        records = self._register_run(0, releases)
-        self._push_releases(records, releases, self._queue.next_seq(), len(records))
-
-    def admit_stream_window(
-        self, start: int, stop: int, period: float, stream_total: int
-    ) -> None:
-        """Admit data sets ``[start, stop)`` of the uniform ``j·period`` stream.
-
-        The windowed form of :meth:`admit_batch` on the *stream_total*
-        releases ``[j * period for j in range(stream_total)]``: release
-        events carry the **exact sequence numbers** the one-shot admission
-        would have assigned on a fresh kernel
-        (``1 + entry_index·stream_total + j``), and the queue counter is
-        floored at ``entry_replicas·stream_total`` so every event pushed by
-        the run loop sorts after every release.  A windowed drive —
-        ``admit_stream_window`` + ``run_until`` just *below* each window
-        boundary, repeated — therefore pops events in an order identical to
-        the one-shot admission, tie for tie, which is what lets the
-        steady-state fast path (:mod:`repro.sim.steady`) snapshot at window
-        boundaries without perturbing results.
-        """
-        if not 0 <= start < stop <= stream_total:
-            raise ScheduleError(
-                f"window [{start}, {stop}) outside stream of {stream_total}"
+        records = [self._register(j, t) for j, t in enumerate(releases)]
+        # entry replica e draws the sequence numbers seq + e·n + k for its
+        # k-th record, exactly what a push loop in that order would draw
+        entries = self._entry_states
+        queue = self._queue
+        seq, n = queue.next_seq(), len(records)
+        for rec in records:
+            rec[_REFS] = len(entries)
+        for e, state in enumerate(entries):
+            queue.heap.extend(
+                (t, seq + e * n + k, _RELEASE, state, rec)
+                for k, (t, rec) in enumerate(zip(releases, records))
             )
-        _check_instant(period, "period")
-        _check_instant((stop - 1) * period, "last index * period")
-        times = (np.arange(start, stop, dtype=np.float64) * period).tolist()
-        records = self._register_run(start, times)
-        self._push_releases(records, times, 1 + start, stream_total)
-        floor = len(self._entry_states) * stream_total
-        if self._queue.next_seq() <= floor:
-            self._queue.set_next_seq(floor + 1)
+        if entries and n:
+            queue.set_next_seq(seq + len(entries) * n)
+        heapq.heapify(queue.heap)
 
     def admit_restored(
         self, dataset: int, restore: float, done_tasks: Iterable[str] = ()
@@ -420,50 +420,6 @@ class PipelineKernel:
         rec[_RELEASED] = release
         self._live[dataset] = rec
         return rec
-
-    def _register_run(self, first: int, times: Sequence[float]) -> list[list]:
-        """Fresh records of data sets ``first, first + 1, ...`` released at
-        *times* (the batch admissions' bulk form of :meth:`_register`)."""
-        live = self._live
-        if first <= self._max_evicted:
-            raise ScheduleError(f"data set {first} was already admitted")
-        if live:
-            for j in range(first, first + len(times)):
-                if j in live:
-                    raise ScheduleError(f"data set {j} was already admitted")
-        template = self._template
-        records = []
-        for j, t in enumerate(times, start=first):
-            rec = template.copy()
-            rec[_INDEX] = j
-            rec[_RELEASED] = t
-            live[j] = rec
-            records.append(rec)
-        return records
-
-    def _push_releases(
-        self, records: list, times: Sequence[float], seq: int, stride: int
-    ) -> None:
-        """Push one release event per (entry replica, record), replica-major.
-
-        Entry replica ``e`` draws the sequence numbers ``seq + e·stride + k``
-        for its *k*-th record; the counter moves past every number drawn.
-        """
-        entries = self._entry_states
-        for rec in records:
-            rec[_REFS] += len(entries)
-        queue = self._queue
-        heap = queue.heap
-        for e, state in enumerate(entries):
-            base = seq + e * stride
-            heap.extend(
-                (t, base + k, _RELEASE, state, rec)
-                for k, (t, rec) in enumerate(zip(times, records))
-            )
-        end = seq + (len(entries) - 1) * stride + len(records)
-        if end > queue.next_seq():
-            queue.set_next_seq(end)
-        heapq.heapify(heap)
 
     def _retire(self, dataset: int) -> None:
         """Evict the record of a completed, quiescent data set (watermark)."""

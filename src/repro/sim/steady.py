@@ -217,8 +217,11 @@ def restore(kernel, snapshot, t_new: float, j_new: int, skipped: int) -> None:
     captured ``(time, seq)`` order under fresh consecutive sequence numbers
     drawn *above* the queue's counter: pending events must pop before any
     event pushed afterwards at the same instant, which is exactly the
-    relative order the full simulation would have produced.  *skipped* data
-    sets completed inside the jump and are accounted as evicted.
+    relative order the full simulation would have produced.  Releases a
+    ``releases_first`` kernel admits after the jump still come from its
+    lower lane and pop first at their instant, as in the full simulation (a
+    uniform stream never releases two data sets at one instant).  *skipped*
+    data sets completed inside the jump and are accounted as evicted.
     """
     records, frees, events, _dead = snapshot
     slots = kernel._time_slots

@@ -177,7 +177,7 @@ def test_detector_locks_and_jump_matches_full_simulation():
     period = _EPS1.period
 
     def drive(fast):
-        kernel = PipelineKernel(_EPS1)
+        kernel = PipelineKernel(_EPS1, releases_first=True)
         grid_exp = steady.certified_grid(kernel, period, n * period)
         assert grid_exp is not None
         detector = steady.SteadyStateDetector(kernel, grid_exp, period, window)
@@ -186,7 +186,8 @@ def test_detector_locks_and_jump_matches_full_simulation():
         j = 0
         while j < n:
             stop = min(j + window, n)
-            kernel.admit_stream_window(j, stop, period, n)
+            for k in range(j, stop):
+                kernel.admit(k, k * period)
             j = stop
             if j >= n:
                 break
@@ -214,11 +215,12 @@ def test_detector_locks_and_jump_matches_full_simulation():
 
 
 def test_dirty_boundary_resets_the_detector():
-    kernel = PipelineKernel(_EPS1)
+    kernel = PipelineKernel(_EPS1, releases_first=True)
     grid_exp = steady.certified_grid(kernel, _EPS1.period, 10_000 * _EPS1.period)
     detector = steady.SteadyStateDetector(kernel, grid_exp, _EPS1.period, 4)
-    n, period = 64, _EPS1.period
-    kernel.admit_stream_window(0, 8, period, n)
+    period = _EPS1.period
+    for k in range(8):
+        kernel.admit(k, k * period)
     kernel.run_until(math.nextafter(4 * period, -math.inf))
     assert detector.observe(4 * period, 4, clean=False) is False
     assert detector._prev is None and detector.lock is None

@@ -3,8 +3,9 @@
 Eviction is pure book-keeping: under arbitrary fault injections every
 admitted data set is either drained exactly once or still pending, and every
 admitted data set holds a live record or has been evicted.  The windowed
-admission the offline simulator drives is an event-for-event re-expression
-of one-shot ``admit_batch`` on the same release list.  The memory regression
+per-data-set admission the offline simulator drives (on a ``releases_first``
+kernel) is an event-for-event re-expression of one-shot ``admit_batch`` on
+the same release list.  The memory regression
 test then pins down what the eviction buys: peak kernel memory bounded by
 the pipeline depth, not the stream length.
 """
@@ -18,6 +19,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.ltf import ltf_schedule
+from repro.failures.simulator import StreamingSimulator
 from repro.graph.examples import figure2_graph
 from repro.graph.generator import fork_join_graph
 from repro.platform.builders import figure2_platform, homogeneous_platform
@@ -33,7 +35,8 @@ _EPS1 = ltf_schedule(
 
 # A fork-join whose transfers land on an entry replica's processor exactly at
 # a release instant: the windowed drive only matches the one-shot admission
-# on it because the window's releases keep their one-shot sequence numbers.
+# on it because a releases_first kernel orders each release before every
+# same-instant event pushed before it was admitted.
 _FORK_JOIN = ltf_schedule(
     fork_join_graph(3, work=8.0, volume=4.0), homogeneous_platform(6),
     throughput=0.04, epsilon=1,
@@ -106,7 +109,8 @@ def _windowed_drive(kernel, num_datasets: int, window: int, crash):
     j = 0
     while j < num_datasets:
         stop = min(j + window, num_datasets)
-        kernel.admit_stream_window(j, stop, period, num_datasets)
+        for k in range(j, stop):
+            kernel.admit(k, k * period)
         j = stop
         drained += kernel.run_until(math.nextafter(j * period, -math.inf))
         if crash is not None and crash[0] == j:
@@ -132,7 +136,7 @@ def _batch_drive(kernel, num_datasets: int, crash):
     window=st.integers(min_value=1, max_value=70),
 )
 def test_windowed_admission_matches_batch(data, num_datasets, window):
-    """admit_stream_window + run_until below each boundary ≡ admit_batch,
+    """Per-data-set admit by window + run_until below each boundary ≡ admit_batch,
     drain for drain, under a start-up crash set and a crash at a window
     boundary."""
     schedule = data.draw(st.sampled_from([_EPS1, _FORK_JOIN]))
@@ -144,7 +148,7 @@ def test_windowed_admission_matches_batch(data, num_datasets, window):
     crash = None
     if boundaries and data.draw(st.booleans()):
         crash = (data.draw(st.sampled_from(boundaries)), data.draw(st.sampled_from(used)))
-    windowed = PipelineKernel(schedule, failed)
+    windowed = PipelineKernel(schedule, failed, releases_first=True)
     batch = PipelineKernel(schedule, failed)
     assert _windowed_drive(windowed, num_datasets, window, crash) == _batch_drive(
         batch, num_datasets, crash
@@ -214,3 +218,15 @@ def test_evicted_index_cannot_be_readmitted():
     kernel.admit(1, _EPS1.period)  # fresh indices above the watermark are fine
     kernel.run_to_completion()
     assert kernel.evicted_datasets == 2
+
+
+def test_offline_simulator_matches_batch_on_release_ties():
+    """On the fork-join, transfers tie with releases: the simulator's
+    windowed drive must still reproduce the one-shot admission exactly."""
+    n = 600  # more than two simulator windows
+    period = _FORK_JOIN.period
+    kernel = PipelineKernel(_FORK_JOIN)
+    kernel.admit_batch([j * period for j in range(n)])
+    done = dict(kernel.run_to_completion())
+    result = StreamingSimulator(_FORK_JOIN).run(n)
+    assert result.completion_times == tuple(done[j] for j in range(n))

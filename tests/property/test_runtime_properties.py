@@ -10,10 +10,8 @@ Invariants promised by the design:
   replication absorbs every failure: no rebuild happens and no data set is
   ever lost — with *either* admission policy (``queue`` with an unbounded
   buffer loses nothing that shed would have kept);
-* with **checkpointing disabled** the engine reproduces the historical
-  flush-and-restart traces exactly: each batch of releases between two state
-  changes is simulated from a cold pipeline (checked against a direct
-  cold-kernel ``admit_batch`` oracle).
+* processors **down from the start** (the fault trace's ``initially_down``)
+  execute nothing: the run is the offline simulator's under that crash set.
 """
 
 from __future__ import annotations
@@ -138,55 +136,19 @@ def test_queue_admission_unbounded_loses_nothing_within_epsilon(data, num_datase
     assert trace.admission == "queue"
 
 
-# ------------------------------------- checkpoint off ≡ flush-and-restart trace
-def _flush_and_restart_oracle(schedule, victim: str, crash_time: float, num_datasets: int):
-    """Reference flush-and-restart records for one tolerated crash.
-
-    The historical engine cuts the stream at the crash: data sets released
-    strictly before it are simulated from a cold pipeline under no failures;
-    data sets released after it are simulated from a *new* cold pipeline under
-    the crash set, with releases measured from the crash instant.  Every data
-    set is admitted (one crash within ε never sheds), so the oracle is a pair
-    of cold-kernel ``admit_batch`` runs.
-    """
-    period = schedule.period
-    tol = 1e-9 * period
-    releases = [j * period for j in range(num_datasets)]
-    before = [j for j in range(num_datasets) if releases[j] < crash_time - tol]
-    after = [j for j in range(num_datasets) if j not in before]
-    completions: dict[int, float] = {}
-    if before:
-        kernel = PipelineKernel(schedule)
-        kernel.admit_batch([releases[j] for j in before])
-        done = dict(kernel.run_to_completion())
-        for k, j in enumerate(before):
-            completions[j] = done[k]
-    if after:
-        kernel = PipelineKernel(schedule, frozenset([victim]))
-        kernel.admit_batch([max(0.0, releases[j] - crash_time) for j in after])
-        done = dict(kernel.run_to_completion())
-        for k, j in enumerate(after):
-            completions[j] = crash_time + done[k]
-    return completions
-
-
+# ------------------------------------ processors down from the start ≡ crash set
 @SLOW
-@given(data=st.data(), num_datasets=st.integers(min_value=4, max_value=20))
-def test_checkpoint_disabled_equals_flush_and_restart_trace(data, num_datasets):
-    used = sorted(_EPS1.used_processors())
-    victim = data.draw(st.sampled_from(used))
-    when = data.draw(
-        st.floats(min_value=0.25, max_value=float(num_datasets) - 0.25)
+@given(data=st.data(), num_datasets=st.integers(min_value=1, max_value=40))
+def test_initially_down_matches_offline_simulator(data, num_datasets):
+    """Scheduled processors listed in ``initially_down`` execute nothing: the
+    run is the offline simulator's under that crash set."""
+    schedule = data.draw(st.sampled_from([_EPS1, _EPS2]))
+    down = data.draw(
+        st.sets(st.sampled_from(sorted(schedule.used_processors())), max_size=schedule.epsilon)
     )
-    crash_time = when * _EPS1.period
-    events = (FaultEvent(crash_time, victim, "crash"),)
-    trace = OnlineRuntime(
-        _EPS1,
-        FaultTrace(events, horizon=num_datasets * _EPS1.period),
-        checkpoint=False,
-    ).run(num_datasets)
-    oracle = _flush_and_restart_oracle(_EPS1, victim, crash_time, num_datasets)
-    assert trace.completed_count == num_datasets
-    for record in trace.records:
-        assert record.completed
-        assert record.completion == oracle[record.index]
+    faults = FaultTrace((), horizon=num_datasets * schedule.period, initially_down=down)
+    trace = OnlineRuntime(schedule, faults).run(num_datasets)
+    sim = StreamingSimulator(schedule, down).run(num_datasets)
+    assert tuple(r.completion for r in trace.records) == sim.completion_times
+    assert trace.num_rebuilds == 0
+    assert not down & set(trace.final_alive)

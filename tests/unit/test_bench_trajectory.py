@@ -99,3 +99,40 @@ def test_steady_kernel_row_seeds_on_a_new_tag_or_mode(tmp_path):
         _report(kernel={"other-steady": 1.0}),
     )
     assert codes == [0, 0, 0]
+
+
+@pytest.mark.parametrize("bad", ["5", "1", "1.0", "-0.1", "nan", "inf"])
+def test_max_regression_outside_unit_interval_exits_2(tmp_path, bad, capsys):
+    """A band of 1 or more passes any drop (at 5 the floor is negative) and
+    NaN fails every gate: both are rejected before anything is recorded."""
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(_report()))
+    trajectory = tmp_path / "trajectory.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_trajectory.main(
+            [str(report), str(trajectory), "--max-regression", bad]
+        )
+    assert exit_info.value.code == 2
+    assert "--max-regression" in capsys.readouterr().err
+    assert not trajectory.exists()
+
+
+@pytest.mark.parametrize("band, code", [("0", 1), ("0.5", 0), ("0.99", 0)])
+def test_max_regression_inside_unit_interval_gates(tmp_path, band, code):
+    trajectory = tmp_path / "trajectory.json"
+    codes = []
+    for i, headline in enumerate((1000.0, 600.0)):
+        report = tmp_path / f"report{i}.json"
+        report.write_text(json.dumps(_report(headline)))
+        codes.append(
+            bench_trajectory.main(
+                [str(report), str(trajectory), "--max-regression", band]
+            )
+        )
+    assert codes == [0, code]
+
+
+def test_points_carry_no_retired_ratios(tmp_path):
+    _, points = _run(tmp_path, _report())
+    assert "incremental_speedup_multisegment" not in points[-1]
+    assert "sweep_transport_reduction" not in points[-1]

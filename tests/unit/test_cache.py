@@ -73,7 +73,7 @@ class TestKeys:
             ("faults.distribution", "weibull"),
             ("runtime.num_datasets", 16),
             ("runtime.policy", "remap"),
-            ("runtime.checkpoint", False),
+            ("runtime.rebuild_on_repair", True),
         ],
     )
     def test_editing_any_spec_field_changes_the_key(self, path, value):

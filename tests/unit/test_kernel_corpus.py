@@ -14,20 +14,26 @@ runtime — and records what the run produced:
 * ``live_peak`` / ``evicted`` — the kernel occupancy gauges, sampled at the
   drains; ``peak`` — the kernels' own high-water mark of live data sets.
 
-The covered ground: ``admit_batch``, ``admit_stream_window`` and
-one-at-a-time ``admit`` under the eviction watermark, mid-run crashes,
-checkpoint restore through ``admit_restored``; the online
-runtime with shed and queue admission, ``checkpoint`` on and off and
-``rebuild_on_repair``; correlated, elastic-spare and trace-replay fault
-worlds; and a dyadic workload whose quiet stretches are fast-forwarded.
+The covered ground: ``admit_batch`` and one-at-a-time ``admit`` (as the
+online runtime drives it, and window by window with ``releases_first`` as
+the offline simulator drives it) under the eviction watermark, mid-run
+crashes, checkpoint restore through ``admit_restored``; the online runtime
+with shed and queue admission and ``rebuild_on_repair``; correlated,
+elastic-spare and trace-replay fault worlds; and a dyadic workload whose
+quiet stretches are fast-forwarded.
 
 The goldens in ``tests/golden/kernel_trace_fingerprints.json`` were generated
 on the kernel *before* its per-dataset record layout, so they pin that
 rewrite as behaviour-preserving; they also outlived the kernel's retaining
 memory model and the simulator's one-shot batch drive (the
 ``kernel/*/vectorized`` cases and the simulator's ``E`` entries were recorded
-through admission methods that have since been folded into ``admit_batch``).  Regenerate them only for an intended change
-of kernel behaviour::
+through admission methods that have since been folded into
+``admit_batch``).  The ``kernel/*/window`` cases were recorded through a
+windowed batch admission since replaced by per-data-set ``admit`` on a
+``releases_first`` kernel: their outputs and gauges are the frozen ones, only
+their ``events`` counts moved (one merged ``release-all`` per data set
+instead of one ``release`` per entry replica).  Regenerate them only for an
+intended change of kernel behaviour::
 
     PYTHONPATH=src python tests/unit/test_kernel_corpus.py --write
 """
@@ -158,16 +164,18 @@ def _vectorized(schedule) -> dict:
 
 
 def _window(schedule) -> dict:
-    """admit_stream_window drive, run just below each window boundary; a
-    crash inside the second window."""
+    """The offline simulator's drive: admit one window of the uniform stream
+    per data set (releases first), run just below the next window's first
+    release; a crash inside the second window."""
     rec = _Record()
     period = schedule.period
     window = 64
-    kernel = PipelineKernel(schedule, probe=rec.probe)
+    kernel = PipelineKernel(schedule, probe=rec.probe, releases_first=True)
     j = 0
     while j < N:
         stop = min(j + window, N)
-        kernel.admit_stream_window(j, stop, period, N)
+        for k in range(j, stop):
+            kernel.admit(k, k * period)
         j = stop
         rec.drained(kernel.run_until(math.nextafter(j * period, -math.inf)))
         rec.gauges(kernel)
@@ -259,9 +267,7 @@ def _spec(**sections) -> dict:
 
 ONLINE_CASES = {
     "shed-ckpt": _spec(),
-    "shed-flush": _spec(runtime={"checkpoint": False}),
     "queue-ckpt": _spec(runtime={"admission": "queue", "queue_capacity": 16}),
-    "queue-flush": _spec(runtime={"admission": "queue", "checkpoint": False}),
     "rebuild-on-repair": _spec(runtime={"rebuild_on_repair": True}),
     "failstop-eps2": _spec(
         scheduler={"epsilon": 2}, faults={"mttf_periods": 60.0, "mttr_periods": None}

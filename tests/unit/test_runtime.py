@@ -8,9 +8,11 @@ from repro.cli import main
 from repro.core.ltf import ltf_schedule
 from repro.core.rltf import rltf_schedule
 from repro.exceptions import ScheduleError, SchedulingError
+from repro.experiments.config import ExperimentConfig, workload_period
 from repro.failures.scenarios import FaultEvent, FaultTrace, sample_fault_trace
-from repro.failures.simulator import simulate_stream
+from repro.failures.simulator import StreamingSimulator, simulate_stream
 from repro.graph.examples import figure2_graph
+from repro.graph.generator import random_paper_workload
 from repro.platform.builders import figure2_platform
 from repro.runtime.admission import (
     ADMISSION_POLICIES,
@@ -18,7 +20,7 @@ from repro.runtime.admission import (
     ShedAdmissionPolicy,
     resolve_admission,
 )
-from repro.runtime.engine import OnlineRuntime, run_online
+from repro.runtime.engine import OnlineRuntime
 from repro.runtime.montecarlo import run_trial
 from repro.scenario import ScenarioSpec
 from repro.runtime.policies import (
@@ -242,11 +244,10 @@ class TestAdmissionPolicies:
         lost_in_shed = [r.index for r in shed.records if r.status == "lost-downtime"]
         assert all(queued.records[j].completed for j in lost_in_shed)
 
-    def test_queue_backlog_survives_later_crashes_in_flush_mode(self, replicated):
+    def test_queue_backlog_survives_later_crashes(self, replicated):
         """Regression: drained backlog entries wait for future slots; a later
-        coverage-destroying crash must not make the flush executor simulate
-        them under the new crash set (the kernel would refuse) — their fate
-        was sealed at admission."""
+        coverage-destroying crash must still leave every data set with a
+        recorded fate."""
         period = replicated.period
         used = replicated.used_processors()
         events = (
@@ -255,17 +256,15 @@ class TestAdmissionPolicies:
             FaultEvent(19.5 * period, used[2], "crash"),
         )
         faults = FaultTrace(events, horizon=60 * period)
-        for checkpoint in (False, True):
-            trace = OnlineRuntime(
-                replicated,
-                faults,
-                rebuild_overhead=4.0,
-                admission=QueueAdmissionPolicy(capacity=None),
-                checkpoint=checkpoint,
-            ).run(60)
-            assert trace.num_datasets == 60
-            assert trace.num_rebuilds >= 1
-            assert all(r is not None for r in trace.records)
+        trace = OnlineRuntime(
+            replicated,
+            faults,
+            rebuild_overhead=4.0,
+            admission=QueueAdmissionPolicy(capacity=None),
+        ).run(60)
+        assert trace.num_datasets == 60
+        assert trace.num_rebuilds >= 1
+        assert all(r is not None for r in trace.records)
 
     def test_bounded_queue_overflows_to_lost_overflow(self, replicated):
         p1, p2 = replicated.used_processors()[:2]
@@ -420,6 +419,24 @@ class TestOnlineRuntime:
         assert not trace.events_of_kind("repair-rebuild")
         assert trace.completed_count == 20
 
+    def test_initially_down_processors_execute_nothing(self):
+        """A scheduled processor listed in ``initially_down`` is down from the
+        start: the run equals the offline simulator under that crash set,
+        on victims whose absence really moves completions."""
+        workload = random_paper_workload(0.5, seed=0, num_tasks=20, num_processors=8)
+        period = workload_period(workload, 1, ExperimentConfig(period_slack=1.5))
+        schedule = rltf_schedule(workload.graph, workload.platform, period=period, epsilon=1)
+        n = 60
+        fault_free = StreamingSimulator(schedule).run(n).completion_times
+        for victim in sorted(schedule.used_processors())[:3]:
+            offline = StreamingSimulator(schedule, {victim}).run(n).completion_times
+            assert offline != fault_free
+            faults = FaultTrace((), horizon=n * period, initially_down={victim})
+            trace = OnlineRuntime(schedule, faults).run(n)
+            assert tuple(r.completion for r in trace.records) == offline
+            assert victim not in trace.final_alive
+            assert trace.events == ()
+
     def test_checkpoint_replays_in_flight_datasets_across_a_rebuild(self, replicated):
         p1, p2 = replicated.used_processors()[:2]
         period = replicated.period
@@ -430,24 +447,14 @@ class TestOnlineRuntime:
             ),
             horizon=40 * period,
         )
-        ckpt = OnlineRuntime(replicated, faults, rebuild_overhead=2.0, checkpoint=True).run(40)
-        flush = OnlineRuntime(replicated, faults, rebuild_overhead=2.0, checkpoint=False).run(40)
-        assert ckpt.checkpoint and not flush.checkpoint
-        # both modes lose the same data sets to downtime (admission is shared)
-        assert ckpt.lost_by_reason() == flush.lost_by_reason()
-        assert ckpt.num_rebuilds == flush.num_rebuilds == 1
-        # in-flight data sets at the crash survive the rebuild in both
-        # accountings, but the incremental engine really interleaves: the
-        # first data sets released after the tolerated crash keep their
-        # pipeline position instead of restarting a cold pipeline
-        assert ckpt.completed_count == flush.completed_count
-
-    def test_checkpoint_mode_zero_faults_equals_flush_mode(self, replicated):
-        empty = empty_trace(replicated, 15)
-        a = OnlineRuntime(replicated, empty, checkpoint=True).run(15)
-        b = OnlineRuntime(replicated, empty, checkpoint=False).run(15)
-        assert a.latencies == b.latencies
-        assert a.records[:15] == b.records[:15]
+        ckpt = OnlineRuntime(replicated, faults, rebuild_overhead=2.0).run(40)
+        assert ckpt.checkpoint
+        assert ckpt.num_rebuilds == 1
+        # only the two data sets released during the 2-period downtime are
+        # lost; everything in flight at the rebuilding crash is replayed
+        assert ckpt.lost_by_reason() == {"lost-downtime": 2}
+        assert [r.index for r in ckpt.records if not r.completed] == [13, 14]
+        assert ckpt.completed_count == 38
 
     def test_remap_policy_runs_online(self, replicated):
         p1, p2 = replicated.used_processors()[:2]
@@ -472,10 +479,6 @@ class TestOnlineRuntime:
         b = OnlineRuntime(replicated, faults).run(30)
         assert a == b
 
-    def test_run_online_wrapper(self, replicated):
-        trace = run_online(replicated, empty_trace(replicated, 5), num_datasets=5)
-        assert trace.completed_count == 5
-
     def test_invalid_dataset_count(self, replicated):
         runtime = OnlineRuntime(replicated, empty_trace(replicated, 5))
         for bad in (0, -1, True, 2.5, math.nan):
@@ -483,8 +486,15 @@ class TestOnlineRuntime:
                 runtime.run(bad)
 
     def test_validation(self, replicated, fig2, fig2_platform):
-        with pytest.raises(ValueError):
-            OnlineRuntime(replicated, empty_trace(replicated, 5), rebuild_overhead=-1.0)
+        empty = empty_trace(replicated, 5)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="rebuild_overhead"):
+                OnlineRuntime(replicated, empty, rebuild_overhead=bad)
+        with pytest.raises(TypeError, match="rebuild_overhead"):
+            OnlineRuntime(replicated, empty, rebuild_overhead=True)
+        for bad in (False, 1, None):
+            with pytest.raises(ValueError, match="checkpoint"):
+                OnlineRuntime(replicated, empty, checkpoint=bad)
         with pytest.raises(ValueError):
             OnlineRuntime(replicated, empty_trace(replicated, 5)).run(0)
         incomplete = Schedule(fig2, fig2_platform, period=20.0, epsilon=1)
@@ -612,12 +622,8 @@ class TestGoldenSeedResults:
 
 
 class TestAdmissionWindowInvariance:
-    """The control-loop admission window is a transport knob, never semantics:
-    checkpoint=True traces are identical for any window size, and
-    checkpoint=False (flush-and-restart, whose batches must never be split at
-    a window boundary) bypasses the window entirely — its traces stay
-    bit-identical to the historical unwindowed engine.
-    """
+    """The control-loop admission window is a transport knob, never
+    semantics: traces are identical for any window size."""
 
     @staticmethod
     def _crashy_case():
@@ -630,35 +636,14 @@ class TestAdmissionWindowInvariance:
         events = (FaultEvent(2.5 * schedule.period, victim, "crash"),)
         return schedule, FaultTrace(events, horizon=n * schedule.period), n
 
-    @pytest.mark.parametrize("checkpoint", [True, False])
-    def test_window_size_never_changes_traces(self, checkpoint, monkeypatch):
+    def test_window_size_never_changes_traces(self, monkeypatch):
         import repro.runtime.engine as engine_mod
 
         schedule, faults, n = self._crashy_case()
-        run = lambda: OnlineRuntime(
-            schedule, faults, checkpoint=checkpoint, rebuild_beyond_epsilon=False
-        ).run(n)
+        run = lambda: OnlineRuntime(schedule, faults, rebuild_beyond_epsilon=False).run(n)
         reference = run()
         monkeypatch.setattr(engine_mod, "_ADMIT_WINDOW", 10)
         tiny = run()
         monkeypatch.setattr(engine_mod, "_ADMIT_WINDOW", 10**9)
         unwindowed = run()
         assert tiny == reference == unwindowed
-
-    def test_flush_mode_golden(self):
-        """Fingerprint verified equal to the pre-fast-path engine (HEAD of
-        PR 4) on this exact scenario — the flush executor's batch-sealing
-        semantics must keep reproducing the historical traces."""
-        import hashlib
-
-        schedule, faults, n = self._crashy_case()
-        trace = OnlineRuntime(
-            schedule, faults, checkpoint=False, rebuild_beyond_epsilon=False
-        ).run(n)
-        blob = repr(
-            (trace.records, trace.events, trace.downtime, trace.num_rebuilds)
-        )
-        assert (
-            hashlib.sha256(blob.encode()).hexdigest()
-            == "101d259acd1803e36880e2827d6d31ece72e7420ed220e9a2be076d4e0969dac"
-        )

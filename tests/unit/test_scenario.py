@@ -115,7 +115,7 @@ _runtimes = st.builds(
     policy=st.sampled_from(RESCHEDULE_POLICIES.names),
     admission=st.sampled_from(ADMISSION_POLICIES.names),
     queue_capacity=st.one_of(st.none(), st.integers(1, 256)),
-    checkpoint=st.booleans(),
+    checkpoint=st.just(True),
     rebuild_on_repair=st.booleans(),
     rebuild_overhead=st.floats(0.0, 10.0),
 )
@@ -222,6 +222,22 @@ class TestValidation:
         path.write_text('{"runtime": {"num_datasets": true}}')
         assert main(["run", str(path)]) == 2
         assert "runtime.num_datasets" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [False, 1, None, "true"])
+    def test_checkpoint_accepts_only_true(self, bad):
+        """Checkpoint/restart is the one execution mode: anything but
+        ``true`` is rejected, naming the field."""
+        with pytest.raises(SpecificationError, match="runtime.checkpoint"):
+            ScenarioSpec.from_dict({"runtime": {"checkpoint": bad}})
+        assert ScenarioSpec.from_dict({"runtime": {"checkpoint": True}}) == ScenarioSpec()
+
+    def test_checkpoint_false_exits_2_on_the_cli(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "flush.json"
+        path.write_text('{"runtime": {"checkpoint": false}}')
+        assert main(["run", str(path)]) == 2
+        assert "runtime.checkpoint" in capsys.readouterr().err
 
     def test_paper_generator_rejects_foreign_platform(self):
         with pytest.raises(SpecificationError, match="paper platform"):

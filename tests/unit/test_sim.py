@@ -206,16 +206,15 @@ class TestCheckpointRestore:
         assert kernel.completed_tasks(0) == frozenset()  # evicted
 
 
-#: release instants and periods every admission method must refuse
+#: release instants every admission method must refuse
 BAD_INSTANTS = [math.nan, math.inf, -math.inf, -1.0]
 
 
 class TestAdmissionRejectsBadInstants:
-    """A NaN, infinite or negative release or period is a ScheduleError that
-    names the argument, raised before anything is registered.  Unchecked, a
-    NaN release "completed" at an arbitrary instant, a NaN period completed
-    data sets out of order and an infinite one returned infinite
-    completions."""
+    """A NaN, infinite or negative release is a ScheduleError that names the
+    argument, raised before anything is registered.  Unchecked, a NaN
+    release "completed" at an arbitrary instant, and a stream whose
+    ``j·period`` overflowed returned infinite completions."""
 
     @staticmethod
     def _rejects(kernel, match, admit):
@@ -237,27 +236,18 @@ class TestAdmissionRejectsBadInstants:
         )
 
     @pytest.mark.parametrize("bad", BAD_INSTANTS)
-    def test_admit_stream_window(self, strict, bad):
-        kernel = PipelineKernel(strict)
-        self._rejects(
-            kernel, "period", lambda: kernel.admit_stream_window(0, 4, bad, 8)
-        )
-
-    @pytest.mark.parametrize("bad", BAD_INSTANTS)
     def test_admit_restored(self, strict, bad):
         kernel = PipelineKernel(strict)
         self._rejects(kernel, "restore", lambda: kernel.admit_restored(0, bad, ()))
 
-    def test_finite_period_overflowing_to_infinity(self, strict):
-        kernel = PipelineKernel(strict)
-        self._rejects(
-            kernel, "period", lambda: kernel.admit_stream_window(0, 4, 1e308, 8)
-        )
+    @pytest.mark.parametrize("releases_first", [False, True])
+    def test_finite_period_overflowing_to_infinity(self, strict, releases_first):
+        kernel = PipelineKernel(strict, releases_first=releases_first)
+        self._rejects(kernel, "release", lambda: kernel.admit(3, 3 * 1e308))
 
-    def test_zero_release_and_period_are_valid(self, strict):
-        kernel = PipelineKernel(strict)
+    @pytest.mark.parametrize("releases_first", [False, True])
+    def test_zero_release_and_period_are_valid(self, strict, releases_first):
+        kernel = PipelineKernel(strict, releases_first=releases_first)
         kernel.admit(0, 0.0)
-        assert [j for j, _ in kernel.run_to_completion()] == [0]
-        windowed = PipelineKernel(strict)
-        windowed.admit_stream_window(0, 2, 0.0, 2)
-        assert sorted(j for j, _ in windowed.run_to_completion()) == [0, 1]
+        kernel.admit(1, 0.0)  # a zero period: every release at instant 0
+        assert sorted(j for j, _ in kernel.run_to_completion()) == [0, 1]
