@@ -13,16 +13,14 @@ rows:
 
   * ``long_stream_datasets_per_sec`` — sustained throughput on a long
     (10⁵ data sets at full scale) zero-fault *quiet* stream: a feasible
-    integer-duration schedule where the steady-state fast forward
-    (``repro.sim.steady``) engages.  The number CI's trajectory gate
-    watches for regressions (see ``benchmarks/bench_trajectory.py``;
-    the point carries a workload tag so the gate never compares across
-    workload redefinitions);
-  * ``fast_forward_speedup`` — the same quiet stream with the fast
-    forward on vs off (the off arm is the per-event baseline);
+    schedule whose admission keeps up with completion, run event by event
+    through the online runtime.  The number CI's trajectory gate watches
+    for regressions (see ``benchmarks/bench_trajectory.py``; the point
+    carries a workload tag so the gate never compares across workload
+    redefinitions);
   * ``long_stream_saturated_datasets_per_sec`` — the historical saturated
-    random-workload stream, which fails the fast-forward certificate and
-    therefore still measures the raw event loop;
+    random-workload stream, whose admission rate exceeds the achievable
+    period;
   * ``obs_overhead`` — the saturated stream with and without a
     ``repro.obs.MetricsProbe`` attached, measured interleaved (A/B/A/B)
     so runner noise cannot invert the sign: the instrumentation must be
@@ -89,16 +87,17 @@ def _time_interleaved(fn_a, fn_b, repeat: int = 3) -> tuple[float, float]:
 
 #: workload tag recorded with the headline metric — bench_trajectory.py only
 #: gates against points with the same tag, so redefining the headline
-#: workload seeds a fresh baseline instead of faking a 100x "improvement".
-QUIET_WORKLOAD = "figure2-quiet-eps1"
+#: workload seeds a fresh baseline instead of faking a 100x "improvement"
+#: (or, here, an order-of-magnitude "regression": the ``figure2-quiet-eps1``
+#: points timed a closed-form skip of the same stream).
+QUIET_WORKLOAD = "figure2-quiet-eps1-events"
 
 
 def _quiet_stream_case():
     """The headline workload: a *feasible* integer-duration schedule (the
     paper's Figure 2 pipeline, LTF, ε=1) streamed fault-free.  Admission
-    keeps up with completion, so a steady state exists and the analytic
-    fast forward engages under its exactness certificate — this is the
-    workload class the steady-state work is *for*."""
+    keeps up with completion, so the stream is steady and every data set
+    costs the same kernel events."""
     from repro.core.ltf import ltf_schedule
     from repro.graph.examples import figure2_graph
     from repro.platform.builders import figure2_platform
@@ -111,10 +110,9 @@ def _quiet_stream_case():
 
 def _long_stream_case():
     """The saturated secondary workload: the 30-task ε=2 random schedule of
-    the kernel-perf work.  Its full-mantissa durations fail the fast-forward
-    certificate and its admission rate exceeds the achievable period, so it
-    exercises the raw event loop — per-event kernel throughput, and the
-    probe overhead contract."""
+    the kernel-perf work.  Its admission rate exceeds the achievable period,
+    so the kernel's backlog grows with the stream — per-event kernel
+    throughput under load, and the probe overhead contract."""
     workload = random_paper_workload(1.0, seed=11, num_tasks=30, num_processors=10)
     period = workload_period(workload, 2, ExperimentConfig())
     return rltf_schedule(workload.graph, workload.platform, period=period, epsilon=2)
@@ -210,74 +208,23 @@ def _kernel_steady(num_datasets: int, repeat: int) -> dict[str, dict]:
 
 
 # --------------------------------------------------------------- script mode
-def run_ff_smoke(num_datasets: int = 10_000) -> int:
-    """CI gate of the steady-state fast forward: correctness, then speed.
-
-    Runs a quiet certified stream with the fast path on and off, diffs the
-    trace fingerprints (they must be **bit-identical** — any divergence is a
-    correctness bug, not a perf concern) and then requires the fast path to
-    actually be faster.  Returns a process exit code.
-    """
-    import hashlib
-
-    schedule = _quiet_stream_case()
-    trace = FaultTrace((), horizon=num_datasets * schedule.period)
-
-    def fingerprint(runtime_trace) -> str:
-        blob = repr(
-            (
-                runtime_trace.records,
-                runtime_trace.events,
-                runtime_trace.downtime,
-                runtime_trace.num_rebuilds,
-            )
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    start = time.perf_counter()
-    on = OnlineRuntime(schedule, trace).run(num_datasets)
-    on_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    off = OnlineRuntime(schedule, trace, fast_forward=False).run(num_datasets)
-    off_seconds = time.perf_counter() - start
-
-    on_print, off_print = fingerprint(on), fingerprint(off)
-    print(f"fast-forward smoke: {num_datasets:,} quiet data sets")
-    print(f"  fast forward on:  {on_seconds:.3f}s  fingerprint {on_print[:16]}")
-    print(f"  fast forward off: {off_seconds:.3f}s  fingerprint {off_print[:16]}")
-    if on != off or on_print != off_print:
-        print("::error::fast-forward traces diverge from the full simulation")
-        return 1
-    if on_seconds >= off_seconds:
-        print("::error::fast forward is not faster than the full simulation")
-        return 1
-    print(f"  OK: bit-identical, {off_seconds / on_seconds:.1f}x faster")
-    return 0
-
-
 def run_report(smoke: bool = False) -> dict:
     """Time the benchmark workloads and return the JSON-ready report."""
-    # --- headline: quiet certified stream through the steady-state fast path
+    # --- headline: quiet stream, every data set through the event loop
     quiet_n = 20_000 if smoke else 100_000
     quiet_schedule = _quiet_stream_case()
     quiet_empty = FaultTrace((), horizon=quiet_n * quiet_schedule.period)
     # min of 2 timed passes: this is the metric CI's trajectory gate hard-fails
     # on, so one co-tenant hiccup on a shared runner must not read as a
     # regression (the 30% band covers the rest)
-    quiet_on = _time(
+    quiet_seconds = _time(
         lambda: OnlineRuntime(quiet_schedule, quiet_empty).run(quiet_n),
         repeat=2,
     )
-    quiet_off = _time(
-        lambda: OnlineRuntime(
-            quiet_schedule, quiet_empty, fast_forward=False
-        ).run(quiet_n),
-        repeat=2,
-    )
 
-    # --- saturated secondary: the raw event loop, no fast forward possible,
-    # interleaved probe-off/probe-on so both arms see the same runner noise
-    # (the probe-off number is the contract: one `is None` check per event)
+    # --- saturated secondary: a growing backlog, interleaved
+    # probe-off/probe-on so both arms see the same runner noise (the
+    # probe-off number is the contract: one `is None` check per event)
     from repro.obs import MetricsProbe
 
     long_n = 20_000 if smoke else 100_000
@@ -304,11 +251,9 @@ def run_report(smoke: bool = False) -> dict:
         "long_stream": {
             "datasets": quiet_n,
             "workload": QUIET_WORKLOAD,
-            "seconds": quiet_on,
-            "seconds_no_fast_forward": quiet_off,
+            "seconds": quiet_seconds,
         },
-        "long_stream_datasets_per_sec": quiet_n / quiet_on if quiet_on else 0.0,
-        "fast_forward_speedup": quiet_off / quiet_on if quiet_on else float("inf"),
+        "long_stream_datasets_per_sec": quiet_n / quiet_seconds if quiet_seconds else 0.0,
         "long_stream_saturated": {
             "datasets": long_n,
             "seconds": long_seconds,
@@ -337,21 +282,13 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--output", default=None, help="write the JSON report to this path"
     )
-    parser.add_argument(
-        "--ff-smoke",
-        action="store_true",
-        help="fast-forward gate only: bit-identity + speedup on a quiet stream",
-    )
     args = parser.parse_args(argv)
-    if args.ff_smoke:
-        return run_ff_smoke()
     report = run_report(smoke=args.smoke)
     rows = [
         [
-            f"quiet stream ({report['long_stream']['datasets']:,} data sets, fast forward)",
+            f"quiet stream ({report['long_stream']['datasets']:,} data sets)",
             f"{report['long_stream_datasets_per_sec']:,.0f} datasets/s",
         ],
-        ["fast-forward speedup", f"{report['fast_forward_speedup']:.1f}x"],
         [
             f"saturated stream ({report['long_stream_saturated']['datasets']:,} data sets)",
             f"{report['long_stream_saturated_datasets_per_sec']:,.0f} datasets/s",

@@ -72,7 +72,6 @@ def append_point(trajectory: list[dict], report: dict) -> dict:
         # different workload's numbers
         "workload": report.get("long_stream", {}).get("workload"),
         HEADLINE: report.get(HEADLINE),
-        "fast_forward_speedup": report.get("fast_forward_speedup"),
     }
     for key, rate in ROW_RATES.items():
         point[key] = {tag: row.get(rate) for tag, row in report.get(key, {}).items()}

@@ -304,9 +304,7 @@ class Session:
         """
         workload, schedule = self._pipeline(seed)
         count = self._spec.runtime.num_datasets if num_datasets is None else num_datasets
-        simulation = StreamingSimulator(
-            schedule, fast_forward=self._spec.runtime.fast_forward
-        ).run(count)
+        simulation = StreamingSimulator(schedule).run(count)
         return SimulateResult(
             spec=self._spec,
             seed=seed,

@@ -84,6 +84,7 @@ prints the same machine-readable document the results endpoint serves::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -141,6 +142,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _number(
+    kind: type = int,
+    low: float | None = None,
+    high: float | None = None,
+    above: float | None = None,
+) -> Callable[[str], float]:
+    """The argparse type of every numeric flag: *kind* parsed from the text,
+    finite, ``>= low``, ``<= high`` and ``> above`` (each bound optional).
+    A violation is an argparse error naming the flag (exit 2)."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {text!r}")
+        if above is not None and value <= above:
+            raise argparse.ArgumentTypeError(f"must be > {above}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _add_scale_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--paper-scale",
@@ -149,7 +180,7 @@ def _add_scale_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--graphs",
-        type=int,
+        type=_number(int, low=1),
         default=None,
         help="override the number of random graphs per point",
     )
@@ -158,7 +189,7 @@ def _add_scale_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_number(int, low=1),
         default=1,
         help=(
             "worker processes for the per-graph work units (results are "
@@ -309,16 +340,6 @@ def _add_spec_options(p: argparse.ArgumentParser) -> None:
         default=argparse.SUPPRESS,
         help="rebuild downtime, in stream periods",
     )
-    p.add_argument(
-        "--no-fast-forward",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help=(
-            "disable the analytic steady-state fast forward (quiet stretches "
-            "are then simulated event by event; results are bit-identical "
-            "either way)"
-        ),
-    )
 
 
 #: argparse dest → (dotted spec path, value transform) for the spec flags.
@@ -342,7 +363,6 @@ _FLAG_PATHS: dict[str, tuple[str, Callable]] = {
     "policy": ("runtime.policy", lambda v: v),
     "admission": ("runtime.admission", lambda v: v),
     "queue_capacity": ("runtime.queue_capacity", lambda v: None if v == 0 else v),
-    "no_fast_forward": ("runtime.fast_forward", lambda v: not v),
     "rebuild_on_repair": ("runtime.rebuild_on_repair", lambda v: v),
     "rebuild_overhead": ("runtime.rebuild_overhead", lambda v: v),
 }
@@ -355,17 +375,6 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
         for dest, (path, transform) in _FLAG_PATHS.items()
         if hasattr(args, dest)
     }
-
-
-def _sample_fraction(text: str) -> float:
-    """``--sample`` argument: a retention fraction in [0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid fraction {text!r}") from None
-    if not 0.0 <= value <= 1.0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text!r}")
-    return value
 
 
 def _add_obs_options(p: argparse.ArgumentParser) -> None:
@@ -390,7 +399,7 @@ def _add_obs_options(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--sample",
-        type=_sample_fraction,
+        type=_number(float, low=0, high=1),
         default=None,
         metavar="P",
         help=(
@@ -411,9 +420,7 @@ def _export_obs(args: argparse.Namespace, trace, probe) -> None:
         export = trace
         if args.sample is not None:
             export = sample_trace(trace, args.sample, seed=args.seed)
-        # overlay analytically-skipped stretches when the run fast-forwarded
-        ff_spans = [s for s in getattr(probe, "spans", ()) if s[0] == "fast-forward"]
-        path = write_gantt(export, args.gantt, spans=ff_spans)
+        path = write_gantt(export, args.gantt)
         print(f"gantt: wrote {path} ({len(export.records)} of {len(trace.records)} records)")
     if args.metrics:
         path = Path(args.metrics)
@@ -439,7 +446,10 @@ def _add_run_parser(sub) -> None:
         "--trials", type=int, default=20, help="trials for --mode monte-carlo"
     )
     p.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for --mode monte-carlo"
+        "--jobs",
+        type=_number(int, low=1),
+        default=1,
+        help="worker processes for --mode monte-carlo",
     )
     p.add_argument(
         "--smoke",
@@ -479,7 +489,7 @@ def _add_resilience_options(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--trial-timeout",
-        type=float,
+        type=_number(float, above=0),
         default=None,
         metavar="SECONDS",
         help=(
@@ -590,7 +600,10 @@ def _add_suite_exec_options(p: argparse.ArgumentParser) -> None:
     """The suite-execution flags shared by ``suite run`` and ``suite report``."""
     p.add_argument("suite", help="path to a suite JSON file")
     p.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for cache-miss points"
+        "--jobs",
+        type=_number(int, low=1),
+        default=1,
+        help="worker processes for cache-miss points",
     )
     p.add_argument(
         "--seed", type=int, default=None, help="override the suite's campaign seed"
@@ -858,7 +871,10 @@ def _add_serve_parser(sub) -> None:
         "--host", default="127.0.0.1", help="bind address (default: loopback only)"
     )
     p.add_argument(
-        "--port", type=int, default=8000, help="TCP port (0 picks a free one)"
+        "--port",
+        type=_number(int, low=0, high=65535),
+        default=8000,
+        help="TCP port (0 picks a free one)",
     )
     p.add_argument(
         "--workers",
@@ -877,7 +893,7 @@ def _add_serve_parser(sub) -> None:
     )
     p.add_argument(
         "--exec-jobs",
-        type=int,
+        type=_number(int, low=1),
         default=1,
         help=(
             "worker processes per suite job, forwarded to the campaign "
@@ -886,7 +902,7 @@ def _add_serve_parser(sub) -> None:
     )
     p.add_argument(
         "--progress-every",
-        type=int,
+        type=_number(int, low=1),
         default=200,
         help="datasets between two progress events on the job event stream",
     )

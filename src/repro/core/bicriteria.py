@@ -8,9 +8,9 @@ optimisation problems:
   throughput.
 
 Both are implemented here as search wrappers around R-LTF (or LTF): a binary
-search over the period for the former, a linear scan over ``ε`` for the
-latter.  They are exercised by the ablation benchmarks and the
-``fault_tolerant_service`` example.
+search over the period for the former (plus a geometric scan when a latency
+bound rules the optimum out), a linear scan over ``ε`` for the latter.  The
+``dsp_filterbank`` example exercises both.
 """
 
 from __future__ import annotations
@@ -75,6 +75,33 @@ def _try(
     return schedule
 
 
+#: periods probed between the unconstrained optimum and the latency bound
+#: when the optimum breaks the bound (see :func:`maximize_throughput`).
+_LATENCY_SCAN_POINTS = 32
+
+
+def _bisect(
+    probe: Callable[[float], Schedule | None],
+    low: float,
+    high: float,
+    best: Schedule,
+    tolerance: float,
+    max_iterations: int,
+) -> tuple[Schedule, float]:
+    """Shrink the feasible period *high* (whose schedule is *best*) towards
+    the infeasible *low*; returns the best schedule found and its period."""
+    for _ in range(max_iterations):
+        if high - low <= tolerance * max(1.0, low):
+            break
+        mid = 0.5 * (low + high)
+        schedule = probe(mid)
+        if schedule is None:
+            low = mid
+        else:
+            best, high = schedule, mid
+    return best, high
+
+
 def maximize_throughput(
     graph: TaskGraph,
     platform: Platform,
@@ -86,38 +113,64 @@ def maximize_throughput(
 ) -> BicriteriaResult:
     """Largest throughput achievable for a given ``ε`` (and optional latency bound).
 
-    A binary search over the period ``Δ`` repeatedly probes the scheduler; the
-    lower bound is the largest single-task execution time on the fastest
-    processor (no schedule can beat it), the upper bound is the total
-    replicated work on the slowest processor (always feasible on one processor
-    per replica level, throughput-wise).
+    A binary search over the period ``Δ`` repeatedly probes the scheduler for
+    the unconstrained optimum ``Δ*``; the lower bound is the largest
+    single-task execution time on the fastest processor (no schedule can beat
+    it), the upper bound is the total replicated work on the slowest
+    processor (always feasible on one processor per replica level,
+    throughput-wise).
+
+    Under a latency bound, feasibility is not monotone in ``Δ``: the latency
+    ``(2S−1)·Δ`` grows with the period as the stage count ``S`` shrinks.  So
+    ``Δ*`` is returned when it meets the bound; otherwise
+    ``_LATENCY_SCAN_POINTS`` periods are scanned geometrically over
+    ``(Δ*, min(upper bound, latency bound)]`` (the latency is at least
+    ``Δ``, so no larger period can help), and the first that meets the bound
+    is refined by bisection against the scan point below it.
 
     Raises
     ------
     SchedulingError
-        If even the most generous period admits no feasible schedule (e.g. the
-        latency bound is unreachable).
+        If even the most generous period admits no feasible schedule, or no
+        scanned period meets the latency bound.
     """
     check_positive(tolerance, "tolerance")
     sched_fn = _scheduler(scheduler)
+
+    def probe(period: float, bound: float | None = None) -> Schedule | None:
+        return _try(sched_fn, graph, platform, period, epsilon, bound)
+
     low = max(t.work for t in graph.tasks) / platform.max_speed
     high = (epsilon + 1) * graph.total_work / platform.min_speed + graph.total_volume / platform.min_bandwidth
-    best: Schedule | None = _try(sched_fn, graph, platform, high, epsilon, latency_bound)
+    best = probe(high)
     if best is None:
         raise SchedulingError(
             "no feasible schedule even with the most generous period; "
-            "check the latency bound and the platform size"
+            "check the platform size"
         )
-    best_period = high
-    for _ in range(max_iterations):
-        if high - low <= tolerance * max(1.0, low):
-            break
-        mid = 0.5 * (low + high)
-        probe = _try(sched_fn, graph, platform, mid, epsilon, latency_bound)
-        if probe is None:
-            low = mid
-        else:
-            best, best_period, high = probe, mid, mid
+    best, best_period = _bisect(probe, low, high, best, tolerance, max_iterations)
+    if latency_bound is not None and latency_upper_bound(best) > latency_bound + 1e-9:
+        top = min(high, latency_bound)
+        scan = (
+            [best_period * (top / best_period) ** (k / _LATENCY_SCAN_POINTS)
+             for k in range(1, _LATENCY_SCAN_POINTS + 1)]
+            if top > best_period else []
+        )
+        below, found = best_period, None
+        for period in scan:
+            found = probe(period, latency_bound)
+            if found is not None:
+                break
+            below = period
+        if found is None:
+            raise SchedulingError(
+                f"no period up to {top:g} meets the latency bound "
+                f"{latency_bound:g} at epsilon={epsilon}"
+            )
+        best, best_period = _bisect(
+            lambda p: probe(p, latency_bound), below, period, found,
+            tolerance, max_iterations,
+        )
     return BicriteriaResult(
         schedule=best,
         period=best_period,

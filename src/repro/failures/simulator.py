@@ -40,12 +40,16 @@ from repro.exceptions import ScheduleError
 from repro.failures.scenarios import CrashScenario
 from repro.schedule.schedule import Schedule
 from repro.schedule.validation import valid_replicas_under_failures
-from repro.sim import steady
 from repro.sim.kernel import PipelineKernel
 from repro.utils.checks import check_count
 from repro.utils.gcpause import gc_paused
 
 __all__ = ["StreamingSimulator", "SimulationResult", "simulate_stream"]
+
+#: data sets admitted per window: the kernel heap holds at most one window of
+#: release events, so its log factor follows the pipeline depth, not the
+#: stream length
+_WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -88,22 +92,12 @@ class SimulationResult:
 
 
 class StreamingSimulator:
-    """Offline driver of the shared pipeline kernel for a complete schedule.
-
-    *fast_forward* (default on) enables the analytic steady-state fast path:
-    once two successive admission windows prove a repeating kernel state
-    under the exactness certificate of :mod:`repro.sim.steady`, the remaining
-    quiet stretch is emitted in closed form — O(warm-up + pipeline depth)
-    events instead of O(num_datasets) — with results bit-identical to the
-    full event loop.  Workloads that fail the certificate (non-grid
-    durations) and short streams run every event of the same windowed loop.
-    """
+    """Offline driver of the shared pipeline kernel for a complete schedule."""
 
     def __init__(
         self,
         schedule: Schedule,
         scenario: CrashScenario | Iterable[str] = (),
-        fast_forward: bool = True,
     ):
         if not schedule.is_complete():
             raise ScheduleError("cannot simulate an incomplete schedule")
@@ -111,10 +105,6 @@ class StreamingSimulator:
             scenario = CrashScenario(frozenset(scenario))
         self.schedule = schedule
         self.scenario = scenario
-        self.fast_forward = bool(fast_forward)
-        #: diagnostics of the last :meth:`run`: how many windows/data sets
-        #: the steady-state fast path skipped (zeros when it never engaged).
-        self.last_fast_forward: dict[str, int] = {"windows": 0, "datasets": 0}
         valid = valid_replicas_under_failures(schedule, scenario.failed)
         for task in schedule.graph.exit_tasks():
             if not valid[task]:
@@ -131,67 +121,30 @@ class StreamingSimulator:
         kernel: every release pops before all other events at its instant,
         so the pop order is a one-shot admission's of the whole stream, tie
         for tie.  Each window's ``run_until`` stops just *below* the next
-        window's first release.  With the fast path engaged, the detector
-        fingerprints the kernel at each boundary; on a lock the remaining
-        quiet windows are emitted as the last window's completions shifted
-        by exact multiples of ``(window·Δ, window)`` and the kernel lands at
-        the far end.
+        window's first release.
         """
         num_datasets = check_count(num_datasets, "num_datasets")
         period = self.schedule.period
-        window = steady.DEFAULT_WINDOW
         kernel = PipelineKernel(
             self.schedule, self.scenario.failed, releases_first=True
         )
-        detector = None
-        if self.fast_forward and num_datasets >= 3 * window:
-            grid_exp = steady.certified_grid(kernel, period, num_datasets * period)
-            if grid_exp is not None:
-                detector = steady.SteadyStateDetector(kernel, grid_exp, period, window)
         completions: list[float | None] = [None] * num_datasets
-        skipped_windows = 0
-        template: list[tuple[int, float]] = []
         j = 0
         with gc_paused():
             # millions of acyclic allocations; the cycle detector's scans are
             # pure overhead that grows with the stream (see repro.utils.gcpause)
             while j < num_datasets:
-                stop = min(j + window, num_datasets)
+                stop = min(j + _WINDOW, num_datasets)
                 for k in range(j, stop):
                     kernel.admit(k, k * period)
                 j = stop
                 if j >= num_datasets:
                     break
-                boundary = j * period
-                drained = kernel.run_until(math.nextafter(boundary, -math.inf))
+                drained = kernel.run_until(math.nextafter(j * period, -math.inf))
                 for d, t in drained:
                     completions[d] = t
-                if detector is None:
-                    continue
-                template.extend(drained)
-                locked = detector.observe(boundary, j, True)
-                if not locked or len(template) != window:
-                    template.clear()
-                    continue
-                m = detector.max_windows(
-                    boundary, (num_datasets - j) // window, math.inf
-                )
-                if m >= 1:
-                    for s in range(1, m + 1):
-                        base = boundary + s * detector.delta
-                        step = s * window
-                        for d, t in template:
-                            completions[d + step] = (t - boundary) + base
-                    detector.jump(m)
-                    j += m * window
-                    skipped_windows += m
-                template.clear()
             for d, t in kernel.run_to_completion():
                 completions[d] = t
-        self.last_fast_forward = {
-            "windows": skipped_windows,
-            "datasets": skipped_windows * window,
-        }
         latencies = []
         for dataset, completion in enumerate(completions):
             if completion is None:

@@ -41,7 +41,6 @@ _CRASH_COLOR = "#d62728"
 _REPAIR_COLOR = "#2ca02c"
 _REBUILD_FILL = "#e45756"
 _ABORT_FILL = "#888888"
-_FAST_FORWARD_FILL = "#54a24b"
 
 _MARGIN_LEFT = 64
 _MARGIN_RIGHT = 16
@@ -88,17 +87,9 @@ def _sample_rows(num_records: int, max_rows: int) -> list[int]:
 
 
 def render_gantt_svg(
-    trace: "RuntimeTrace", width: int = 960, max_rows: int = 60, spans=()
+    trace: "RuntimeTrace", width: int = 960, max_rows: int = 60
 ) -> str:
-    """Render *trace* as a static SVG Gantt chart (see module docstring).
-
-    *spans* are optional extra ``(kind, start, end)`` intervals to shade —
-    the fast-forward spans of a :class:`~repro.obs.probe.MetricsProbe`
-    render the analytically-skipped stretches as compressed green bands.
-    The trace itself never records them (traces are bit-identical with the
-    fast path on and off), so with the default empty *spans* the rendering
-    is byte-identical to a non-fast-forwarded run's.
-    """
+    """Render *trace* as a static SVG Gantt chart (see module docstring)."""
     rows = _sample_rows(len(trace.records), max_rows)
     plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = len(rows) * (_ROW_HEIGHT + _ROW_GAP)
@@ -127,10 +118,9 @@ def render_gantt_svg(
     )
     parts.append(f'<text x="{_MARGIN_LEFT}" y="14" font-size="11">{title}</text>')
 
-    # shaded downtime (and overlay) spans behind everything
-    fills = {"rebuild": _REBUILD_FILL, "fast-forward": _FAST_FORWARD_FILL}
-    for kind, start, end in [*_downtime_spans(trace), *spans]:
-        fill = fills.get(kind, _ABORT_FILL)
+    # shaded downtime spans behind everything
+    for kind, start, end in _downtime_spans(trace):
+        fill = _REBUILD_FILL if kind == "rebuild" else _ABORT_FILL
         parts.append(
             f'<rect x="{_fmt(x_of(start))}" y="{_MARGIN_TOP}" '
             f'width="{_fmt(max(x_of(end) - x_of(start), 0.5))}" height="{plot_h}" '
@@ -202,10 +192,10 @@ def render_gantt_svg(
 
 
 def render_gantt_html(
-    trace: "RuntimeTrace", width: int = 960, max_rows: int = 60, spans=()
+    trace: "RuntimeTrace", width: int = 960, max_rows: int = 60
 ) -> str:
     """Self-contained HTML page: the SVG plus a legend and a summary table."""
-    svg = render_gantt_svg(trace, width=width, max_rows=max_rows, spans=spans)
+    svg = render_gantt_svg(trace, width=width, max_rows=max_rows)
     legend = "".join(
         f'<li><span style="background:{color}">&nbsp;&nbsp;&nbsp;</span> {status}</li>'
         for status, color in STATUS_COLORS.items()
@@ -240,14 +230,14 @@ def render_gantt_html(
 
 
 def write_gantt(
-    trace: "RuntimeTrace", path: str | Path, max_rows: int = 60, spans=()
+    trace: "RuntimeTrace", path: str | Path, max_rows: int = 60
 ) -> Path:
     """Write the Gantt chart to *path*, HTML for ``.html``/``.htm``, else SVG."""
     path = Path(path)
     if path.suffix.lower() in (".html", ".htm"):
-        content = render_gantt_html(trace, max_rows=max_rows, spans=spans)
+        content = render_gantt_html(trace, max_rows=max_rows)
     else:
-        content = render_gantt_svg(trace, max_rows=max_rows, spans=spans)
+        content = render_gantt_svg(trace, max_rows=max_rows)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(content)
     return path

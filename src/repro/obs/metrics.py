@@ -112,15 +112,12 @@ class LatencyHistogram:
         return hist
 
     # ------------------------------------------------------------- recording
-    def observe(self, value: float, count: int = 1) -> None:
-        """Record *count* observations of *value* (NaN is ignored — nothing
-        was measured).  The bulk form is what the steady-state fast path
-        uses: a fast-forwarded stretch repeats a handful of exact latency
-        values, so one bucket increment per distinct value keeps the
-        histogram bit-identical to observing every data set individually."""
+    def observe(self, value: float) -> None:
+        """Record one observation of *value* (NaN is ignored — nothing was
+        measured)."""
         if value != value:  # NaN
             return
-        self.counts[bisect_left(LATENCY_BUCKET_EDGES, value)] += count
+        self.counts[bisect_left(LATENCY_BUCKET_EDGES, value)] += 1
 
     def update_sparse(self, sparse: Iterable[tuple[int, int]]) -> None:
         """Add the counts of a sparse transport tuple in place (exact merge)."""
@@ -240,8 +237,8 @@ class MetricsRegistry:
             hist = self._histograms[name] = LatencyHistogram()
         return hist
 
-    def observe(self, name: str, value: float, count: int = 1) -> None:
-        self.histogram(name).observe(value, count)
+    def observe(self, name: str, value: float) -> None:
+        self.histogram(name).observe(value)
 
     # ----------------------------------------------------------------- views
     @property

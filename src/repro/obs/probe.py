@@ -6,9 +6,9 @@ A :class:`Probe` is an *optional* observer handed to
 performance work is strict: when no probe is attached the instrumented code
 pays exactly one ``is None`` comparison per call site — the kernel hot loop
 keeps a local per-kind event counter and flushes it **once per drain**, never
-per event, so a probe-off run is indistinguishable from an uninstrumented one
-(the ``obs_overhead`` benchmark in ``benchmarks/bench_runtime.py`` gates this
-at 2 %).
+per event.  The ``obs_overhead`` row of ``benchmarks/bench_runtime.py``
+measures what attaching a :class:`MetricsProbe` costs on a saturated stream;
+nothing gates that figure.
 
 :class:`Probe` itself is a base class of no-ops: subclass it and override the
 callbacks you care about.  :class:`MetricsProbe` is the batteries-included
@@ -28,25 +28,11 @@ callback                  cadence
                           repair, abort) — rare by construction
 ``on_span``               once per closed downtime interval (rebuild, abort)
 ``on_gauges``             once per control-loop pass (window boundary)
-``on_fast_forward``       once per steady-state jump (quiet streams only),
-                          with the skipped span, the number of data sets
-                          synthesized in closed form, and their repeated
-                          latency values as ``(value, count)`` bulk pairs
 ========================  =====================================================
 
-Fast-forward and probes
------------------------
-
-The steady-state fast path (:mod:`repro.sim.steady`) replaces the per-dataset
-``on_dataset`` calls of a skipped stretch with one ``on_fast_forward`` bulk
-call.  Aggregate metrics stay **exact** — the latency histogram, the maximum
-latency and the ``datasets.completed`` counter receive the same totals bit
-for bit — but per-event cadences change: no ``on_kernel_events`` /
-``on_gauges`` samples arrive for the skipped stretch (the events were never
-simulated), so ``kernel.events.*`` counters are smaller with the flag on.  A
-probe must opt in by setting :attr:`Probe.supports_fast_forward`; the runtime
-disables the fast path for any probe that does not, so a custom probe that
-relies on per-dataset callbacks keeps seeing every one of them.
+Every data set runs through the event loop, so a probe sees one
+``on_dataset`` call per data set and every kernel event in its
+``on_kernel_events`` counts.
 """
 
 from __future__ import annotations
@@ -66,13 +52,6 @@ class Probe:
     cadences documented in the module docstring, never call order between
     different callbacks at the same instant.
     """
-
-    #: set ``True`` to let the runtime keep its steady-state fast forward on
-    #: while this probe is attached (the probe then receives
-    #: :meth:`on_fast_forward` bulk calls instead of per-dataset callbacks
-    #: for skipped stretches).  ``False`` — the safe default for custom
-    #: probes — guards the fast path off automatically.
-    supports_fast_forward = False
 
     def on_kernel_events(self, counts: Sequence[int], now: float) -> None:
         """*counts[k]* events of kind ``EVENT_KIND_NAMES[k]`` were processed
@@ -94,17 +73,6 @@ class Probe:
         """Kernel occupancy sample: *live* data sets hold state, *evicted*
         have been retired at their watermark."""
 
-    def on_fast_forward(
-        self,
-        span: tuple[float, float],
-        n_datasets: int,
-        latencies: Sequence[tuple[float, int]] = (),
-    ) -> None:
-        """The steady-state fast path skipped ``span = (start, end)`` of the
-        clock, synthesizing *n_datasets* completed data sets in closed form.
-        *latencies* carries their exact repeated latency values as
-        ``(value, count)`` pairs with ``sum(counts) == n_datasets``."""
-
 
 class MetricsProbe(Probe):
     """Fold every callback into a :class:`MetricsRegistry`.
@@ -118,20 +86,13 @@ class MetricsProbe(Probe):
       accumulated duration gauge;
     * ``latency`` — histogram of completed-data-set latencies, plus the exact
       ``latency.max`` gauge;
-    * ``kernel.live_datasets.peak`` / ``kernel.evicted_datasets`` — gauges;
-    * ``runtime.fast_forward.spans`` / ``runtime.fast_forward.datasets`` —
-      counters of steady-state jumps and the data sets they synthesized,
-      ``runtime.fast_forward.time`` — the accumulated skipped clock span.
-      Latency/data-set aggregates stay exact across jumps (bulk counts);
-      ``kernel.events.*`` shrink, because skipped events were never simulated.
+    * ``kernel.live_datasets.peak`` / ``kernel.evicted_datasets`` — gauges.
     """
-
-    supports_fast_forward = True
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
-        #: closed downtime and fast-forward intervals as ``(kind, start,
-        #: end)`` tuples (kinds: ``rebuild`` | ``abort`` | ``fast-forward``).
+        #: closed downtime intervals as ``(kind, start, end)`` tuples
+        #: (kinds: ``rebuild`` | ``abort``).
         self.spans: list[tuple[str, float, float]] = []
 
     def on_kernel_events(self, counts: Sequence[int], now: float) -> None:
@@ -167,23 +128,6 @@ class MetricsProbe(Probe):
         registry = self.registry
         registry.max_gauge("kernel.live_datasets.peak", live)
         registry.set_gauge("kernel.evicted_datasets", evicted)
-
-    def on_fast_forward(
-        self,
-        span: tuple[float, float],
-        n_datasets: int,
-        latencies: Sequence[tuple[float, int]] = (),
-    ) -> None:
-        start, end = span
-        registry = self.registry
-        self.spans.append(("fast-forward", start, end))
-        registry.inc("runtime.fast_forward.spans")
-        registry.inc("runtime.fast_forward.datasets", n_datasets)
-        registry.add_gauge("runtime.fast_forward.time", end - start)
-        registry.inc("datasets.completed", n_datasets)
-        for value, count in latencies:
-            registry.observe("latency", value, count)
-            registry.max_gauge("latency.max", value)
 
     def as_dict(self) -> dict:
         """JSON-ready snapshot: the registry plus the closed spans."""

@@ -235,7 +235,7 @@ def supervised_map(
     hook.  ``stop`` drains: no new work is started once set.
     """
     policy = policy or RetryPolicy()
-    if timeout is not None and timeout <= 0:
+    if timeout is not None and not timeout > 0:  # also rejects nan
         raise SpecificationError(f"trial timeout must be > 0, got {timeout!r}")
     items = list(items)
     if tokens is None:

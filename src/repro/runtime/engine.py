@@ -51,20 +51,12 @@ from typing import Iterable
 
 from repro.exceptions import ScheduleError, SchedulingError
 from repro.failures.scenarios import FaultEvent, FaultTrace
-from repro.runtime.admission import (
-    ADMIT,
-    DROP,
-    AdmissionPolicy,
-    QueueAdmissionPolicy,
-    ShedAdmissionPolicy,
-    resolve_admission,
-)
+from repro.runtime.admission import ADMIT, DROP, AdmissionPolicy, resolve_admission
 from repro.runtime.policies import ReschedulePolicy, resolve_policy
 from repro.runtime.trace import DatasetRecord, RuntimeEvent, RuntimeTrace
 from repro.schedule.schedule import Schedule
 from repro.schedule.validation import valid_replicas_under_failures
 from repro.sim.kernel import PipelineKernel
-from repro.sim.steady import SteadyStateDetector, certified_grid
 from repro.utils.checks import check_count, check_non_negative
 from repro.utils.gcpause import gc_paused
 
@@ -108,30 +100,29 @@ class OnlineRuntime:
         fast_forward: bool = True,
         platform=None,
     ):
-        """*fast_forward* enables the analytic steady-state fast path
-        (:mod:`repro.sim.steady`): quiet stretches whose kernel state repeats
-        window for window are skipped in closed form, bit-identically.  It
-        guards itself off automatically whenever the regime is not provably
-        stationary — bounded queue admission, a probe that does not opt in,
-        or a workload whose durations fail the exactness certificate — so
-        the flag is safe to leave on everywhere.
-
-        *platform* widens the rebuild candidate pool beyond
+        """*platform* widens the rebuild candidate pool beyond
         ``schedule.platform`` (elastic regimes: spare processors that start
         outside the schedule and *join* mid-stream).  Pool members absent
         from the schedule's platform start dead until a join event brings
         them up.  ``None`` (default) keeps the pool equal to the schedule's
         platform — bit-identical to the historical behaviour.
 
-        *checkpoint* only accepts ``True``: checkpoint/restart is the one
-        data plane (the parameter stays so that callers passing a spec's
-        ``runtime.checkpoint`` keep working)."""
+        *checkpoint* and *fast_forward* only accept ``True``:
+        checkpoint/restart is the one data plane and every data set runs
+        through the event loop (the parameters stay so that callers passing
+        a spec's ``runtime.checkpoint`` / ``runtime.fast_forward`` keep
+        working)."""
         if not schedule.is_complete():
             raise ScheduleError("cannot run an incomplete schedule online")
         if checkpoint is not True:
             raise ValueError(
                 f"checkpoint must be True (checkpoint/restart is the only "
                 f"execution mode), got {checkpoint!r}"
+            )
+        if fast_forward is not True:
+            raise ValueError(
+                f"fast_forward must be True (every stream runs the event "
+                f"loop), got {fast_forward!r}"
             )
         rebuild_overhead = check_non_negative(rebuild_overhead, "rebuild_overhead")
         if platform is not None:
@@ -153,7 +144,6 @@ class OnlineRuntime:
         self.rebuild_overhead = rebuild_overhead
         self.rebuild_beyond_epsilon = bool(rebuild_beyond_epsilon)
         self.rebuild_on_repair = bool(rebuild_on_repair)
-        self.fast_forward = bool(fast_forward)
         #: optional :class:`repro.obs.probe.Probe`; ``None`` costs one pointer
         #: comparison at each instrumented site (see docs/observability.md)
         self.probe = probe
@@ -189,22 +179,6 @@ class OnlineRuntime:
         admission = self.admission
         admission.reset()
         probe = self.probe
-        # Steady-state fast forward is only attempted where the regime can be
-        # stationary: an admission policy that never builds regime-changing
-        # backlog pressure (shed, or an unbounded queue), and a probe that
-        # opted into bulk callbacks.  Everything else runs the exact
-        # per-event loop unchanged.
-        ff_eligible = (
-            self.fast_forward
-            and (probe is None or getattr(probe, "supports_fast_forward", False))
-            and (
-                isinstance(admission, ShedAdmissionPolicy)
-                or (
-                    isinstance(admission, QueueAdmissionPolicy)
-                    and admission.capacity is None
-                )
-            )
-        )
 
         # --- mutable runtime state
         schedule: Schedule | None = initial
@@ -235,41 +209,7 @@ class OnlineRuntime:
         abort_time = _INF
         pending: dict[int, float] = {}  # admitted, in flight: dataset -> release
 
-        # --- steady-state fast forward (see repro.sim.steady): the detector
-        # watches quiet window boundaries; ff_clean tracks whether every
-        # release since the last boundary was admitted at its own instant;
-        # ff_window buffers the boundary-to-boundary drained completions
-        # (the synthesis template once the detector locks).
-        window = _ADMIT_WINDOW
-        ff_detector: SteadyStateDetector | None = None
-        ff_clean = True
-        ff_window: list[tuple[int, float]] = []
-
-        def ff_bind() -> None:
-            """(Re)attach the detector to the current kernel — every
-            (re)built schedule needs its own exactness certificate."""
-            nonlocal ff_detector, ff_clean
-            ff_detector = None
-            ff_clean = True
-            ff_window.clear()
-            if kernel is None or not ff_eligible:
-                return
-            grid_exp = certified_grid(kernel, period, horizon)
-            if grid_exp is not None:
-                ff_detector = SteadyStateDetector(kernel, grid_exp, period, window)
-
-        def ff_reset() -> None:
-            """Forget detector history across any control event: the
-            periodicity proof only covers undisturbed evolution."""
-            nonlocal ff_clean
-            if ff_detector is not None:
-                ff_detector.reset()
-                ff_clean = True
-                ff_window.clear()
-
         def record_completions(completions) -> None:
-            if ff_detector is not None and completions:
-                ff_window.extend(completions)
             for j, t in completions:
                 r = pending.pop(j)
                 records[j] = (j, r, t, "completed")
@@ -277,8 +217,6 @@ class OnlineRuntime:
                     probe.on_dataset(j, r, t, "completed")
 
         def lose(j: int, r: float, status: str) -> None:
-            nonlocal ff_clean
-            ff_clean = False
             records[j] = (j, r, None, status)
             if probe is not None:
                 probe.on_dataset(j, r, None, status)
@@ -289,9 +227,7 @@ class OnlineRuntime:
                 probe.on_runtime_event(event)
 
         def admit(j: int, release: float, admit_time: float) -> None:
-            nonlocal next_slot, ff_clean
-            if admit_time != release:
-                ff_clean = False  # throttled/deferred slot: not a quiet window
+            nonlocal next_slot
             pending[j] = release
             kernel.admit(j, admit_time)
             next_slot = admit_time + admit_period
@@ -323,54 +259,6 @@ class OnlineRuntime:
             for j, r in admission.drain():
                 admit(j, r, max(r, next_slot))
 
-        def ff_boundary(t_base: float, limit: float) -> None:
-            """One quiet window boundary: fingerprint, and jump when locked.
-
-            *limit* bounds the landing instant (the next fault arrival or
-            the horizon).  A lock proves the stream repeats the last window
-            forever under the exactness certificate, so the skipped records
-            are the template shifted by exact multiples of ``(window·Δ,
-            window)`` — synthesized in closed form, bit-identical to
-            simulating them event by event.
-            """
-            nonlocal next_j, next_slot, ff_clean
-            template, clean = tuple(ff_window), ff_clean
-            ff_window.clear()
-            ff_clean = True
-            if not ff_detector.observe(t_base, next_j, clean):
-                return
-            if len(template) != window:
-                ff_detector.reset()  # steady throughput must match admission
-                return
-            budget = (num_datasets - next_j) // window
-            m = ff_detector.max_windows(t_base, budget, limit)
-            if m < 1:
-                return
-            delta = ff_detector.delta
-            for s in range(1, m + 1):
-                base = t_base + s * delta
-                step = s * window
-                for j, t in template:
-                    jj = j + step
-                    assert records[jj] is None
-                    records[jj] = (jj, releases[jj], (t - t_base) + base, "completed")
-            if probe is not None:
-                bulk: dict[float, int] = {}
-                for j, t in template:
-                    lat = t - releases[j]
-                    bulk[lat] = bulk.get(lat, 0) + m
-                probe.on_fast_forward(
-                    (t_base, t_base + m * delta), m * window, tuple(bulk.items())
-                )
-            _, j_new = ff_detector.jump(m)
-            live = sorted(pending)
-            pending.clear()
-            shift = m * window
-            for j in live:
-                pending[j + shift] = releases[j + shift]
-            next_j = j_new
-            next_slot = releases[j_new - 1] + admit_period
-
         def start_rebuild(now: float, kind: str, processor: str | None) -> None:
             nonlocal rebuilding, rebuild_done, down_since, kernel
             rebuilding = True
@@ -392,14 +280,12 @@ class OnlineRuntime:
             note(RuntimeEvent(now, "abort", None, reason))
             kernel = None
             ckpt.clear()
-            ff_bind()  # no kernel left: detaches the detector
             for j, r in admission.drain():
                 lose(j, r, "lost-abort")
             for j, r in pending.items():
                 lose(j, r, "lost-abort")
             pending.clear()
 
-        ff_bind()
         i = 0
         while True:
             next_fault = fault_events[i].time if i < len(fault_events) else _INF
@@ -414,11 +300,7 @@ class OnlineRuntime:
                 if probe is not None:
                     probe.on_gauges(now, kernel.live_datasets, kernel.evicted_datasets)
             if now < rebuild_done and now < next_fault:
-                # window boundary only: admit + advance, no control event —
-                # exactly the quiet cadence the steady-state detector watches
-                if ff_detector is not None and not rebuilding and not aborted:
-                    ff_boundary(now, min(next_fault, horizon))
-                continue
+                continue  # window boundary only: admit + advance, no control event
 
             if rebuilding and rebuild_done <= next_fault:
                 # ------------------------------------------------ rebuild done
@@ -462,12 +344,10 @@ class OnlineRuntime:
                                 f"period={schedule.period:g}",
                             )
                         )
-                        ff_bind()  # fresh kernel: re-certify and re-warm
                 continue
 
             event = fault_events[i]
             i += 1
-            ff_reset()  # any control event invalidates the periodicity proof
             if event.is_crash:
                 if event.processor in dead:
                     continue

@@ -327,7 +327,6 @@ def execute_online(
         rebuild_on_repair=spec.runtime.rebuild_on_repair,
         admission=admission,
         checkpoint=spec.runtime.checkpoint,
-        fast_forward=spec.runtime.fast_forward,
         probe=probe,
         platform=workload.platform if spec.faults.is_elastic else None,
     )

@@ -318,9 +318,10 @@ class FaultSpec:
 class RuntimeSpec:
     """Options of the online runtime (stream length, policies, rebuilds).
 
-    ``checkpoint`` accepts only ``True``: checkpoint/restart is the runtime's
-    one execution mode.  The field stays so that existing spec files and
-    their cache keys keep loading unchanged.
+    ``checkpoint`` and ``fast_forward`` accept only ``True``:
+    checkpoint/restart is the runtime's one execution mode, and every data
+    set runs through the event loop.  The fields stay so that existing spec
+    files and their cache keys keep loading unchanged.
 
     ``policy`` and ``admission`` name entries of the runtime policy registries
     (:data:`~repro.runtime.policies.RESCHEDULE_POLICIES`,
@@ -352,8 +353,9 @@ class RuntimeSpec:
         )
         _check_real(self, "runtime.rebuild_overhead", positive=False)
         _require(
-            isinstance(self.fast_forward, bool),
-            f"runtime.fast_forward must be a bool, got {self.fast_forward!r}",
+            self.fast_forward is True,
+            f"runtime.fast_forward must be true (every stream runs the event "
+            f"loop), got {self.fast_forward!r}",
         )
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.cache.disk import MISS
 from repro.obs.probe import Probe
@@ -52,13 +52,10 @@ class JobProbe(Probe):
 
     Throttled: one ``progress`` event per *every_datasets* sealed data sets
     (plus one final flush), one event per logged runtime decision (crashes and
-    rebuilds are rare by construction), one per closed downtime span and one
-    per steady-state fast-forward jump.  ``supports_fast_forward`` stays on —
-    the probe is pure observation, so the engine keeps its fast path and the
-    trace stays bit-identical to an unprobed run.
+    rebuilds are rare by construction) and one per closed downtime span.
+    The probe is pure observation: the trace stays bit-identical to an
+    unprobed run.
     """
-
-    supports_fast_forward = True
 
     def __init__(self, job: "Job", every_datasets: int = 200):
         self._job = job
@@ -90,18 +87,6 @@ class JobProbe(Probe):
 
     def on_span(self, kind: str, start: float, end: float) -> None:
         self._job.emit("span", span=kind, start=start, end=end)
-
-    def on_fast_forward(
-        self,
-        span: tuple[float, float],
-        n_datasets: int,
-        latencies: Sequence[tuple[float, int]] = (),
-    ) -> None:
-        self._datasets += n_datasets
-        self._completed += n_datasets
-        self._job.emit(
-            "fast-forward", start=span[0], end=span[1], datasets=n_datasets
-        )
 
     def finish(self) -> None:
         """Flush the final progress sample (exact totals)."""

@@ -19,14 +19,12 @@ reproduction:
 Layering (bottom to top)::
 
     repro.sim            event queue + one-port pipeline kernel
-      │                  + steady-state fast forward (repro.sim.steady)
       ├── repro.failures.simulator   offline driver (StreamingSimulator)
       └── repro.runtime.engine       incremental driver (OnlineRuntime)
             └── repro.experiments / repro.cli   campaigns, sweeps, reports
 
-Both drivers can skip provably-quiet stretches of a uniform stream in
-closed form via :mod:`repro.sim.steady` (certificate-guarded, bit-identical
-results — see ``docs/performance.md``).
+Both drivers simulate every event of every data set: there is one
+execution path per stream, whatever its durations or fault regime.
 
 The kernel only ever *reads* the :class:`~repro.schedule.schedule.Schedule`
 (mapping, communication topology, per-replica execution times via
@@ -36,11 +34,8 @@ simulation state lives here.
 
 from repro.sim.events import EventQueue
 from repro.sim.kernel import PipelineKernel
-from repro.sim.steady import SteadyStateDetector, certified_grid
 
 __all__ = [
     "EventQueue",
     "PipelineKernel",
-    "SteadyStateDetector",
-    "certified_grid",
 ]

@@ -247,14 +247,6 @@ class PipelineKernel:
             [0, 0, -1, 0.0, None] + [0, None, None] * len(self._states)
             + [None] * len(exit_tasks)
         )
-        #: the record slots that hold instants (the rest are counts, the
-        #: index and input masks) — what a snapshot normalizes
-        self._time_slots = (
-            _RELEASED,
-            _COMPLETION,
-            *(slot for s in self._states for slot in (s.finish_slot, s.done_slot)),
-            *self._exit_slot.values(),
-        )
 
         # communications between valid replicas only, resolved to run states
         # (including the receiver's input bit for the sender's task)

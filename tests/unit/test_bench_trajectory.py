@@ -57,6 +57,16 @@ def test_each_scheduler_row_gates_with_the_30_percent_band(tmp_path, rate, code)
     assert codes == [0, code]
 
 
+@pytest.mark.parametrize("workload, code", [("quiet", 1), ("quiet-events", 0)])
+def test_a_redefined_headline_workload_seeds_a_fresh_baseline(tmp_path, workload, code):
+    """An 18x slower headline is a regression under the same workload tag
+    and a fresh baseline under a new one."""
+    redefined = _report(headline=1000.0 / 18)
+    redefined["long_stream"]["workload"] = workload
+    codes, _ = _run(tmp_path, _report(headline=1000.0), redefined)
+    assert codes == [0, code]
+
+
 def test_new_tags_and_other_modes_seed_instead_of_gating(tmp_path):
     codes, _ = _run(
         tmp_path,
@@ -136,3 +146,4 @@ def test_points_carry_no_retired_ratios(tmp_path):
     _, points = _run(tmp_path, _report())
     assert "incremental_speedup_multisegment" not in points[-1]
     assert "sweep_transport_reduction" not in points[-1]
+    assert "fast_forward_speedup" not in points[-1]

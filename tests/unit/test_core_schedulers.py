@@ -14,6 +14,7 @@ from repro.exceptions import (
     SchedulingError,
     ThroughputInfeasibleError,
 )
+from repro.graph.examples import dsp_filter_bank
 from repro.graph.generator import chain_graph, fork_join_graph
 from repro.platform.builders import homogeneous_platform
 from repro.schedule.metrics import communication_count, latency_upper_bound
@@ -261,6 +262,30 @@ class TestBicriteria:
         assert constrained.latency <= bound + 1e-6
         # a latency bound can only reduce the achievable throughput
         assert constrained.period >= unconstrained.period - 1e-6 or constrained.latency <= bound
+
+    @pytest.mark.parametrize("epsilon", [0, 1])
+    def test_maximize_throughput_finds_a_period_meeting_the_latency_bound(self, epsilon):
+        """Latency-bounded feasibility is not monotone in the period: at the
+        most generous period this filter bank's latency exceeds the budget,
+        yet Δ≈256 (ε=0, L≈1280) and Δ≈2290 (ε=1, L≈2290) both meet it."""
+        graph = dsp_filter_bank(channels=8, taps=3)
+        platform = homogeneous_platform(10, bandwidth=2.0)
+        budget = 2560.6
+        result = maximize_throughput(graph, platform, epsilon=epsilon, latency_bound=budget)
+        assert result.latency <= budget
+        assert result.schedule.max_cycle_time <= result.period + 1e-6
+        unconstrained = maximize_throughput(graph, platform, epsilon=epsilon)
+        assert result.period >= unconstrained.period
+        if epsilon == 0:  # the unconstrained optimum already meets the budget
+            assert result.period == unconstrained.period
+
+    def test_maximize_throughput_raises_when_no_period_meets_the_bound(self, chain6):
+        platform = homogeneous_platform(4)
+        unconstrained = maximize_throughput(chain6, platform, epsilon=0)
+        with pytest.raises(SchedulingError, match="latency bound"):
+            maximize_throughput(
+                chain6, platform, epsilon=0, latency_bound=0.5 * unconstrained.period
+            )
 
     def test_maximize_throughput_beats_generous_period(self, chain6):
         platform = homogeneous_platform(4)

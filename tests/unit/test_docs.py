@@ -87,25 +87,6 @@ def test_observability_doc_covers_the_obs_cli_surface():
     assert "observability.md" in (REPO / "docs" / "architecture.md").read_text()
 
 
-def test_docs_cover_the_fast_forward_surface():
-    """The steady-state fast forward must be documented end to end: the flag
-    and its guard conditions in performance.md, the probe contract in
-    observability.md, and the scenario-file knob in scenarios.md."""
-    performance = (REPO / "docs" / "performance.md").read_text()
-    assert "fast forward" in performance.lower()
-    for name in ("fast_forward", "certified_grid", "repro.sim.steady",
-                 "--no-fast-forward"):
-        assert name in performance, f"performance.md misses {name}"
-    # the guard conditions must be spelled out, not just the happy path
-    for guard in ("queue_capacity", "supports_fast_forward"):
-        assert guard in performance, f"performance.md misses guard {guard}"
-    observability = (REPO / "docs" / "observability.md").read_text()
-    for name in ("on_fast_forward", "supports_fast_forward",
-                 "runtime.fast_forward.spans"):
-        assert name in observability, f"observability.md misses {name}"
-    assert "performance.md#steady-state-fast-forward" in observability
-
-
 def test_docs_cover_the_scheduler_hot_path():
     """performance.md must explain the planning hot path, name the corpus
     that guards it and document the gated scheduler benchmark rows."""

@@ -495,6 +495,8 @@ class TestOnlineRuntime:
         for bad in (False, 1, None):
             with pytest.raises(ValueError, match="checkpoint"):
                 OnlineRuntime(replicated, empty, checkpoint=bad)
+            with pytest.raises(ValueError, match="fast_forward"):
+                OnlineRuntime(replicated, empty, fast_forward=bad)
         with pytest.raises(ValueError):
             OnlineRuntime(replicated, empty_trace(replicated, 5)).run(0)
         incomplete = Schedule(fig2, fig2_platform, period=20.0, epsilon=1)

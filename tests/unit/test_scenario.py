@@ -239,6 +239,22 @@ class TestValidation:
         assert main(["run", str(path)]) == 2
         assert "runtime.checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [False, 1, None, "true"])
+    def test_fast_forward_accepts_only_true(self, bad):
+        """Every stream runs the event loop: anything but ``true`` is
+        rejected, naming the field."""
+        with pytest.raises(SpecificationError, match="runtime.fast_forward"):
+            ScenarioSpec.from_dict({"runtime": {"fast_forward": bad}})
+        assert ScenarioSpec.from_dict({"runtime": {"fast_forward": True}}) == ScenarioSpec()
+
+    def test_fast_forward_false_exits_2_on_the_cli(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "no-ff.json"
+        path.write_text('{"runtime": {"fast_forward": false}}')
+        assert main(["run", str(path)]) == 2
+        assert "runtime.fast_forward" in capsys.readouterr().err
+
     def test_paper_generator_rejects_foreign_platform(self):
         with pytest.raises(SpecificationError, match="paper platform"):
             WorkloadSpec(generator="paper", platform="homogeneous")

@@ -418,6 +418,18 @@ class TestApp:
         assert payload["error"]["kind"] == "invalid-spec"
         assert "runtime.checkpoint" in payload["error"]["message"]
 
+    def test_fast_forward_false_is_422_naming_the_field(self, tmp_path):
+        app = make_app(tmp_path)
+        status, payload, _ = call(
+            app,
+            "POST",
+            "/v1/scenarios",
+            {"scenario": {**SPEC, "runtime": {**SPEC["runtime"], "fast_forward": False}}},
+        )
+        assert status == 422
+        assert payload["error"]["kind"] == "invalid-spec"
+        assert "runtime.fast_forward" in payload["error"]["message"]
+
     def test_malformed_json_is_400(self, tmp_path):
         app = make_app(tmp_path)
         raw = b"{not json"
