@@ -93,7 +93,6 @@ from repro.failures import (
 from repro.runtime import (
     OnlineRuntime,
     RuntimeTrace,
-    run_trial,
     summarize_traces,
 )
 from repro.baselines import (
@@ -221,7 +220,6 @@ __all__ = [
     # online runtime
     "OnlineRuntime",
     "RuntimeTrace",
-    "run_trial",
     "summarize_traces",
     # baselines
     "heft_schedule",

@@ -185,16 +185,6 @@ class MonteCarloResult(Result):
     kind: ClassVar[str] = "monte-carlo"
 
     @property
-    def traces(self) -> tuple[RuntimeTrace, ...]:
-        if self.campaign.traces is None:
-            raise ValueError(
-                "this campaign ran with reduce='stats': the traces were "
-                "summarized inside the workers and never shipped back — "
-                "re-run with reduce='traces' to keep them"
-            )
-        return self.campaign.traces
-
-    @property
     def stats(self) -> RuntimeStats:
         return self.campaign.stats
 
@@ -353,7 +343,6 @@ class Session:
         seed: int = 0,
         jobs: int | None = 1,
         cache=None,
-        reduce: str = "traces",
         *,
         max_retries: int = 2,
         trial_timeout: float | None = None,
@@ -366,13 +355,11 @@ class Session:
         Child seeds derive up front from *seed*, so the result is bit-for-bit
         identical for any ``jobs`` value.  *cache* (a :mod:`repro.cache`
         object or a directory path) serves the whole campaign from its
-        content address when the identical ``(spec, seed, trials, reduce)``
-        ran before on this code version.  *reduce* selects the worker
-        payload: ``"traces"`` (default) keeps every trial's full trace,
-        ``"stats"`` summarizes each trace inside the worker so only a few
-        floats per trial cross the process boundary — identical
-        :attr:`~MonteCarloResult.stats`, but :attr:`~MonteCarloResult.traces`
-        is then unavailable.
+        content address when the identical ``(spec, seed, trials)`` ran
+        before on this code version.  Each trial is summarized inside its
+        worker, so only a few floats per trial cross the process boundary.
+        Trial ``k``'s full trace is
+        ``Session(spec).run_online(seed=mc.campaign.trial_seeds[k]).trace``.
 
         The resilience keywords pass straight through to
         :func:`~repro.experiments.parallel.run_runtime_campaign`:
@@ -390,8 +377,9 @@ class Session:
         >>> mc = session.monte_carlo(trials=2, seed=1)
         >>> mc.stats.trials
         2
-        >>> lean = session.monte_carlo(trials=2, seed=1, reduce="stats")
-        >>> lean.stats == mc.stats
+        >>> from repro.runtime.trace import summarize_trace
+        >>> trace = session.run_online(seed=mc.campaign.trial_seeds[0]).trace
+        >>> summarize_trace(trace) == mc.campaign.summaries[0]
         True
         """
         # Imported lazily: the experiments package must not load on import of
@@ -400,7 +388,7 @@ class Session:
 
         campaign = run_runtime_campaign(
             self._spec, trials=trials, seed=seed, jobs=jobs, cache=cache,
-            reduce=reduce, max_retries=max_retries, trial_timeout=trial_timeout,
+            max_retries=max_retries, trial_timeout=trial_timeout,
             resume=resume, chaos=chaos, stop=stop,
         )
         return MonteCarloResult(spec=self._spec, seed=seed, campaign=campaign)
@@ -413,7 +401,6 @@ class Session:
         jobs: int | None = 1,
         cache=None,
         name: str | None = None,
-        reduce: str = "traces",
         max_retries: int = 2,
         trial_timeout: float | None = None,
         resume: bool = False,
@@ -434,12 +421,9 @@ class Session:
         *trials* and *seed* default to 10 and 0 for axis mappings, and to the
         suite's declared values for suites.  *cache* enables spec-hash result
         caching (a :mod:`repro.cache` object or a directory path): points
-        whose ``(spec, seed, trials, reduce, code version)`` ran before are
-        served bit-identically from disk, only changed points re-execute,
-        *jobs* at a time.  *reduce* selects the worker payload: ``"stats"``
-        summarizes every trace inside the worker, so wide sweeps that only
-        read per-point statistics (panels, rows) transfer and cache a few
-        floats per trial instead of full trace pickles.  The resilience
+        whose ``(spec, seed, trials, code version)`` ran before are served
+        bit-identically from disk, only changed points re-execute, *jobs* at
+        a time.  The resilience
         keywords (*max_retries*, *trial_timeout*, *resume*, *chaos*, *stop*)
         pass straight through to
         :func:`~repro.experiments.sweep.run_suite`: supervised recovery from
@@ -493,7 +477,7 @@ class Session:
             )
             trials = seed = None  # the suite now carries the resolved values
         return run_suite(
-            suite, seed=seed, trials=trials, jobs=jobs, cache=cache, reduce=reduce,
+            suite, seed=seed, trials=trials, jobs=jobs, cache=cache,
             max_retries=max_retries, trial_timeout=trial_timeout, resume=resume,
             chaos=chaos, stop=stop,
         )

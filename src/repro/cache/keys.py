@@ -142,22 +142,16 @@ def result_key(kind: str, spec, seed: int, **extra) -> str:
     return hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
 
 
-def campaign_key(spec, seed: int, trials: int, reduce: str = "traces") -> str:
+def campaign_key(spec, seed: int, trials: int) -> str:
     """The address of a Monte-Carlo campaign: ``(spec, seed)`` × *trials*.
 
     This is the unit cached by the suite runner — one grid point's campaign —
-    and by :func:`repro.experiments.parallel.run_runtime_campaign`.  *reduce*
-    records the worker-side reduction the payload was produced with
-    (``"traces"`` keeps full traces, ``"stats"`` only per-trial summaries):
-    the two payload shapes carry different information, so they address
-    different entries and never serve each other.
+    and by :func:`repro.experiments.parallel.run_runtime_campaign`.
     """
-    return result_key(
-        "runtime-campaign", spec, seed, trials=int(trials), reduce=str(reduce)
-    )
+    return result_key("runtime-campaign", spec, seed, trials=int(trials))
 
 
-def trial_key(spec, seed: int, trial: int, reduce: str = "traces") -> str:
+def trial_key(spec, seed: int, trial: int) -> str:
     """The address of a *single trial* of a campaign: the checkpoint unit.
 
     Derived like :func:`campaign_key` but per trial index — and deliberately
@@ -173,6 +167,4 @@ def trial_key(spec, seed: int, trial: int, reduce: str = "traces") -> str:
     ``(seed, trial)``, so keying on the pair is equivalent and keeps the key
     derivable before any RNG work happens.
     """
-    return result_key(
-        "runtime-trial", spec, seed, trial=int(trial), reduce=str(reduce)
-    )
+    return result_key("runtime-trial", spec, seed, trial=int(trial))

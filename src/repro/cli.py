@@ -59,12 +59,6 @@ self-contained HTML page for ``.html`` paths)::
     repro-streaming run examples/scenario.json --metrics metrics.json --gantt run.svg
     repro-streaming run examples/scenario.json --gantt run.html --sample 0.25
 
-Wide sweeps and big campaigns can ship statistics instead of full traces —
-the worker summarizes each trial before anything crosses the process
-boundary (identical numbers, a tiny fraction of the transfer)::
-
-    repro-streaming suite run suite.json --jobs 8 --reduce stats
-
 Cache maintenance: inspect the result cache and prune it to a size bound
 (least-recently-used entries go first; losing an entry only means the next
 identical run recomputes it)::
@@ -441,9 +435,17 @@ def _add_run_parser(sub) -> None:
         default="online",
         help="which front end to drive (default: one online run)",
     )
-    p.add_argument("--seed", type=int, default=0, help="run/campaign seed (default 0)")
     p.add_argument(
-        "--trials", type=int, default=20, help="trials for --mode monte-carlo"
+        "--seed",
+        type=_number(int, low=0),
+        default=0,
+        help="run/campaign seed (default 0)",
+    )
+    p.add_argument(
+        "--trials",
+        type=_number(int, low=1),
+        default=20,
+        help="trials for --mode monte-carlo",
     )
     p.add_argument(
         "--jobs",
@@ -462,25 +464,11 @@ def _add_run_parser(sub) -> None:
     _add_obs_options(p)
 
 
-def _add_reduce_option(p: argparse.ArgumentParser) -> None:
-    """The worker-transport flag of ``suite run`` and ``suite report``."""
-    p.add_argument(
-        "--reduce",
-        choices=("traces", "stats"),
-        default="traces",
-        help=(
-            "worker payload: 'traces' ships every trial's full trace back to "
-            "the parent, 'stats' summarizes inside the worker (identical "
-            "statistics, a tiny fraction of the inter-process transfer)"
-        ),
-    )
-
-
 def _add_resilience_options(p: argparse.ArgumentParser) -> None:
     """The supervised-execution flags of ``suite run`` and ``suite report``."""
     p.add_argument(
         "--max-retries",
-        type=int,
+        type=_number(int, low=0),
         default=2,
         help=(
             "retries per trial after a worker crash or timeout before the "
@@ -606,10 +594,16 @@ def _add_suite_exec_options(p: argparse.ArgumentParser) -> None:
         help="worker processes for cache-miss points",
     )
     p.add_argument(
-        "--seed", type=int, default=None, help="override the suite's campaign seed"
+        "--seed",
+        type=_number(int, low=0),
+        default=None,
+        help="override the suite's campaign seed",
     )
     p.add_argument(
-        "--trials", type=int, default=None, help="override the suite's trials/point"
+        "--trials",
+        type=_number(int, low=1),
+        default=None,
+        help="override the suite's trials/point",
     )
     p.add_argument(
         "--x-axis",
@@ -632,7 +626,6 @@ def _add_suite_exec_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--no-plot", action="store_true", help="print only the tables, no ASCII plots"
     )
-    _add_reduce_option(p)
     _add_resilience_options(p)
     _add_cache_options(p)
 
@@ -683,7 +676,6 @@ def _run_suite_command(args: argparse.Namespace) -> int:
                 trials=args.trials,
                 jobs=args.jobs,
                 cache=_open_cli_cache(args),
-                reduce=args.reduce,
                 max_retries=args.max_retries,
                 trial_timeout=args.trial_timeout,
                 resume=args.resume,
@@ -727,8 +719,8 @@ def _print_suite_json(result, args: argparse.Namespace) -> int:
 
     from repro.service.models import suite_result_key, suite_result_payload
 
-    key = suite_result_key(result.suite, result.seed, result.trials, args.reduce)
-    print(json.dumps(suite_result_payload(result, reduce=args.reduce, key=key)))
+    key = suite_result_key(result.suite, result.seed, result.trials)
+    print(json.dumps(suite_result_payload(result, key=key)))
     return 0
 
 

@@ -12,43 +12,29 @@ derived *before* dispatch from its campaign seed
 (:func:`campaign_trial_seeds`), and the results are collected in submission
 order, so ``jobs=1`` and ``jobs=N`` produce bit-for-bit identical results.
 
-Campaigns that only need statistics can run with ``reduce="stats"``: the
-worker summarizes each trace to a :class:`~repro.runtime.trace.TraceSummary`
-*before* shipping it back, so a cacheless sweep transfers a few floats per
-trial instead of megabytes of trace pickles — with
-:meth:`RuntimeCampaignResult.stats` equal to the ``reduce="traces"`` value by
-construction (see :func:`repro.runtime.trace.combine_summaries`).
+Every trial is summarized inside its worker: the payload that crosses the
+process boundary (and lands in the cache) is one
+:class:`~repro.runtime.trace.TraceSummary` per trial, a few floats instead of
+the full trace pickle, and :attr:`RuntimeCampaignResult.stats` combines them
+(:func:`repro.runtime.trace.combine_summaries`).  Trial ``k``'s full trace is
+one call away: ``Session(spec).run_online(seed=campaign.trial_seeds[k]).trace``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
-from repro.runtime.montecarlo import run_trial, run_trial_summary
-from repro.runtime.trace import (
-    RuntimeStats,
-    RuntimeTrace,
-    TraceSummary,
-    combine_summaries,
-    summarize_traces,
-)
+from repro.runtime.trace import RuntimeStats, TraceSummary, combine_summaries, summarize_trace
+from repro.scenario.run import run_scenario_online
 from repro.scenario.spec import ScenarioSpec
+from repro.utils.checks import check_count
 from repro.utils.rng import derive_seed, ensure_rng
 
 __all__ = [
-    "REDUCTIONS",
-    "check_reduce",
     "campaign_trial_seeds",
     "RuntimeCampaignResult",
     "run_runtime_campaign",
 ]
-
-#: worker-side reductions of a campaign: ship full traces, or summarize each
-#: trace to a TraceSummary inside the worker (identical statistics, a tiny
-#: fraction of the inter-process transfer).
-REDUCTIONS = ("traces", "stats")
-
 
 def campaign_trial_seeds(seed: int, trials: int) -> tuple[int, ...]:
     """The per-trial child seeds of one campaign, derived up front from *seed*.
@@ -62,53 +48,27 @@ def campaign_trial_seeds(seed: int, trials: int) -> tuple[int, ...]:
     return tuple(derive_seed(rng) for _ in range(trials))
 
 
-def check_reduce(reduce: str) -> str:
-    """Validate a ``reduce=`` argument (shared by runners, Session and CLI)."""
-    if reduce not in REDUCTIONS:
-        raise ValueError(f"reduce must be one of {REDUCTIONS}, got {reduce!r}")
-    return reduce
-
-
 @dataclass(frozen=True)
 class RuntimeCampaignResult:
     """Outcome of a Monte-Carlo campaign of online-runtime trials.
 
-    Exactly one of *traces* / *summaries* is set, according to *reduce*:
-    ``"traces"`` keeps every trial's full :class:`~repro.runtime.trace.
-    RuntimeTrace`, ``"stats"`` keeps only the per-trial
-    :class:`~repro.runtime.trace.TraceSummary` produced inside the worker
-    processes.  :attr:`stats` is identical either way.
+    *summaries* holds one :class:`~repro.runtime.trace.TraceSummary` per
+    trial, produced inside the worker processes, in trial order.
     """
 
     spec: ScenarioSpec
     seed: int
     trial_seeds: tuple[int, ...]
-    traces: tuple[RuntimeTrace, ...] | None
-    summaries: tuple[TraceSummary, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if (self.traces is None) == (self.summaries is None):
-            raise ValueError(
-                "exactly one of traces/summaries must be set "
-                "(reduce='traces' keeps traces, reduce='stats' keeps summaries)"
-            )
-
-    @property
-    def reduce(self) -> str:
-        """The worker-side reduction this campaign ran with."""
-        return "traces" if self.traces is not None else "stats"
+    summaries: tuple[TraceSummary, ...]
 
     @property
     def trials(self) -> int:
-        payload = self.traces if self.traces is not None else self.summaries
-        return len(payload)
+        return len(self.summaries)
 
     @property
     def stats(self) -> RuntimeStats:
-        """Aggregate statistics over the trials (identical for both modes)."""
-        if self.summaries is not None:
-            return combine_summaries(self.summaries)
-        return summarize_traces(self.traces)
+        """Aggregate statistics over the trials."""
+        return combine_summaries(self.summaries)
 
 
 def run_runtime_campaign(
@@ -117,7 +77,7 @@ def run_runtime_campaign(
     seed: int = 0,
     jobs: int | None = 1,
     cache=None,
-    reduce: str = "traces",
+    reduce: str = "stats",
     *,
     max_retries: int = 2,
     trial_timeout: float | None = None,
@@ -129,22 +89,22 @@ def run_runtime_campaign(
 
     The child seeds are drawn up-front from *seed*, so the campaign result is
     identical for any value of *jobs* and any machine; two campaigns with the
-    same ``(spec, trials, seed)`` produce equal traces.  A campaign is a suite
+    same ``(spec, trials, seed)`` produce equal summaries.  A campaign is a suite
     with zero axes: :func:`repro.experiments.sweep.run_suite` runs its points
     through the same executor.
 
     That purity is what *cache* exploits: a cache object from
     :mod:`repro.cache` (or a directory path) serves the whole campaign from
-    its content address when the identical ``(spec, seed, trials, reduce)``
-    ran before on this code version — bit-identical to re-executing — and
-    stores fresh results for next time.
+    its content address when the identical ``(spec, seed, trials)`` ran
+    before on this code version — bit-identical to re-executing — and stores
+    fresh results for next time.
 
-    *reduce* selects the worker payload: ``"traces"`` (default) ships every
-    trial's full trace back to the parent, ``"stats"`` summarizes each trace
-    to a :class:`~repro.runtime.trace.TraceSummary` inside the worker — same
-    :attr:`~RuntimeCampaignResult.stats`, a small fraction of the transfer
-    (and of the cache entry).  The reduction is part of the cache key, so the
-    two modes never serve each other's entries.
+    Each worker ships back one :class:`~repro.runtime.trace.TraceSummary`
+    per trial, never the trace itself.  Trial ``k``'s full trace is
+    ``Session(spec).run_online(seed=campaign.trial_seeds[k]).trace``: the
+    trial seeds are part of the result, and a trial is a pure function of its
+    spec and seed.  *reduce* only accepts ``"stats"``, the one payload (the
+    parameter stays so that callers passing it keep working).
 
     Execution runs under the supervised pool of
     :mod:`repro.resilience.supervisor`: a dead worker respawns the pool and
@@ -167,9 +127,11 @@ def run_runtime_campaign(
     checkpoint probes and writes change the cache traffic of a run, and a
     full-campaign entry already serves the common case.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    check_reduce(reduce)
+    trials = check_count(trials, "trials")
+    if reduce != "stats":
+        raise ValueError(
+            f"reduce must be 'stats' (every trial ships its summary), got {reduce!r}"
+        )
     from repro.cache import open_cache
     from repro.resilience import ExecutionError, resolve_chaos
     from repro.resilience.supervisor import ExecutionInterrupted
@@ -177,7 +139,7 @@ def run_runtime_campaign(
     cache = open_cache(cache)
     chaos = resolve_chaos(chaos)
     run = _execute_campaigns(
-        [(spec, seed)], trials, jobs, cache, reduce,
+        [(spec, seed)], trials, jobs, cache,
         max_retries=max_retries, trial_timeout=trial_timeout, resume=resume,
         chaos=chaos, stop=stop,
     )
@@ -190,16 +152,14 @@ def run_runtime_campaign(
     return run.results[0]
 
 
-def _run_trial_unit(item: tuple[ScenarioSpec, int], reduce: str):
+def _run_trial_unit(item: tuple[ScenarioSpec, int]) -> TraceSummary:
     """Execute one (campaign, trial) unit — the picklable unit of campaign work.
 
-    With ``reduce="stats"`` the trace never leaves the worker — only its
+    The trace never leaves the worker — only its
     :class:`~repro.runtime.trace.TraceSummary` does.
     """
     spec, trial_seed = item
-    if reduce == "stats":
-        return run_trial_summary(spec, trial_seed)
-    return run_trial(spec, trial_seed)
+    return summarize_trace(run_scenario_online(spec, trial_seed))
 
 
 @dataclass(frozen=True)
@@ -223,7 +183,6 @@ def _execute_campaigns(
     trials: int,
     jobs: int | None,
     cache,
-    reduce: str,
     *,
     max_retries: int,
     trial_timeout: float | None,
@@ -239,7 +198,7 @@ def _execute_campaigns(
     their trials — minus the trials already checkpointed when *resume* is on —
     and all those (campaign, trial) units share one supervised pool, so
     workers stay busy even when there are fewer campaigns than workers, and
-    each unit's return payload is one trace (or one summary), never a whole
+    each unit's return payload is one summary, never a whole
     campaign pickle.  Completed campaigns are written back from the parent.
     """
     from repro.cache import MISS, campaign_key, trial_key
@@ -249,7 +208,7 @@ def _execute_campaigns(
     # with caching off there is nothing to address: skip the hashing and the
     # probe loop entirely so a cacheless run carries all-zero stats.
     keys = [
-        campaign_key(spec, seed, trials, reduce=reduce) if cache.enabled else None
+        campaign_key(spec, seed, trials) if cache.enabled else None
         for spec, seed in campaigns
     ]
     results = [
@@ -263,7 +222,7 @@ def _execute_campaigns(
     # smaller-trials run — trial keys ignore the campaign's total count) are
     # served from the cache; only the missing ones become work units.
     done = {
-        i: _probe_trial_checkpoints(cache, *campaigns[i], range(trials), reduce, resume)
+        i: _probe_trial_checkpoints(cache, *campaigns[i], range(trials), resume)
         for i in missed
     }
     resumed_trials = sum(len(found) for found in done.values())
@@ -272,10 +231,10 @@ def _execute_campaigns(
     def checkpoint(slot: int, value) -> None:
         i, t = units[slot]
         spec, seed = campaigns[i]
-        cache.put(trial_key(spec, seed, t, reduce=reduce), value)
+        cache.put(trial_key(spec, seed, t), value)
 
     outcome = supervised_map(
-        partial(_run_trial_unit, reduce=reduce),
+        _run_trial_unit,
         [(campaigns[i][0], trial_seeds[i][t]) for i, t in units],
         jobs=jobs,
         tokens=[trial_seeds[i][t] for i, t in units],
@@ -307,14 +266,12 @@ def _execute_campaigns(
                 else f"interrupted with {len(values)} of {trials} trials done"
             )
             continue
-        payload = tuple(values[t] for t in range(trials))
         spec, seed = campaigns[i]
         results[i] = RuntimeCampaignResult(
             spec=spec,
             seed=seed,
             trial_seeds=trial_seeds[i],
-            traces=payload if reduce == "traces" else None,
-            summaries=payload if reduce == "stats" else None,
+            summaries=tuple(values[t] for t in range(trials)),
         )
         if keys[i] is not None:
             cache.put(keys[i], results[i])
@@ -329,8 +286,8 @@ def _execute_campaigns(
 
 
 def _probe_trial_checkpoints(
-    cache, spec, seed: int, trial_indices, reduce: str, resume: bool
-) -> dict[int, object]:
+    cache, spec, seed: int, trial_indices, resume: bool
+) -> dict[int, TraceSummary]:
     """The already-checkpointed trials of a campaign: ``{trial index: value}``.
 
     Empty unless *resume* is on and the cache is real — per-trial probes are
@@ -341,10 +298,9 @@ def _probe_trial_checkpoints(
         return {}
     from repro.cache import MISS, trial_key
 
-    expect = TraceSummary if reduce == "stats" else RuntimeTrace
-    found: dict[int, object] = {}
+    found: dict[int, TraceSummary] = {}
     for t in trial_indices:
-        value = cache.get(trial_key(spec, seed, t, reduce=reduce), expect=expect)
+        value = cache.get(trial_key(spec, seed, t), expect=TraceSummary)
         if value is not MISS:
             found[t] = value
     return found

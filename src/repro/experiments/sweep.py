@@ -40,6 +40,7 @@ from repro.experiments.figures import FigureSeries
 from repro.runtime.trace import RuntimeStats
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.suite import SuiteSpec
+from repro.utils.checks import check_count
 from repro.utils.rng import derive_seed, ensure_rng
 
 __all__ = [
@@ -62,8 +63,7 @@ SWEEP_METRICS: dict[str, str] = {
 #: (``repro-streaming suite report``).  Kept separate from
 #: :data:`SWEEP_METRICS` so the existing ``suite run`` report stays
 #: byte-stable; the percentile attributes come from the merged fixed-bucket
-#: histograms (see :mod:`repro.obs.metrics`), so they are identical for
-#: ``reduce="traces"`` and ``reduce="stats"`` campaigns.
+#: histograms of the per-trial summaries (see :mod:`repro.obs.metrics`).
 REPORT_METRICS: dict[str, str] = {
     "p50 latency": "p50_latency",
     "p95 latency": "p95_latency",
@@ -313,7 +313,6 @@ def run_suite(
     trials: int | None = None,
     jobs: int | None = 1,
     cache=None,
-    reduce: str = "traces",
     *,
     max_retries: int = 2,
     trial_timeout: float | None = None,
@@ -329,20 +328,15 @@ def run_suite(
     :func:`~repro.experiments.parallel.run_runtime_campaign` would draw them,
     so the result is bit-for-bit identical for any *jobs* value **and any
     cache state**: a cached campaign is the pickled result of the identical
-    ``(spec, seed, trials, reduce, code version)`` execution.  *cache* is a
+    ``(spec, seed, trials, code version)`` execution.  *cache* is a
     cache object from :mod:`repro.cache`, a directory path, or ``None`` (no
     caching); only cache misses are executed — flattened into trials × points
     work units over one shared pool, *jobs* at a time — and fresh results are
     written back from the parent process.
 
-    *reduce* selects the worker payload.  ``"traces"`` (default) keeps every
-    trial's full :class:`~repro.runtime.trace.RuntimeTrace`: the cache then
-    stores complete campaigns and :attr:`SuitePointResult.campaign` exposes
-    them.  ``"stats"`` summarizes each trace *inside the worker*: only a few
-    floats per trial cross the process boundary (and land in the cache),
-    which is the right mode for wide, cacheless sweeps that only read
-    :attr:`SuitePointResult.stats` — the statistics are equal to the
-    ``"traces"`` mode's by construction.
+    Every trial is summarized *inside its worker*: only its
+    :class:`~repro.runtime.trace.TraceSummary` crosses the process boundary
+    and lands in the cache.
 
     Execution is *supervised* (see :mod:`repro.resilience`): a dead worker
     respawns the pool and only the lost (point, trial) units are retried
@@ -365,22 +359,19 @@ def run_suite(
     probes and writes change a run's cache traffic, and the full-campaign
     entry already serves the common case.
     """
-    from repro.experiments.parallel import _execute_campaigns, check_reduce
+    from repro.experiments.parallel import _execute_campaigns
     from repro.resilience import resolve_chaos
 
-    check_reduce(reduce)
     cache = open_cache(cache)
     chaos = resolve_chaos(chaos)
     stats_before = cache.stats.snapshot()
     run_seed = suite.seed if seed is None else seed
-    run_trials = suite.trials if trials is None else trials
-    if run_trials < 1:
-        raise ValueError(f"trials must be >= 1, got {run_trials}")
+    run_trials = suite.trials if trials is None else check_count(trials, "trials")
     specs = suite.points()
     rng = ensure_rng(run_seed)
     seeds = [derive_seed(rng) for _ in specs]
     run = _execute_campaigns(
-        list(zip(specs, seeds)), run_trials, jobs, cache, reduce,
+        list(zip(specs, seeds)), run_trials, jobs, cache,
         max_retries=max_retries, trial_timeout=trial_timeout, resume=resume,
         chaos=chaos, stop=stop,
     )

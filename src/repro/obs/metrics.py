@@ -4,7 +4,7 @@ The paper's scheduling model is evaluated on *distributions*, not means: a
 fault-tolerant mapping that keeps mean latency flat while the p99 triples
 during rebuilds is a worse service, and ROADMAP's observability item asks for
 exactly that tail visibility.  The obstacle is the campaign engine's
-``reduce="stats"`` transport (PR 5): worker processes ship one small
+transport: worker processes ship one small
 :class:`~repro.runtime.trace.TraceSummary` per trial instead of the full
 trace, so any percentile carried there must be computable from *mergeable*
 per-trial state — raw quantiles do not merge, histograms with **shared fixed

@@ -15,9 +15,7 @@ counterpart:
   of data sets the pipeline cannot take (``shed`` drops, ``queue`` buffers
   through downtime with a bounded backlog);
 * :mod:`repro.runtime.trace` — the :class:`RuntimeTrace` execution record
-  (per-dataset latency, downtime, rebuilds) and its aggregation;
-* :mod:`repro.runtime.montecarlo` — one seeded Monte-Carlo trial, fanned out
-  in parallel by :mod:`repro.experiments.parallel`.
+  (per-dataset latency, downtime, rebuilds) and its aggregation.
 """
 
 from repro.runtime.admission import (
@@ -45,7 +43,6 @@ from repro.runtime.trace import (
     summarize_trace,
     summarize_traces,
 )
-from repro.runtime.montecarlo import run_trial, run_trial_summary
 
 __all__ = [
     "OnlineRuntime",
@@ -67,6 +64,4 @@ __all__ = [
     "combine_summaries",
     "summarize_trace",
     "summarize_traces",
-    "run_trial",
-    "run_trial_summary",
 ]

@@ -338,8 +338,8 @@ def run_scenario_online(spec: ScenarioSpec, seed: int = 0, probe=None) -> Runtim
 
     Deterministic: the trace only depends on ``(spec, seed)``.  This is the
     unit of work fanned across processes by the Monte-Carlo campaign engine,
-    and the single execution path under ``Session.run_online``,
-    :func:`repro.runtime.montecarlo.run_trial` and every campaign and suite.
+    and the single execution path under ``Session.run_online`` and every
+    campaign and suite.
     """
     workload_seed, fault_seed = resolve_seeds(spec, seed)
     workload = build_workload(spec.workload, workload_seed)

@@ -26,7 +26,7 @@ Start one from the CLI (``repro-streaming serve``) or embed it::
 See ``docs/service.md`` for the endpoint reference and a curl walkthrough.
 """
 
-from repro.service.app import ServiceApp, make_threaded_server, serve
+from repro.service.app import ServiceApp, make_threaded_server
 from repro.service.jobs import Job, JobProbe, JobStore
 from repro.service.limits import CircuitBreaker, CircuitOpen, PoolSaturated, WorkerPool
 from repro.service.models import (
@@ -39,7 +39,6 @@ from repro.service.models import (
 
 __all__ = [
     "ServiceApp",
-    "serve",
     "make_threaded_server",
     "Job",
     "JobProbe",

@@ -8,8 +8,8 @@ stdlib is enough::
     from repro.service import ServiceApp
     make_server("127.0.0.1", 8000, ServiceApp()).serve_forever()
 
-(Use :func:`serve` instead: it picks a *threaded* WSGI server so status polls
-keep answering while jobs run.)  No framework is required or imported, but an
+(Use :func:`make_threaded_server` instead: it builds a *threaded* WSGI server
+so status polls keep answering while jobs run.)  No framework is required or imported, but an
 ASGI shim (:attr:`ServiceApp.asgi`) is included so ``uvicorn`` can serve the
 same app object where it happens to be installed.
 
@@ -19,7 +19,7 @@ Routes (all JSON in, JSON out):
 ``POST /v1/scenarios``                     submit ``{"scenario": {...},
                                            "seed": 0}`` → 202 + job document
 ``POST /v1/suites``                        submit ``{"suite": {...}, "seed",
-                                           "trials", "reduce"}`` → 202 + job
+                                           "trials"}`` → 202 + job
 ``GET /v1/jobs/{id}``                      job status (state, cached,
                                            executed, result_key)
 ``GET /v1/jobs/{id}/events``               progress events; ``?after=<seq>``
@@ -55,7 +55,7 @@ from repro.service.models import (
     error_payload,
 )
 
-__all__ = ["ServiceApp", "serve"]
+__all__ = ["ServiceApp", "make_threaded_server"]
 
 _STATUS_TEXT = {
     200: "200 OK",
@@ -265,7 +265,7 @@ class ServiceApp:
         """An ASGI 3 adapter over this app (``uvicorn module:app.asgi``).
 
         Minimal by design: buffers the request body, runs the WSGI callable,
-        sends one response.  The stdlib :func:`serve` path has no use for it;
+        sends one response.  The stdlib :func:`make_threaded_server` path has no use for it;
         it exists so deployments that already run uvicorn can mount the
         service without a second server layer.
         """
@@ -318,17 +318,6 @@ class ServiceApp:
             })
 
         return adapter
-
-
-def serve(app: ServiceApp, host: str = "127.0.0.1", port: int = 8000):
-    """Serve *app* on the stdlib WSGI server, threaded, until interrupted.
-
-    Returns the server object (``.serve_forever()`` already wired); the CLI
-    calls this, tests call ``make_threaded_server`` below to get an ephemeral
-    port without blocking.
-    """
-    server = make_threaded_server(app, host, port)
-    return server
 
 
 def make_threaded_server(app: ServiceApp, host: str = "127.0.0.1", port: int = 0):

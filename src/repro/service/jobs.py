@@ -1,7 +1,7 @@
 """The async job store: content-hashed jobs over Session / run_suite.
 
 A job's id **is** its result key — the content hash of ``(spec, seed,
-trials, reduce, engine version)`` from :mod:`repro.service.models`.  That one
+trials, engine version)`` from :mod:`repro.service.models`.  That one
 decision gives the service its semantics for free:
 
 * an identical re-submit while the job runs *attaches* to the in-flight job
@@ -336,7 +336,6 @@ class JobStore:
             trials=request.trials,
             jobs=self.exec_jobs,
             cache=self.cache,
-            reduce=request.reduce,
             max_retries=self.max_retries,
             trial_timeout=self.trial_timeout,
             resume=getattr(self.cache, "enabled", False),
@@ -368,5 +367,5 @@ class JobStore:
             executed=result.executed_count,
             cached=result.cached_count,
         )
-        payload = suite_result_payload(result, reduce=request.reduce, key=job.id)
+        payload = suite_result_payload(result, key=job.id)
         return payload, result.executed_count

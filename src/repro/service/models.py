@@ -150,17 +150,14 @@ class SuiteRequest:
     """One validated ``POST /v1/suites`` body: a suite plus overrides.
 
     *seed* and *trials* default to the suite's own declared values (exactly
-    the ``--seed`` / ``--trials`` overrides of ``repro-streaming suite run``);
-    *reduce* selects the worker transport and is part of the identity — the
-    two payload shapes carry different information.
+    the ``--seed`` / ``--trials`` overrides of ``repro-streaming suite run``).
     """
 
     suite: SuiteSpec
     seed: int | None = None
     trials: int | None = None
-    reduce: str = "stats"
 
-    KEYS = ("suite", "seed", "trials", "reduce")
+    KEYS = ("suite", "seed", "trials")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SuiteRequest":
@@ -176,14 +173,6 @@ class SuiteRequest:
             isinstance(trials, bool) or not isinstance(trials, int) or trials < 1
         ):
             raise SpecificationError(f"trials must be an int >= 1, got {trials!r}")
-        reduce = data.get("reduce", "stats")
-        from repro.experiments.parallel import REDUCTIONS
-
-        if reduce not in REDUCTIONS:
-            raise SpecificationError(
-                f"reduce must be one of {list(REDUCTIONS)}, got {reduce!r}"
-                f"{close_matches_hint(reduce, REDUCTIONS)}"
-            )
         from repro.scenario.run import validate_spec_options
 
         suite = SuiteSpec.from_dict(data["suite"])
@@ -192,7 +181,6 @@ class SuiteRequest:
             suite=suite,
             seed=_check_seed(data.get("seed"), default=None),
             trials=trials,
-            reduce=reduce,
         )
 
     @property
@@ -206,7 +194,7 @@ class SuiteRequest:
 
     @property
     def result_key(self) -> str:
-        return suite_result_key(self.suite, self.run_seed, self.run_trials, self.reduce)
+        return suite_result_key(self.suite, self.run_seed, self.run_trials)
 
 
 # ------------------------------------------------------------- result identity
@@ -220,18 +208,14 @@ def scenario_result_key(spec: ScenarioSpec, seed: int) -> str:
     return result_key("service-online-run", spec, seed)
 
 
-def suite_result_key(
-    suite: SuiteSpec, seed: int, trials: int, reduce: str = "stats"
-) -> str:
+def suite_result_key(suite: SuiteSpec, seed: int, trials: int) -> str:
     """The content address of one whole suite run.
 
     The per-point campaigns keep their own :func:`~repro.cache.keys.
     campaign_key` addresses (the suite runner reuses them point by point);
     this key addresses the assembled suite-level result document.
     """
-    return result_key(
-        "service-suite-run", suite, seed, trials=int(trials), reduce=str(reduce)
-    )
+    return result_key("service-suite-run", suite, seed, trials=int(trials))
 
 
 def trace_fingerprint(trace: "RuntimeTrace") -> str:
@@ -288,9 +272,7 @@ def scenario_result_payload(
     )
 
 
-def suite_result_payload(
-    result: "SweepResult", reduce: str | None = None, key: str | None = None
-) -> dict:
+def suite_result_payload(result: "SweepResult", key: str | None = None) -> dict:
     """The JSON result document of one suite run.
 
     This is the *one* machine-readable suite summary: ``GET /v1/results/{key}``
@@ -304,19 +286,16 @@ def suite_result_payload(
     from repro.cache.keys import campaign_key
 
     suite = result.suite
-    points = []
-    for point in result.points:
-        entry = {
+    points = [
+        {
             "axes": {path: point.value_of(path) for path in suite.axes},
             "seed": point.seed,
             "source": "cache" if point.cached else "run",
             "stats": asdict(point.stats),
+            "campaign_key": campaign_key(point.spec, point.seed, result.trials),
         }
-        if reduce is not None:
-            entry["campaign_key"] = campaign_key(
-                point.spec, point.seed, result.trials, reduce=reduce
-            )
-        points.append(entry)
+        for point in result.points
+    ]
     payload = {
         "schema": SERVICE_SCHEMA,
         "kind": "suite",
@@ -341,8 +320,6 @@ def suite_result_payload(
         ),
         "points": points,
     }
-    if reduce is not None:
-        payload["reduce"] = reduce
     if key is not None:
         payload["result_key"] = key
     return jsonable(payload)

@@ -244,7 +244,7 @@ class TestDegenerateOracles:
             base=BASE.updated({"faults.group_size": 1, "faults.load_coupling": 0.0}),
             axes=axes, name="oracle", trials=2, seed=4,
         )
-        a = run_suite(base_suite, jobs=1, reduce="stats")
-        b = run_suite(degenerate, jobs=1, reduce="stats")
+        a = run_suite(base_suite, jobs=1)
+        b = run_suite(degenerate, jobs=1)
         assert [p.seed for p in a.points] == [p.seed for p in b.points]
         assert [p.stats for p in a.points] == [p.stats for p in b.points]

@@ -4,9 +4,8 @@ The load-bearing invariant of `repro.obs.metrics`: because every histogram
 lives on one global fixed bucket ladder, merging per-trial histograms and
 then asking for a quantile gives *exactly* the answer of histogramming the
 whole value set at once — for any partition, in any order.  This is what
-lets ``reduce="stats"`` campaigns report the same percentiles as
-``reduce="traces"`` without ever shipping a latency list across a process
-boundary.
+lets campaigns report the percentiles of their trials' traces without ever
+shipping a latency list across a process boundary.
 """
 
 from __future__ import annotations

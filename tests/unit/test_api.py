@@ -31,8 +31,9 @@ from repro.failures.scenarios import sample_fault_trace
 from repro.graph.generator import random_paper_workload
 from repro.runtime.admission import QueueAdmissionPolicy
 from repro.runtime.engine import OnlineRuntime
-from repro.runtime.montecarlo import run_trial
+from repro.runtime.trace import summarize_trace
 from repro.scenario import ScenarioSpec, SuiteSpec
+from repro.scenario.run import run_scenario_online
 from repro.utils.rng import derive_seed, ensure_rng
 
 SCENARIO = ScenarioSpec(name="runtime-trial").updated(
@@ -122,8 +123,8 @@ class TestOnlineBitIdentity:
             scenario, 5
         )
 
-    def test_run_trial_is_the_session_online_run(self):
-        assert run_trial(SCENARIO, 7) == Session(SCENARIO).run_online(7).trace
+    def test_run_scenario_online_is_the_session_online_run(self):
+        assert run_scenario_online(SCENARIO, 7) == Session(SCENARIO).run_online(7).trace
 
     def test_json_round_trip_preserves_the_trace(self):
         reloaded = Session.from_json(SCENARIO.to_json())
@@ -158,13 +159,23 @@ class TestSessionFrontEnds:
         mc = Session(SCENARIO).monte_carlo(trials=3, seed=2, jobs=1)
         assert isinstance(mc, MonteCarloResult)
         campaign = run_runtime_campaign(SCENARIO, trials=3, seed=2, jobs=1)
-        assert mc.traces == campaign.traces
+        assert mc.campaign.summaries == campaign.summaries
         assert mc.stats == campaign.stats
 
     def test_monte_carlo_jobs_do_not_change_results(self):
         serial = Session(SCENARIO).monte_carlo(trials=4, seed=0, jobs=1)
         fanned = Session(SCENARIO).monte_carlo(trials=4, seed=0, jobs=2)
-        assert serial.traces == fanned.traces
+        assert serial.campaign.summaries == fanned.campaign.summaries
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_trial_seed_recipe_rebuilds_every_campaign_trial(self, jobs):
+        """Trial k's full trace is run_online(seed=trial_seeds[k]).trace."""
+        campaign = Session(SCENARIO).monte_carlo(trials=3, seed=4, jobs=jobs).campaign
+        session = Session(SCENARIO)
+        for trial_seed, summary in zip(campaign.trial_seeds, campaign.summaries):
+            trace = session.run_online(seed=trial_seed).trace
+            # repr compares every field exactly, NaN included
+            assert repr(summarize_trace(trace)) == repr(summary)
 
     def test_online_result_summary(self):
         result = Session(SCENARIO).run_online(1)

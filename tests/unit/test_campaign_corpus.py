@@ -2,10 +2,9 @@
 
 Each case below drives one campaign runner and records what it produced:
 
-* ``run_runtime_campaign`` with ``reduce`` ``traces`` and ``stats``, one and
-  two worker processes and two campaign seeds — the trial seeds and, per
-  trial, the :func:`~repro.service.models.trace_fingerprint` of its trace or
-  the ``repr`` of its :class:`~repro.runtime.trace.TraceSummary`;
+* ``run_runtime_campaign`` with one and two worker processes and two
+  campaign seeds — the trial seeds and, per trial, the ``repr`` of its
+  :class:`~repro.runtime.trace.TraceSummary`;
 * a ``resume=True`` campaign over a temporary cache, run with two trials and
   then resumed to three, with the cache traffic of both runs;
 * ``run_suite`` on the smoke form of ``examples/suite.json`` (cold, then warm
@@ -42,9 +41,7 @@ from repro.experiments.figures import (
 )
 from repro.experiments.parallel import run_runtime_campaign
 from repro.experiments.sweep import run_suite
-from repro.runtime.trace import RuntimeTrace
 from repro.scenario import ScenarioSpec, SuiteSpec
-from repro.service.models import trace_fingerprint
 
 ROOT = Path(__file__).resolve().parents[2]
 GOLDEN_PATH = ROOT / "tests" / "golden" / "campaign_fingerprints.json"
@@ -69,21 +66,18 @@ TINY = ExperimentConfig(
 )
 
 
-def _payload_digest(payload) -> str:
-    """sha256 over the trials of a campaign, in trial order."""
+def _payload_digest(summaries) -> str:
+    """sha256 over the trial summaries of a campaign, in trial order."""
     digest = hashlib.sha256()
-    for value in payload:
-        text = trace_fingerprint(value) if isinstance(value, RuntimeTrace) else repr(value)
-        digest.update(f"{text}\n".encode())
+    for summary in summaries:
+        digest.update(f"{summary!r}\n".encode())
     return digest.hexdigest()
 
 
 def _campaign(result) -> dict:
-    payload = result.traces if result.traces is not None else result.summaries
     return {
-        "reduce": result.reduce,
         "trial_seeds": list(result.trial_seeds),
-        "trials": _payload_digest(payload),
+        "trials": _payload_digest(result.summaries),
         "stats": hashlib.sha256(repr(result.stats).encode()).hexdigest(),
     }
 
@@ -124,13 +118,10 @@ def _series(series) -> dict:
 def corpus() -> dict[str, dict]:
     """Case name -> recorded outputs for the whole frozen corpus."""
     produced: dict[str, dict] = {}
-    for reduce in ("traces", "stats"):
-        for jobs in (1, 2):
-            for seed in (0, 7):
-                result = run_runtime_campaign(
-                    SPEC, trials=3, seed=seed, jobs=jobs, reduce=reduce
-                )
-                produced[f"campaign/{reduce}/jobs{jobs}/seed{seed}"] = _campaign(result)
+    for jobs in (1, 2):
+        for seed in (0, 7):
+            result = run_runtime_campaign(SPEC, trials=3, seed=seed, jobs=jobs)
+            produced[f"campaign/stats/jobs{jobs}/seed{seed}"] = _campaign(result)
 
     with tempfile.TemporaryDirectory() as root:
         cache = open_cache(root)
@@ -149,9 +140,7 @@ def corpus() -> dict[str, dict]:
         cache = open_cache(root)
         produced["suite/smoke/cold"] = _suite(run_suite(smoke, cache=cache))
         produced["suite/smoke/warm"] = _suite(run_suite(smoke, cache=cache))
-    produced["suite/smoke/stats-jobs2"] = _suite(
-        run_suite(smoke, jobs=2, reduce="stats")
-    )
+    produced["suite/smoke/jobs2"] = _suite(run_suite(smoke, jobs=2))
     zero = SuiteSpec(base=SPEC, axes={}, name="zero-axis", trials=3, seed=5)
     produced["suite/zero-axis"] = _suite(run_suite(zero))
 

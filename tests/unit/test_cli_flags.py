@@ -46,6 +46,22 @@ def test_suite_jobs_must_be_positive(verb, capsys):
     _usage_error(["suite", verb, "suite.json", "--jobs", "-2"], "--jobs", capsys)
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--seed", "-1"), ("--trials", "0"), ("--trials", "-3")]
+)
+def test_run_seed_and_trials_are_checked(flag, value, capsys):
+    _usage_error(["run", "s.json", "--mode", "monte-carlo", flag, value], flag, capsys)
+
+
+@pytest.mark.parametrize("verb", ["run", "report"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--seed", "-1"), ("--trials", "0"), ("--max-retries", "-1")],
+)
+def test_suite_seed_trials_and_retries_are_checked(verb, flag, value, capsys):
+    _usage_error(["suite", verb, "suite.json", flag, value], flag, capsys)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
 def test_trial_timeout_must_be_positive_and_finite(value, capsys):
     _usage_error(

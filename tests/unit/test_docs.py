@@ -4,17 +4,21 @@ This is what the CI docs job runs: every relative markdown link must resolve
 to a real file (with a real heading when it carries an anchor), the JSON
 examples shipped under examples/ must parse as valid scenario/suite files,
 and the schema reference in docs/scenarios.md must name every spec field —
-a field added to the dataclasses without a docs row fails here.
+a field added to the dataclasses without a docs row fails here.  Every
+``repro-streaming`` command line shown in a code block must parse with the
+real CLI parser, so a deleted flag cannot linger in the docs.
 """
 
 from __future__ import annotations
 
 import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from repro.cli import build_parser
 from repro.scenario.spec import SECTION_TYPES, ScenarioSpec
 from repro.scenario.suite import SuiteSpec
 
@@ -252,3 +256,59 @@ def test_scenarios_reference_covers_every_spec_field():
     assert not missing, f"docs/scenarios.md misses spec fields: {missing}"
     for key in ("trials", "seed", "base", "axes"):
         assert f"`{key}`" in text, f"docs/scenarios.md misses suite key {key!r}"
+
+
+_FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
+
+
+def _cli_command_lines(text: str):
+    """The ``repro-streaming`` invocations of every fenced code block.
+
+    In a block with ``$`` prompts only the prompt lines are commands (the
+    rest is output).  Backslash continuations are joined; a comment, a pipe,
+    a redirect or a trailing ``&`` ends the command.
+    """
+    for block in _FENCE.findall(text):
+        lines = block.replace("\\\n", " ").splitlines()
+        if any(line.startswith("$ ") for line in lines):
+            lines = [line[2:] for line in lines if line.startswith("$ ")]
+        for line in lines:
+            if not line.startswith("repro-streaming"):
+                continue
+            lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+            lexer.whitespace_split = True
+            argv = []
+            for token in lexer:
+                if set(token) <= set(lexer.punctuation_chars):
+                    break
+                argv.append(token)
+            yield line, argv[1:]
+
+
+@pytest.mark.parametrize("path", MARKDOWN_FILES, ids=lambda p: p.name)
+def test_cli_command_lines_parse(path, capsys):
+    parser = build_parser()
+    bad = []
+    for line, argv in _cli_command_lines(path.read_text()):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            if exc.code != 0:  # --version / --help exit 0
+                bad.append(line)
+    capsys.readouterr()
+    assert not bad, f"{path.name}: command lines the CLI rejects: {bad}"
+
+
+def test_cli_command_line_extraction():
+    text = (
+        "```console\n$ repro-streaming serve --port 8000 &\n"
+        "repro-streaming serve: http://127.0.0.1:8000\n```\n"
+        "```\nrepro-streaming suite run s.json \\\n"
+        '    --chaos "crash=0.3,seed=3" --jobs 2   # comment\n'
+        "repro-streaming run s.json --json | jq . > out.json\n```\n"
+    )
+    assert [argv for _, argv in _cli_command_lines(text)] == [
+        ["serve", "--port", "8000"],
+        ["suite", "run", "s.json", "--chaos", "crash=0.3,seed=3", "--jobs", "2"],
+        ["run", "s.json", "--json"],
+    ]

@@ -5,8 +5,8 @@ The acceptance bars of the instrumentation:
 * attaching a probe never changes the trace — observation, not perturbation;
 * the probe's counters reconcile exactly with the trace it watched;
 * latency histograms merge *exactly* (the sparse transport form included),
-  so campaign-level percentiles are identical for ``reduce="stats"`` and
-  ``reduce="traces"``;
+  so campaign-level percentiles built from per-trial summaries equal the
+  percentiles of the trials' traces;
 * the Gantt SVG of a frozen seeded run is byte-identical to the golden file
   (`tests/golden/gantt_seed0.svg`) — the export is deterministic;
 * trace sampling keeps every faulted data set, always.
@@ -30,7 +30,6 @@ from repro.obs import (
     sample_trace,
     write_gantt,
 )
-from repro.runtime.montecarlo import run_trial
 from repro.scenario import ScenarioSpec
 from repro.scenario.run import run_scenario_online
 
@@ -200,17 +199,20 @@ class TestMetricsProbe:
 
 # ------------------------------------------------------- percentile plumbing
 class TestCampaignPercentiles:
-    def test_stats_reduce_matches_traces_reduce_exactly(self):
+    def test_summary_percentiles_match_trace_percentiles_exactly(self):
         from repro.experiments.parallel import run_runtime_campaign
+        from repro.runtime.trace import summarize_traces
 
         spec = GOLDEN_SPEC.updated({"name": "pctl"})
-        full = run_runtime_campaign(spec, trials=4, seed=0)
-        lean = run_runtime_campaign(spec, trials=4, seed=0, reduce="stats")
+        result = run_runtime_campaign(spec, trials=4, seed=0)
+        full = summarize_traces(
+            [run_scenario_online(spec, seed) for seed in result.trial_seeds]
+        )
         for attr in (
             "p50_latency", "p95_latency", "p99_latency", "max_latency"
         ):
-            assert getattr(full.stats, attr) == getattr(lean.stats, attr)
-        assert full.stats.latency_histogram == lean.stats.latency_histogram
+            assert getattr(full, attr) == getattr(result.stats, attr)
+        assert full.latency_histogram == result.stats.latency_histogram
 
     def test_campaign_percentiles_equal_whole_set_percentiles(self):
         from repro.experiments.parallel import run_runtime_campaign
@@ -218,7 +220,9 @@ class TestCampaignPercentiles:
         spec = GOLDEN_SPEC.updated({"name": "pctl"})
         result = run_runtime_campaign(spec, trials=4, seed=0)
         latencies = [
-            lat for trace in result.traces for lat in trace.latencies
+            lat
+            for seed in result.trial_seeds
+            for lat in run_scenario_online(spec, seed).latencies
         ]
         whole = LatencyHistogram.from_values(latencies)
         exact_max = max(latencies)
@@ -239,7 +243,7 @@ class TestCampaignPercentiles:
 class TestGantt:
     @pytest.fixture(scope="class")
     def golden_trace(self):
-        return run_trial(GOLDEN_SPEC, 0)
+        return run_scenario_online(GOLDEN_SPEC, 0)
 
     def test_svg_matches_the_golden_file(self, golden_trace):
         golden = (GOLDEN_DIR / "gantt_seed0.svg").read_text()
@@ -269,7 +273,7 @@ class TestGantt:
 class TestSampleTrace:
     @pytest.fixture(scope="class")
     def faulted_trace(self):
-        return run_trial(GOLDEN_SPEC, 0)
+        return run_scenario_online(GOLDEN_SPEC, 0)
 
     def test_keeps_every_faulted_dataset(self, faulted_trace):
         lost = [r for r in faulted_trace.records if not r.completed]

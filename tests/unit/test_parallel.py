@@ -13,8 +13,8 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import ablation_rules, baseline_comparison, scaling_study
 from repro.experiments.parallel import run_runtime_campaign
 from repro.experiments.sweep import run_suite
-from repro.runtime.montecarlo import run_trial
 from repro.scenario import ScenarioSpec, SuiteSpec
+from repro.scenario.run import run_scenario_online
 
 TINY = ExperimentConfig(
     granularities=(0.5, 1.5),
@@ -70,16 +70,16 @@ class TestParallelMap:
 
 
 class TestRuntimeCampaign:
-    def test_same_seed_same_traces(self):
+    def test_same_seed_same_summaries(self):
         a = run_runtime_campaign(SPEC, trials=3, seed=5, jobs=1)
         b = run_runtime_campaign(SPEC, trials=3, seed=5, jobs=1)
-        assert a.traces == b.traces
+        assert a.summaries == b.summaries
         assert a.trial_seeds == b.trial_seeds
 
     def test_jobs_do_not_change_results(self):
         serial = run_runtime_campaign(SPEC, trials=4, seed=0, jobs=1)
         fanned = run_runtime_campaign(SPEC, trials=4, seed=0, jobs=2)
-        assert serial.traces == fanned.traces
+        assert serial.summaries == fanned.summaries
 
     def test_stats_aggregate(self):
         result = run_runtime_campaign(SPEC, trials=3, seed=2, jobs=1)
@@ -89,7 +89,7 @@ class TestRuntimeCampaign:
         assert 0.0 <= stats.mean_availability <= 1.0
 
     def test_trial_is_pure(self):
-        assert run_trial(SPEC, seed=11) == run_trial(SPEC, seed=11)
+        assert run_scenario_online(SPEC, seed=11) == run_scenario_online(SPEC, seed=11)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -100,6 +100,24 @@ class TestRuntimeCampaign:
             SPEC.updated({"faults.distribution": "zipf"})
         with pytest.raises(SpecificationError):
             SPEC.updated({"scheduler.epsilon": 10, "workload.num_processors": 5})
+
+    def test_bool_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            run_runtime_campaign(SPEC, trials=True)
+
+    def test_float_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            run_runtime_campaign(SPEC, trials=2.5)
+
+    def test_session_bool_trials_rejected(self):
+        from repro.api import Session
+
+        with pytest.raises(ValueError, match="trials"):
+            Session(SPEC).monte_carlo(trials=True)
+
+    def test_suite_bool_trials_override_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            run_suite(_failure_regimes(SPEC, 1, 0), trials=True)
 
     def test_spec_overrides(self):
         spec = SPEC.updated({"runtime.policy": "remap"})
@@ -170,40 +188,19 @@ class TestCampaignJobs:
         assert serial.series == fanned.series
 
 
-class TestStatsReduction:
-    def test_stats_reduce_equals_trace_summaries(self):
-        """Acceptance: reduce='stats' stats ≡ summarize_traces(reduce='traces')."""
+class TestCampaignPayload:
+    def test_campaign_stats_equal_trace_summaries(self):
         from repro.runtime.trace import summarize_traces
 
-        full = run_runtime_campaign(SPEC, trials=4, seed=3)
-        lean = run_runtime_campaign(
-            SPEC, trials=4, seed=3, reduce="stats"
-        )
-        assert lean.stats == full.stats == summarize_traces(full.traces)
-        assert lean.trial_seeds == full.trial_seeds
-        assert lean.traces is None and lean.reduce == "stats"
-        assert full.summaries is None and full.reduce == "traces"
-        assert lean.trials == full.trials == 4
+        campaign = run_runtime_campaign(SPEC, trials=4, seed=3)
+        traces = [run_scenario_online(SPEC, seed) for seed in campaign.trial_seeds]
+        assert campaign.stats == summarize_traces(traces)
+        assert campaign.trials == len(campaign.summaries) == 4
 
-    def test_stats_reduce_is_jobs_invariant(self):
-        serial = run_runtime_campaign(
-            SPEC, trials=4, seed=2, jobs=1, reduce="stats"
-        )
-        fanned = run_runtime_campaign(
-            SPEC, trials=4, seed=2, jobs=4, reduce="stats"
-        )
+    def test_campaign_result_is_jobs_invariant(self):
+        serial = run_runtime_campaign(SPEC, trials=4, seed=2, jobs=1)
+        fanned = run_runtime_campaign(SPEC, trials=4, seed=2, jobs=4)
         assert fanned == serial
-
-    def test_stats_payload_is_a_fraction_of_traces(self):
-        # trace pickles grow with the stream (one record per data set);
-        # summaries do not — at a realistic stream length the acceptance bar
-        # is ≥10× less transfer
-        import pickle
-
-        spec = SPEC.updated({"runtime.num_datasets": 200})
-        full = run_runtime_campaign(spec, trials=2, seed=3)
-        lean = run_runtime_campaign(spec, trials=2, seed=3, reduce="stats")
-        assert len(pickle.dumps(lean)) * 10 < len(pickle.dumps(full))
 
     def test_combine_summaries_is_summarize_traces(self):
         from repro.runtime.trace import (
@@ -212,47 +209,16 @@ class TestStatsReduction:
             summarize_traces,
         )
 
-        traces = [run_trial(SPEC, seed) for seed in (0, 5, 9)]
+        traces = [run_scenario_online(SPEC, seed) for seed in (0, 5, 9)]
         assert combine_summaries(map(summarize_trace, traces)) == summarize_traces(
             traces
         )
 
-    def test_invalid_reduce_rejected(self):
-        with pytest.raises(ValueError, match="reduce"):
-            run_runtime_campaign(SPEC, trials=2, seed=0, reduce="bogus")
-
-    def test_campaign_result_requires_exactly_one_payload(self):
-        from repro.experiments.parallel import RuntimeCampaignResult
-
-        with pytest.raises(ValueError, match="exactly one"):
-            RuntimeCampaignResult(
-                spec=SPEC, seed=0, trial_seeds=(1,), traces=None
-            )
-
-    def test_session_monte_carlo_stats_mode(self):
-        from repro.api import Session
-
-        session = Session(SPEC)
-        full = session.monte_carlo(trials=2, seed=1)
-        lean = session.monte_carlo(trials=2, seed=1, reduce="stats")
-        assert lean.stats == full.stats
-        assert lean.summary() == full.summary()
-        with pytest.raises(ValueError, match="reduce='stats'"):
-            lean.traces
-
-    def test_suite_stats_reduce_matches_traces(self):
-        """The sweep report is identical whichever payload the workers ship."""
-        from repro.api import Session
-
-        session = Session(SPEC)
-        axes = {"faults.mttf_periods": [30.0, 60.0]}
-        full = session.sweep(axes, trials=2, seed=4)
-        lean = session.sweep(axes, trials=2, seed=4, reduce="stats")
-        fanned = session.sweep(axes, trials=2, seed=4, reduce="stats", jobs=3)
-        assert [p.stats for p in lean.points] == [p.stats for p in full.points]
-        assert [p.seed for p in lean.points] == [p.seed for p in full.points]
-        assert fanned.points == lean.points
-        assert lean.panel(metric="availability") == full.panel(metric="availability")
+    def test_reduce_accepts_only_stats(self):
+        assert run_runtime_campaign(SPEC, trials=1, seed=0, reduce="stats").trials == 1
+        for reduce in ("traces", "bogus"):
+            with pytest.raises(ValueError, match="reduce"):
+                run_runtime_campaign(SPEC, trials=2, seed=0, reduce=reduce)
 
     def test_suite_flattened_fanout_is_jobs_invariant(self):
         """trials × points share one pool; any jobs value is bit-identical."""
@@ -262,14 +228,12 @@ class TestStatsReduction:
         assert fanned.points == serial.points
         assert fanned.executed_trials == serial.executed_trials == 6
 
-    def test_cli_reduce_flag(self, tmp_path, capsys):
+    def test_cli_reduce_flag_is_gone(self, tmp_path, capsys):
         from repro.cli import main
 
         path = tmp_path / "campaign.json"
         SuiteSpec(base=SPEC, axes={}, trials=2).save(path)
-        args = ["suite", "run", str(path), "--no-cache"]
-        assert main(args) == 0
-        full = capsys.readouterr().out
-        assert main(args + ["--reduce", "stats"]) == 0
-        assert capsys.readouterr().out == full
-        assert "availability" in full
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "run", str(path), "--no-cache", "--reduce", "stats"])
+        assert exc.value.code == 2
+        assert "--reduce" in capsys.readouterr().err

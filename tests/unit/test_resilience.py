@@ -233,7 +233,7 @@ class TestCampaignResilience:
             self._spec(), trials=3, seed=5, jobs=1,
             chaos="crash=0.4,corrupt=0.2,seed=11", max_retries=6,
         )
-        assert clean.traces == chaotic.traces
+        assert clean.summaries == chaotic.summaries
 
     def test_campaign_raises_execution_error_on_exhaustion(self):
         from repro.experiments.parallel import run_runtime_campaign
@@ -266,7 +266,7 @@ class TestCampaignResilience:
         grown = run_runtime_campaign(
             self._spec(), trials=3, seed=5, cache=cache2, resume=True
         )
-        assert grown.traces[:2] == small.traces
+        assert grown.summaries[:2] == small.summaries
         assert cache2.stats.hits >= 2
 
     def _suite(self):

@@ -21,8 +21,8 @@ from repro.runtime.admission import (
     resolve_admission,
 )
 from repro.runtime.engine import OnlineRuntime
-from repro.runtime.montecarlo import run_trial
 from repro.scenario import ScenarioSpec
+from repro.scenario.run import run_scenario_online
 from repro.runtime.policies import (
     RESCHEDULE_POLICIES,
     RemapReschedulePolicy,
@@ -608,7 +608,7 @@ class TestGoldenSeedResults:
         ],
     )
     def test_shed_admission_goldens(self, seed, fingerprint, completed, rebuilds):
-        trace = run_trial(self.SPEC, seed)
+        trace = run_scenario_online(self.SPEC, seed)
         assert trace.completed_count == completed
         assert trace.num_rebuilds == rebuilds
         assert self._fingerprint(trace) == fingerprint
@@ -617,7 +617,7 @@ class TestGoldenSeedResults:
         spec = self.SPEC.updated(
             {"runtime.admission": "queue", "runtime.rebuild_on_repair": True}
         )
-        trace = run_trial(spec, 3)
+        trace = run_scenario_online(spec, 3)
         assert trace.completed_count == 80
         assert trace.num_rebuilds == 10
         assert self._fingerprint(trace) == "3b4989b521b3a713"

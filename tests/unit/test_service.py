@@ -129,7 +129,7 @@ class TestModels:
         "body, fragment",
         [
             ({"suite": SUITE, "trials": 0}, "trials must be an int >= 1"),
-            ({"suite": SUITE, "reduce": "stat"}, "did you mean 'stats'"),
+            ({"suite": SUITE, "reduce": "stats"}, "unknown suite request key 'reduce'"),
             ({"suit": SUITE}, "did you mean 'suite'"),
         ],
     )
@@ -298,7 +298,7 @@ class TestJobStore:
 
         cache = DiskCache(tmp_path / "cache")
         # a CLI-style suite run warms the per-point campaign entries
-        direct = run_suite(SuiteSpec.from_dict(SUITE), cache=cache, reduce="stats")
+        direct = run_suite(SuiteSpec.from_dict(SUITE), cache=cache)
         assert direct.executed_count == 2
         app = ServiceApp(JobStore(cache=cache, pool=WorkerPool()))
         payload = submit_and_wait(app, {"suite": SUITE}, route="/v1/suites")
@@ -316,10 +316,8 @@ class TestJobStore:
         app = make_app(tmp_path)
         payload = submit_and_wait(app, {"suite": SUITE}, route="/v1/suites")
         _, service_doc, _ = call(app, "GET", f"/v1/results/{payload['result_key']}")
-        direct = run_suite(
-            SuiteSpec.from_dict(SUITE), cache=NullCache(), reduce="stats"
-        )
-        cli_doc = suite_result_payload(direct, reduce="stats", key=payload["result_key"])
+        direct = run_suite(SuiteSpec.from_dict(SUITE), cache=NullCache())
+        cli_doc = suite_result_payload(direct, key=payload["result_key"])
         # identical per-point numbers and identical campaign keys; only the
         # cache-provenance fields may differ between the two transports
         for service_point, cli_point in zip(service_doc["points"], cli_doc["points"]):
@@ -429,6 +427,15 @@ class TestApp:
         assert status == 422
         assert payload["error"]["kind"] == "invalid-spec"
         assert "runtime.fast_forward" in payload["error"]["message"]
+
+    def test_suite_body_with_reduce_is_422_naming_the_key(self, tmp_path):
+        app = make_app(tmp_path)
+        status, payload, _ = call(
+            app, "POST", "/v1/suites", {"suite": SUITE, "reduce": "stats"}
+        )
+        assert status == 422
+        assert payload["error"]["kind"] == "invalid-spec"
+        assert "'reduce'" in payload["error"]["message"]
 
     def test_malformed_json_is_400(self, tmp_path):
         app = make_app(tmp_path)

@@ -152,7 +152,7 @@ class TestRunSuite:
         grown = run_suite(campaign, cache=DiskCache(tmp_path), resume=True)
         assert small.executed_trials == 1
         assert grown.resumed_trials == 1 and grown.executed_trials == 1
-        assert grown.points[0].campaign.traces[:1] == small.points[0].campaign.traces
+        assert grown.points[0].campaign.summaries[:1] == small.points[0].campaign.summaries
         warm = run_suite(campaign, cache=DiskCache(tmp_path))
         assert warm.cached_count == 1 and warm.executed_trials == 0
         assert warm.points[0].campaign == grown.points[0].campaign
