@@ -209,11 +209,6 @@ class Session:
 
     # ------------------------------------------------------------ constructors
     @classmethod
-    def from_spec(cls, spec: ScenarioSpec) -> "Session":
-        """Session over an already-built spec (alias of the constructor)."""
-        return cls(spec)
-
-    @classmethod
     def from_dict(cls, data: Mapping) -> "Session":
         """Session from a nested scenario mapping (validated)."""
         return cls(ScenarioSpec.from_dict(data))

@@ -19,14 +19,15 @@ Print the worked examples and the extra studies::
     repro-streaming scaling
 
 Declarative scenarios: define a scenario once as JSON — ``config`` builds
-one from flags — and drive any front end (schedule / simulate / online run /
+one from ``PATH=VALUE`` overrides, the dotted spec paths suite axes use, with
+JSON values — and drive any front end (schedule / simulate / online run /
 Monte-Carlo campaign) through the :class:`~repro.api.Session` facade.  The
 online streaming runtime executes a schedule under stochastic processor
 failures with live rescheduling; a campaign runs many seeded trials of it, 4
 at a time (identical statistics for any ``--jobs``)::
 
     repro-streaming config --emit > scenario.json                  # dump the default spec
-    repro-streaming config --policy remap --mttf 200 --mttr 50 --distribution weibull --emit > s.json
+    repro-streaming config runtime.policy=remap faults.mttf_periods=200 faults.mttr_periods=50 faults.distribution=weibull --emit > s.json
     repro-streaming config --scenario scenario.json                # validate a file
 
     repro-streaming run s.json                                     # one online run
@@ -78,7 +79,9 @@ prints the same machine-readable document the results endpoint serves::
 from __future__ import annotations
 
 import argparse
+import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -193,182 +196,20 @@ def _add_scale_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _mttr_value(text: str) -> float | None:
-    """``--mttr`` argument: a float, or ``none``/``inf`` for fail-stop."""
-    if text.lower() in ("none", "inf"):
-        return None
-    return float(text)
-
-
-def _add_spec_options(p: argparse.ArgumentParser) -> None:
-    """The scenario-building flags of ``config``.
-
-    The flags have no defaults (``argparse.SUPPRESS``): only flags the user
-    actually typed land in the namespace, so ``config`` applies them as
-    *overrides* on top of a scenario file (or the default spec).
-    """
-    p.add_argument("--datasets", type=int, default=argparse.SUPPRESS, help="data sets per trial")
-    p.add_argument("--epsilon", type=int, default=argparse.SUPPRESS, help="fault-tolerance degree ε")
-    p.add_argument(
-        "--granularity", type=float, default=argparse.SUPPRESS, help="workload granularity"
-    )
-    p.add_argument("--tasks", type=int, default=argparse.SUPPRESS, help="tasks per random workload")
-    p.add_argument("--processors", type=int, default=argparse.SUPPRESS, help="platform size")
-    p.add_argument(
-        "--mttf",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="mean time to failure per processor, in stream periods",
-    )
-    p.add_argument(
-        "--mttr",
-        type=_mttr_value,
-        default=argparse.SUPPRESS,
-        help=(
-            "mean time to repair, in stream periods; 'none' = fail-stop "
-            "(default: no repair)"
-        ),
-    )
-    p.add_argument(
-        "--distribution",
-        choices=("exponential", "weibull"),
-        default=argparse.SUPPRESS,
-        help="inter-failure time distribution",
-    )
-    p.add_argument(
-        "--weibull-shape", type=float, default=argparse.SUPPRESS, help="Weibull shape parameter"
-    )
-    p.add_argument(
-        "--repair-shape",
-        type=float,
-        default=argparse.SUPPRESS,
-        help=(
-            "Weibull shape for repair delays (mean stays --mttr); "
-            "default: exponential repairs"
-        ),
-    )
-    p.add_argument(
-        "--fault-trace",
-        default=argparse.SUPPRESS,
-        metavar="CSV",
-        help=(
-            "replay a recorded availability log (time,node,down|up CSV) "
-            "instead of sampling failures; excludes the other fault flags"
-        ),
-    )
-    p.add_argument(
-        "--group-size",
-        type=int,
-        default=argparse.SUPPRESS,
-        help=(
-            "correlated crash groups: processors fail (and repair) together "
-            "in declaration-order chunks of this size"
-        ),
-    )
-    p.add_argument(
-        "--load-coupling",
-        type=float,
-        default=argparse.SUPPRESS,
-        help=(
-            "load-dependent hazards: failure intensity scales with "
-            "1 + coupling × processor utilization in the initial schedule"
-        ),
-    )
-    p.add_argument(
-        "--spares",
-        type=int,
-        default=argparse.SUPPRESS,
-        help=(
-            "elastic platform: this many processors start outside the "
-            "platform and join mid-stream (requires --join-periods)"
-        ),
-    )
-    p.add_argument(
-        "--join-periods",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="mean node-join delay, in stream periods (with --spares/--preempt-periods)",
-    )
-    p.add_argument(
-        "--preempt-periods",
-        type=float,
-        default=argparse.SUPPRESS,
-        help=(
-            "spot-preemption mean time between preemptions, in stream "
-            "periods (preempted nodes rejoin after --join-periods)"
-        ),
-    )
-    from repro.runtime.admission import ADMISSION_POLICIES
-    from repro.runtime.policies import RESCHEDULE_POLICIES
-
-    p.add_argument(
-        "--policy",
-        choices=RESCHEDULE_POLICIES.names,
-        default=argparse.SUPPRESS,
-        help="online rescheduling policy",
-    )
-    p.add_argument(
-        "--admission",
-        choices=ADMISSION_POLICIES.names,
-        default=argparse.SUPPRESS,
-        help="admission policy during downtime/throttling (shed drops, queue buffers)",
-    )
-    p.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="admission buffer size for --admission queue (0 = unbounded)",
-    )
-    p.add_argument(
-        "--rebuild-on-repair",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help=(
-            "anticipatory rebuilds on repair events (only when a speculative "
-            "reschedule shows the repaired processor improves the schedule)"
-        ),
-    )
-    p.add_argument(
-        "--rebuild-overhead",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="rebuild downtime, in stream periods",
-    )
-
-
-#: argparse dest → (dotted spec path, value transform) for the spec flags.
-_FLAG_PATHS: dict[str, tuple[str, Callable]] = {
-    "datasets": ("runtime.num_datasets", lambda v: v),
-    "epsilon": ("scheduler.epsilon", lambda v: v),
-    "granularity": ("workload.granularity", lambda v: v),
-    "tasks": ("workload.num_tasks", lambda v: v),
-    "processors": ("workload.num_processors", lambda v: v),
-    "mttf": ("faults.mttf_periods", lambda v: v),
-    "mttr": ("faults.mttr_periods", lambda v: v),
-    "distribution": ("faults.distribution", lambda v: v),
-    "weibull_shape": ("faults.weibull_shape", lambda v: v),
-    "repair_shape": ("faults.repair_shape", lambda v: v),
-    "fault_trace": ("faults.trace_file", lambda v: v),
-    "group_size": ("faults.group_size", lambda v: v),
-    "load_coupling": ("faults.load_coupling", lambda v: v),
-    "spares": ("faults.spares", lambda v: v),
-    "join_periods": ("faults.join_periods", lambda v: v),
-    "preempt_periods": ("faults.preempt_periods", lambda v: v),
-    "policy": ("runtime.policy", lambda v: v),
-    "admission": ("runtime.admission", lambda v: v),
-    "queue_capacity": ("runtime.queue_capacity", lambda v: None if v == 0 else v),
-    "rebuild_on_repair": ("runtime.rebuild_on_repair", lambda v: v),
-    "rebuild_overhead": ("runtime.rebuild_overhead", lambda v: v),
-}
-
-
-def _flag_overrides(args: argparse.Namespace) -> dict:
-    """Dotted-path overrides for the spec flags present in *args*."""
-    return {
-        path: transform(getattr(args, dest))
-        for dest, (path, transform) in _FLAG_PATHS.items()
-        if hasattr(args, dest)
-    }
+def _override(text: str) -> tuple[str, object]:
+    """One ``PATH=VALUE`` override of ``config``: a dotted spec path (the
+    paths suite axes use) and a JSON value; text that is not JSON is taken
+    as a string (``runtime.policy=remap``)."""
+    path, sep, raw = text.partition("=")
+    if not sep or not path:
+        raise argparse.ArgumentTypeError(
+            f"expected PATH=VALUE (e.g. faults.mttf_periods=200), got {text!r}"
+        )
+    try:
+        value = json.loads(raw)
+    except ValueError:
+        value = raw
+    return path, value
 
 
 def _add_obs_options(p: argparse.ArgumentParser) -> None:
@@ -406,8 +247,6 @@ def _add_obs_options(p: argparse.ArgumentParser) -> None:
 
 def _export_obs(args: argparse.Namespace, trace, probe) -> None:
     """Write the ``--gantt`` / ``--metrics`` artifacts of an instrumented run."""
-    import json
-
     if args.gantt:
         from repro.obs import sample_trace, write_gantt
 
@@ -715,8 +554,6 @@ def _print_suite_json(result, args: argparse.Namespace) -> int:
     The exact payload ``GET /v1/results/{key}`` serves (same ``result_key``
     derivation), so CLI pipelines and HTTP dashboards consume one format.
     """
-    import json
-
     from repro.service.models import suite_result_key, suite_result_payload
 
     key = suite_result_key(result.suite, result.seed, result.trials)
@@ -731,8 +568,6 @@ def _report_trajectory(args: argparse.Namespace) -> int:
     implicit default (``./BENCH_trajectory.json``) is silently skipped when
     absent, so the report works outside the repository checkout too.
     """
-    import json
-
     from repro.experiments.reporting import render_trajectory
 
     explicit = args.trajectory is not None
@@ -1028,21 +863,27 @@ def _add_config_parser(sub) -> None:
         "--scenario",
         default=None,
         help=(
-            "start from this scenario JSON file (validated); any spec flags "
-            "given alongside are applied as overrides on top of it"
+            "start from this scenario JSON file (validated); any overrides "
+            "given alongside are applied on top of it"
         ),
     )
     p.add_argument(
-        "--name",
-        default=argparse.SUPPRESS,
-        help="name recorded in the emitted spec",
+        "overrides",
+        nargs="*",
+        type=_override,
+        metavar="PATH=VALUE",
+        help=(
+            "set one spec field by its dotted path, e.g. "
+            "faults.mttf_periods=200, faults.mttr_periods=null, "
+            "runtime.policy=remap or name=demo; VALUE is JSON, and text "
+            "that is not JSON is a string"
+        ),
     )
     p.add_argument(
         "--emit",
         action="store_true",
         help="print the resolved spec as JSON (pipe into a scenario file)",
     )
-    _add_spec_options(p)
 
 
 def _config(args: argparse.Namespace):
@@ -1136,10 +977,7 @@ def _run_config_command(args: argparse.Namespace) -> int:
             base = ScenarioSpec.from_file(args.scenario)
         else:
             base = ScenarioSpec()
-        changes = _flag_overrides(args)
-        if hasattr(args, "name"):
-            changes["name"] = args.name
-        spec = base.updated(changes)
+        spec = base.updated(dict(args.overrides))
     except OSError as exc:
         print(f"repro-streaming config: error: cannot read scenario: {exc}", file=sys.stderr)
         return 2
@@ -1154,7 +992,24 @@ def _run_config_command(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A reader that closes the pipe early (``| head``) ends the command with
+    exit code 1 and no traceback: stdout is flushed inside the ``try`` and,
+    on ``BrokenPipeError``, pointed at ``os.devnull`` so the interpreter's
+    final flush cannot fail again (the "Note on SIGPIPE" of the Python
+    ``signal`` docs)."""
+    try:
+        code = _run_command(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run_command(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     command = args.command

@@ -155,12 +155,6 @@ class CampaignResult:
         """The values of *metric* across granularities."""
         return [p.metric(metric) for p in self.points]
 
-    def available_metrics(self) -> list[str]:
-        names: set[str] = set()
-        for p in self.points:
-            names.update(p.metrics)
-        return sorted(names)
-
 
 def run_graph_instance(
     item: tuple[float, int],

@@ -117,17 +117,18 @@ class StreamingSimulator:
         """Simulate *num_datasets* consecutive data sets and return their latencies.
 
         Data set ``j`` enters the system at ``j·Δ``.  Admission happens one
-        window at a time, one data set at a time, on a ``releases_first``
-        kernel: every release pops before all other events at its instant,
-        so the pop order is a one-shot admission's of the whole stream, tie
-        for tie.  Each window's ``run_until`` stops just *below* the next
-        window's first release.
+        window at a time, one data set at a time, on sequence numbers the
+        kernel reserved for the whole stream up front
+        (:meth:`~repro.sim.kernel.PipelineKernel.reserve`): every release
+        pops before all other events at its instant, so the pop order is a
+        one-shot admission's of the whole stream, tie for tie.  Each
+        window's ``run_until`` stops just *below* the next window's first
+        release.
         """
         num_datasets = check_count(num_datasets, "num_datasets")
         period = self.schedule.period
-        kernel = PipelineKernel(
-            self.schedule, self.scenario.failed, releases_first=True
-        )
+        kernel = PipelineKernel(self.schedule, self.scenario.failed)
+        kernel.reserve(num_datasets)
         completions: list[float | None] = [None] * num_datasets
         j = 0
         with gc_paused():

@@ -247,11 +247,6 @@ class Platform:
         """Name of (one of) the fastest processors."""
         return max(self._order, key=lambda n: (self._processors[n].speed, n))
 
-    def mean_execution_time(self, work: float) -> float:
-        """Average over processors of the execution time of *work* units."""
-        check_positive(work, "work")
-        return work * self.mean_inverse_speed
-
     # ------------------------------------------------------------------ helpers
     def subset(self, names: Iterable[str]) -> "Platform":
         """A new platform restricted to *names* (bandwidths and failure

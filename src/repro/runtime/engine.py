@@ -47,6 +47,8 @@ equal traces.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from typing import Iterable
 
 from repro.exceptions import ScheduleError, SchedulingError
@@ -69,9 +71,13 @@ _INF = float("inf")
 #: of the stream at once — on 10⁵-dataset streams the heap's log factor (and
 #: its memory) then grows with the stream instead of the pipeline depth.  The
 #: window is control-flow only — the admission policy sees the same
-#: ``on_release`` calls in the same order with the same arguments and the
-#: kernel processes the same events, so traces are bit-identical for any
-#: window size.
+#: ``on_release`` calls in the same order with the same arguments, and the
+#: kernel pops the same events in the same order: a window boundary runs it
+#: to just below the boundary's release, and every release of a control
+#: segment (the stretch up to the next fault or rebuild event) takes a
+#: sequence number reserved at the segment's start, so it wins the same
+#: same-instant ties as when the whole segment is admitted at once.  Traces
+#: are therefore bit-identical for any window size.
 _ADMIT_WINDOW = 256
 
 
@@ -287,20 +293,34 @@ class OnlineRuntime:
             pending.clear()
 
         i = 0
+        segment_start = True
         while True:
             next_fault = fault_events[i].time if i < len(fault_events) else _INF
-            now = min(next_fault, rebuild_done, horizon)
+            now = segment_end = min(next_fault, rebuild_done, horizon)
+            if segment_start and kernel is not None:
+                # one sequence number per release of the control segment
+                kernel.reserve(
+                    bisect_left(releases, segment_end - tol, next_j) - next_j
+                )
+            segment_start = False
             if next_j + _ADMIT_WINDOW < num_datasets:
                 now = min(now, releases[next_j + _ADMIT_WINDOW])
             scan_releases(now)
             if now >= horizon:
                 break  # the final drain runs the kernel to completion
+            window_only = now < segment_end
             if kernel is not None:
-                record_completions(kernel.run_until(now))
+                # a window boundary stops below its release, which the
+                # next pass admits ahead of every event at that instant
+                limit = math.nextafter(now, -_INF) if window_only else now
+                record_completions(kernel.run_until(limit))
                 if probe is not None:
                     probe.on_gauges(now, kernel.live_datasets, kernel.evicted_datasets)
-            if now < rebuild_done and now < next_fault:
+            if window_only:
                 continue  # window boundary only: admit + advance, no control event
+            segment_start = True
+            if kernel is not None:
+                kernel.reserve(0)  # drop the rest before any drain or restore
 
             if rebuilding and rebuild_done <= next_fault:
                 # ------------------------------------------------ rebuild done

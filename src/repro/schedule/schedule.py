@@ -200,10 +200,6 @@ class Schedule:
             len(self._replicas_of[t]) == self.replication_factor for t in self.graph.task_names
         )
 
-    def is_placed(self, replica: Replica) -> bool:
-        """True when *replica* has been committed to a processor."""
-        return replica in self._assignment
-
     def processor_of(self, replica: Replica) -> str:
         """Processor hosting *replica*."""
         try:

@@ -9,9 +9,8 @@ stdlib is enough::
     make_server("127.0.0.1", 8000, ServiceApp()).serve_forever()
 
 (Use :func:`make_threaded_server` instead: it builds a *threaded* WSGI server
-so status polls keep answering while jobs run.)  No framework is required or imported, but an
-ASGI shim (:attr:`ServiceApp.asgi`) is included so ``uvicorn`` can serve the
-same app object where it happens to be installed.
+so status polls keep answering while jobs run.)  No framework is required
+or imported.
 
 Routes (all JSON in, JSON out):
 
@@ -258,66 +257,6 @@ class ServiceApp:
 
     def _get_metrics(self, environ):
         return 200, {"schema": SERVICE_SCHEMA, **self.metrics.as_dict()}, {}
-
-    # ------------------------------------------------------------------- ASGI
-    @property
-    def asgi(self):
-        """An ASGI 3 adapter over this app (``uvicorn module:app.asgi``).
-
-        Minimal by design: buffers the request body, runs the WSGI callable,
-        sends one response.  The stdlib :func:`make_threaded_server` path has no use for it;
-        it exists so deployments that already run uvicorn can mount the
-        service without a second server layer.
-        """
-        wsgi_app = self
-
-        async def adapter(scope, receive, send):
-            if scope["type"] == "lifespan":  # pragma: no cover - uvicorn only
-                while True:
-                    message = await receive()
-                    if message["type"] == "lifespan.startup":
-                        await send({"type": "lifespan.startup.complete"})
-                    elif message["type"] == "lifespan.shutdown":
-                        await send({"type": "lifespan.shutdown.complete"})
-                        return
-            if scope["type"] != "http":  # pragma: no cover - defensive
-                raise RuntimeError(f"unsupported ASGI scope {scope['type']!r}")
-            body = b""
-            while True:
-                message = await receive()
-                body += message.get("body", b"")
-                if not message.get("more_body"):
-                    break
-            import io
-
-            environ = {
-                "REQUEST_METHOD": scope["method"],
-                "PATH_INFO": scope["path"],
-                "QUERY_STRING": scope.get("query_string", b"").decode(),
-                "CONTENT_LENGTH": str(len(body)),
-                "wsgi.input": io.BytesIO(body),
-            }
-            captured = {}
-
-            def start_response(status, headers):
-                captured["status"] = int(status.split(" ", 1)[0])
-                captured["headers"] = headers
-
-            chunks = wsgi_app(environ, start_response)
-            await send({
-                "type": "http.response.start",
-                "status": captured["status"],
-                "headers": [
-                    (name.lower().encode(), value.encode())
-                    for name, value in captured["headers"]
-                ],
-            })
-            await send({
-                "type": "http.response.body",
-                "body": b"".join(chunks),
-            })
-
-        return adapter
 
 
 def make_threaded_server(app: ServiceApp, host: str = "127.0.0.1", port: int = 0):

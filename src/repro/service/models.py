@@ -27,7 +27,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Mapping
 
-from repro.cache.keys import cache_code_version, canonical_json, result_key
+from repro.cache.keys import cache_code_version, result_key
 from repro.exceptions import SpecificationError
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.suite import SuiteSpec
@@ -331,8 +331,3 @@ def error_payload(status: int, message: str, kind: str = "error") -> dict:
         "schema": SERVICE_SCHEMA,
         "error": {"status": status, "kind": kind, "message": message},
     }
-
-
-def request_digest(data) -> str:  # pragma: no cover - debugging helper
-    """Content hash of an arbitrary JSON request body (log correlation)."""
-    return hashlib.sha256(canonical_json(jsonable(data)).encode()).hexdigest()

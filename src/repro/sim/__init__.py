@@ -5,9 +5,9 @@ reproduction:
 
 * the **offline simulator** (:mod:`repro.failures.simulator`) admits the
   uniform ``j·Δ`` stream one window at a time under a fixed crash scenario
-  (per data set, on a ``releases_first`` kernel, so the pop order is a
-  one-shot admission's) and drains the completions at every window
-  boundary — this is the sanity check of the analytic latency model
+  (per data set, on sequence numbers reserved for the whole stream, so the
+  pop order is a one-shot admission's) and drains the completions at every
+  window boundary — this is the sanity check of the analytic latency model
   ``L = (2S − 1)·Δ``;
 * the **online runtime** (:mod:`repro.runtime.engine`) drives the kernel
   *incrementally*: data sets are admitted as the stream releases them, fault

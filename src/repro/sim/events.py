@@ -1,13 +1,15 @@
 """The event queue of the kernel.
 
-A single binary heap keyed by ``(time, sequence)``: the sequence number is a
-monotonically increasing insertion counter, so events at the same instant pop
-in push order.  This tie-breaking rule is part of the kernel's contract — the
-offline simulator relies on it to stay bit-for-bit reproducible across runs
-(and across the extraction of this kernel out of it).  The one exception is
-a ``releases_first`` kernel's admissions, which the kernel pushes with
-numbers from a lane below the counter so they win every same-instant tie
-(see :class:`repro.sim.kernel.PipelineKernel`).
+A single binary heap keyed by ``(time, sequence)``: the sequence number is
+drawn from a monotonically increasing counter, so events at the same instant
+pop in the order their numbers were drawn.  This tie-breaking rule is part of
+the kernel's contract — the offline simulator relies on it to stay
+bit-for-bit reproducible across runs (and across the extraction of this
+kernel out of it).  A number is normally drawn at push time; the kernel's
+:meth:`~repro.sim.kernel.PipelineKernel.reserve` draws the numbers of later
+admissions ahead (:meth:`EventQueue.next_seq` / :meth:`EventQueue.set_next_seq`),
+which is still the one rule: a release wins the ties its reservation
+predates.
 
 Entries are flat tuples ``(time, sequence, kind, *operands)``.  Event kinds
 are small ints (interned by CPython), not strings: the kind is dispatched on
@@ -56,7 +58,8 @@ class EventQueue:
         (extending :attr:`heap` then heapifying once is O(n), n pushes are
         O(n log n)); it must draw the same consecutive sequence numbers a
         push loop would have, so ties keep resolving in admission order.
-        Pair with :meth:`set_next_seq` after extending the heap.
+        Pair with :meth:`set_next_seq` after extending the heap (the
+        kernel's ``reserve`` pairs them the same way, before its pushes).
         """
         return self._count + 1
 

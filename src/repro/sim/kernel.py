@@ -17,7 +17,9 @@ Three admission methods share this loop:
 
 * :meth:`PipelineKernel.admit` admits one data set at a time (dataset-major):
   the drive of the online runtime between fault events and of the offline
-  simulator, window by window;
+  simulator, window by window, on sequence numbers drawn ahead with
+  :meth:`PipelineKernel.reserve` so that window boundaries never change
+  which event wins a same-instant tie;
 * :meth:`PipelineKernel.admit_batch` pushes the release events of a whole
   release list up front, replica-major (one ``heapify``) — the event order
   of the original offline simulator, kept as the reference the other drives
@@ -185,21 +187,12 @@ class PipelineKernel:
         schedule: Schedule,
         failed: Iterable[str] = (),
         probe=None,
-        releases_first: bool = False,
     ):
         """*failed* processors are down from the start; every exit task must
         keep a valid replica under them.  *probe* is an optional
         :class:`repro.obs.probe.Probe`: per-kind event counts are accumulated
         in a local list and flushed once per drain, so a ``None`` probe costs
-        a single pointer comparison per event.
-
-        *releases_first* orders every :meth:`admit` release before all other
-        events at its instant, however late it was admitted: the order of a
-        stream whose releases all exist before the run starts (the offline
-        simulator's, and :meth:`admit_batch`'s), so that admitting it window
-        by window pops the same events, tie for tie, as admitting it whole.
-        Off (the online runtime, which decides admissions as it goes), a
-        release ties in push order like every other event."""
+        a single pointer comparison per event."""
         if not schedule.is_complete():
             raise ScheduleError("cannot simulate an incomplete schedule")
         failed = frozenset(failed)
@@ -263,9 +256,9 @@ class PipelineKernel:
 
         self._dead: set[int] = set()  # processors crashed *after* construction
         self._queue = EventQueue()
-        #: sequence numbers of releases_first admissions: a lane below every
-        #: number the queue draws, so they win every same-instant tie
-        self._release_seq = -(2**62) if releases_first else None
+        #: the sequence numbers :meth:`reserve` drew ahead for :meth:`admit`:
+        #: the next one to hand out and the end of the range
+        self._reserved = self._reserved_end = 0
         self._now = 0.0
         #: data-set index -> record, in admission order
         self._live: dict[int, list] = {}
@@ -322,18 +315,31 @@ class PipelineKernel:
         )
 
     # ---------------------------------------------------------------- admission
+    def reserve(self, count: int) -> None:
+        """Draw the sequence numbers of the next *count* :meth:`admit` calls now.
+
+        Those admissions take consecutive numbers from this point of the
+        queue's counter, so each of their releases wins every same-instant
+        tie against an event pushed after this call, however late the
+        release itself is admitted: a stream admitted window by window then
+        pops tie for tie like the same stream admitted here in one go.  A
+        later call discards what is left of an earlier reservation.
+        """
+        seq = self._queue.next_seq()
+        self._queue.set_next_seq(seq + count)
+        self._reserved, self._reserved_end = seq, seq + count
+
     def admit(self, dataset: int, release: float) -> None:
         """Admit one data set: entry replicas receive it at *release*."""
         _check_instant(release, "release")
         rec = self._register(dataset, release)
         rec[_REFS] = 1
-        if self._release_seq is None:
-            self._queue.push(release, _RELEASE_ALL, None, rec)
+        seq = self._reserved
+        if seq < self._reserved_end:
+            self._reserved = seq + 1
+            heapq.heappush(self._queue.heap, (release, seq, _RELEASE_ALL, None, rec))
         else:
-            self._release_seq += 1
-            heapq.heappush(
-                self._queue.heap, (release, self._release_seq, _RELEASE_ALL, None, rec)
-            )
+            self._queue.push(release, _RELEASE_ALL, None, rec)
 
     def admit_batch(self, releases: Sequence[float]) -> None:
         """Admit data sets ``0, 1, ...`` released at *releases*, up front.

@@ -3,8 +3,8 @@
 Eviction is pure book-keeping: under arbitrary fault injections every
 admitted data set is either drained exactly once or still pending, and every
 admitted data set holds a live record or has been evicted.  The windowed
-per-data-set admission the offline simulator drives (on a ``releases_first``
-kernel) is an event-for-event re-expression of one-shot ``admit_batch`` on
+per-data-set admission the offline simulator drives (on sequence numbers
+the kernel reserved for the whole stream) is an event-for-event re-expression of one-shot ``admit_batch`` on
 the same release list.  The memory regression
 test then pins down what the eviction buys: peak kernel memory bounded by
 the pipeline depth, not the stream length.
@@ -35,8 +35,8 @@ _EPS1 = ltf_schedule(
 
 # A fork-join whose transfers land on an entry replica's processor exactly at
 # a release instant: the windowed drive only matches the one-shot admission
-# on it because a releases_first kernel orders each release before every
-# same-instant event pushed before it was admitted.
+# on it because a reserved release sequence number orders each release before
+# every same-instant event pushed before it was admitted.
 _FORK_JOIN = ltf_schedule(
     fork_join_graph(3, work=8.0, volume=4.0), homogeneous_platform(6),
     throughput=0.04, epsilon=1,
@@ -148,7 +148,8 @@ def test_windowed_admission_matches_batch(data, num_datasets, window):
     crash = None
     if boundaries and data.draw(st.booleans()):
         crash = (data.draw(st.sampled_from(boundaries)), data.draw(st.sampled_from(used)))
-    windowed = PipelineKernel(schedule, failed, releases_first=True)
+    windowed = PipelineKernel(schedule, failed)
+    windowed.reserve(num_datasets)
     batch = PipelineKernel(schedule, failed)
     assert _windowed_drive(windowed, num_datasets, window, crash) == _batch_drive(
         batch, num_datasets, crash

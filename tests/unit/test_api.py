@@ -11,6 +11,10 @@ used as the oracle.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -287,39 +291,114 @@ class TestCli:
     def test_config_emit_round_trips(self, capsys):
         from repro.cli import main
 
-        assert main(["config", "--emit", "--mttf", "60", "--name", "demo"]) == 0
+        assert main(["config", "--emit", "faults.mttf_periods=60", "name=demo"]) == 0
         data = json.loads(capsys.readouterr().out)
         spec = ScenarioSpec.from_dict(data)
         assert spec.name == "demo"
         assert spec.faults.mttf_periods == 60.0
 
-    def test_config_scenario_file_plus_flag_overrides(self, tmp_path, capsys):
+    def test_config_scenario_file_plus_path_overrides(self, tmp_path, capsys):
         from repro.cli import main
 
         path = tmp_path / "base.json"
         SCENARIO.save(path)
         assert (
             main(
-                ["config", "--scenario", str(path), "--mttf", "77",
-                 "--admission", "queue", "--emit"]
+                ["config", "--scenario", str(path), "faults.mttf_periods=77",
+                 "runtime.admission=queue", "--emit"]
             )
             == 0
         )
         spec = ScenarioSpec.from_json(capsys.readouterr().out)
         assert spec.faults.mttf_periods == 77.0
         assert spec.runtime.admission == "queue"
-        # untouched fields come from the file, not the flag defaults
+        # untouched fields come from the file, not the spec defaults
         assert spec.workload.num_tasks == SCENARIO.workload.num_tasks
         assert spec.runtime.num_datasets == SCENARIO.runtime.num_datasets
 
-    def test_config_mttr_none_flips_a_file_back_to_fail_stop(self, tmp_path, capsys):
+    def test_config_mttr_null_flips_a_file_back_to_fail_stop(self, tmp_path, capsys):
         from repro.cli import main
 
         path = tmp_path / "base.json"
         SCENARIO.updated({"faults.mttr_periods": 30.0}).save(path)
-        assert main(["config", "--scenario", str(path), "--mttr", "none", "--emit"]) == 0
+        assert (
+            main(["config", "--scenario", str(path), "faults.mttr_periods=null", "--emit"])
+            == 0
+        )
         spec = ScenarioSpec.from_json(capsys.readouterr().out)
         assert spec.faults.mttr_periods is None
+
+    def test_config_false_flips_a_file_back(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "base.json"
+        SCENARIO.updated({"runtime.rebuild_on_repair": True}).save(path)
+        assert (
+            main(
+                ["config", "--scenario", str(path),
+                 "runtime.rebuild_on_repair=false", "--emit"]
+            )
+            == 0
+        )
+        data = json.loads(capsys.readouterr().out)
+        assert data["runtime"]["rebuild_on_repair"] is False
+
+    @pytest.mark.parametrize(
+        "override, path, value",
+        [
+            ("scheduler.period_slack=1.5", ("scheduler", "period_slack"), 1.5),
+            ("workload.task_range=[10,20]", ("workload", "task_range"), [10, 20]),
+            ("workload.generator=chain", ("workload", "generator"), "chain"),
+            ("scheduler.name=ltf", ("scheduler", "name"), "ltf"),
+        ],
+    )
+    def test_config_reaches_every_spec_field(self, capsys, override, path, value):
+        from repro.cli import main
+
+        assert main(["config", override, "--emit"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data[path[0]][path[1]] == value
+        assert ScenarioSpec.from_dict(data).to_dict() == data
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("faults.mttf=3", "did you mean 'faults.mttf_periods'"),
+            ("faults.mttf_periods=abc", "faults.mttf_periods must be a finite number > 0"),
+            ("runtime.num_datasets=2.5", "num_datasets"),
+        ],
+    )
+    def test_config_bad_override_exits_2_naming_the_field(self, capsys, override, message):
+        from repro.cli import main
+
+        assert main(["config", override, "--emit"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("argv", [["bogus"], ["=3"], ["--mttf", "60"], ["--name", "demo"]])
+    def test_config_usage_errors_exit_2(self, capsys, argv):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["config", *argv, "--emit"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument PATH=VALUE: expected PATH=VALUE" in captured.err
+
+    def test_output_into_a_closed_pipe_ends_without_a_traceback(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "examples"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()  # the reader is gone before the first write
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err
 
     def test_config_validates_scenario_files(self, tmp_path, capsys):
         from repro.cli import main

@@ -6,7 +6,8 @@ examples shipped under examples/ must parse as valid scenario/suite files,
 and the schema reference in docs/scenarios.md must name every spec field —
 a field added to the dataclasses without a docs row fails here.  Every
 ``repro-streaming`` command line shown in a code block must parse with the
-real CLI parser, so a deleted flag cannot linger in the docs.
+real CLI parser (and every ``config`` override must name a real spec path),
+so a deleted flag or a mistyped path cannot linger in the docs.
 """
 
 from __future__ import annotations
@@ -167,16 +168,18 @@ def test_service_doc_covers_every_route_and_serve_flag():
 def test_scenarios_doc_covers_the_failure_worlds():
     """docs/scenarios.md must document the failure-world vocabulary: a
     dedicated section, the trace-replay CSV walkthrough with its shipped
-    example files, and every failure-world CLI flag."""
+    example files, and the dotted path of every failure-world field that
+    ``config`` overrides."""
     text = (REPO / "docs" / "scenarios.md").read_text()
     assert "### Failure worlds" in text
     for example in ("examples/cluster_trace.csv", "examples/trace_replay.json"):
         assert example in text, f"scenarios.md misses the shipped example {example}"
     for term in ("down", "up", "did-you-mean", "bit for bit"):
         assert term in text, f"scenarios.md walkthrough misses {term!r}"
-    for flag in ("--fault-trace", "--group-size", "--load-coupling", "--spares",
-                 "--join-periods", "--preempt-periods"):
-        assert flag in text, f"scenarios.md misses CLI flag {flag}"
+    assert "### Overrides" in text
+    for path in ("faults.trace_file", "faults.group_size", "faults.load_coupling",
+                 "faults.spares", "faults.join_periods", "faults.preempt_periods"):
+        assert f"`{path}`" in text, f"scenarios.md misses override path {path}"
 
 
 def test_resilience_doc_covers_the_supervision_surface():
@@ -287,13 +290,21 @@ def _cli_command_lines(text: str):
 
 @pytest.mark.parametrize("path", MARKDOWN_FILES, ids=lambda p: p.name)
 def test_cli_command_lines_parse(path, capsys):
+    """Every shown command parses, and every ``config`` override names a real
+    spec path with a valid value."""
     parser = build_parser()
     bad = []
     for line, argv in _cli_command_lines(path.read_text()):
         try:
-            parser.parse_args(argv)
+            args = parser.parse_args(argv)
         except SystemExit as exc:
             if exc.code != 0:  # --version / --help exit 0
+                bad.append(line)
+            continue
+        if args.command == "config":
+            try:
+                ScenarioSpec().updated(dict(args.overrides))
+            except ValueError:
                 bad.append(line)
     capsys.readouterr()
     assert not bad, f"{path.name}: command lines the CLI rejects: {bad}"

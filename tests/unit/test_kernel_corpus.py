@@ -15,8 +15,8 @@ runtime — and records what the run produced:
   drains; ``peak`` — the kernels' own high-water mark of live data sets.
 
 The covered ground: ``admit_batch`` and one-at-a-time ``admit`` (as the
-online runtime drives it, and window by window with ``releases_first`` as
-the offline simulator drives it) under the eviction watermark, mid-run
+online runtime drives it, and window by window on sequence numbers reserved
+up front as the offline simulator drives it) under the eviction watermark, mid-run
 crashes, checkpoint restore through ``admit_restored``; the online runtime
 with shed and queue admission and ``rebuild_on_repair``; correlated,
 elastic-spare and trace-replay fault worlds; and a dyadic (integer
@@ -29,8 +29,8 @@ memory model and the simulator's one-shot batch drive (the
 ``kernel/*/vectorized`` cases and the simulator's ``E`` entries were recorded
 through admission methods that have since been folded into
 ``admit_batch``).  The ``kernel/*/window`` cases were recorded through a
-windowed batch admission since replaced by per-data-set ``admit`` on a
-``releases_first`` kernel: their outputs and gauges are the frozen ones, only
+windowed batch admission since replaced by per-data-set ``admit`` on
+reserved sequence numbers: their outputs and gauges are the frozen ones, only
 their ``events`` counts moved (one merged ``release-all`` per data set
 instead of one ``release`` per entry replica).  The ``simulator/*`` and
 ``dyadic/*`` cases once also hashed the diagnostics of a closed-form
@@ -168,12 +168,14 @@ def _vectorized(schedule) -> dict:
 
 def _window(schedule) -> dict:
     """The offline simulator's drive: admit one window of the uniform stream
-    per data set (releases first), run just below the next window's first
-    release; a crash inside the second window."""
+    per data set (on sequence numbers reserved for the whole stream), run
+    just below the next window's first release; a crash inside the second
+    window."""
     rec = _Record()
     period = schedule.period
     window = 64
-    kernel = PipelineKernel(schedule, probe=rec.probe, releases_first=True)
+    kernel = PipelineKernel(schedule, probe=rec.probe)
+    kernel.reserve(N)
     j = 0
     while j < N:
         stop = min(j + window, N)

@@ -12,8 +12,8 @@ from repro.experiments.config import ExperimentConfig, workload_period
 from repro.failures.scenarios import FaultEvent, FaultTrace, sample_fault_trace
 from repro.failures.simulator import StreamingSimulator, simulate_stream
 from repro.graph.examples import figure2_graph
-from repro.graph.generator import random_paper_workload
-from repro.platform.builders import figure2_platform
+from repro.graph.generator import fork_join_graph, random_paper_workload
+from repro.platform.builders import figure2_platform, homogeneous_platform
 from repro.runtime.admission import (
     ADMISSION_POLICIES,
     QueueAdmissionPolicy,
@@ -31,6 +31,7 @@ from repro.runtime.policies import (
 )
 from repro.runtime.trace import DatasetRecord, RuntimeTrace, summarize_traces
 from repro.schedule.schedule import Schedule
+from repro.service.models import trace_fingerprint
 
 
 @pytest.fixture
@@ -537,19 +538,21 @@ class TestRuntimeTrace:
 
 # ------------------------------------------------------------------------- CLI
 class TestCampaignCli:
-    """A campaign from flags: ``config --emit`` then ``run --mode monte-carlo``."""
+    """A campaign from ``PATH=VALUE`` overrides: ``config --emit`` then
+    ``run --mode monte-carlo``."""
 
-    def _emit(self, tmp_path, capsys, *flags) -> str:
-        assert main(["config", "--emit", *flags]) == 0
+    def _emit(self, tmp_path, capsys, *overrides) -> str:
+        assert main(["config", "--emit", *overrides]) == 0
         path = tmp_path / "scenario.json"
         path.write_text(capsys.readouterr().out)
         return str(path)
 
     def test_emitted_campaign_is_seed_deterministic(self, tmp_path, capsys):
         path = self._emit(
-            tmp_path, capsys, "--datasets", "25", "--tasks", "12",
-            "--processors", "5", "--epsilon", "1", "--admission", "queue",
-            "--queue-capacity", "0", "--rebuild-on-repair", "--mttr", "20",
+            tmp_path, capsys, "runtime.num_datasets=25", "workload.num_tasks=12",
+            "workload.num_processors=5", "scheduler.epsilon=1",
+            "runtime.admission=queue", "runtime.queue_capacity=null",
+            "runtime.rebuild_on_repair=true", "faults.mttr_periods=20",
         )
         args = ["run", path, "--mode", "monte-carlo", "--seed", "3", "--trials", "2"]
         assert main(args) == 0
@@ -649,3 +652,30 @@ class TestAdmissionWindowInvariance:
         monkeypatch.setattr(engine_mod, "_ADMIT_WINDOW", 10**9)
         unwindowed = run()
         assert tiny == reference == unwindowed
+
+    @pytest.mark.parametrize("crash", [False, True])
+    def test_release_ties_do_not_depend_on_the_window(self, monkeypatch, crash):
+        """A fork-join whose transfers land on an entry replica's processor
+        exactly at release instants: a release admitted after a window
+        boundary still wins those ties, as it does when its whole control
+        segment is admitted at once — and fault-free, the runtime then
+        completes every data set when the offline simulator does."""
+        import repro.runtime.engine as engine_mod
+
+        schedule = ltf_schedule(
+            fork_join_graph(3, work=8.0, volume=4.0), homogeneous_platform(6),
+            throughput=0.04, epsilon=1,
+        )
+        n = 600
+        victim = schedule.used_processors()[0]
+        events = (FaultEvent(100.5 * schedule.period, victim, "crash"),) if crash else ()
+        faults = FaultTrace(events, horizon=n * schedule.period)
+        traces = {}
+        for window in (1, 7, 256, 10**6):
+            monkeypatch.setattr(engine_mod, "_ADMIT_WINDOW", window)
+            traces[window] = OnlineRuntime(schedule, faults).run(n)
+        assert len({trace_fingerprint(t) for t in traces.values()}) == 1
+        if not crash:
+            expected = StreamingSimulator(schedule).run(n).completion_times
+            for trace in traces.values():
+                assert tuple(r.completion for r in trace.records) == expected

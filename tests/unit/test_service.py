@@ -492,35 +492,3 @@ class TestApp:
                     app, "GET", f"/v1/results/{payload['result_key']}"
                 )
                 json.dumps(result, allow_nan=False)  # must not raise
-
-
-class TestASGIAdapter:
-    def test_adapter_serves_the_same_routes(self, tmp_path):
-        import asyncio
-
-        app = make_app(tmp_path)
-        sent = []
-
-        async def drive():
-            messages = [{"type": "http.request", "body": b"", "more_body": False}]
-
-            async def receive():
-                return messages.pop(0)
-
-            async def send(message):
-                sent.append(message)
-
-            await app.asgi(
-                {"type": "http", "method": "GET", "path": "/v1/healthz",
-                 "query_string": b""},
-                receive,
-                send,
-            )
-
-        asyncio.run(drive())
-        start = next(m for m in sent if m["type"] == "http.response.start")
-        body = b"".join(
-            m["body"] for m in sent if m["type"] == "http.response.body"
-        )
-        assert start["status"] == 200
-        assert json.loads(body)["status"] == "ok"

@@ -240,14 +240,16 @@ class TestAdmissionRejectsBadInstants:
         kernel = PipelineKernel(strict)
         self._rejects(kernel, "restore", lambda: kernel.admit_restored(0, bad, ()))
 
-    @pytest.mark.parametrize("releases_first", [False, True])
-    def test_finite_period_overflowing_to_infinity(self, strict, releases_first):
-        kernel = PipelineKernel(strict, releases_first=releases_first)
+    @pytest.mark.parametrize("reserved", [0, 2])
+    def test_finite_period_overflowing_to_infinity(self, strict, reserved):
+        kernel = PipelineKernel(strict)
+        kernel.reserve(reserved)
         self._rejects(kernel, "release", lambda: kernel.admit(3, 3 * 1e308))
 
-    @pytest.mark.parametrize("releases_first", [False, True])
-    def test_zero_release_and_period_are_valid(self, strict, releases_first):
-        kernel = PipelineKernel(strict, releases_first=releases_first)
+    @pytest.mark.parametrize("reserved", [0, 2])
+    def test_zero_release_and_period_are_valid(self, strict, reserved):
+        kernel = PipelineKernel(strict)
+        kernel.reserve(reserved)
         kernel.admit(0, 0.0)
         kernel.admit(1, 0.0)  # a zero period: every release at instant 0
         assert sorted(j for j, _ in kernel.run_to_completion()) == [0, 1]
