@@ -3,8 +3,8 @@
 The paper positions LTF / R-LTF against the heuristics of the literature,
 which all target homogeneous platforms, ignore communication-port contention
 and do not handle failures.  This package implements faithful-in-spirit
-versions of each of them so that the fault-free comparison of the benchmark
-suite (`benchmarks/bench_baselines.py`) can be regenerated.  Every baseline
+versions of each of them so that the fault-free comparison (the
+``baselines`` command) can be regenerated.  Every baseline
 returns a regular :class:`~repro.schedule.schedule.Schedule` (``ε = 0``) built
 with the same one-port substrate as LTF / R-LTF, so all metrics are directly
 comparable.

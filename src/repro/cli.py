@@ -56,7 +56,6 @@ probe metrics as JSON and a Gantt chart of the stream (SVG, or a
 self-contained HTML page for ``.html`` paths)::
 
     repro-streaming suite report examples/suite.json
-    repro-streaming suite report examples/suite.json --trajectory BENCH_trajectory.json
     repro-streaming run examples/scenario.json --metrics metrics.json --gantt run.svg
     repro-streaming run examples/scenario.json --gantt run.html --sample 0.25
 
@@ -126,10 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("ablations", "ablation of Rule 1, one-to-one mapping and chunk size"),
         ("baselines", "fault-free comparison against related-work heuristics"),
-        ("scaling", "scheduler runtime vs graph size"),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_scale_options(p)
+    # the scaling study times fixed graph sizes: no graph count or scale
+    _add_study_options(sub.add_parser("scaling", help="scheduler runtime vs graph size"))
     sub.add_parser("examples", help="print the Figure 1 and Figure 2 worked examples")
     _add_run_parser(sub)
     _add_config_parser(sub)
@@ -181,6 +181,10 @@ def _add_scale_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="override the number of random graphs per point",
     )
+    _add_study_options(parser)
+
+
+def _add_study_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-plot", action="store_true", help="print only the table, no ASCII plot"
     )
@@ -404,15 +408,6 @@ def _add_suite_parser(sub) -> None:
             "report — the same JSON the service's results endpoint serves"
         ),
     )
-    report_p.add_argument(
-        "--trajectory",
-        default=None,
-        metavar="PATH",
-        help=(
-            "also render this BENCH_trajectory.json benchmark history "
-            "(default: ./BENCH_trajectory.json when present)"
-        ),
-    )
     emit_p = ssub.add_parser(
         "emit", help="print a starter suite JSON (pipe into a suite file)"
     )
@@ -543,8 +538,6 @@ def _run_suite_command(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 130
-    if args.suite_command == "report":
-        return _report_trajectory(args)
     return 0
 
 
@@ -558,38 +551,6 @@ def _print_suite_json(result, args: argparse.Namespace) -> int:
 
     key = suite_result_key(result.suite, result.seed, result.trials)
     print(json.dumps(suite_result_payload(result, key=key)))
-    return 0
-
-
-def _report_trajectory(args: argparse.Namespace) -> int:
-    """The benchmark-history tail of ``suite report``.
-
-    An explicitly named ``--trajectory`` file must exist and parse; the
-    implicit default (``./BENCH_trajectory.json``) is silently skipped when
-    absent, so the report works outside the repository checkout too.
-    """
-    from repro.experiments.reporting import render_trajectory
-
-    explicit = args.trajectory is not None
-    path = Path(args.trajectory) if explicit else Path("BENCH_trajectory.json")
-    if not explicit and not path.exists():
-        return 0
-    try:
-        points = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        print(
-            f"repro-streaming suite: error: cannot read trajectory {path}: {exc}",
-            file=sys.stderr,
-        )
-        return 2
-    if not isinstance(points, list):
-        print(
-            f"repro-streaming suite: error: trajectory {path} is not a JSON list",
-            file=sys.stderr,
-        )
-        return 2
-    print()
-    print(render_trajectory(points, plot=not args.no_plot))
     return 0
 
 
@@ -1030,16 +991,15 @@ def _run_command(argv: Sequence[str] | None) -> int:
     if command == "serve":
         return _run_serve_command(args)
 
-    config = _config(args)
-    jobs = getattr(args, "jobs", 1)
+    jobs = args.jobs
     if command in _FIGURES:
-        series = _FIGURES[command](config, jobs=jobs)
+        series = _FIGURES[command](_config(args), jobs=jobs)
     elif command == "ablations":
-        series = fig.ablation_rules(config, jobs=jobs)
+        series = fig.ablation_rules(_config(args), jobs=jobs)
     elif command == "baselines":
-        series = fig.baseline_comparison(config, jobs=jobs)
+        series = fig.baseline_comparison(_config(args), jobs=jobs)
     elif command == "scaling":
-        series = fig.scaling_study(config=config, jobs=jobs)
+        series = fig.scaling_study(jobs=jobs)
     else:  # pragma: no cover - argparse enforces valid choices
         parser.error(f"unknown command {command!r}")
         return 2

@@ -1,7 +1,7 @@
 """Experiment harness reproducing the evaluation section of the paper.
 
 * :mod:`repro.experiments.config` — the experimental parameters of Section 5
-  (and the reduced presets used by the benchmark suite);
+  (and the reduced preset of the figure and study commands);
 * :mod:`repro.experiments.campaign` — runs one (granularity, ε) point over
   many random graphs and aggregates the metrics;
 * :mod:`repro.experiments.figures` — one function per figure panel
@@ -18,7 +18,7 @@
 """
 
 from repro.experiments.config import ExperimentConfig, bench_config, paper_config, workload_period
-from repro.experiments.campaign import CampaignResult, PointResult, run_campaign, run_point
+from repro.experiments.campaign import CampaignResult, PointResult, run_campaign
 from repro.experiments.figures import (
     FigureSeries,
     figure3a,
@@ -32,11 +32,7 @@ from repro.experiments.figures import (
     scaling_study,
 )
 from repro.experiments.tables import figure1_scenarios, figure2_example
-from repro.experiments.reporting import (
-    render_series,
-    render_point_table,
-    render_suite,
-)
+from repro.experiments.reporting import render_series, render_suite
 from repro.experiments.parallel import (
     RuntimeCampaignResult,
     run_runtime_campaign,
@@ -55,7 +51,6 @@ __all__ = [
     "CampaignResult",
     "PointResult",
     "run_campaign",
-    "run_point",
     "FigureSeries",
     "figure3a",
     "figure3b",
@@ -69,7 +64,6 @@ __all__ = [
     "figure1_scenarios",
     "figure2_example",
     "render_series",
-    "render_point_table",
     "render_suite",
     "RuntimeCampaignResult",
     "run_runtime_campaign",

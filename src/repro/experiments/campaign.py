@@ -25,18 +25,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
 from repro.core.fault_free import fault_free_schedule
 from repro.core.ltf import ltf_schedule
 from repro.core.rltf import rltf_schedule
-from repro.exceptions import SchedulingError, SpecificationError
+from repro.exceptions import SchedulingError
 from repro.experiments.config import ExperimentConfig, workload_period
 from repro.failures.evaluation import expected_crash_latency
 from repro.graph.generator import random_paper_workload
-from repro.scenario.spec import ScenarioSpec, SchedulerSpec, WorkloadSpec
 from repro.schedule.metrics import latency_upper_bound
 from repro.schedule.schedule import Schedule
 from repro.utils.rng import derive_seed, ensure_rng
@@ -46,9 +45,7 @@ __all__ = [
     "CampaignResult",
     "point_seed",
     "instance_seeds",
-    "scenario_for_point",
     "run_graph_instance",
-    "run_point",
     "run_campaign",
     "ALGORITHMS",
 ]
@@ -79,40 +76,6 @@ def instance_seeds(
     return [derive_seed(rng) for _ in range(config.num_graphs)]
 
 
-def scenario_for_point(
-    config: ExperimentConfig, granularity: float, epsilon: int
-) -> ScenarioSpec:
-    """The declarative :class:`~repro.scenario.spec.ScenarioSpec` of one point.
-
-    The spec captures the point's scenario *family* — the workload
-    distribution (granularity, task range, platform size) and the scheduling
-    constraints (ε, period slack, strict resilience), with R-LTF as the
-    representative heuristic of the paper's campaign (the point's metrics
-    also cover LTF).  Replaying it (``spec.to_json()`` →
-    ``repro-streaming run``) draws a *fresh* instance from the same family;
-    the campaign's own instances are reproduced by
-    :func:`run_graph_instance` with :func:`instance_seeds`, not by the spec.
-    """
-    options = {}
-    if config.strict_resilience:
-        options["strict_resilience"] = True
-    return ScenarioSpec(
-        name=f"campaign-g{granularity:g}-eps{epsilon}",
-        workload=WorkloadSpec(
-            generator="paper",
-            granularity=granularity,
-            num_tasks=None,
-            num_processors=config.num_processors,
-            task_range=config.task_range,
-        ),
-        scheduler=SchedulerSpec(
-            name="rltf",
-            epsilon=epsilon,
-            period_slack=config.period_slack,
-            options=options,
-        ),
-    )
-
 #: the two heuristics of the paper, keyed by their display name.
 ALGORITHMS: dict[str, Callable[..., Schedule]] = {
     "LTF": ltf_schedule,
@@ -132,8 +95,6 @@ class PointResult:
     #: algorithm -> number of instances it failed to schedule.
     failures: dict[str, int] = field(default_factory=dict)
     instances: int = 0
-    #: the declarative spec of the point (see :func:`scenario_for_point`).
-    spec: ScenarioSpec | None = None
 
     def metric(self, name: str) -> float:
         """Mean value of a metric (NaN when no instance succeeded)."""
@@ -160,21 +121,18 @@ def run_graph_instance(
     item: tuple[float, int],
     epsilon: int,
     config: ExperimentConfig,
-    algorithms: Mapping[str, Callable[..., Schedule]] | None = None,
 ) -> tuple[dict[str, list[float]], dict[str, int]]:
     """Evaluate one random graph of one campaign point.
 
     *item* is ``(granularity, instance_seed)``.  Returns the per-metric value
     lists contributed by this instance plus its failure counters — the unit of
-    work fanned across processes by :func:`run_point` and
-    :func:`run_campaign`.
+    work fanned across processes by :func:`run_campaign`.
     """
     granularity, seed = item
-    algorithms = dict(algorithms or ALGORITHMS)
     crashes = config.crash_counts(epsilon)
     rng = ensure_rng(seed)
     accum: dict[str, list[float]] = {}
-    failures = {name: 0 for name in algorithms}
+    failures = {name: 0 for name in ALGORITHMS}
     failures["fault-free"] = 0
 
     workload = random_paper_workload(
@@ -194,7 +152,7 @@ def run_graph_instance(
         return accum, failures
     accum.setdefault("fault-free latency", []).append(ff_latency / unit)
 
-    for name, scheduler in algorithms.items():
+    for name, scheduler in ALGORITHMS.items():
         try:
             schedule = scheduler(
                 workload.graph,
@@ -232,14 +190,12 @@ def _reduce_point(
     epsilon: int,
     config: ExperimentConfig,
     instance_results: list[tuple[dict[str, list[float]], dict[str, int]]],
-    algorithms: Mapping[str, Callable[..., Schedule]] | None = None,
 ) -> PointResult:
     """Aggregate per-instance contributions into one :class:`PointResult`.
 
     Values are concatenated in instance order before averaging, so the
     reduction is independent of how the instances were scheduled across
-    workers.  Points evaluated with custom *algorithms* carry ``spec=None``
-    (an algorithm mapping is not expressible as a pure-data spec).
+    workers.
     """
     accum: dict[str, list[float]] = {}
     failures: dict[str, int] = {}
@@ -256,49 +212,7 @@ def _reduce_point(
         metrics=metrics,
         failures=failures,
         instances=config.num_graphs,
-        spec=_point_spec_or_none(config, granularity, epsilon, algorithms),
     )
-
-
-def _point_spec_or_none(
-    config: ExperimentConfig,
-    granularity: float,
-    epsilon: int,
-    algorithms: Mapping[str, Callable[..., Schedule]] | None,
-) -> ScenarioSpec | None:
-    """The point's family spec, or ``None`` when it isn't expressible.
-
-    Custom algorithm mappings have no pure-data form, and degenerate
-    configurations (e.g. ε ≥ platform size, which the campaign itself records
-    as per-instance scheduling failures) must not turn the *reduction* into a
-    validation error after all the instance work has already run.
-    """
-    if algorithms is not None:
-        return None
-    try:
-        return scenario_for_point(config, granularity, epsilon)
-    except SpecificationError:
-        return None
-
-
-def run_point(
-    granularity: float,
-    epsilon: int,
-    config: ExperimentConfig,
-    algorithms: Mapping[str, Callable[..., Schedule]] | None = None,
-    jobs: int | None = 1,
-) -> PointResult:
-    """Run one (granularity, ε) point of the campaign.
-
-    With ``jobs > 1`` the graph instances of the point are sharded across
-    worker processes; every instance carries its own pre-derived seed, so the
-    result is bit-for-bit identical for any ``jobs`` value.  Execution runs
-    under the supervised pool, so a worker crash retries only the lost
-    instances instead of aborting the point.
-    """
-    items = [(granularity, s) for s in instance_seeds(config, granularity, epsilon)]
-    results = _supervised_instances(items, epsilon, config, algorithms, jobs)
-    return _reduce_point(granularity, epsilon, config, results, algorithms)
 
 
 def _supervised_units(fn, units, jobs: int | None, what: str, tokens=None) -> list:
@@ -322,24 +236,9 @@ def _supervised_units(fn, units, jobs: int | None, what: str, tokens=None) -> li
     return outcome.values
 
 
-def _supervised_instances(units, epsilon, config, algorithms, jobs):
-    """Fan graph instances across the supervised pool; each unit's seed
-    travels as its supervision token so failures stay attributable."""
-    return _supervised_units(
-        partial(
-            run_graph_instance, epsilon=epsilon, config=config, algorithms=algorithms
-        ),
-        units,
-        jobs,
-        what=f"campaign (epsilon {epsilon})",
-        tokens=[unit_seed for _granularity, unit_seed in units],
-    )
-
-
 def run_campaign(
     epsilon: int,
     config: ExperimentConfig,
-    algorithms: Mapping[str, Callable[..., Schedule]] | None = None,
     jobs: int | None = 1,
 ) -> CampaignResult:
     """Sweep every granularity of *config* for the given ε.
@@ -348,22 +247,25 @@ def run_campaign(
     instance)`` work units before fan-out, so ``jobs`` workers stay busy even
     when there are fewer granularity points than workers (per-graph sharding
     *within* a point).  Every unit carries its own pre-derived seed, so the
-    campaign is bit-for-bit identical for any ``jobs`` value (custom
-    *algorithms* must be picklable, i.e. module-level functions).  Execution
-    runs under the supervised pool of
-    :mod:`repro.resilience`, so a transient worker death retries only the
-    lost instances instead of aborting the campaign.
+    campaign is bit-for-bit identical for any ``jobs`` value.  Execution runs
+    under the supervised pool of :mod:`repro.resilience`, so a transient
+    worker death retries only the lost instances instead of aborting the
+    campaign; each unit's seed is its supervision token, so failures stay
+    attributable.
     """
     units: list[tuple[float, int]] = []
     for granularity in config.granularities:
         units.extend((granularity, s) for s in instance_seeds(config, granularity, epsilon))
-    results = _supervised_instances(units, epsilon, config, algorithms, jobs)
-    points = []
+    results = _supervised_units(
+        partial(run_graph_instance, epsilon=epsilon, config=config),
+        units,
+        jobs,
+        what=f"campaign (epsilon {epsilon})",
+        tokens=[unit_seed for _granularity, unit_seed in units],
+    )
     n = config.num_graphs
-    for k, granularity in enumerate(config.granularities):
-        points.append(
-            _reduce_point(
-                granularity, epsilon, config, results[k * n : (k + 1) * n], algorithms
-            )
-        )
+    points = [
+        _reduce_point(granularity, epsilon, config, results[k * n : (k + 1) * n])
+        for k, granularity in enumerate(config.granularities)
+    ]
     return CampaignResult(epsilon=epsilon, points=points)

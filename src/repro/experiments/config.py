@@ -6,7 +6,7 @@ message volumes in [50, 150], desired throughput ``1/(10(ε+1))``, ``ε ∈ {1, 
 60 random graphs per point.
 
 Two calibration details are unit-dependent in the paper and are made explicit
-here (see DESIGN.md §3):
+here:
 
 * the **period** of a workload is ``slack · max(compute bound, communication
   bound)`` where the bounds are the average per-processor replicated compute
@@ -20,16 +20,12 @@ here (see DESIGN.md §3):
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 
 from repro.graph.generator import PaperWorkload
 from repro.utils.checks import check_positive
 
 __all__ = ["ExperimentConfig", "paper_config", "bench_config", "workload_period"]
-
-#: environment variable overriding the number of graphs per point in benchmarks.
-BENCH_GRAPHS_ENV = "REPRO_BENCH_GRAPHS"
 
 
 @dataclass(frozen=True)
@@ -80,16 +76,15 @@ def paper_config(**overrides) -> ExperimentConfig:
 
 
 def bench_config(**overrides) -> ExperimentConfig:
-    """Reduced configuration used by ``pytest benchmarks/``.
+    """Reduced configuration of the figure and study commands.
 
-    The number of graphs per point defaults to 2 (override with the
-    ``REPRO_BENCH_GRAPHS`` environment variable) and the graphs are kept at the
-    small end of the paper's range so that the whole benchmark suite runs in
-    minutes; the curve shapes are stable at this scale.
+    Two graphs per point (the commands' ``--graphs`` overrides it), five
+    granularities and graphs at the small end of the paper's range, so that a
+    study runs in minutes; the curve shapes are stable at this scale.
     """
     defaults = dict(
         granularities=(0.2, 0.6, 1.0, 1.4, 2.0),
-        num_graphs=int(os.environ.get(BENCH_GRAPHS_ENV, "2")),
+        num_graphs=2,
         task_range=(50, 70),
         crash_samples=3,
     )

@@ -1,5 +1,5 @@
 """Per-figure series generators (Figures 3 and 4 of the paper) and the extra
-studies (ablations, baseline comparison, scaling) indexed in DESIGN.md.
+studies behind the ``ablations``, ``baselines`` and ``scaling`` commands.
 
 Each ``figureXY`` function returns a :class:`FigureSeries`: the granularity
 axis plus one named series per curve of the corresponding panel.  Campaign

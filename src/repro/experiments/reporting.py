@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from repro.experiments.campaign import PointResult
 from repro.experiments.figures import FigureSeries
 from repro.experiments.tables import ExampleRow
 from repro.utils.ascii import ascii_plot, format_table
@@ -14,11 +13,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweep imports figure
 
 __all__ = [
     "render_series",
-    "render_point_table",
     "render_example_rows",
     "render_suite",
     "render_latency_report",
-    "render_trajectory",
 ]
 
 
@@ -29,16 +26,6 @@ def render_series(figure: FigureSeries, plot: bool = True) -> str:
     if not plot:
         return table
     return table + "\n\n" + ascii_plot(figure.series)
-
-
-def render_point_table(points: Sequence[PointResult]) -> str:
-    """Render raw campaign points (one row per granularity, one column per metric)."""
-    if not points:
-        return "(no data)"
-    metrics = sorted({name for p in points for name in p.metrics})
-    headers = ["granularity", *metrics]
-    rows = [[p.granularity, *[p.metric(m) for m in metrics]] for p in points]
-    return format_table(headers, rows)
 
 
 def _cache_line(result: "SweepResult") -> str:
@@ -171,42 +158,6 @@ def render_latency_report(
         for metric in REPORT_METRICS
     ]
     return "\n\n".join(["\n".join(lines), table, *panels])
-
-
-def render_trajectory(points: Sequence[dict], plot: bool = True) -> str:
-    """Render the cross-commit benchmark trajectory (``BENCH_trajectory.json``).
-
-    One row per recorded point — commit, run kind, the headline
-    ``long_stream_datasets_per_sec`` throughput — plus an ASCII plot of the
-    headline history (smoke and full runs are separate curves: they execute
-    different stream lengths and must not be read as one series).
-    """
-    headline = "long_stream_datasets_per_sec"
-    if not points:
-        return "benchmark trajectory: no recorded points"
-    rows = []
-    series: dict[str, list[float]] = {}
-    for point in points:
-        value = point.get(headline)
-        kind = "smoke" if point.get("smoke") else "full"
-        rows.append(
-            [
-                str(point.get("commit", "?"))[:12],
-                kind,
-                float("nan") if value is None else float(value),
-            ]
-        )
-        series.setdefault(f"{kind} datasets/s", []).append(
-            float("nan") if value is None else float(value)
-        )
-    table = format_table(
-        ["commit", "kind", "datasets/s"],
-        rows,
-        title=f"benchmark trajectory — {len(points)} points",
-    )
-    if not plot:
-        return table
-    return table + "\n\n" + ascii_plot(series)
 
 
 def render_example_rows(rows: Sequence[ExampleRow], title: str) -> str:

@@ -13,7 +13,7 @@ provides:
 * :func:`random_paper_workload` — the full experimental workload: a random
   layered DAG plus a random heterogeneous platform, with task works rescaled so
   that the achieved granularity ``g(G, P)`` exactly matches the requested
-  target (see DESIGN.md, substitution table).
+  target.
 """
 
 from __future__ import annotations
@@ -271,7 +271,8 @@ class PaperWorkload:
     @property
     def mean_task_time(self) -> float:
         """Mean task execution time at the platform's average speed — the
-        normalization unit used by the experiments (see DESIGN.md)."""
+        normalization unit used by the experiments (see
+        :mod:`repro.experiments.config`)."""
         return float(
             np.mean([t.work for t in self.graph.tasks]) * self.platform.mean_inverse_speed
         )

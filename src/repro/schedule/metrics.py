@@ -44,8 +44,8 @@ def normalized_latency(schedule: Schedule, unit: float) -> float:
     """Latency divided by a workload-dependent *unit* (e.g. the mean task time).
 
     The experimental section of the paper reports a "normalized latency" so
-    that graphs of different sizes can be averaged; see DESIGN.md for the exact
-    normalization chosen by this reproduction.
+    that graphs of different sizes can be averaged; the module docstring of
+    :mod:`repro.experiments.config` gives the unit chosen by this reproduction.
     """
     check_positive(unit, "unit")
     return latency_upper_bound(schedule) / unit

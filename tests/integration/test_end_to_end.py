@@ -6,7 +6,7 @@ from repro.core.fault_free import fault_free_schedule
 from repro.core.ltf import ltf_schedule
 from repro.core.rltf import rltf_schedule
 from repro.exceptions import SchedulingError
-from repro.experiments.campaign import run_point
+from repro.experiments.campaign import run_campaign
 from repro.experiments.config import ExperimentConfig, workload_period
 from repro.failures.evaluation import expected_crash_latency
 from repro.failures.simulator import simulate_stream
@@ -94,8 +94,9 @@ class TestRealisticApplications:
 
 
 class TestCampaignIntegration:
-    def test_run_point_end_to_end(self):
-        point = run_point(0.8, epsilon=1, config=CONFIG)
+    def test_one_point_campaign_end_to_end(self):
+        config = CONFIG.with_overrides(granularities=(0.8,))
+        (point,) = run_campaign(1, config).points
         # at least one algorithm must have produced results on this instance
         produced = [k for k in point.metrics if k.endswith("upper bound")]
         assert produced or sum(point.failures.values()) > 0

@@ -251,31 +251,18 @@ class TestBuildScheduleFallback:
         assert schedule.is_complete()
 
 
-class TestCampaignPointSpec:
+class TestCampaignPoint:
     def test_degenerate_epsilon_still_reduces_to_a_point(self):
-        """ε ≥ platform size is recorded as scheduling failures, never as a
-        reduction-time SpecificationError that loses the instance work."""
-        from repro.experiments.campaign import run_point
+        """ε ≥ platform size is recorded as scheduling failures, never as an
+        error that loses the instance work."""
+        from repro.experiments.campaign import run_campaign
 
         config = ExperimentConfig(
             granularities=(1.0,), num_graphs=1, num_processors=4,
             task_range=(10, 12), crash_samples=1, seed=1,
         )
-        point = run_point(1.0, epsilon=4, config=config)
-        assert point.spec is None
+        (point,) = run_campaign(4, config).points
         assert sum(point.failures.values()) >= 1
-
-    def test_standard_point_carries_family_spec_without_pinned_seed(self):
-        from repro.experiments.campaign import run_point
-
-        config = ExperimentConfig(
-            granularities=(1.0,), num_graphs=1, num_processors=10,
-            task_range=(10, 12), crash_samples=1, seed=1,
-        )
-        point = run_point(1.0, epsilon=1, config=config)
-        assert point.spec is not None
-        assert point.spec.workload.seed is None
-        assert point.spec.scheduler.epsilon == 1
 
 
 class TestCli:

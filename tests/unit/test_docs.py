@@ -71,6 +71,21 @@ def test_relative_links_resolve(path):
     assert not broken, f"{path.name}: broken links {broken}"
 
 
+_MARKDOWN_NAME = re.compile(r"\b((?:docs/)?[A-Za-z0-9_-]+\.md)\b")
+
+
+def test_markdown_files_named_in_the_source_exist():
+    """Every ``NAME.md`` or ``docs/NAME.md`` a module or docstring under src/
+    mentions must exist at the repository root or under docs/."""
+    missing = sorted(
+        f"{path.relative_to(REPO)}: {name}"
+        for path in sorted((REPO / "src").rglob("*.py"))
+        for name in set(_MARKDOWN_NAME.findall(path.read_text()))
+        if not (REPO / name).is_file()
+    )
+    assert not missing, f"source cites missing markdown files: {missing}"
+
+
 def test_readme_links_the_docs_tree():
     text = (REPO / "README.md").read_text()
     assert "docs/architecture.md" in text
@@ -82,7 +97,7 @@ def test_observability_doc_covers_the_obs_cli_surface():
     """docs/observability.md must document every observability CLI flag, the
     report command and the probe API entry points."""
     text = (REPO / "docs" / "observability.md").read_text()
-    for flag in ("--metrics", "--gantt", "--sample", "--trajectory"):
+    for flag in ("--metrics", "--gantt", "--sample"):
         assert f"`{flag}" in text, f"observability.md misses flag {flag}"
     assert "suite report" in text
     for name in ("Probe", "MetricsProbe", "LatencyHistogram", "sample_trace",

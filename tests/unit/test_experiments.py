@@ -1,11 +1,19 @@
 """Unit tests for the experiment harness (config, campaign, figures, tables, CLI)."""
 
+import math
+
 import pytest
 
-from repro.experiments.campaign import run_point
+from repro.experiments.campaign import run_campaign
 from repro.experiments.config import ExperimentConfig, bench_config, paper_config, workload_period
-from repro.experiments.figures import FigureSeries, clear_campaign_cache, figure3a, scaling_study
-from repro.experiments.reporting import render_example_rows, render_point_table, render_series
+from repro.experiments.figures import (
+    FigureSeries,
+    ablation_rules,
+    clear_campaign_cache,
+    figure3a,
+    scaling_study,
+)
+from repro.experiments.reporting import render_example_rows, render_series
 from repro.experiments.tables import figure1_scenarios, figure2_example
 from repro.cli import build_parser, main
 from repro.graph.generator import random_paper_workload
@@ -19,6 +27,12 @@ TINY = ExperimentConfig(
     crash_samples=2,
     seed=1,
 )
+
+
+def _point(epsilon):
+    """The one point of a campaign over granularity 1.0 alone."""
+    (point,) = run_campaign(epsilon, TINY.with_overrides(granularities=(1.0,))).points
+    return point
 
 
 class TestConfig:
@@ -60,17 +74,23 @@ class TestConfig:
     def test_config_is_hashable(self):
         assert hash(bench_config()) == hash(bench_config())
 
+    def test_bench_config_ignores_the_environment(self, monkeypatch):
+        """The graph count is set by ``--graphs`` alone: a stale benchmark
+        variable neither crashes nor resizes the preset."""
+        monkeypatch.setenv("REPRO_BENCH_GRAPHS", "abc")
+        assert bench_config().num_graphs == 2
+
 
 class TestCampaign:
-    def test_run_point_produces_metrics(self):
-        point = run_point(1.0, epsilon=1, config=TINY)
+    def test_one_point_campaign_produces_metrics(self):
+        point = _point(epsilon=1)
         assert point.instances == 1
         assert point.crashes == (0, 1)
         assert "R-LTF upper bound" in point.metrics or point.failures["R-LTF"] == 1
         assert "fault-free latency" in point.metrics
 
     def test_upper_bound_dominates_zero_crash(self):
-        point = run_point(1.0, epsilon=1, config=TINY)
+        point = _point(epsilon=1)
         for algo in ("LTF", "R-LTF"):
             up = point.metric(f"{algo} upper bound")
             zero = point.metric(f"{algo} with 0 crash")
@@ -78,7 +98,7 @@ class TestCampaign:
                 assert up >= zero - 1e-9
 
     def test_point_metric_missing_is_nan(self):
-        point = run_point(1.0, epsilon=1, config=TINY)
+        point = _point(epsilon=1)
         assert point.metric("not a metric") != point.metric("not a metric")  # NaN
 
 
@@ -104,6 +124,17 @@ class TestFigures:
         b = fig.figure3b(TINY)
         assert a.x == b.x
         assert a.series["LTF With 0 Crash"] == b.series["LTF With 0 Crash"]
+
+    def test_one_to_one_never_adds_remote_communications(self):
+        """Ablation A2: LTF's one-to-one procedure sends at most as many
+        remote messages as full replication of every edge."""
+        series = ablation_rules(TINY, epsilon=1)
+        with_oto = series.series["remote comms LTF"]
+        without = series.series["remote comms LTF no one-to-one"]
+        assert len(with_oto) == len(without) == len(TINY.granularities)
+        for a, b in zip(with_oto, without):
+            assert not (math.isnan(a) or math.isnan(b))
+            assert a <= b
 
     def test_scaling_study_reports_times(self):
         series = scaling_study(sizes=(10, 20), epsilon=0, config=TINY)
@@ -142,14 +173,6 @@ class TestReporting:
         series = FigureSeries("demo", "g", (1.0,), {"curve": (2.0,)})
         assert "=" not in render_series(series, plot=False).splitlines()[0]
 
-    def test_render_point_table(self):
-        point = run_point(1.0, epsilon=0, config=TINY)
-        out = render_point_table([point])
-        assert "granularity" in out
-
-    def test_render_point_table_empty(self):
-        assert render_point_table([]) == "(no data)"
-
     def test_render_example_rows(self):
         out = render_example_rows(figure2_example(), "demo title")
         assert out.splitlines()[0] == "demo title"
@@ -166,11 +189,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Figure 1" in out and "Figure 2" in out
 
-    def test_figure_command_with_tiny_scale(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_GRAPHS", "1")
-        clear_campaign_cache()
-        assert main(["scaling", "--graphs", "1", "--no-plot"]) == 0
+    def test_figure_command_with_tiny_scale(self, capsys):
+        assert main(["scaling", "--no-plot"]) == 0
         assert "scaling_study" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags", [["--graphs", "1"], ["--paper-scale"]], ids=["graphs", "paper-scale"]
+    )
+    def test_scaling_has_no_scale_flags(self, flags, capsys):
+        """The scaling study times fixed graph sizes: a graph count or the
+        paper scale would change nothing, so both are usage errors."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scaling", "--no-plot", *flags])
+        assert excinfo.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):

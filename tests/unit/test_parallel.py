@@ -7,7 +7,6 @@ from repro.experiments.campaign import (
     _supervised_units,
     instance_seeds,
     run_campaign,
-    run_point,
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import ablation_rules, baseline_comparison, scaling_study
@@ -138,18 +137,19 @@ class TestCampaignJobs:
         assert a == b and len(a) == TINY.num_graphs
         assert instance_seeds(TINY, 1.5, 1) != a
 
-    def test_run_point_shards_within_the_point(self):
+    def test_campaign_shards_within_a_point(self):
         """Per-graph fan-out: a single point parallelises bit-for-bit."""
-        config = TINY.with_overrides(num_graphs=3)
-        serial = run_point(1.0, epsilon=1, config=config, jobs=1)
-        fanned = run_point(1.0, epsilon=1, config=config, jobs=3)
+        config = TINY.with_overrides(granularities=(1.0,), num_graphs=3)
+        (serial,) = run_campaign(1, config, jobs=1).points
+        (fanned,) = run_campaign(1, config, jobs=3).points
         assert serial.metrics == fanned.metrics
         assert serial.failures == fanned.failures
 
-    def test_run_point_agrees_with_run_campaign(self):
+    def test_point_does_not_depend_on_the_other_granularities(self):
         config = TINY.with_overrides(num_graphs=2)
         campaign = run_campaign(1, config, jobs=2)
-        point = run_point(config.granularities[0], epsilon=1, config=config)
+        alone = config.with_overrides(granularities=config.granularities[:1])
+        (point,) = run_campaign(1, alone).points
         assert campaign.points[0].metrics == point.metrics
 
     def test_scaling_study_jobs_preserve_workloads(self):

@@ -392,26 +392,17 @@ class TestSuiteCli:
             assert column in report
         assert "latency by grid point" in report
 
-    def test_report_renders_a_trajectory_file(self, tmp_path, capsys):
-        import json as json_mod
-
+    def test_report_has_no_trajectory_flag(self, tmp_path, capsys):
+        """The benchmark history is not part of the suite report: the flag
+        is a usage error."""
         from repro.cli import main
 
         path = self._write_suite(tmp_path)
-        traj = tmp_path / "traj.json"
-        traj.write_text(json_mod.dumps(
-            [{"commit": "abc1234567890def", "smoke": True,
-              "long_stream_datasets_per_sec": 1234.5}]
-        ))
-        assert main(["suite", "report", str(path), "--no-cache", "--no-plot",
-                     "--trajectory", str(traj)]) == 0
-        out = capsys.readouterr().out
-        assert "benchmark trajectory — 1 points" in out
-        assert "abc1234567890" [:12] in out
-        # an explicitly named but unreadable trajectory is an error
-        assert main(["suite", "report", str(path), "--no-cache", "--no-plot",
-                     "--trajectory", str(tmp_path / "missing.json")]) == 2
-        assert "cannot read trajectory" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["suite", "report", str(path), "--no-cache", "--no-plot",
+                  "--trajectory", "x"])
+        assert excinfo.value.code == 2
+        assert "--trajectory" in capsys.readouterr().err
 
     def test_no_cache_bypasses(self, tmp_path, capsys):
         from repro.cli import main
