@@ -1,7 +1,7 @@
 """Online-runtime benchmark: the quiet and saturated streams, the scheduler
 builds and the steady kernel.
 
-A script with no pytest-benchmark dependency, used by CI::
+A standalone script that CI's bench gate runs::
 
     python benchmarks/bench_runtime.py --smoke --output BENCH_runtime.json
 

@@ -666,13 +666,16 @@ def _add_serve_parser(sub) -> None:
     )
     p.add_argument(
         "--workers",
-        type=int,
+        type=_number(int, low=1),
         default=2,
-        help="concurrent job executions (threads running scenario/suite jobs)",
+        help=(
+            "concurrent job executions: each executing scenario job runs in "
+            "its own forked process, suite jobs run in-thread"
+        ),
     )
     p.add_argument(
         "--queue-capacity",
-        type=int,
+        type=_number(int, low=0),
         default=8,
         help=(
             "admitted-but-not-yet-running jobs; beyond workers + this, "
@@ -701,11 +704,7 @@ def _run_serve_command(args: argparse.Namespace) -> int:
     from repro.service import JobStore, ServiceApp, WorkerPool, make_threaded_server
     from repro.service.limits import CircuitBreaker
 
-    try:
-        pool = WorkerPool(workers=args.workers, queue_capacity=args.queue_capacity)
-    except ValueError as exc:
-        print(f"repro-streaming serve: error: {exc}", file=sys.stderr)
-        return 2
+    pool = WorkerPool(workers=args.workers, queue_capacity=args.queue_capacity)
     store = JobStore(
         cache=_open_cli_cache(args),
         pool=pool,

@@ -160,6 +160,8 @@ class ServiceApp:
         try:
             length = int(environ.get("CONTENT_LENGTH") or 0)
         except ValueError:
+            length = -1
+        if length < 0:  # read(-1) would read to end of stream, uncapped
             raise _HTTPError(400, "invalid Content-Length header")
         if length > MAX_BODY_BYTES:
             raise _HTTPError(400, f"request body exceeds {MAX_BODY_BYTES} bytes")

@@ -13,7 +13,13 @@ decision gives the service its semantics for free:
 * two service instances sharing a cache directory share results.
 
 Execution happens on the bounded :class:`~repro.service.limits.WorkerPool`
-(shed-early admission; see :mod:`repro.service.limits`).  Progress events are
+(shed-early admission; see :mod:`repro.service.limits`).  A scenario job runs
+in one child process forked when the job starts and joined before it
+publishes, so a CPU-bound run never holds the server's GIL: the child streams
+its events and its outcome back over a pipe (:func:`scenario_child`) and the
+pool thread relays them into the job.  Suite jobs run in the pool thread:
+they fan out through ``exec_jobs`` processes already and observe the store's
+stop event at trial boundaries.  Progress events are
 produced by a :class:`JobProbe` — the same :class:`~repro.obs.probe.Probe`
 contract the CLI's ``--metrics`` flag uses, throttled so a million-dataset
 run emits hundreds of events, not a million.  Probes are observation-only:
@@ -23,9 +29,12 @@ one costs nothing in result identity.
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from repro.cache.disk import MISS
@@ -41,10 +50,26 @@ from repro.service.models import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.limits import WorkerPool
 
-__all__ = ["JobProbe", "Job", "JobStore", "JOB_STATES"]
+__all__ = ["JobProbe", "Job", "JobStore", "JOB_STATES", "scenario_child"]
 
 #: lifecycle of one job (terminal states: ``done`` | ``failed``).
 JOB_STATES = ("queued", "running", "done", "failed")
+
+#: seconds the relay waits for a message before it checks whether the child
+#: died; a child that exits silently fails its job within this.
+RELAY_POLL_S = 0.2
+
+#: the signals a terminal or a service manager sends to a whole process
+#: group; a scenario child is forked with them blocked, so it never sees them.
+_GROUP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
+class _JobFailed(Exception):
+    """A job failure whose message is already the published error text."""
+
+
+def _error_text(exc: Exception) -> str:
+    return str(exc) if isinstance(exc, _JobFailed) else f"{type(exc).__name__}: {exc}"
 
 
 class JobProbe(Probe):
@@ -57,7 +82,9 @@ class JobProbe(Probe):
     unprobed run.
     """
 
-    def __init__(self, job: "Job", every_datasets: int = 200):
+    def __init__(self, job, every_datasets: int = 200):
+        # *job* is anything with ``emit(kind, **data)``: a :class:`Job`, or
+        # the pipe writer of a forked scenario run.
         self._job = job
         self._every = max(1, int(every_datasets))
         self._datasets = 0
@@ -304,7 +331,7 @@ class JobStore:
         try:
             result, executed = runner(job, request)
         except Exception as exc:  # publish, never let a worker die silently
-            job.fail(f"{type(exc).__name__}: {exc}")
+            job.fail(_error_text(exc))
             if self.breaker is not None:
                 self.breaker.record_failure()
             return
@@ -314,13 +341,45 @@ class JobStore:
             self.breaker.record_success()
 
     def _run_scenario(self, job: Job, request: ScenarioRequest):
-        from repro.api import Session
+        from multiprocessing import Pipe
 
-        probe = JobProbe(job, every_datasets=self.progress_every)
-        outcome = Session(request.spec).run_online(seed=request.seed, probe=probe)
-        probe.finish()
-        payload = scenario_result_payload(request.spec, request.seed, outcome.trace)
-        return payload, len(outcome.trace.records)
+        # the engine imports numpy.random on first use: import it here, once,
+        # so every forked child inherits it instead of paying ~10 ms for it.
+        import numpy.random  # noqa: F401
+
+        reader, writer = Pipe(duplex=False)
+        parent = os.getpid()
+        # fork, not spawn: the child starts with the engine imported, touches
+        # no lock another server thread holds and leaves through os._exit.
+        # A bare fork, not multiprocessing.Process: a Process is reaped by
+        # whichever thread starts the next one, racing this thread's join.
+        # The process-group signals stay blocked across the fork, so the
+        # child inherits them blocked: Ctrl-C or a service manager's stop
+        # lets it finish and publish, as drain() expects of in-flight jobs.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _GROUP_SIGNALS)
+        try:
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - the child; never returns
+                _scenario_process(reader, writer, request, self.progress_every, parent)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            writer.close()
+        try:
+            message = _relay(reader, pid, job)
+        finally:
+            reader.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if message is None:
+            how = (
+                f"killed by signal {signal.Signals(-code).name}"
+                if code < 0
+                else f"exited with code {code}"
+            )
+            raise _JobFailed(f"scenario process {how} before it sent a result")
+        if message[0] == "failed":
+            raise _JobFailed(message[1])
+        _, payload, executed = message
+        return payload, executed
 
     def _run_suite(self, job: Job, request: SuiteRequest):
         from repro.experiments.sweep import run_suite
@@ -369,3 +428,63 @@ class JobStore:
         )
         payload = suite_result_payload(result, key=job.id)
         return payload, result.executed_count
+
+
+def scenario_child(conn, request: ScenarioRequest, progress_every: int, parent: int) -> None:
+    """Run one scenario job and send it over *conn*: the forked child's work.
+
+    Every probe event goes out as ``("event", kind, data)``; the last message
+    is ``("done", payload, executed)`` or ``("failed", error text)``, the text
+    an in-thread run would have published.  Before each event the child
+    checks that *parent* (the server's pid) is still its parent and exits if
+    not: once the server is killed outright nobody reads, yet a write need
+    not fail, because other processes forked from the server may hold the
+    pipe's read end open.
+    """
+    from repro.api import Session
+
+    def emit(kind: str, **data) -> None:
+        if os.getppid() != parent:
+            os._exit(1)
+        conn.send(("event", kind, data))
+
+    try:
+        probe = JobProbe(SimpleNamespace(emit=emit), every_datasets=progress_every)
+        outcome = Session(request.spec).run_online(seed=request.seed, probe=probe)
+        probe.finish()
+        payload = scenario_result_payload(request.spec, request.seed, outcome.trace)
+        message = ("done", payload, len(outcome.trace.records))
+    except Exception as exc:
+        message = ("failed", _error_text(exc))
+    conn.send(message)
+
+
+def _scenario_process(reader, writer, request, progress_every, parent):  # pragma: no cover - child
+    reader.close()
+    code = 1
+    try:
+        scenario_child(writer, request, progress_every, parent)
+        code = 0
+    finally:
+        # skip the interpreter's exit handlers: they belong to the server.
+        os._exit(code)
+
+
+def _relay(reader, pid: int, job: Job):
+    """Relay the child's events into *job* until its last message.
+
+    Returns that message, or ``None`` when the child exited without one.  The
+    exit check leaves the child to be reaped by the caller.
+    """
+    while True:
+        exited = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
+        if reader.poll(0 if exited else RELAY_POLL_S):
+            try:
+                message = reader.recv()
+            except EOFError:
+                return None
+            if message[0] != "event":
+                return message
+            job.emit(message[1], **message[2])
+        elif exited:
+            return None

@@ -78,6 +78,14 @@ def test_serve_exec_jobs_must_be_positive(capsys):
     _usage_error(["serve", "--exec-jobs", "-3"], "--exec-jobs", capsys)
 
 
+def test_serve_workers_must_be_positive(capsys):
+    _usage_error(["serve", "--workers", "0"], "--workers", capsys)
+
+
+def test_serve_queue_capacity_must_be_non_negative(capsys):
+    _usage_error(["serve", "--queue-capacity", "-1"], "--queue-capacity", capsys)
+
+
 def test_serve_progress_every_must_be_positive(capsys):
     _usage_error(["serve", "--progress-every", "0"], "--progress-every", capsys)
 

@@ -10,9 +10,18 @@ the CLI's own close-match validation message.
 
 from __future__ import annotations
 
+import http.client
 import io
 import json
+import multiprocessing
+import os
+import re
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +29,12 @@ from repro.api import Session
 from repro.cache.disk import DiskCache, NullCache
 from repro.exceptions import SpecificationError
 from repro.scenario.spec import ScenarioSpec
+from repro.service import jobs as jobs_module
 from repro.service import (
     CircuitBreaker,
     CircuitOpen,
+    Job,
+    JobProbe,
     JobStore,
     PoolSaturated,
     ScenarioRequest,
@@ -30,9 +42,11 @@ from repro.service import (
     SuiteRequest,
     WorkerPool,
 )
+from repro.service.jobs import scenario_child
 from repro.service.models import (
     jsonable,
     scenario_result_key,
+    scenario_result_payload,
     suite_result_payload,
     trace_fingerprint,
 )
@@ -66,14 +80,17 @@ def make_app(tmp_path, workers=2, queue_capacity=4, **store_kwargs) -> ServiceAp
     )
 
 
-def call(app, method, path, body=None):
-    """Drive the WSGI callable directly: (status_code, payload, headers)."""
+def call(app, method, path, body=None, content_length=None):
+    """Drive the WSGI callable directly: (status_code, payload, headers).
+
+    *content_length* overrides the ``Content-Length`` header the body implies.
+    """
     raw = json.dumps(body).encode() if body is not None else b""
     environ = {
         "REQUEST_METHOD": method,
         "PATH_INFO": path.partition("?")[0],
         "QUERY_STRING": path.partition("?")[2],
-        "CONTENT_LENGTH": str(len(raw)),
+        "CONTENT_LENGTH": str(len(raw) if content_length is None else content_length),
         "wsgi.input": io.BytesIO(raw),
     }
     captured = {}
@@ -450,6 +467,16 @@ class TestApp:
         app(environ, lambda s, h: captured.setdefault("status", s))
         assert captured["status"].startswith("400")
 
+    def test_negative_content_length_is_400(self, tmp_path):
+        # read(-1) would read the stream to its end, past MAX_BODY_BYTES
+        app = make_app(tmp_path)
+        status, payload, _ = call(
+            app, "POST", "/v1/scenarios", {"scenario": SPEC}, content_length=-1
+        )
+        assert status == 400
+        assert payload["error"]["message"] == "invalid Content-Length header"
+        assert sum(app.jobs.counts().values()) == 0
+
     def test_unknown_routes_and_methods(self, tmp_path):
         app = make_app(tmp_path)
         assert call(app, "GET", "/v1/nope")[0] == 404
@@ -492,3 +519,219 @@ class TestApp:
                     app, "GET", f"/v1/results/{payload['result_key']}"
                 )
                 json.dumps(result, allow_nan=False)  # must not raise
+
+
+# -------------------------------------------------------- process lifecycle
+#: a scenario that runs for a few seconds, so a signal lands mid-job.
+SLOW = {
+    **SPEC,
+    "name": "svc-slow",
+    "faults": {"mttf_periods": 200.0, "mttr_periods": 20.0},
+    "runtime": {"num_datasets": 60000},
+}
+
+
+def _children(pid: int) -> list[int]:
+    """The child pids of *pid*, over all its threads."""
+    pids = []
+    for task in Path(f"/proc/{pid}/task").glob("*"):
+        try:
+            pids += [int(child) for child in (task / "children").read_text().split()]
+        except OSError:  # the thread ended meanwhile
+            pass
+    return pids
+
+
+def _alive(pid: int) -> bool:
+    """Whether *pid* runs (an unreaped zombie has stopped running)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+class _Server:
+    """``repro-streaming serve`` on a free port, leading its own process group."""
+
+    def __init__(self, cache_dir: Path):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        self.proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "2",
+             "--progress-every", "100", "--cache-dir", str(cache_dir)],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env, text=True,
+            start_new_session=True,
+        )
+        self.port = int(re.search(r":(\d+) ", self.proc.stdout.readline()).group(1))
+        self.seen: list[int] = []
+
+    def http(self, method: str, path: str, body=None):
+        connection = http.client.HTTPConnection("127.0.0.1", self.port, timeout=30)
+        try:
+            connection.request(method, path, body=None if body is None else json.dumps(body))
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            connection.close()
+
+    def submit(self, scenario: dict, seed: int) -> str:
+        status, job = self.http("POST", "/v1/scenarios", {"scenario": scenario, "seed": seed})
+        assert status in (200, 202), job
+        return job["job"]
+
+    def wait_for(self, job_id: str, event: str, timeout: float = 60) -> None:
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            _, events = self.http("GET", f"/v1/jobs/{job_id}/events")
+            if any(entry["event"] == event for entry in events["events"]):
+                return
+            time.sleep(0.02)
+        raise AssertionError(f"job {job_id[:12]} emitted no {event!r} event")
+
+    def children(self) -> list[int]:
+        pids = _children(self.proc.pid)
+        self.seen += pids
+        return pids
+
+    def close(self) -> None:
+        if self.proc.poll() is None:
+            self.proc.kill()
+            self.proc.wait()
+        for pid in self.seen:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        self.proc.stdout.close()
+
+
+@pytest.fixture
+def server(tmp_path):
+    started = _Server(tmp_path / "cache")
+    yield started
+    started.close()
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc")
+class TestScenarioProcess:
+    def test_sigterm_after_a_finished_job_exits_0_leaving_no_child(self, server):
+        job_id = server.submit(SPEC, seed=3)
+        server.wait_for(job_id, "done")
+        assert server.children() == []  # joined before the job published
+        server.proc.send_signal(signal.SIGTERM)
+        assert server.proc.wait(30) == 0
+
+    def test_a_job_in_flight_at_a_group_sigint_still_publishes(self, server, tmp_path):
+        job_id = server.submit(SLOW, seed=1)
+        server.wait_for(job_id, "progress")
+        children = server.children()
+        assert len(children) == 1
+        os.killpg(server.proc.pid, signal.SIGINT)  # Ctrl-C at a terminal
+        assert server.proc.wait(60) == 0
+        assert not any(_alive(pid) for pid in children)
+        fresh = JobStore(cache=DiskCache(tmp_path / "cache"), pool=WorkerPool(workers=1))
+        result = fresh.get_result(job_id)
+        assert result is not None
+        assert result["summary"]["datasets"] == SLOW["runtime"]["num_datasets"]
+
+    def test_the_child_of_a_killed_server_exits_within_seconds(self, server):
+        job_id = server.submit(SLOW, seed=2)
+        server.wait_for(job_id, "progress")
+        children = server.children()
+        assert len(children) == 1
+        server.proc.kill()
+        server.proc.wait()
+        deadline = time.monotonic() + 5
+        while _alive(children[0]) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(children[0])
+
+
+class TestScenarioChild:
+    @pytest.mark.parametrize(
+        "death, reason",
+        [
+            (lambda: os._exit(3), "exited with code 3"),
+            (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal SIGKILL"),
+        ],
+    )
+    def test_a_dead_child_fails_its_job_and_frees_its_slot(
+        self, tmp_path, monkeypatch, death, reason
+    ):
+        monkeypatch.setattr(jobs_module, "scenario_child", lambda *args: death())
+        breaker = CircuitBreaker(failure_threshold=2)
+        store = JobStore(
+            cache=DiskCache(tmp_path),
+            pool=WorkerPool(workers=1, queue_capacity=0),
+            breaker=breaker,
+        )
+        for seed in (0, 1):
+            deadline = time.monotonic() + 10
+            while store.pool.inflight and time.monotonic() < deadline:
+                time.sleep(0.01)
+            # admitted: the dead child's job gave its worker slot back
+            job = store.submit_scenario(ScenarioRequest.from_dict({"scenario": SPEC, "seed": seed}))
+            assert job.wait(30)
+            assert job.state == "failed"
+            assert job.error == f"scenario process {reason} before it sent a result"
+        assert breaker.state == "open"  # both failures were recorded
+        store.pool.shutdown()
+
+    def test_a_child_whose_server_is_gone_exits_at_its_first_event(self):
+        # the test keeps the read end open, so only the parent check can stop
+        # the child: a parent pid that is not its own reads as a dead server.
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        request = ScenarioRequest.from_dict({"scenario": SPEC, "seed": 3})
+        child = context.Process(
+            target=jobs_module._scenario_process, args=(reader, writer, request, 5, -1)
+        )
+        child.start()
+        writer.close()
+        child.join(30)
+        assert child.exitcode == 1
+        with pytest.raises(EOFError):  # nothing was sent
+            reader.recv()
+        reader.close()
+
+    def test_a_failing_run_publishes_the_in_thread_error_text(self, tmp_path):
+        bad = ScenarioSpec.from_dict(dict(SPEC, scheduler={"period": 1e-9, "fallback": False}))
+        with pytest.raises(Exception) as err:
+            Session(bad).run_online(seed=0)
+        store = JobStore(cache=DiskCache(tmp_path), pool=WorkerPool(workers=1))
+        job = store.submit_scenario(ScenarioRequest(spec=bad, seed=0))
+        assert job.wait(60)
+        assert job.error == f"{type(err.value).__name__}: {err.value}"
+        assert job.error.startswith("SchedulingError: ")
+        store.pool.shutdown()
+
+    def test_relayed_events_match_an_in_thread_run(self):
+        request = ScenarioRequest.from_dict({"scenario": SPEC, "seed": 3})
+        store = JobStore(cache=NullCache(), pool=WorkerPool(workers=1), progress_every=5)
+        job = store.submit_scenario(request)
+        assert job.wait(60) and job.state == "done"
+        reference = Job(id=job.id, kind="scenario")
+        reference.mark_running()
+        probe = JobProbe(reference, every_datasets=5)
+        outcome = Session(request.spec).run_online(seed=request.seed, probe=probe)
+        probe.finish()
+        reference.finish(result={}, cached=False, executed=len(outcome.trace.records))
+        assert job.events == reference.events
+        kinds = [event["event"] for event in job.events]
+        assert kinds[0] == "running" and kinds[-1] == "done" and "progress" in kinds
+        store.pool.shutdown()
+
+    def test_the_child_entry_streams_events_then_the_payload(self):
+        request = ScenarioRequest.from_dict({"scenario": SPEC, "seed": 3})
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        scenario_child(writer, request, 5, os.getppid())
+        messages = []
+        while reader.poll():
+            messages.append(reader.recv())
+        direct = Session(request.spec).run_online(seed=request.seed)
+        assert {message[0] for message in messages[:-1]} == {"event"}
+        assert messages[-1] == (
+            "done",
+            scenario_result_payload(request.spec, request.seed, direct.trace),
+            len(direct.trace.records),
+        )
