@@ -22,104 +22,91 @@ Quickstart
 True
 """
 
-from repro.exceptions import (
-    ReproError,
-    GraphError,
-    CycleError,
-    PlatformError,
-    ScheduleError,
-    SchedulingError,
-    ThroughputInfeasibleError,
-    ReplicationError,
-    ValidationError,
-)
-from repro.graph import (
-    Task,
-    TaskGraph,
-    random_layered_dag,
-    random_series_parallel,
-    random_paper_workload,
-    chain_graph,
-    fork_join_graph,
-    figure1_graph,
-    figure2_graph,
-    video_encoding_pipeline,
-    dsp_filter_bank,
-    map_reduce_graph,
-    sensor_fusion_graph,
-)
-from repro.platform import (
-    Processor,
-    Platform,
-    homogeneous_platform,
-    heterogeneous_platform,
-    paper_platform,
-    figure1_platform,
-    figure2_platform,
-)
-from repro.schedule import (
-    Replica,
-    Schedule,
-    compute_stages,
-    num_stages,
-    latency_upper_bound,
-    normalized_latency,
-    throughput,
-    communication_count,
-    fault_tolerance_overhead,
-    collect_metrics,
-    validate_schedule,
-    check_resilience,
-)
-from repro.core import (
-    ltf_schedule,
-    rltf_schedule,
-    fault_free_schedule,
-    fault_free_latency,
-    maximize_throughput,
-    maximize_resilience,
-)
-from repro.failures import (
-    CrashScenario,
-    sample_crash_scenarios,
-    crash_latency,
-    evaluate_crashes,
-    expected_crash_latency,
-    simulate_stream,
-    FaultEvent,
-    FaultTrace,
-    sample_fault_trace,
-)
-from repro.runtime import (
-    OnlineRuntime,
-    RuntimeTrace,
-    summarize_traces,
-)
-from repro.baselines import (
-    heft_schedule,
-    etf_schedule,
-    preclustering_schedule,
-    expert_schedule,
-    tda_schedule,
-    wmsh_schedule,
-    minimal_period_schedule,
-)
-from repro.scenario import (
-    ScenarioSpec,
-    SuiteSpec,
-    WorkloadSpec,
-    SchedulerSpec,
-    FaultSpec,
-    RuntimeSpec,
-)
-from repro.api import (
-    Session,
-    Result,
-    ScheduleResult,
-    SimulateResult,
-    OnlineResult,
-    MonteCarloResult,
-)
+import importlib
+import sys
+
+
+def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of a package facade.
+
+    *exports* maps each submodule to the names the package re-exports from
+    it; a name is imported on first access and then kept in the package's
+    namespace.  Any other public name is tried as a subpackage, so that
+    ``import repro; repro.core`` works without an explicit import.
+    """
+    origin = {name: module for module, names in exports.items() for name in names}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str):
+        module = origin.get(name)
+        if module is not None:
+            namespace[name] = value = getattr(importlib.import_module(module), name)
+            return value
+        if not name.startswith("_"):
+            try:
+                return importlib.import_module(f"{package}.{name}")
+            except ModuleNotFoundError as exc:
+                if exc.name != f"{package}.{name}":
+                    raise
+        raise AttributeError(f"module {package!r} has no attribute {name!r}")
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(origin))
+
+    return __getattr__, __dir__
+
+
+# Every export loads on first access: a process imports only the layers it
+# uses (``repro-streaming --version`` loads no scheduler, ``config --emit``
+# no figure stack).
+_EXPORTS = {
+    "repro.exceptions": (
+        "ReproError", "GraphError", "CycleError", "PlatformError", "ScheduleError",
+        "SchedulingError", "ThroughputInfeasibleError", "ReplicationError",
+        "ValidationError",
+    ),
+    "repro.graph": (
+        "Task", "TaskGraph", "random_layered_dag", "random_series_parallel",
+        "random_paper_workload", "chain_graph", "fork_join_graph", "figure1_graph",
+        "figure2_graph", "video_encoding_pipeline", "dsp_filter_bank",
+        "map_reduce_graph", "sensor_fusion_graph",
+    ),
+    "repro.platform": (
+        "Processor", "Platform", "homogeneous_platform", "heterogeneous_platform",
+        "paper_platform", "figure1_platform", "figure2_platform",
+    ),
+    "repro.schedule": (
+        "Replica", "Schedule", "compute_stages", "num_stages", "latency_upper_bound",
+        "normalized_latency", "throughput", "communication_count",
+        "fault_tolerance_overhead", "collect_metrics", "validate_schedule",
+        "check_resilience",
+    ),
+    "repro.core": (
+        "ltf_schedule", "rltf_schedule", "fault_free_schedule", "fault_free_latency",
+        "maximize_throughput", "maximize_resilience",
+    ),
+    "repro.failures": (
+        "CrashScenario", "sample_crash_scenarios", "crash_latency", "evaluate_crashes",
+        "expected_crash_latency", "simulate_stream", "FaultEvent", "FaultTrace",
+        "sample_fault_trace",
+    ),
+    "repro.runtime": (
+        "OnlineRuntime", "RuntimeTrace", "summarize_traces",
+    ),
+    "repro.baselines": (
+        "heft_schedule", "etf_schedule", "preclustering_schedule", "expert_schedule",
+        "tda_schedule", "wmsh_schedule", "minimal_period_schedule",
+    ),
+    "repro.scenario": (
+        "ScenarioSpec", "SuiteSpec", "WorkloadSpec", "SchedulerSpec", "FaultSpec",
+        "RuntimeSpec",
+    ),
+    "repro.api": (
+        "Session", "Result", "ScheduleResult", "SimulateResult", "OnlineResult",
+        "MonteCarloResult",
+    ),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 
 def _load_version() -> str:
@@ -153,93 +140,4 @@ def _load_version() -> str:
 
 __version__ = _load_version()
 
-__all__ = [
-    "__version__",
-    # exceptions
-    "ReproError",
-    "GraphError",
-    "CycleError",
-    "PlatformError",
-    "ScheduleError",
-    "SchedulingError",
-    "ThroughputInfeasibleError",
-    "ReplicationError",
-    "ValidationError",
-    # graph
-    "Task",
-    "TaskGraph",
-    "random_layered_dag",
-    "random_series_parallel",
-    "random_paper_workload",
-    "chain_graph",
-    "fork_join_graph",
-    "figure1_graph",
-    "figure2_graph",
-    "video_encoding_pipeline",
-    "dsp_filter_bank",
-    "map_reduce_graph",
-    "sensor_fusion_graph",
-    # platform
-    "Processor",
-    "Platform",
-    "homogeneous_platform",
-    "heterogeneous_platform",
-    "paper_platform",
-    "figure1_platform",
-    "figure2_platform",
-    # schedule
-    "Replica",
-    "Schedule",
-    "compute_stages",
-    "num_stages",
-    "latency_upper_bound",
-    "normalized_latency",
-    "throughput",
-    "communication_count",
-    "fault_tolerance_overhead",
-    "collect_metrics",
-    "validate_schedule",
-    "check_resilience",
-    # core schedulers
-    "ltf_schedule",
-    "rltf_schedule",
-    "fault_free_schedule",
-    "fault_free_latency",
-    "maximize_throughput",
-    "maximize_resilience",
-    # failures
-    "CrashScenario",
-    "sample_crash_scenarios",
-    "crash_latency",
-    "evaluate_crashes",
-    "expected_crash_latency",
-    "simulate_stream",
-    "FaultEvent",
-    "FaultTrace",
-    "sample_fault_trace",
-    # online runtime
-    "OnlineRuntime",
-    "RuntimeTrace",
-    "summarize_traces",
-    # baselines
-    "heft_schedule",
-    "etf_schedule",
-    "preclustering_schedule",
-    "expert_schedule",
-    "tda_schedule",
-    "wmsh_schedule",
-    "minimal_period_schedule",
-    # declarative scenarios + session facade
-    "ScenarioSpec",
-    "SuiteSpec",
-    "WorkloadSpec",
-    "SchedulerSpec",
-    "FaultSpec",
-    "RuntimeSpec",
-    "Session",
-    "Result",
-    "ScheduleResult",
-    "SimulateResult",
-    "OnlineResult",
-    "MonteCarloResult",
-]
+__all__ = ["__version__", *(name for names in _EXPORTS.values() for name in names)]

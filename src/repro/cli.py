@@ -86,21 +86,13 @@ import time
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.experiments import figures as fig
-from repro.experiments.config import bench_config, paper_config
-from repro.experiments.reporting import render_example_rows, render_series
-from repro.experiments.tables import figure1_scenarios, figure2_example
-
 __all__ = ["main", "build_parser"]
 
-_FIGURES: dict[str, Callable[..., "fig.FigureSeries"]] = {
-    "figure3a": fig.figure3a,
-    "figure3b": fig.figure3b,
-    "figure3c": fig.figure3c,
-    "figure4a": fig.figure4a,
-    "figure4b": fig.figure4b,
-    "figure4c": fig.figure4c,
-}
+#: the figure-panel commands, each a function of :mod:`repro.experiments.figures`.
+#: Every command imports its machinery in its own handler, so a command pays
+#: only for what it runs: ``--version`` or ``config --emit`` load no figure
+#: stack and no service.
+_FIGURES = ("figure3a", "figure3b", "figure3c", "figure4a", "figure4b", "figure4c")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -847,6 +839,8 @@ def _add_config_parser(sub) -> None:
 
 
 def _config(args: argparse.Namespace):
+    from repro.experiments.config import bench_config, paper_config
+
     config = paper_config() if args.paper_scale else bench_config()
     if args.graphs is not None:
         config = config.with_overrides(num_graphs=args.graphs)
@@ -975,6 +969,9 @@ def _run_command(argv: Sequence[str] | None) -> int:
     command = args.command
 
     if command == "examples":
+        from repro.experiments.reporting import render_example_rows
+        from repro.experiments.tables import figure1_scenarios, figure2_example
+
         print(render_example_rows(figure1_scenarios(), "Figure 1 — execution scenarios"))
         print()
         print(render_example_rows(figure2_example(), "Figure 2 — LTF vs R-LTF"))
@@ -990,9 +987,12 @@ def _run_command(argv: Sequence[str] | None) -> int:
     if command == "serve":
         return _run_serve_command(args)
 
+    from repro.experiments import figures as fig
+    from repro.experiments.reporting import render_series
+
     jobs = args.jobs
     if command in _FIGURES:
-        series = _FIGURES[command](_config(args), jobs=jobs)
+        series = getattr(fig, command)(_config(args), jobs=jobs)
     elif command == "ablations":
         series = fig.ablation_rules(_config(args), jobs=jobs)
     elif command == "baselines":

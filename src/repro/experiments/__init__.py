@@ -17,57 +17,24 @@
   caching).
 """
 
-from repro.experiments.config import ExperimentConfig, bench_config, paper_config, workload_period
-from repro.experiments.campaign import CampaignResult, PointResult, run_campaign
-from repro.experiments.figures import (
-    FigureSeries,
-    figure3a,
-    figure3b,
-    figure3c,
-    figure4a,
-    figure4b,
-    figure4c,
-    ablation_rules,
-    baseline_comparison,
-    scaling_study,
-)
-from repro.experiments.tables import figure1_scenarios, figure2_example
-from repro.experiments.reporting import render_series, render_suite
-from repro.experiments.parallel import (
-    RuntimeCampaignResult,
-    run_runtime_campaign,
-)
-from repro.experiments.sweep import (
-    SuitePointResult,
-    SweepResult,
-    run_suite,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "bench_config",
-    "paper_config",
-    "workload_period",
-    "CampaignResult",
-    "PointResult",
-    "run_campaign",
-    "FigureSeries",
-    "figure3a",
-    "figure3b",
-    "figure3c",
-    "figure4a",
-    "figure4b",
-    "figure4c",
-    "ablation_rules",
-    "baseline_comparison",
-    "scaling_study",
-    "figure1_scenarios",
-    "figure2_example",
-    "render_series",
-    "render_suite",
-    "RuntimeCampaignResult",
-    "run_runtime_campaign",
-    "SuitePointResult",
-    "SweepResult",
-    "run_suite",
-]
+# Loaded on first access: importing one submodule (the campaign runner, or
+# ``config`` to resolve a spec's period) must not pull in the figure stack.
+_EXPORTS = {
+    "repro.experiments.config": (
+        "ExperimentConfig", "bench_config", "paper_config", "workload_period",
+    ),
+    "repro.experiments.campaign": ("CampaignResult", "PointResult", "run_campaign"),
+    "repro.experiments.figures": (
+        "FigureSeries", "figure3a", "figure3b", "figure3c", "figure4a", "figure4b",
+        "figure4c", "ablation_rules", "baseline_comparison", "scaling_study",
+    ),
+    "repro.experiments.tables": ("figure1_scenarios", "figure2_example"),
+    "repro.experiments.reporting": ("render_series", "render_suite"),
+    "repro.experiments.parallel": ("RuntimeCampaignResult", "run_runtime_campaign"),
+    "repro.experiments.sweep": ("SuitePointResult", "SweepResult", "run_suite"),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+
+__all__ = [name for names in _EXPORTS.values() for name in names]

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping
 
-import networkx as nx
-
 from repro.exceptions import GraphError
 from repro.graph.dag import TaskGraph
 
@@ -125,18 +123,40 @@ def graph_width(graph: TaskGraph, exact: bool = True) -> int:
     graph.validate()
     if not exact:
         return level_width(graph)
-    g = graph.to_networkx()
-    closure = nx.transitive_closure_dag(g)
-    left = {f"L::{n}" for n in closure.nodes}
-    bipartite = nx.Graph()
-    bipartite.add_nodes_from(left, bipartite=0)
-    bipartite.add_nodes_from((f"R::{n}" for n in closure.nodes), bipartite=1)
-    for u, v in closure.edges:
-        bipartite.add_edge(f"L::{u}", f"R::{v}")
-    matching = nx.bipartite.maximum_matching(bipartite, top_nodes=left)
-    # matching is a symmetric dict; each matched pair appears twice.
-    matched_pairs = sum(1 for k in matching if k.startswith("L::"))
-    return graph.num_tasks - matched_pairs
+    order = graph.topological_order()
+    index = {name: i for i, name in enumerate(order)}
+    # reach[i]: bitset of the tasks reachable from task i (transitive closure)
+    reach = [0] * len(order)
+    for i in range(len(order) - 1, -1, -1):
+        for succ in graph.successors(order[i]):
+            j = index[succ]
+            reach[i] |= reach[j] | (1 << j)
+    # Kuhn's augmenting paths on the bipartite graph left i -> right j for
+    # every j in reach[i]; each path is searched depth-first with a stack.
+    match_right = [-1] * len(order)
+    match_left = [-1] * len(order)
+    matched = 0
+    for root in range(len(order)):
+        seen, via, stack, free = 0, {}, [root], -1
+        while stack and free < 0:
+            i = stack[-1]
+            todo = reach[i] & ~seen
+            if not todo:
+                stack.pop()
+                continue
+            j = (todo & -todo).bit_length() - 1
+            seen |= 1 << j
+            via[j] = i
+            if match_right[j] < 0:
+                free = j
+            else:
+                stack.append(match_right[j])
+        j = free
+        while j >= 0:  # flip the path: every left task on it takes a new right task
+            i = via[j]
+            match_right[j], match_left[i], j = i, j, match_left[i]
+        matched += free >= 0
+    return graph.num_tasks - matched
 
 
 def level_width(graph: TaskGraph) -> int:

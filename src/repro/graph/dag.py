@@ -7,22 +7,23 @@ stream.  Transferring a volume ``vol`` over a link of bandwidth ``d`` takes
 ``vol / d`` time units (and zero when producer and consumer run on the same
 processor).
 
-The class is intentionally independent from :mod:`networkx` in its core data
-structures (plain dictionaries keep the hot scheduling loops fast and the
-semantics explicit), but it can export a :class:`networkx.DiGraph` for
-interoperability, and the cycle check reuses a simple iterative DFS.
+The class is independent from :mod:`networkx` (plain dictionaries keep the
+hot scheduling loops fast and the semantics explicit, and the cycle check is a
+simple iterative DFS); networkx is an optional dependency, imported only by
+the :meth:`TaskGraph.to_networkx` / :meth:`TaskGraph.from_networkx` export.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.exceptions import CycleError, GraphError
 from repro.graph.task import Task
 from repro.utils.checks import check_positive
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = ["TaskGraph"]
 
@@ -222,9 +223,9 @@ class TaskGraph:
         self.topological_order()
 
     # ------------------------------------------------------------------ exports
-    def to_networkx(self) -> nx.DiGraph:
+    def to_networkx(self) -> "nx.DiGraph":
         """Export as a :class:`networkx.DiGraph` (node attr ``work``, edge attr ``volume``)."""
-        g = nx.DiGraph(name=self.name)
+        g = _networkx().DiGraph(name=self.name)
         for t in self._tasks.values():
             g.add_node(t.name, work=t.work)
         for src, dst, vol in self.edges():
@@ -232,8 +233,9 @@ class TaskGraph:
         return g
 
     @classmethod
-    def from_networkx(cls, g: nx.DiGraph, name: str | None = None) -> "TaskGraph":
+    def from_networkx(cls, g: "nx.DiGraph", name: str | None = None) -> "TaskGraph":
         """Build a :class:`TaskGraph` from a DiGraph with ``work``/``volume`` attributes."""
+        _networkx()
         tg = cls(name or g.name or "workflow")
         for node, data in g.nodes(data=True):
             tg.add_task(Task(str(node), float(data["work"])))
@@ -293,3 +295,15 @@ class TaskGraph:
 
     def __repr__(self) -> str:
         return f"TaskGraph({self.name!r}, tasks={self.num_tasks}, edges={self.num_edges})"
+
+
+def _networkx():
+    """The :mod:`networkx` module, imported on first use of the export."""
+    try:
+        import networkx
+    except ImportError as exc:
+        raise ImportError(
+            "TaskGraph.to_networkx/from_networkx need networkx, an optional "
+            "dependency of repro-streaming: pip install networkx"
+        ) from exc
+    return networkx

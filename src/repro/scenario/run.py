@@ -18,6 +18,7 @@ spec.
 from __future__ import annotations
 
 from repro.exceptions import SchedulingError, SpecificationError
+from repro.experiments.config import ExperimentConfig, workload_period
 from repro.failures.scenarios import FaultTrace, sample_fault_trace
 from repro.graph.generator import PaperWorkload
 from repro.runtime.admission import QueueAdmissionPolicy
@@ -143,10 +144,6 @@ def resolve_period(workload: PaperWorkload, scheduler: SchedulerSpec) -> float:
     """The iteration period Δ of the scenario: explicit, or slack-derived."""
     if scheduler.period is not None:
         return scheduler.period
-    # Imported lazily: the experiments package pulls in the campaign/figure
-    # stack, which must not load just because a spec was constructed.
-    from repro.experiments.config import ExperimentConfig, workload_period
-
     config = ExperimentConfig(period_slack=scheduler.period_slack)
     return workload_period(workload, scheduler.epsilon, config)
 

@@ -37,6 +37,9 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
+# Imported here, not in the forked child: every scenario job's child finds
+# the engine already loaded instead of importing it once per job.
+from repro.api import Session
 from repro.cache.disk import MISS
 from repro.obs.probe import Probe
 from repro.service.models import (
@@ -441,7 +444,6 @@ def scenario_child(conn, request: ScenarioRequest, progress_every: int, parent: 
     not fail, because other processes forked from the server may hold the
     pipe's read end open.
     """
-    from repro.api import Session
 
     def emit(kind: str, **data) -> None:
         if os.getppid() != parent:

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from repro.core.ltf import ltf_schedule
 from repro.core.rltf import rltf_schedule
 from repro.exceptions import SchedulingError
-from repro.graph.analysis import bottom_levels, critical_path_length, granularity, top_levels
+from repro.graph.analysis import (
+    bottom_levels,
+    critical_path_length,
+    granularity,
+    graph_width,
+    top_levels,
+)
+from repro.graph.dag import TaskGraph
 from repro.graph.generator import random_layered_dag, random_series_parallel
 from repro.platform.builders import heterogeneous_platform, homogeneous_platform
 from repro.schedule.metrics import communication_count, latency_upper_bound
@@ -187,6 +194,39 @@ def test_granularity_scales_linearly_with_work(graph, factor):
     base = granularity(graph)
     scaled = granularity(graph.scaled(work_factor=factor))
     assert scaled == pytest.approx(base * factor, rel=1e-6)
+
+
+def _networkx_width(graph) -> int:
+    """Dilworth's width the networkx way: the number of tasks minus a maximum
+    matching of the bipartite graph of the transitive closure (the
+    computation ``graph_width`` made before it stopped importing networkx)."""
+    nx = pytest.importorskip("networkx")
+    closure = nx.transitive_closure_dag(graph.to_networkx())
+    left = {f"L::{n}" for n in closure.nodes}
+    bipartite = nx.Graph()
+    bipartite.add_nodes_from(left, bipartite=0)
+    bipartite.add_nodes_from((f"R::{n}" for n in closure.nodes), bipartite=1)
+    for u, v in closure.edges:
+        bipartite.add_edge(f"L::{u}", f"R::{v}")
+    matching = nx.bipartite.maximum_matching(bipartite, top_nodes=left)
+    return graph.num_tasks - sum(1 for k in matching if k.startswith("L::"))
+
+
+@st.composite
+def _any_dags(draw):
+    """A DAG of 1-40 tasks with any edge set (edges point to later tasks)."""
+    n = draw(st.integers(1, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    return TaskGraph.from_edges(
+        {f"t{i}": 1.0 for i in range(n)},
+        {(f"t{min(i, j)}", f"t{max(i, j)}", 1.0) for i, j in pairs if i != j},
+    )
+
+
+@FAST
+@given(graph=graph_strategy | _any_dags())
+def test_graph_width_equals_the_networkx_dilworth_width(graph):
+    assert graph_width(graph) == _networkx_width(graph)
 
 
 @SLOW

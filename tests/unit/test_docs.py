@@ -121,6 +121,23 @@ def test_docs_cover_the_scheduler_hot_path():
         assert (REPO / path).is_file(), f"performance.md names missing {path}"
 
 
+def test_docs_cover_the_start_up_cost():
+    """performance.md must give the start-up before/after table, the warm
+    fork rule and where the heavy imports live; README must call networkx
+    optional."""
+    performance = (REPO / "docs" / "performance.md").read_text()
+    assert "## Start-up cost" in performance
+    section = performance.split("## Start-up cost", 1)[1].split("\n## ", 1)[0]
+    for name in ("setup_s", "campaign-default", "stream-replicated", "service-mix",
+                 "--version", "config --emit", "cache ls",
+                 "already imported", "to_networkx", "repro.experiments.figures",
+                 "repro.service", "tests/unit/test_startup.py"):
+        assert name in section, f"performance.md's start-up section misses {name}"
+    assert (REPO / "tests/unit/test_startup.py").is_file()
+    readme = (REPO / "README.md").read_text()
+    assert "networkx is optional" in readme
+
+
 def test_docs_cover_the_kernel_hot_path():
     """performance.md must explain the kernel's record layout, flat heap
     entries and O(1) watermark, name the corpus that guards them and the

@@ -118,6 +118,7 @@ class TestTaskGraph:
         assert fig2.total_volume == pytest.approx(18.0)
 
     def test_networkx_round_trip(self, fig2):
+        pytest.importorskip("networkx")  # an optional dependency
         g2 = TaskGraph.from_networkx(fig2.to_networkx())
         assert g2.num_tasks == fig2.num_tasks
         assert g2.num_edges == fig2.num_edges
