@@ -149,14 +149,17 @@ class QueueAdmissionPolicy:
                 return DROP, "lost-overflow"
             self._buffer.append((dataset, release))
             return DEFER, None
-        # Running: a data set released too fast waits for the next free slot
-        # instead of being shed; its latency absorbs the waiting time — but
-        # only while the waiting line fits the configured backlog.
-        if self.capacity is not None and next_slot > release + tol and admit_period > 0:
+        # Running: a release that shed would take (within *tol* of the slot)
+        # is admitted on time; one released too fast waits for the next free
+        # slot instead of being shed, and its latency absorbs the waiting
+        # time — but only while the waiting line fits the configured backlog.
+        if release >= next_slot - tol:
+            return ADMIT, release
+        if self.capacity is not None and admit_period > 0:
             waiting = (next_slot - release) / admit_period
             if waiting > self.capacity:
                 return DROP, "lost-overflow"
-        return ADMIT, max(release, next_slot)
+        return ADMIT, next_slot
 
     def drain(self) -> list[tuple[int, float]]:
         drained = list(self._buffer)

@@ -47,6 +47,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from repro.core.ltf import ltf_schedule
@@ -330,6 +331,17 @@ def test_kernel_corpus_matches_frozen_fingerprints():
     assert sorted(produced) == sorted(goldens)
     changed = sorted(k for k in goldens if produced[k] != goldens[k])
     assert not changed, f"{len(changed)} kernel cases changed, e.g. {changed[:5]}"
+
+
+def test_queue_admission_equals_shed_without_faults():
+    """Fault-free, every release is on time: queue admission admits each data
+    set at its release, as shed does, so the two traces are one."""
+    n = 800
+    for name, schedule in schedules().items():
+        faults = FaultTrace((), horizon=n * schedule.period)
+        shed = OnlineRuntime(schedule, faults).run(n)
+        queue = OnlineRuntime(schedule, faults, admission="queue").run(n)
+        assert replace(queue, admission="shed") == shed, name
 
 
 if __name__ == "__main__":

@@ -623,7 +623,7 @@ class TestGoldenSeedResults:
         trace = run_scenario_online(spec, 3)
         assert trace.completed_count == 80
         assert trace.num_rebuilds == 10
-        assert self._fingerprint(trace) == "3b4989b521b3a713"
+        assert self._fingerprint(trace) == "84e3f0105bdcb693"
 
 
 class TestAdmissionWindowInvariance:
