@@ -68,8 +68,8 @@ def main() -> None:
     )
     print()
 
-    # Same spec, third front end: stream 20 data sets through the offline
-    # simulator and check the analytic model L = (2S-1)·Δ from the outside.
+    # Same spec, third front end: stream 20 data sets through one crash-free
+    # engine run and check the analytic model L = (2S-1)·Δ from the outside.
     simulated = session.simulate(num_datasets=20)
     print(format_table(["metric", "value"], simulated.as_rows(), title="simulation"))
 

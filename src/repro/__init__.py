@@ -87,8 +87,7 @@ _EXPORTS = {
     ),
     "repro.failures": (
         "CrashScenario", "sample_crash_scenarios", "crash_latency", "evaluate_crashes",
-        "expected_crash_latency", "simulate_stream", "FaultEvent", "FaultTrace",
-        "sample_fault_trace",
+        "expected_crash_latency", "FaultEvent", "FaultTrace", "sample_fault_trace",
     ),
     "repro.runtime": (
         "OnlineRuntime", "RuntimeTrace", "summarize_traces",

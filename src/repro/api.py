@@ -5,8 +5,9 @@ drives every execution front end of the reproduction through it —
 
 * :meth:`Session.schedule` — build the ε-fault-tolerant schedule (the static
   machinery of the paper);
-* :meth:`Session.simulate` — stream data sets through the offline
-  discrete-event simulator (sanity check of the ``L = (2S−1)·Δ`` model);
+* :meth:`Session.simulate` — stream data sets through one crash-free,
+  rebuild-free run of the online engine (sanity check of the
+  ``L = (2S−1)·Δ`` model);
 * :meth:`Session.run_online` — one seeded run of the online runtime under
   stochastic failures, bit-identical to a direct
   :class:`~repro.runtime.engine.OnlineRuntime` call on the same inputs;
@@ -47,8 +48,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar, Mapping
 
-from repro.failures.simulator import SimulationResult, StreamingSimulator
+from repro.failures.scenarios import FaultTrace
 from repro.graph.generator import PaperWorkload
+from repro.runtime.admission import QueueAdmissionPolicy
+from repro.runtime.engine import OnlineRuntime
 from repro.runtime.trace import RuntimeStats, RuntimeTrace
 from repro.scenario.run import (
     active_workload,
@@ -62,6 +65,7 @@ from repro.scenario.spec import ScenarioSpec
 from repro.schedule.metrics import latency_upper_bound
 from repro.schedule.stages import num_stages
 from repro.schedule.schedule import Schedule
+from repro.utils.checks import check_count
 
 __all__ = [
     "Session",
@@ -137,17 +141,19 @@ class SimulateResult(Result):
 
     workload: PaperWorkload
     schedule: Schedule
-    simulation: SimulationResult
+    trace: RuntimeTrace
 
     kind: ClassVar[str] = "simulate"
 
     def summary(self) -> dict[str, object]:
+        trace = self.trace
         return {
-            "datasets": self.simulation.num_datasets,
-            "steady-state latency": self.simulation.steady_state_latency,
-            "max latency": self.simulation.max_latency,
-            "achieved period": self.simulation.achieved_period,
-            "schedule period": self.simulation.period,
+            "datasets": trace.num_datasets,
+            # the last data set's: the pipeline is warmed up by then
+            "steady-state latency": trace.latencies[-1],
+            "max latency": trace.max_latency,
+            "achieved period": trace.achieved_period,
+            "schedule period": trace.period,
         }
 
 
@@ -273,29 +279,35 @@ class Session:
     def simulate(
         self, num_datasets: int | None = None, seed: int = 0
     ) -> SimulateResult:
-        """Stream data sets through the offline (crash-free) simulator.
+        """Stream data sets through one crash-free run of the online engine.
 
         *num_datasets* defaults to the spec's ``runtime.num_datasets``.  The
-        steady-state latency sanity-checks the paper's ``L = (2S−1)·Δ`` model.
+        run has no fault event and never rebuilds, and its unbounded
+        ``queue`` admission sheds nothing: every data set completes, and a
+        schedule that cannot sustain its period shows a growing latency.
+        The steady-state latency sanity-checks the paper's ``L = (2S−1)·Δ``
+        model.
 
         >>> result = Session.from_dict({
         ...     "workload": {"num_tasks": 12, "num_processors": 6},
         ...     "scheduler": {"epsilon": 1},
         ... }).simulate(num_datasets=5)
-        >>> result.simulation.num_datasets
+        >>> result.trace.completed_count
         5
         >>> result.summary()["steady-state latency"] > 0
         True
         """
         workload, schedule = self._pipeline(seed)
         count = self._spec.runtime.num_datasets if num_datasets is None else num_datasets
-        simulation = StreamingSimulator(schedule).run(count)
+        count = check_count(count, "num_datasets")
+        trace = OnlineRuntime(
+            schedule,
+            FaultTrace((), horizon=count * schedule.period),
+            rebuild_beyond_epsilon=False,
+            admission=QueueAdmissionPolicy(capacity=None),
+        ).run(count)
         return SimulateResult(
-            spec=self._spec,
-            seed=seed,
-            workload=workload,
-            schedule=schedule,
-            simulation=simulation,
+            spec=self._spec, seed=seed, workload=workload, schedule=schedule, trace=trace
         )
 
     def run_online(self, seed: int = 0, probe=None) -> OnlineResult:

@@ -1,15 +1,10 @@
-"""Failure model, crash evaluation and streaming execution simulation.
+"""Failure model and crash evaluation.
 
 * :mod:`repro.failures.scenarios` — generation of crash scenarios (which
   processors fail), matching the experimental protocol of the paper
   ("processors that fail during the schedule process are chosen uniformly");
 * :mod:`repro.failures.evaluation` — the *real* latency of a schedule under a
-  given crash pattern (effective pipeline stages over the surviving replicas);
-* :mod:`repro.failures.simulator` — an event-driven simulator of the pipelined
-  execution of consecutive data sets, with or without crashes, used to
-  validate the analytic latency model ``L = (2S−1)·Δ``; it is a thin
-  windowed driver over :mod:`repro.sim` (the same event loop that powers the
-  online runtime).
+  given crash pattern (effective pipeline stages over the surviving replicas).
 
 The module also provides the *timed* failure model consumed by the online
 runtime (:mod:`repro.runtime`): :class:`~repro.failures.scenarios.FaultTrace`
@@ -17,6 +12,14 @@ and :func:`~repro.failures.scenarios.sample_fault_trace`, the fault-process
 classes behind it (:mod:`repro.failures.processes` — correlated crash groups,
 load-dependent hazards, elastic joins/preemptions), and availability-log
 ingestion (:mod:`repro.failures.trace_io`).
+
+Streaming execution itself has one executor, the online runtime.  An offline
+simulation under a fixed crash set — the check of the analytic model
+``L = (2S−1)·Δ`` — is one engine run: a
+:class:`~repro.failures.scenarios.FaultTrace` with no events whose
+``initially_down`` is the crash set, ``rebuild_beyond_epsilon=False`` and an
+unbounded ``queue`` admission, so that every data set the crash set lets
+through completes.
 """
 
 from repro.failures.scenarios import (
@@ -43,7 +46,6 @@ from repro.failures.evaluation import (
     evaluate_crashes,
     expected_crash_latency,
 )
-from repro.failures.simulator import StreamingSimulator, SimulationResult, simulate_stream
 
 __all__ = [
     "CrashScenario",
@@ -65,7 +67,4 @@ __all__ = [
     "crash_latency",
     "evaluate_crashes",
     "expected_crash_latency",
-    "StreamingSimulator",
-    "SimulationResult",
-    "simulate_stream",
 ]

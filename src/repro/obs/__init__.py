@@ -22,29 +22,18 @@ sampling helpers duck-type the trace instead).
 See ``docs/observability.md`` for the user-facing tour.
 """
 
-from repro.obs.gantt import (
-    STATUS_COLORS,
-    render_gantt_html,
-    render_gantt_svg,
-    write_gantt,
-)
-from repro.obs.metrics import (
-    LATENCY_BUCKET_EDGES,
-    LatencyHistogram,
-    MetricsRegistry,
-)
-from repro.obs.probe import MetricsProbe, Probe
-from repro.obs.sample import sample_trace
+from repro import _lazy_exports
 
-__all__ = [
-    "LATENCY_BUCKET_EDGES",
-    "LatencyHistogram",
-    "MetricsRegistry",
-    "MetricsProbe",
-    "Probe",
-    "STATUS_COLORS",
-    "render_gantt_svg",
-    "render_gantt_html",
-    "write_gantt",
-    "sample_trace",
-]
+# Loaded on first access: the runtime trace imports the metrics module, and
+# that must not pull in the Gantt renderer or the trace sampler.
+_EXPORTS = {
+    "repro.obs.metrics": ("LATENCY_BUCKET_EDGES", "LatencyHistogram", "MetricsRegistry"),
+    "repro.obs.probe": ("MetricsProbe", "Probe"),
+    "repro.obs.gantt": (
+        "STATUS_COLORS", "render_gantt_svg", "render_gantt_html", "write_gantt",
+    ),
+    "repro.obs.sample": ("sample_trace",),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+
+__all__ = [name for names in _EXPORTS.values() for name in names]

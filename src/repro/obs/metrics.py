@@ -28,7 +28,7 @@ One global geometric ladder, fixed at import time:
   maximum when a quantile lands there.
 
 Latencies are in the schedule's abstract time units (the same units as the
-period); the nine-decade span covers everything the simulator produces.
+period); the nine-decade span covers every latency a run produces.
 
 This module must not import :mod:`repro.runtime` (the trace module imports it
 back — keeping the dependency one-way avoids a cycle).

@@ -173,9 +173,8 @@ class RuntimeTrace:
     def achieved_period(self) -> float:
         """Average inter-completion gap over the tail half of the completions.
 
-        Mirrors :attr:`repro.failures.simulator.SimulationResult.achieved_period`
-        so that, with zero fault arrivals, the runtime and the offline
-        simulator report the same number.
+        The number ``Session.simulate`` and ``run --mode simulate`` report
+        for their crash-free engine run, and the one a campaign averages.
         """
         completions = [r.completion for r in self.records if r.completed]
         if len(completions) < 2:

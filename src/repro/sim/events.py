@@ -3,9 +3,8 @@
 A single binary heap keyed by ``(time, sequence)``: the sequence number is
 drawn from a monotonically increasing counter, so events at the same instant
 pop in the order their numbers were drawn.  This tie-breaking rule is part of
-the kernel's contract — the offline simulator relies on it to stay
-bit-for-bit reproducible across runs (and across the extraction of this
-kernel out of it).  A number is normally drawn at push time; the kernel's
+the kernel's contract — every run relies on it to stay bit-for-bit
+reproducible.  A number is normally drawn at push time; the kernel's
 :meth:`~repro.sim.kernel.PipelineKernel.reserve` draws the numbers of later
 admissions ahead (:meth:`EventQueue.next_seq` / :meth:`EventQueue.set_next_seq`),
 which is still the one rule: a release wins the ties its reservation

@@ -16,14 +16,13 @@ The kernel executes the steady-state pipeline of a complete
 Three admission methods share this loop:
 
 * :meth:`PipelineKernel.admit` admits one data set at a time (dataset-major):
-  the drive of the online runtime between fault events and of the offline
-  simulator, window by window, on sequence numbers drawn ahead with
-  :meth:`PipelineKernel.reserve` so that window boundaries never change
-  which event wins a same-instant tie;
+  the drive of the online runtime between fault events, window by window,
+  on sequence numbers drawn ahead with :meth:`PipelineKernel.reserve` so
+  that window boundaries never change which event wins a same-instant tie;
 * :meth:`PipelineKernel.admit_batch` pushes the release events of a whole
   release list up front, replica-major (one ``heapify``) — the event order
-  of the original offline simulator, kept as the reference the other drives
-  are tested against;
+  of the original offline simulator, kept as the one-shot reference the
+  runtime's drive is tested against;
 * :meth:`PipelineKernel.admit_restored` replays a checkpoint (below).
 
 Every admission rejects a NaN, infinite or negative release instant with

@@ -7,26 +7,18 @@
 * :mod:`repro.utils.ascii` — plain-text tables and plots for experiment reports.
 """
 
-from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.intervals import Interval, Timeline, earliest_common_slot
-from repro.utils.checks import (
-    check_positive,
-    check_non_negative,
-    check_probability,
-    check_type,
-)
-from repro.utils.ascii import format_table, ascii_plot
+from repro import _lazy_exports
 
-__all__ = [
-    "ensure_rng",
-    "spawn_rngs",
-    "Interval",
-    "Timeline",
-    "earliest_common_slot",
-    "check_positive",
-    "check_non_negative",
-    "check_probability",
-    "check_type",
-    "format_table",
-    "ascii_plot",
-]
+# Loaded on first access: a command that only formats a table (``cache ls``)
+# must not import numpy through the random-number helpers.
+_EXPORTS = {
+    "repro.utils.rng": ("ensure_rng", "spawn_rngs"),
+    "repro.utils.intervals": ("Interval", "Timeline", "earliest_common_slot"),
+    "repro.utils.checks": (
+        "check_positive", "check_non_negative", "check_probability", "check_type",
+    ),
+    "repro.utils.ascii": ("format_table", "ascii_plot"),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+
+__all__ = [name for names in _EXPORTS.values() for name in names]

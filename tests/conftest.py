@@ -28,6 +28,40 @@ from repro.platform.builders import (
     heterogeneous_platform,
     homogeneous_platform,
 )
+from repro.failures.scenarios import FaultTrace
+from repro.runtime.admission import QueueAdmissionPolicy
+from repro.runtime.engine import OnlineRuntime
+from repro.sim.kernel import PipelineKernel
+
+
+# ------------------------------------------------------------ stream oracles
+def offline_run(schedule, num_datasets: int, failed=()):
+    """The offline simulation of *schedule*: one engine run of the uniform
+    ``j·Δ`` stream with *failed* down from the start, no rebuild and an
+    unbounded admission queue (so no data set is shed)."""
+    faults = FaultTrace((), horizon=num_datasets * schedule.period, initially_down=failed)
+    return OnlineRuntime(
+        schedule,
+        faults,
+        rebuild_beyond_epsilon=False,
+        admission=QueueAdmissionPolicy(capacity=None),
+    ).run(num_datasets)
+
+
+def batch_completions(schedule, num_datasets: int, failed=()) -> tuple:
+    """The one-shot reference the stream drivers are checked against:
+    ``admit_batch`` of the uniform ``j·Δ`` stream under the crash set
+    *failed*, drained by ``run_to_completion``; completion instants in data
+    set order (``None`` for a data set that never completes)."""
+    kernel = PipelineKernel(schedule, frozenset(failed))
+    kernel.admit_batch([j * schedule.period for j in range(num_datasets)])
+    done = dict(kernel.run_to_completion())
+    return tuple(done.get(j) for j in range(num_datasets))
+
+
+def completions(trace) -> tuple:
+    """Completion instant of every data set of a runtime trace, in order."""
+    return tuple(r.completion for r in trace.records)
 
 
 @pytest.fixture

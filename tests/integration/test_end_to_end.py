@@ -1,6 +1,7 @@
 """End-to-end integration tests: workloads → schedulers → evaluation → experiments."""
 
 import pytest
+from conftest import offline_run
 
 from repro.core.fault_free import fault_free_schedule
 from repro.core.ltf import ltf_schedule
@@ -9,7 +10,6 @@ from repro.exceptions import SchedulingError
 from repro.experiments.campaign import run_campaign
 from repro.experiments.config import ExperimentConfig, workload_period
 from repro.failures.evaluation import expected_crash_latency
-from repro.failures.simulator import simulate_stream
 from repro.graph.examples import dsp_filter_bank, sensor_fusion_graph, video_encoding_pipeline
 from repro.graph.generator import random_paper_workload
 from repro.platform.builders import heterogeneous_platform
@@ -53,14 +53,15 @@ class TestSchedulerPipeline:
         )
         assert crash <= latency_upper_bound(schedule) + 1e-6
 
-        # the event-driven simulation is broadly consistent with the analytic
-        # model: the greedy port arbitration of the simulator may lag a little
+        # the event-driven execution is broadly consistent with the analytic
+        # model: the greedy port arbitration of the kernel may lag a little
         # behind the steady-state bound, so a 30% slack is allowed here (the
         # tight comparisons live in tests/unit/test_failures.py on schedules
         # whose loads are comfortably below the period).
-        sim = simulate_stream(schedule, num_datasets=6)
-        assert sim.steady_state_latency > 0
-        assert sim.achieved_period <= 2.0 * max(schedule.period, schedule.max_cycle_time)
+        trace = offline_run(schedule, 6)
+        assert trace.completed_count == 6
+        assert trace.latencies[-1] > 0
+        assert trace.achieved_period <= 2.0 * max(schedule.period, schedule.max_cycle_time)
 
     def test_fault_free_is_a_lower_bound_for_replicated_schedules(self):
         workload, schedule = _schedule_workload(1.6, 1, rltf_schedule)

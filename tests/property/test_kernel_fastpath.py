@@ -3,9 +3,9 @@
 Eviction is pure book-keeping: under arbitrary fault injections every
 admitted data set is either drained exactly once or still pending, and every
 admitted data set holds a live record or has been evicted.  The windowed
-per-data-set admission the offline simulator drives (on sequence numbers
-the kernel reserved for the whole stream) is an event-for-event re-expression of one-shot ``admit_batch`` on
-the same release list.  The memory regression
+per-data-set admission the online runtime drives (on sequence numbers the
+kernel reserved ahead) is an event-for-event re-expression of one-shot
+``admit_batch`` on the same release list.  The memory regression
 test then pins down what the eviction buys: peak kernel memory bounded by
 the pipeline depth, not the stream length.
 """
@@ -17,9 +17,9 @@ import tracemalloc
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from conftest import batch_completions, completions, offline_run
 
 from repro.core.ltf import ltf_schedule
-from repro.failures.simulator import StreamingSimulator
 from repro.graph.examples import figure2_graph
 from repro.graph.generator import fork_join_graph
 from repro.platform.builders import figure2_platform, homogeneous_platform
@@ -102,8 +102,8 @@ def test_eviction_accounts_for_every_admitted_dataset(data, num_datasets):
 
 
 def _windowed_drive(kernel, num_datasets: int, window: int, crash):
-    """The offline simulator's drive: admit one window, run to just below
-    the next window's first release; *crash* fires at a window boundary."""
+    """A windowed drive: admit one window, run to just below the next
+    window's first release; *crash* fires at a window boundary."""
     period = kernel.schedule.period
     drained = []
     j = 0
@@ -221,13 +221,9 @@ def test_evicted_index_cannot_be_readmitted():
     assert kernel.evicted_datasets == 2
 
 
-def test_offline_simulator_matches_batch_on_release_ties():
-    """On the fork-join, transfers tie with releases: the simulator's
-    windowed drive must still reproduce the one-shot admission exactly."""
-    n = 600  # more than two simulator windows
-    period = _FORK_JOIN.period
-    kernel = PipelineKernel(_FORK_JOIN)
-    kernel.admit_batch([j * period for j in range(n)])
-    done = dict(kernel.run_to_completion())
-    result = StreamingSimulator(_FORK_JOIN).run(n)
-    assert result.completion_times == tuple(done[j] for j in range(n))
+def test_offline_run_matches_batch_on_release_ties():
+    """On the fork-join, transfers tie with releases: the offline engine
+    run's windowed admission must still reproduce the one-shot admission
+    exactly."""
+    n = 600  # more than two admission windows
+    assert completions(offline_run(_FORK_JOIN, n)) == batch_completions(_FORK_JOIN, n)

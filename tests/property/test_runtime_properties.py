@@ -2,16 +2,16 @@
 
 Invariants promised by the design:
 
-* with **zero fault arrivals** the runtime is exactly the offline
-  :class:`~repro.failures.simulator.StreamingSimulator` — same per-dataset
-  latencies, same achieved period (and the incremental kernel admission is
-  equivalent to the batch admission the simulator uses);
+* with **zero fault arrivals** the runtime completes every data set when a
+  one-shot ``admit_batch`` of the whole stream does, and the offline run
+  (unbounded queue admission) is the same run (the incremental kernel
+  admission is equivalent to the batch admission);
 * with **at most ε crashes** charged against the initial schedule, active
   replication absorbs every failure: no rebuild happens and no data set is
   ever lost — with *either* admission policy (``queue`` with an unbounded
   buffer loses nothing that shed would have kept);
 * processors **down from the start** (the fault trace's ``initially_down``)
-  execute nothing: the run is the offline simulator's under that crash set.
+  execute nothing: the run is the batch admission's under that crash set.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ import itertools
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import batch_completions, completions, offline_run
 
 from repro.core.ltf import ltf_schedule
 from repro.core.rltf import rltf_schedule
 from repro.failures.scenarios import FaultEvent, FaultTrace
-from repro.failures.simulator import StreamingSimulator, simulate_stream
 from repro.graph.examples import figure2_graph
 from repro.platform.builders import figure2_platform
 from repro.runtime.admission import QueueAdmissionPolicy
@@ -53,11 +53,12 @@ def _empty(schedule, num_datasets: int) -> FaultTrace:
 # ------------------------------------------------------- zero-fault equivalence
 @SLOW
 @given(num_datasets=st.integers(min_value=1, max_value=40))
-def test_no_faults_matches_offline_simulator(num_datasets):
+def test_no_faults_matches_batch_reference(num_datasets):
     trace = OnlineRuntime(_EPS1, _empty(_EPS1, num_datasets)).run(num_datasets)
-    sim = simulate_stream(_EPS1, num_datasets=num_datasets)
-    assert trace.latencies == sim.latencies
-    assert trace.achieved_period == sim.achieved_period
+    assert completions(trace) == batch_completions(_EPS1, num_datasets)
+    offline = offline_run(_EPS1, num_datasets)
+    assert offline.records == trace.records
+    assert offline.achieved_period == trace.achieved_period
     assert trace.completed_count == num_datasets
     assert trace.num_rebuilds == 0
     assert trace.downtime == 0.0
@@ -75,9 +76,6 @@ def test_incremental_kernel_admission_matches_batch(num_datasets):
     for j in range(num_datasets):
         incremental.admit(j, j * period)
     assert incremental.run_to_completion() == drained
-    sim = StreamingSimulator(_EPS1).run(num_datasets)
-    done = dict(drained)
-    assert tuple(done[j] for j in range(num_datasets)) == sim.completion_times
 
 
 # ------------------------------------------------- ≤ ε crashes lose no data set
@@ -139,16 +137,18 @@ def test_queue_admission_unbounded_loses_nothing_within_epsilon(data, num_datase
 # ------------------------------------ processors down from the start ≡ crash set
 @SLOW
 @given(data=st.data(), num_datasets=st.integers(min_value=1, max_value=40))
-def test_initially_down_matches_offline_simulator(data, num_datasets):
+def test_initially_down_matches_batch_reference(data, num_datasets):
     """Scheduled processors listed in ``initially_down`` execute nothing: the
-    run is the offline simulator's under that crash set."""
+    run, and the offline run, are the batch admission's under that crash
+    set."""
     schedule = data.draw(st.sampled_from([_EPS1, _EPS2]))
     down = data.draw(
         st.sets(st.sampled_from(sorted(schedule.used_processors())), max_size=schedule.epsilon)
     )
     faults = FaultTrace((), horizon=num_datasets * schedule.period, initially_down=down)
     trace = OnlineRuntime(schedule, faults).run(num_datasets)
-    sim = StreamingSimulator(schedule, down).run(num_datasets)
-    assert tuple(r.completion for r in trace.records) == sim.completion_times
+    expected = batch_completions(schedule, num_datasets, down)
+    assert completions(trace) == expected
+    assert completions(offline_run(schedule, num_datasets, down)) == expected
     assert trace.num_rebuilds == 0
     assert not down & set(trace.final_alive)

@@ -155,7 +155,7 @@ class TestSessionFrontEnds:
         session = Session(SCENARIO)
         result = session.simulate(num_datasets=5)
         assert isinstance(result, SimulateResult)
-        assert result.simulation.num_datasets == 5
+        assert result.trace.num_datasets == 5
         # same pipeline as schedule(): the session builds it once per seed
         assert result.schedule is session.schedule().schedule
 

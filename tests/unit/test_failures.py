@@ -1,4 +1,4 @@
-"""Unit tests for crash scenarios, fault processes, trace I/O and the simulator.
+"""Unit tests for crash scenarios, fault processes, trace I/O and offline runs.
 
 The second half of the file is the fault-model *statistical harness*: seeded
 large-sample checks that the declared laws hold (exponential and Weibull
@@ -13,6 +13,7 @@ import math
 from pathlib import Path
 
 import pytest
+from conftest import offline_run
 
 from repro.core.ltf import ltf_schedule
 from repro.core.rltf import rltf_schedule
@@ -31,7 +32,6 @@ from repro.failures.scenarios import (
     sample_crash_scenarios,
     sample_fault_trace,
 )
-from repro.failures.simulator import StreamingSimulator, simulate_stream
 from repro.failures.trace_io import dump_fault_trace, load_fault_trace
 from repro.graph.generator import chain_graph
 from repro.platform.builders import (
@@ -39,6 +39,7 @@ from repro.platform.builders import (
     heterogeneous_platform,
     homogeneous_platform,
 )
+from repro.runtime.engine import OnlineRuntime
 from repro.schedule.metrics import latency_upper_bound
 from repro.schedule.stages import num_stages
 
@@ -128,51 +129,54 @@ class TestCrashLatency:
         assert one >= zero - 1e-9
 
 
-class TestSimulator:
+class TestOfflineRun:
+    """The offline simulation: one engine run under a fixed crash set."""
+
     def test_incomplete_schedule_rejected(self, fig2, fig2_platform):
         from repro.schedule.schedule import Schedule
 
         with pytest.raises(ScheduleError):
-            StreamingSimulator(Schedule(fig2, fig2_platform, period=20.0))
+            offline_run(Schedule(fig2, fig2_platform, period=20.0), 4)
 
     def test_latencies_below_analytic_bound(self, replicated):
-        result = simulate_stream(replicated, num_datasets=8)
-        assert result.num_datasets == 8
-        assert result.max_latency <= latency_upper_bound(replicated) + 1e-6
+        trace = offline_run(replicated, 8)
+        assert trace.num_datasets == trace.completed_count == 8
+        assert trace.max_latency <= latency_upper_bound(replicated) + 1e-6
 
     def test_achieved_period_close_to_target(self, replicated):
-        result = simulate_stream(replicated, num_datasets=12)
-        assert result.achieved_period <= replicated.period + 1e-6
-        assert result.achieved_throughput >= 1.0 / replicated.period - 1e-9
+        trace = offline_run(replicated, 12)
+        assert trace.achieved_period <= replicated.period + 1e-6
 
     def test_steady_state_latency_positive(self, replicated):
-        result = simulate_stream(replicated, num_datasets=6)
-        assert result.steady_state_latency > 0
+        trace = offline_run(replicated, 6)
+        assert trace.latencies[-1] > 0
 
     def test_simulation_with_crash_still_completes(self, replicated):
         used = replicated.used_processors()
-        result = simulate_stream(replicated, num_datasets=6, failed_processors=[used[0]])
-        assert result.num_datasets == 6
+        trace = offline_run(replicated, 6, failed=[used[0]])
+        assert trace.completed_count == 6
 
     def test_simulation_rejects_fatal_crash_set(self, replicated):
-        with pytest.raises(ScheduleError):
-            simulate_stream(replicated, 4, failed_processors=replicated.used_processors())
+        # the kernel refuses a crash set that leaves an exit task no replica
+        with pytest.raises(ScheduleError, match="no valid replica"):
+            offline_run(replicated, 4, failed=replicated.used_processors())
 
     def test_invalid_dataset_count(self, replicated):
         # a bool is not a count, and a float or NaN is not an int: all named
+        runtime = OnlineRuntime(replicated, FaultTrace((), horizon=replicated.period))
         for bad in (0, -1, True, 2.5, math.nan):
             with pytest.raises(ValueError, match="num_datasets"):
-                simulate_stream(replicated, num_datasets=bad)
+                runtime.run(bad)
 
     def test_chain_simulation_matches_pipeline_model(self):
         graph = chain_graph(4, work=10.0, volume=1.0)
         platform = homogeneous_platform(4)
         schedule = rltf_schedule(graph, platform, period=12.0, epsilon=0)
-        result = simulate_stream(schedule, num_datasets=10)
+        steady = offline_run(schedule, 10).latencies[-1]
         # the analytic model is (2S-1) * period; the event-driven execution can
         # only be faster because stages are not artificially synchronised.
-        assert result.steady_state_latency <= latency_upper_bound(schedule) + 1e-6
-        assert result.steady_state_latency >= graph.total_work / platform.max_speed - 1e-6
+        assert steady <= latency_upper_bound(schedule) + 1e-6
+        assert steady >= graph.total_work / platform.max_speed - 1e-6
 
 
 # ---------------------------------------------------------------- fault processes

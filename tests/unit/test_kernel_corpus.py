@@ -1,8 +1,7 @@
 """Frozen kernel/runtime corpus: every admission style and driver, bit for bit.
 
-Each case below drives the one-port kernel — directly, through the offline
-:class:`~repro.failures.simulator.StreamingSimulator`, or through the online
-runtime — and records what the run produced:
+Each case below drives the one-port kernel — directly, or through the online
+runtime, the one execution driver — and records what the run produced:
 
 * ``out`` — a sha256 over every drained ``(dataset, completion)`` pair in
   drain order, every ``completion_of`` answer, and (for runtime cases) the
@@ -16,11 +15,13 @@ runtime — and records what the run produced:
 
 The covered ground: ``admit_batch`` and one-at-a-time ``admit`` (as the
 online runtime drives it, and window by window on sequence numbers reserved
-up front as the offline simulator drives it) under the eviction watermark, mid-run
-crashes, checkpoint restore through ``admit_restored``; the online runtime
-with shed and queue admission and ``rebuild_on_repair``; correlated,
-elastic-spare and trace-replay fault worlds; and a dyadic (integer
-durations) workload streamed online, quiet and with one crash.
+up front) under the eviction watermark, mid-run crashes, checkpoint restore
+through ``admit_restored``; the offline simulation (``simulator/*``: one
+crash-free engine run with a crash set down from the start, no rebuild and
+an unbounded queue) against ``admit_batch``; the online runtime with shed
+and queue admission and ``rebuild_on_repair``; correlated, elastic-spare and
+trace-replay fault worlds; and a dyadic (integer durations) workload
+streamed online, quiet and with one crash.
 
 The goldens in ``tests/golden/kernel_trace_fingerprints.json`` were generated
 on the kernel *before* its per-dataset record layout, so they pin that
@@ -28,7 +29,9 @@ rewrite as behaviour-preserving; they also outlived the kernel's retaining
 memory model and the simulator's one-shot batch drive (the
 ``kernel/*/vectorized`` cases and the simulator's ``E`` entries were recorded
 through admission methods that have since been folded into
-``admit_batch``).  The ``kernel/*/window`` cases were recorded through a
+``admit_batch``), and the deletion of the separate offline stream driver
+(the ``simulator/*`` ``U`` entries, recorded through it, reproduce through
+the engine run).  The ``kernel/*/window`` cases were recorded through a
 windowed batch admission since replaced by per-data-set ``admit`` on
 reserved sequence numbers: their outputs and gauges are the frozen ones, only
 their ``events`` counts moved (one merged ``release-all`` per data set
@@ -54,11 +57,11 @@ from repro.core.ltf import ltf_schedule
 from repro.core.rltf import rltf_schedule
 from repro.experiments.config import ExperimentConfig, workload_period
 from repro.failures.scenarios import FaultEvent, FaultTrace
-from repro.failures.simulator import StreamingSimulator
 from repro.graph.examples import figure2_graph
 from repro.graph.generator import random_paper_workload
 from repro.obs.probe import MetricsProbe
 from repro.platform.builders import figure2_platform
+from repro.runtime.admission import QueueAdmissionPolicy
 from repro.runtime.engine import OnlineRuntime
 from repro.scenario import ScenarioSpec
 from repro.scenario.run import run_scenario_online
@@ -168,10 +171,9 @@ def _vectorized(schedule) -> dict:
 
 
 def _window(schedule) -> dict:
-    """The offline simulator's drive: admit one window of the uniform stream
-    per data set (on sequence numbers reserved for the whole stream), run
-    just below the next window's first release; a crash inside the second
-    window."""
+    """A windowed drive: admit one window of the uniform stream per data set
+    (on sequence numbers reserved for the whole stream), run just below the
+    next window's first release; a crash inside the second window."""
     rec = _Record()
     period = schedule.period
     window = 64
@@ -222,14 +224,20 @@ def _one_at_a_time(schedule) -> dict:
 
 
 def _simulator(schedule) -> dict:
-    """The offline simulator (windowed drive) and the kernel's admit_batch
-    on explicit releases under the same crash set."""
+    """The offline simulation (one engine run: the crash set down from the
+    start, no rebuild, an unbounded queue) and the kernel's admit_batch on
+    explicit releases under the same crash set."""
     rec = _Record()
     period = schedule.period
     n = 800
     for failed in ((), (_victim(schedule),)):
-        result = StreamingSimulator(schedule, failed).run(n)
-        rec.add("U", (result.completion_times, result.latencies))
+        trace = OnlineRuntime(
+            schedule,
+            FaultTrace((), horizon=n * period, initially_down=failed),
+            rebuild_beyond_epsilon=False,
+            admission=QueueAdmissionPolicy(capacity=None),
+        ).run(n)
+        rec.add("U", (tuple(r.completion for r in trace.records), trace.latencies))
         releases = [j * period + (j % 2) * 0.5 * period for j in range(n)]
         kernel = PipelineKernel(schedule, failed)
         kernel.admit_batch(releases)

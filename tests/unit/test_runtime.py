@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from conftest import batch_completions, completions, offline_run
 
 from repro.cli import main
 from repro.core.ltf import ltf_schedule
@@ -10,7 +11,6 @@ from repro.core.rltf import rltf_schedule
 from repro.exceptions import ScheduleError, SchedulingError
 from repro.experiments.config import ExperimentConfig, workload_period
 from repro.failures.scenarios import FaultEvent, FaultTrace, sample_fault_trace
-from repro.failures.simulator import StreamingSimulator, simulate_stream
 from repro.graph.examples import figure2_graph
 from repro.graph.generator import fork_join_graph, random_paper_workload
 from repro.platform.builders import figure2_platform, homogeneous_platform
@@ -290,11 +290,10 @@ class TestAdmissionPolicies:
 
 # --------------------------------------------------------------------- engine
 class TestOnlineRuntime:
-    def test_zero_faults_matches_offline_simulator(self, replicated):
+    def test_zero_faults_matches_batch_reference(self, replicated):
         trace = OnlineRuntime(replicated, empty_trace(replicated, 20)).run(20)
-        sim = simulate_stream(replicated, num_datasets=20)
-        assert trace.latencies == sim.latencies
-        assert trace.achieved_period == sim.achieved_period
+        assert completions(trace) == batch_completions(replicated, 20)
+        assert trace.achieved_period == offline_run(replicated, 20).achieved_period
         assert trace.completed_count == 20
         assert trace.num_rebuilds == 0 and trace.downtime == 0.0
 
@@ -422,19 +421,19 @@ class TestOnlineRuntime:
 
     def test_initially_down_processors_execute_nothing(self):
         """A scheduled processor listed in ``initially_down`` is down from the
-        start: the run equals the offline simulator under that crash set,
-        on victims whose absence really moves completions."""
+        start: the run equals the one-shot batch reference under that crash
+        set, on victims whose absence really moves completions."""
         workload = random_paper_workload(0.5, seed=0, num_tasks=20, num_processors=8)
         period = workload_period(workload, 1, ExperimentConfig(period_slack=1.5))
         schedule = rltf_schedule(workload.graph, workload.platform, period=period, epsilon=1)
         n = 60
-        fault_free = StreamingSimulator(schedule).run(n).completion_times
+        fault_free = batch_completions(schedule, n)
         for victim in sorted(schedule.used_processors())[:3]:
-            offline = StreamingSimulator(schedule, {victim}).run(n).completion_times
+            offline = batch_completions(schedule, n, {victim})
             assert offline != fault_free
             faults = FaultTrace((), horizon=n * period, initially_down={victim})
             trace = OnlineRuntime(schedule, faults).run(n)
-            assert tuple(r.completion for r in trace.records) == offline
+            assert completions(trace) == offline
             assert victim not in trace.final_alive
             assert trace.events == ()
 
@@ -659,7 +658,7 @@ class TestAdmissionWindowInvariance:
         exactly at release instants: a release admitted after a window
         boundary still wins those ties, as it does when its whole control
         segment is admitted at once — and fault-free, the runtime then
-        completes every data set when the offline simulator does."""
+        completes every data set when the one-shot batch admission does."""
         import repro.runtime.engine as engine_mod
 
         schedule = ltf_schedule(
@@ -676,6 +675,6 @@ class TestAdmissionWindowInvariance:
             traces[window] = OnlineRuntime(schedule, faults).run(n)
         assert len({trace_fingerprint(t) for t in traces.values()}) == 1
         if not crash:
-            expected = StreamingSimulator(schedule).run(n).completion_times
+            expected = batch_completions(schedule, n)
             for trace in traces.values():
-                assert tuple(r.completion for r in trace.records) == expected
+                assert completions(trace) == expected

@@ -4,10 +4,10 @@ import heapq
 import math
 
 import pytest
+from conftest import completions, offline_run
 
 from repro.core.ltf import ltf_schedule
 from repro.exceptions import ScheduleError
-from repro.failures.simulator import StreamingSimulator
 from repro.graph.examples import figure2_graph
 from repro.platform.builders import figure2_platform
 from repro.sim.events import EventQueue
@@ -76,14 +76,13 @@ class TestEventQueue:
 
 
 class TestBatchKernel:
-    def test_batch_matches_streaming_simulator(self, strict):
+    def test_batch_matches_offline_run(self, strict):
         n = 12
         releases = [j * strict.period for j in range(n)]
         kernel = PipelineKernel(strict)
         kernel.admit_batch(releases)
         done = dict(kernel.run_to_completion())
-        sim = StreamingSimulator(strict).run(n)
-        assert tuple(done[j] for j in range(n)) == sim.completion_times
+        assert tuple(done[j] for j in range(n)) == completions(offline_run(strict, n))
 
     def test_incremental_admission_matches_batch(self, strict):
         n = 10

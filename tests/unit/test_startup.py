@@ -10,7 +10,8 @@ what a command really loaded:
   name they always exported to the same object, and ``dir()`` and star
   imports still see them;
 * ``import repro`` and ``--version`` stay off the figure stack, the service,
-  the Gantt renderer and networkx;
+  the Gantt renderer and networkx; ``cache ls`` stays off numpy, and the
+  runtime trace loads only the metrics of ``repro.obs``;
 * a forked campaign worker or scenario-job child finds everything its run
   executes already imported in the process it was forked from.
 """
@@ -74,8 +75,7 @@ REPRO_EXPORTS = {
     ],
     "repro.failures": [
         "CrashScenario", "sample_crash_scenarios", "crash_latency", "evaluate_crashes",
-        "expected_crash_latency", "simulate_stream", "FaultEvent", "FaultTrace",
-        "sample_fault_trace",
+        "expected_crash_latency", "FaultEvent", "FaultTrace", "sample_fault_trace",
     ],
     "repro.runtime": ["OnlineRuntime", "RuntimeTrace", "summarize_traces"],
     "repro.baselines": [
@@ -194,6 +194,23 @@ def test_start_up_stays_off_the_heavy_modules(code, args):
     done = _python(REPORT_MODULES + code, *args)
     loaded = set(json.loads(done.stderr.strip().splitlines()[-1]))
     assert not loaded & set(HEAVY)
+
+
+def test_cache_ls_loads_no_numpy(tmp_path):
+    """``cache ls`` formats a table: the utils facade must not pull numpy in
+    through the random-number helpers."""
+    done = _python(REPORT_MODULES + RUN_CLI, "cache", "ls", "--cache-dir", str(tmp_path))
+    loaded = set(json.loads(done.stderr.strip().splitlines()[-1]))
+    assert "numpy" not in loaded
+
+
+def test_runtime_trace_loads_only_the_metrics_of_obs():
+    """The trace module needs the latency histogram, not the Gantt renderer
+    or the trace sampler behind the rest of the obs facade."""
+    done = _python(REPORT_MODULES + "import repro.runtime.trace\n")
+    loaded = set(json.loads(done.stderr.strip().splitlines()[-1]))
+    assert "repro.obs.metrics" in loaded
+    assert not loaded & {"repro.obs.gantt", "repro.obs.sample"}
 
 
 # --------------------------------------------------------------- warm forks
