@@ -15,7 +15,8 @@ Layering (bottom to top)::
 
     repro.sim            event queue + one-port pipeline kernel
       └── repro.runtime.engine       the one driver (OnlineRuntime)
-            └── repro.api / repro.experiments / repro.cli   sessions, campaigns, reports
+            └── repro.api / repro.experiments / repro.cli
+                                 sessions, campaigns, reports
 
 The driver simulates every event of every data set: there is one execution
 path per stream, whatever its durations or fault regime.

@@ -53,7 +53,7 @@ def batch_completions(schedule, num_datasets: int, failed=()) -> tuple:
     ``admit_batch`` of the uniform ``j·Δ`` stream under the crash set
     *failed*, drained by ``run_to_completion``; completion instants in data
     set order (``None`` for a data set that never completes)."""
-    kernel = PipelineKernel(schedule, frozenset(failed))
+    kernel = PipelineKernel(schedule, failed)
     kernel.admit_batch([j * schedule.period for j in range(num_datasets)])
     done = dict(kernel.run_to_completion())
     return tuple(done.get(j) for j in range(num_datasets))

@@ -155,9 +155,15 @@ class TestSessionFrontEnds:
         session = Session(SCENARIO)
         result = session.simulate(num_datasets=5)
         assert isinstance(result, SimulateResult)
-        assert result.trace.num_datasets == 5
+        assert result.trace.num_datasets == result.trace.completed_count == 5
+        assert list(result.summary()) == [
+            "datasets", "steady-state latency", "max latency", "achieved period",
+            "schedule period",
+        ]
         # same pipeline as schedule(): the session builds it once per seed
         assert result.schedule is session.schedule().schedule
+        with pytest.raises(ValueError, match="num_datasets"):
+            session.simulate(num_datasets=0)
 
     def test_monte_carlo_matches_campaign_engine(self):
         mc = Session(SCENARIO).monte_carlo(trials=3, seed=2, jobs=1)

@@ -6,9 +6,9 @@ what a command really loaded:
 * networkx is optional: ``import repro``, the top-level exports and
   ``config --emit`` work with it blocked, and only the networkx export
   methods ask for it;
-* the ``repro`` and ``repro.experiments`` facades load lazily yet bind every
-  name they always exported to the same object, and ``dir()`` and star
-  imports still see them;
+* the ``repro``, ``repro.experiments``, ``repro.utils`` and ``repro.obs``
+  facades load lazily yet bind every name they always exported to the same
+  object, and ``dir()`` and star imports still see them;
 * ``import repro`` and ``--version`` stay off the figure stack, the service,
   the Gantt renderer and networkx; ``cache ls`` stays off numpy, and the
   runtime trace loads only the metrics of ``repro.obs``;
@@ -29,6 +29,8 @@ import pytest
 
 import repro
 import repro.experiments
+import repro.obs
+import repro.utils
 
 SRC = Path(repro.__file__).resolve().parents[1]
 
@@ -105,6 +107,22 @@ EXPERIMENTS_EXPORTS = {
     "repro.experiments.parallel": ["RuntimeCampaignResult", "run_runtime_campaign"],
     "repro.experiments.sweep": ["SuitePointResult", "SweepResult", "run_suite"],
 }
+UTILS_EXPORTS = {
+    "repro.utils.rng": ["ensure_rng", "spawn_rngs"],
+    "repro.utils.intervals": ["Interval", "Timeline", "earliest_common_slot"],
+    "repro.utils.checks": [
+        "check_positive", "check_non_negative", "check_probability", "check_type",
+    ],
+    "repro.utils.ascii": ["format_table", "ascii_plot"],
+}
+OBS_EXPORTS = {
+    "repro.obs.metrics": ["LATENCY_BUCKET_EDGES", "LatencyHistogram", "MetricsRegistry"],
+    "repro.obs.probe": ["MetricsProbe", "Probe"],
+    "repro.obs.gantt": [
+        "STATUS_COLORS", "render_gantt_svg", "render_gantt_html", "write_gantt",
+    ],
+    "repro.obs.sample": ["sample_trace"],
+}
 
 #: modules a start-up that runs no figure, no server and no Gantt export
 #: must not load.
@@ -151,8 +169,13 @@ def test_config_emit_without_networkx():
 # ------------------------------------------------------------ public surface
 @pytest.mark.parametrize(
     "package, exports",
-    [(repro, REPRO_EXPORTS), (repro.experiments, EXPERIMENTS_EXPORTS)],
-    ids=["repro", "repro.experiments"],
+    [
+        (repro, REPRO_EXPORTS),
+        (repro.experiments, EXPERIMENTS_EXPORTS),
+        (repro.utils, UTILS_EXPORTS),
+        (repro.obs, OBS_EXPORTS),
+    ],
+    ids=["repro", "repro.experiments", "repro.utils", "repro.obs"],
 )
 def test_facade_binds_every_name_to_the_same_object(package, exports):
     names = [name for group in exports.values() for name in group]
