@@ -11,8 +11,7 @@ by a final least-loaded cluster-to-processor mapping.
 
 from __future__ import annotations
 
-from repro.core.rebuild import build_forward_schedule
-from repro.core.engine import resolve_period
+from repro.core.engine import forced_schedule, resolve_period
 from repro.graph.dag import TaskGraph
 from repro.platform.platform import Platform
 from repro.schedule.schedule import Schedule
@@ -82,7 +81,4 @@ def preclustering_schedule(
         for task in cluster:
             assignment[task] = [proc]
         proc_load[proc] += sum(graph.work(t) for t in cluster) / platform.speed(proc)
-    schedule = build_forward_schedule(
-        graph, platform, resolved, epsilon=0, assignment=assignment, algorithm="preclustering"
-    )
-    return schedule
+    return forced_schedule(graph, platform, resolved, assignment, algorithm="preclustering")

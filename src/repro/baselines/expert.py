@@ -10,8 +10,7 @@ period-bounded groups, then a least-loaded mapping of groups to processors.
 
 from __future__ import annotations
 
-from repro.core.engine import resolve_period
-from repro.core.rebuild import build_forward_schedule
+from repro.core.engine import forced_schedule, resolve_period
 from repro.graph.analysis import bottom_levels, top_levels
 from repro.graph.dag import TaskGraph
 from repro.platform.platform import Platform
@@ -86,6 +85,4 @@ def expert_schedule(
         proc_load[proc] += work / platform.speed(proc)
         for task in group:
             assignment[task] = [proc]
-    return build_forward_schedule(
-        graph, platform, resolved, epsilon=0, assignment=assignment, algorithm="expert"
-    )
+    return forced_schedule(graph, platform, resolved, assignment, algorithm="expert")

@@ -12,8 +12,7 @@ the refinement step re-packs underloaded processors.
 from __future__ import annotations
 
 from repro.baselines.listsched import etf_schedule
-from repro.core.engine import resolve_period
-from repro.core.rebuild import build_forward_schedule
+from repro.core.engine import forced_schedule, resolve_period
 from repro.graph.dag import TaskGraph
 from repro.platform.platform import Platform
 from repro.schedule.schedule import Schedule
@@ -49,6 +48,4 @@ def tda_schedule(
         proc_load[chosen] += cost[chosen]
         assignment[task] = [chosen]
 
-    return build_forward_schedule(
-        graph, platform, resolved, epsilon=0, assignment=assignment, algorithm="tda"
-    )
+    return forced_schedule(graph, platform, resolved, assignment, algorithm="tda")

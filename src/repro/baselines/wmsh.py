@@ -19,8 +19,7 @@ phases with the substrate of this library:
 from __future__ import annotations
 
 from repro.baselines.clustering import cluster_by_edges
-from repro.core.engine import resolve_period
-from repro.core.rebuild import build_forward_schedule
+from repro.core.engine import forced_schedule, resolve_period
 from repro.graph.analysis import critical_path
 from repro.graph.dag import TaskGraph
 from repro.platform.platform import Platform
@@ -86,6 +85,4 @@ def wmsh_schedule(
         for task in cluster:
             assignment[task] = [proc]
 
-    return build_forward_schedule(
-        graph, platform, resolved, epsilon=0, assignment=assignment, algorithm="wmsh"
-    )
+    return forced_schedule(graph, platform, resolved, assignment, algorithm="wmsh")

@@ -11,13 +11,21 @@
   failures under constraints on the other criteria).
 
 The shared greedy machinery (iso-level chunks, condition (1), the one-to-one
-mapping procedure and kill-set tracking) lives in :mod:`repro.core.engine`.
+mapping procedure and kill-set tracking) lives in :mod:`repro.core.engine`,
+the one placement engine: :func:`~repro.core.engine.forced_schedule` runs it
+on a fixed replica-to-processor assignment for R-LTF's forward pass, the
+mapping-only baselines and the ``remap`` reschedule policy.
 """
 
-from repro.core.engine import MappingEngine, SchedulerOptions, resolve_period, condition_one
+from repro.core.engine import (
+    MappingEngine,
+    SchedulerOptions,
+    forced_schedule,
+    resolve_period,
+    condition_one,
+)
 from repro.core.ltf import ltf_schedule, LTFPolicy
 from repro.core.rltf import rltf_schedule, RLTFPolicy
-from repro.core.rebuild import build_forward_schedule
 from repro.core.fault_free import fault_free_schedule, fault_free_latency
 from repro.core.bicriteria import (
     maximize_throughput,
@@ -34,7 +42,7 @@ __all__ = [
     "LTFPolicy",
     "rltf_schedule",
     "RLTFPolicy",
-    "build_forward_schedule",
+    "forced_schedule",
     "fault_free_schedule",
     "fault_free_latency",
     "maximize_throughput",

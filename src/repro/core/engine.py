@@ -22,6 +22,9 @@ processor-selection policy (R-LTF first tries to keep the pipeline-stage
 number constant — Rule 1 — and uses the structural Rule 2 to trigger the
 one-to-one procedure).  The :class:`MappingEngine` below implements the shared
 skeleton and delegates the per-replica decision to a policy object.
+:func:`forced_schedule` runs it in topological order with every replica
+forced onto an assigned processor (:class:`ForcedPolicy`): R-LTF's forward
+pass, the mapping-only baselines and the ``remap`` policy.
 
 Fault-tolerance bookkeeping
 ---------------------------
@@ -52,7 +55,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from repro.exceptions import ReplicationError, SchedulingError, ThroughputInfeasibleError
+from repro.exceptions import (
+    ReplicationError,
+    ScheduleError,
+    SchedulingError,
+    ThroughputInfeasibleError,
+)
 from repro.graph.analysis import task_priorities
 from repro.graph.dag import TaskGraph
 from repro.platform.platform import Platform
@@ -71,6 +79,8 @@ __all__ = [
     "TaskContext",
     "MappingPolicy",
     "MappingEngine",
+    "ForcedPolicy",
+    "forced_schedule",
     "resolve_period",
     "condition_one",
 ]
@@ -151,14 +161,19 @@ class TaskContext:
     """Per-task bookkeeping while its ``ε+1`` replicas are being placed."""
 
     task: str
-    #: union of the kill sets of the replicas already placed for this task.
+    #: union of the kill sets of the replicas already placed for this task;
+    #: no further replica of it may run on one of these processors.
     used_kill: set[str] = field(default_factory=set)
-    #: number of replicas already placed through the one-to-one procedure (``Z_k``).
-    one_to_one_done: int = 0
-    #: ``θ_k`` — how many replicas should go through the one-to-one procedure.
-    theta: int = 0
     #: source replicas already consumed by one-to-one chains of this task.
     consumed: set[Replica] = field(default_factory=set)
+    #: processors held for the task's other replicas (forced assignment): a
+    #: chain source whose kill set touches one is unavailable.
+    reserved: frozenset[str] = frozenset()
+    #: per predecessor, its replicas by finish time (the task's predecessors
+    #: are all placed before the task, so this never changes).
+    pred_replicas: dict[str, list[Replica]] | None = None
+    #: the fully-fed source list of :func:`ordered_sources`, fixed likewise.
+    full_sources: list | None = None
 
 
 class MappingPolicy(Protocol):
@@ -182,13 +197,23 @@ def condition_one(
     communication load, and the outgoing communication load of every source
     processor all remain below the period ``Δ = 1/T``.
     """
+    limit = period + _TOL
     state = schedule.processor_state(plan.processor)
-    if state.compute_load + plan.execution_time > period + _TOL:
+    if state.compute_load + plan.execution_time > limit:
         return False
-    if state.comm_in_load + plan.incoming_comm_time > period + _TOL:
+    # plan.incoming_comm_time and plan.outgoing_comm_time_by_processor(),
+    # summed in one pass over the comms
+    incoming = 0.0
+    outgoing: dict[str, float] = {}
+    for comm in plan.comms:
+        duration = comm.duration
+        if duration > 0:
+            incoming += duration
+            outgoing[comm.source_processor] = outgoing.get(comm.source_processor, 0.0) + duration
+    if state.comm_in_load + incoming > limit:
         return False
-    for src_proc, added in plan.outgoing_comm_time_by_processor().items():
-        if schedule.processor_state(src_proc).comm_out_load + added > period + _TOL:
+    for src_proc, added in outgoing.items():
+        if schedule.processor_state(src_proc).comm_out_load + added > limit:
             return False
     return True
 
@@ -210,8 +235,8 @@ class MappingEngine:
     algorithm:
         Name recorded in the resulting schedule.
     priorities:
-        Optional priority override; defaults to ``tl + bl`` computed on
-        *graph* and *platform*.
+        Optional priority override for :meth:`run`; defaults to ``tl + bl``
+        computed on *graph* and *platform*.
     """
 
     def __init__(
@@ -233,7 +258,7 @@ class MappingEngine:
         self.period = float(period)
         self.options = options
         self.schedule = Schedule(graph, platform, period, options.epsilon, algorithm)
-        self.priorities = dict(priorities) if priorities is not None else task_priorities(graph, platform)
+        self._priorities = priorities
         self.chunk_size = options.chunk_size or platform.num_processors
         #: kill set of every placed replica (see module docstring).
         self.kill: dict[Replica, frozenset[str]] = {}
@@ -255,6 +280,9 @@ class MappingEngine:
     def run(self, policy: MappingPolicy) -> Schedule:
         """Run the iso-level loop until every task has its ``ε+1`` replicas."""
         graph = self.graph
+        priorities = self._priorities
+        if priorities is None:
+            priorities = task_priorities(graph, self.platform)
         in_degree = {t: graph.in_degree(t) for t in graph.task_names}
         ready: list[str] = [t for t in graph.task_names if in_degree[t] == 0]
         unscheduled = set(graph.task_names)
@@ -264,8 +292,7 @@ class MappingEngine:
                 raise SchedulingError(
                     "no ready task while some tasks are unscheduled; the graph may be cyclic"
                 )
-            beta = self._select_chunk(ready)
-            self.schedule.stats["chunks"] += 1
+            beta = self._select_chunk(ready, priorities)
             self._schedule_chunk(beta, policy)
             for task in beta:
                 unscheduled.discard(task)
@@ -275,40 +302,26 @@ class MappingEngine:
                         ready.append(succ)
         return self.schedule
 
-    def _select_chunk(self, ready: list[str]) -> list[str]:
+    def run_in_order(self, policy: MappingPolicy, order: Iterable[str]) -> Schedule:
+        """Place the tasks one at a time in *order*, which lists every task
+        after its predecessors (a chunk of one task per step)."""
+        for task in order:
+            self._schedule_chunk((task,), policy)
+        return self.schedule
+
+    def _select_chunk(self, ready: list[str], priorities: Mapping[str, float]) -> list[str]:
         """Extract the ``B`` highest-priority ready tasks (the head function ``H``)."""
-        ready.sort(key=lambda t: (-self.priorities[t], t))
+        ready.sort(key=lambda t: (-priorities[t], t))
         chunk = ready[: self.chunk_size]
         del ready[: self.chunk_size]
         return chunk
 
     def _schedule_chunk(self, beta: Sequence[str], policy: MappingPolicy) -> None:
-        contexts = {task: self._new_context(task) for task in beta}
+        self.schedule.stats["chunks"] += 1
+        contexts = {task: TaskContext(task=task) for task in beta}
         for _level in range(self.options.epsilon + 1):
             for task in beta:
                 self._place_one_replica(task, contexts[task], policy)
-
-    def _new_context(self, task: str) -> TaskContext:
-        ctx = TaskContext(task=task)
-        ctx.theta = self._compute_theta(task) if self.options.enable_one_to_one else 0
-        return ctx
-
-    def _compute_theta(self, task: str) -> int:
-        """``θ_k = min_i λ_i`` — number of replicas that should be chain-fed.
-
-        ``λ_i`` counts, for predecessor ``t_i``, how many of its replicas are
-        available as the head of an independent chain.  The paper counts the
-        replicas hosted on *singleton* processors; here the independence of the
-        chains is enforced directly by the kill-set bookkeeping of
-        :meth:`chain_source_candidates` / :meth:`plan_chain`, so ``θ`` is simply
-        the number of replicas of the scarcest predecessor — the one-to-one
-        procedure is *attempted* for every replica and falls back to a regular
-        (fully fed) mapping whenever no independent chain exists.
-        """
-        preds = self.graph.predecessors(task)
-        if not preds:
-            return 0
-        return min(len(self.schedule.replicas(pred)) for pred in preds)
 
     # ----------------------------------------------------------- single replica
     def _place_one_replica(self, task: str, ctx: TaskContext, policy: MappingPolicy) -> Replica:
@@ -333,26 +346,26 @@ class MappingEngine:
         return replica
 
     def _register(self, replica: Replica, plan: PlacementPlan, ctx: TaskContext) -> None:
+        kill = {plan.processor}
         if plan.one_to_one:
-            kill = {plan.processor}
             for comm in plan.comms:
                 if self.options.strict_resilience:
                     kill |= self.kill[comm.source]
                 else:
                     # paper semantics: only the directly involved processors
                     # become locked for the sibling replicas.
-                    kill.add(self.schedule.processor_of(comm.source))
-            ctx.one_to_one_done += 1
+                    kill.add(comm.source_processor)
             ctx.consumed.update(c.source for c in plan.comms)
             self.schedule.stats["one_to_one_calls"] += 1
         else:
-            kill = {plan.processor}
             self.schedule.stats["regular_mappings"] += 1
         self.kill[replica] = frozenset(kill)
         ctx.used_kill |= kill
-        self.stage[replica] = self.stage_on(
-            replica.task, plan.processor, (comm.source for comm in plan.comms)
-        )
+        # what stage_on gives: a planned transfer is free iff its duration is 0
+        stage = 1
+        for comm in plan.comms:
+            stage = max(stage, self.stage[comm.source] + (comm.duration > 0))
+        self.stage[replica] = stage
 
     def stage_on(self, task: str, processor: str, sources: Iterable[Replica]) -> int:
         """The stage a replica of *task* on *processor* fed by *sources* gets.
@@ -372,13 +385,6 @@ class MappingEngine:
         return stage
 
     # --------------------------------------------------------------- candidates
-    def _forbidden_processors(self, task: str, ctx: TaskContext) -> set[str]:
-        """Processors that can never host the next replica of *task*: those in
-        the kill set of a sibling replica (fault-independence) — which includes
-        the processors already hosting a replica of the task.  The returned
-        set is the context's own: do not modify it."""
-        return ctx.used_kill
-
     def _memoized(self, key: tuple, compute):
         """``compute()``, computed once per replica decision."""
         memo = self._memo
@@ -388,27 +394,47 @@ class MappingEngine:
             memo[key] = compute()
         return memo[key]
 
-    def regular_sources(self, task: str) -> dict[str, tuple[Replica, ...]]:
-        """Full feeding: every replica of every predecessor is a source."""
-        return {pred: self.schedule.replicas(pred) for pred in self.graph.predecessors(task)}
+    def _feasible(self, plan: PlacementPlan | None) -> PlacementPlan | None:
+        """*plan* when it meets condition (1), else ``None``."""
+        if plan is None or not condition_one(self.schedule, plan, self.period):
+            return None
+        return plan
+
+    def _best(self, plans: Iterable[PlacementPlan | None]) -> PlacementPlan | None:
+        """The first of *plans* by earliest finish, then the least-loaded
+        processor (ties on finish time are frequent on lightly loaded
+        platforms, and spreading the load keeps later placements feasible),
+        then the processor name for determinism; ``None`` entries are
+        skipped."""
+        best: PlacementPlan | None = None
+        best_key: tuple | None = None
+        for plan in plans:
+            if plan is None:
+                continue
+            key = (plan.finish, self.schedule.compute_load(plan.processor), plan.processor)
+            if best_key is None or key < best_key:
+                best, best_key = plan, key
+        return best
+
+    def full_plan(self, task: str, processor: str, ctx: TaskContext) -> PlacementPlan:
+        """The fully-fed plan of *task* on *processor* (every replica of every
+        predecessor is a source), condition (1) unchecked."""
+        flat = ctx.full_sources
+        if flat is None:
+            replicas = self.schedule.replicas
+            flat = ctx.full_sources = ordered_sources(
+                self.schedule, task, {pred: replicas(pred) for pred in self.graph.predecessors(task)}
+            )
+        return plan_ordered(self.schedule, task, processor, flat)
 
     def plan_regular(self, task: str, processor: str, ctx: TaskContext) -> PlacementPlan | None:
         """Plan a fully-fed replica of *task* on *processor*; ``None`` if infeasible."""
+        if processor in ctx.used_kill:
+            return None
         return self._memoized(
-            ("regular", task, processor), lambda: self._plan_regular(task, processor, ctx)
+            ("regular", task, processor),
+            lambda: self._feasible(self.full_plan(task, processor, ctx)),
         )
-
-    def _plan_regular(self, task: str, processor: str, ctx: TaskContext) -> PlacementPlan | None:
-        if processor in self._forbidden_processors(task, ctx):
-            return None
-        flat = self._memoized(
-            ("regular-sources", task),
-            lambda: ordered_sources(self.schedule, task, self.regular_sources(task)),
-        )
-        plan = plan_ordered(self.schedule, task, processor, flat)
-        if not condition_one(self.schedule, plan, self.period):
-            return None
-        return plan
 
     def plan_regular_best(
         self,
@@ -418,56 +444,38 @@ class MappingEngine:
     ) -> PlacementPlan | None:
         """Fully-fed placement with minimum finish time over *candidates*
         (all processors by default)."""
-        best: PlacementPlan | None = None
-        best_key: tuple | None = None
         pool = candidates if candidates is not None else self.platform.processor_names
-        for proc in pool:
-            plan = self.plan_regular(task, proc, ctx)
-            if plan is None:
-                continue
-            key = self._plan_rank(plan)
-            if best_key is None or key < best_key:
-                best, best_key = plan, key
-        return best
-
-    def _plan_rank(self, plan: PlacementPlan) -> tuple:
-        """Ranking key for candidate plans: earliest finish first, then the
-        least-loaded processor (ties on finish time are frequent on lightly
-        loaded platforms, and spreading the load keeps later placements
-        feasible), then the processor name for determinism."""
-        return (
-            plan.finish,
-            self.schedule.compute_load(plan.processor),
-            plan.processor,
-        )
+        return self._best(self.plan_regular(task, proc, ctx) for proc in pool)
 
     def chain_source_candidates(self, task: str, ctx: TaskContext) -> dict[str, list[Replica]]:
         """For each predecessor of *task*, the replicas still available for a
         new one-to-one chain (not consumed, kill set disjoint from the sibling
-        chains), sorted by finish time (the head of the sorted list is the
-        paper's ``H(B(t_i))``)."""
+        chains and from the reserved processors), sorted by finish time (the
+        head of the sorted list is the paper's ``H(B(t_i))``)."""
         return self._memoized(
             ("chain-sources", task), lambda: self._chain_source_candidates(task, ctx)
         )
 
     def _chain_source_candidates(self, task: str, ctx: TaskContext) -> dict[str, list[Replica]]:
-        available: dict[str, list[Replica]] = {}
-        for pred in self.graph.predecessors(task):
-            reps = [
-                r
-                for r in self.schedule.replicas(pred)
-                if r not in ctx.consumed and not (self.kill[r] & ctx.used_kill)
-            ]
-            reps.sort(key=lambda r: (self.schedule.finish_time(r), r))
-            available[pred] = reps
-        return available
+        by_finish = ctx.pred_replicas
+        if by_finish is None:
+            finish = self.schedule.finish_time
+            by_finish = ctx.pred_replicas = {
+                pred: sorted(self.schedule.replicas(pred), key=lambda r: (finish(r), r))
+                for pred in self.graph.predecessors(task)
+            }
+        blocked = (ctx.used_kill | ctx.reserved) if ctx.reserved else ctx.used_kill
+        kill, consumed = self.kill, ctx.consumed
+        return {
+            pred: [r for r in reps if r not in consumed and not (kill[r] & blocked)]
+            for pred, reps in by_finish.items()
+        }
 
     def plan_chain(
         self,
         task: str,
         ctx: TaskContext,
         candidates: Iterable[str] | None = None,
-        prefer_colocated: bool = True,
     ) -> PlacementPlan | None:
         """One-to-one mapping procedure (Algorithm 4.2).
 
@@ -478,38 +486,30 @@ class MappingEngine:
         simulates the placement, checks condition (1), and finally returns the
         plan with the earliest finish time.
         """
-        best: PlacementPlan | None = None
-        best_key: tuple | None = None
         pool = candidates if candidates is not None else self.platform.processor_names
-        for proc in pool:
-            plan = self._memoized(
-                ("chain", task, proc, prefer_colocated),
-                lambda: self._plan_chain_on(task, ctx, proc, prefer_colocated),
+        return self._best(
+            self._memoized(
+                ("chain", task, proc), lambda: self._feasible(self.chain_plan(task, ctx, proc))
             )
-            if plan is None:
-                continue
-            key = self._plan_rank(plan)
-            if best_key is None or key < best_key:
-                best, best_key = plan, key
-        return best
+            for proc in pool
+        )
 
     def chain_sources(
-        self, task: str, ctx: TaskContext, processor: str, prefer_colocated: bool = True
+        self, task: str, ctx: TaskContext, processor: str
     ) -> dict[str, Replica] | None:
         """The source per predecessor a chain of *task* ending on *processor*
         would use, or ``None`` when some predecessor has no source left (or
         *task* has no predecessor)."""
         return self._memoized(
-            ("chain-pick", task, processor, prefer_colocated),
-            lambda: self._pick_chain_sources(task, ctx, processor, prefer_colocated),
+            ("chain-pick", task, processor),
+            lambda: self._pick_chain_sources(task, ctx, processor),
         )
 
-    def _plan_chain_on(
-        self, task: str, ctx: TaskContext, processor: str, prefer_colocated: bool
-    ) -> PlacementPlan | None:
-        """The chain-fed plan of :meth:`plan_chain` on one *processor*."""
-        sources = self.chain_sources(task, ctx, processor, prefer_colocated)
-        if sources is None or processor in self._forbidden_processors(task, ctx):
+    def chain_plan(self, task: str, ctx: TaskContext, processor: str) -> PlacementPlan | None:
+        """The chain-fed plan of *task* on *processor*, condition (1)
+        unchecked; ``None`` when no independent chain ends there."""
+        sources = self.chain_sources(task, ctx, processor)
+        if sources is None or processor in ctx.used_kill:
             return None
         if self.options.strict_resilience:
             support = {processor}
@@ -517,23 +517,16 @@ class MappingEngine:
                 support |= self.kill[rep]
             if len(support) > self.max_support_size:
                 return None
-        plan = plan_placement(
+        return plan_placement(
             self.schedule,
             task,
             processor,
             {pred: [rep] for pred, rep in sources.items()},
             one_to_one=True,
         )
-        if not condition_one(self.schedule, plan, self.period):
-            return None
-        return plan
 
     def _pick_chain_sources(
-        self,
-        task: str,
-        ctx: TaskContext,
-        processor: str,
-        prefer_colocated: bool,
+        self, task: str, ctx: TaskContext, processor: str
     ) -> dict[str, Replica] | None:
         """Pick one source per predecessor for a chain ending on *processor*.
 
@@ -555,28 +548,23 @@ class MappingEngine:
         if not self.graph.predecessors(task):
             return None
         available = self.chain_source_candidates(task, ctx)
-        if any(not lst for lst in available.values()):
+        if not all(available.values()):
             return None
+        schedule = self.schedule
+        processor_of = schedule.processor_of
+        limit = self.period + _TOL
         chosen: dict[str, Replica] = {}
         for pred, reps in available.items():
-            pick: Replica | None = None
-            if prefer_colocated:
-                for rep in reps:
-                    if self.schedule.processor_of(rep) == processor:
-                        pick = rep
-                        break
+            pick = next((rep for rep in reps if processor_of(rep) == processor), None)
             if pick is None:
                 volume = self.graph.volume(pred, task)
                 for rep in reps:
-                    src_proc = self.schedule.processor_of(rep)
-                    duration = self.schedule.transfer_time(volume, src_proc, processor)
-                    if (
-                        self.schedule.processor_state(src_proc).comm_out_load + duration
-                        <= self.period + _TOL
-                    ):
+                    src_proc = processor_of(rep)
+                    duration = schedule.transfer_time(volume, src_proc, processor)
+                    if schedule.processor_state(src_proc).comm_out_load + duration <= limit:
                         pick = rep
                         break
-                if pick is None:
+                else:
                     pick = reps[0]
             chosen[pred] = pick
         return chosen
@@ -598,11 +586,73 @@ class MappingEngine:
     def _least_loaded_plan(self, task: str, ctx: TaskContext) -> PlacementPlan | None:
         """Non-strict fallback: fully-fed placement on the processor with the
         smallest compute load, ignoring condition (1) (never ignores the
-        fault-independence constraints)."""
-        forbidden = self._forbidden_processors(task, ctx)
-        pool = [p for p in self.platform.processor_names if p not in forbidden]
-        pool = [p for p in pool if p not in self.schedule.processors_of_task(task)]
+        fault-independence constraints: a sibling's kill set includes its
+        own processor)."""
+        pool = [p for p in self.platform.processor_names if p not in ctx.used_kill]
         if not pool:
             return None
         proc = min(pool, key=lambda p: (self.schedule.compute_load(p), p))
-        return plan_placement(self.schedule, task, proc, self.regular_sources(task))
+        return self.full_plan(task, proc, ctx)
+
+
+class ForcedPolicy:
+    """Place replica ``k`` of every task on ``assignment[task][k]``.
+
+    On its assigned processor ``p`` a replica takes the first plan that meets
+    condition (1): the one-to-one chain of :meth:`MappingEngine.plan_chain`,
+    then full feeding.  The chain's sources are kept off the processors
+    assigned to the task's other replicas, which would otherwise enter a
+    sibling's kill set and become unplaceable.  When neither plan meets
+    condition (1) the assignment still stands: the chain if independent
+    sources exist, otherwise full feeding, counted in
+    ``stats["relaxed_placements"]``.
+    """
+
+    def __init__(self, assignment: Mapping[str, Sequence[str]]):
+        self.assignment = assignment
+
+    def choose(self, engine: MappingEngine, task: str, ctx: TaskContext) -> PlacementPlan:
+        procs = self.assignment[task]
+        proc = procs[len(engine.schedule.replicas(task))]
+        ctx.reserved = frozenset(procs).difference((proc,))
+        chain = engine.chain_plan(task, ctx, proc) if engine.options.enable_one_to_one else None
+        if chain is not None and condition_one(engine.schedule, chain, engine.period):
+            return chain
+        full = engine.full_plan(task, proc, ctx)
+        if condition_one(engine.schedule, full, engine.period):
+            return full
+        engine.schedule.stats["relaxed_placements"] += 1
+        return chain if chain is not None else full
+
+
+def forced_schedule(
+    graph: TaskGraph,
+    platform: Platform,
+    period: float,
+    assignment: Mapping[str, Sequence[str]],
+    algorithm: str,
+    options: SchedulerOptions | None = None,
+) -> Schedule:
+    """Schedule *graph* with every replica on the processor *assignment* gives it.
+
+    *assignment* maps every task to ``ε+1`` distinct processors, one per
+    replica; the tasks are placed in topological order under
+    :class:`ForcedPolicy`, which never rejects the assignment
+    (``stats["relaxed_placements"]`` counts the replicas placed against
+    condition (1)).  *options* (default ``ε = 0``) supplies ``ε`` and the
+    one-to-one and resilience knobs.
+    """
+    options = options or SchedulerOptions()
+    factor = options.epsilon + 1
+    for task in graph.task_names:
+        procs = assignment.get(task)
+        if procs is None:
+            raise ScheduleError(f"assignment is missing task {task!r}")
+        if len(procs) != factor:
+            raise ScheduleError(
+                f"task {task!r} is assigned {len(procs)} processors, expected {factor}"
+            )
+        if len(set(procs)) != len(procs):
+            raise ScheduleError(f"task {task!r} is assigned duplicate processors: {procs}")
+    engine = MappingEngine(graph, platform, period, options, algorithm)
+    return engine.run_in_order(ForcedPolicy(assignment), graph.topological_order())

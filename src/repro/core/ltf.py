@@ -32,15 +32,18 @@ __all__ = ["LTFPolicy", "ltf_schedule"]
 
 
 class LTFPolicy:
-    """Processor-selection policy of LTF (minimum finish time)."""
+    """Processor-selection policy of LTF (minimum finish time).
+
+    Algorithm 4.1 chain-feeds while ``Z_k < θ_k``, ``θ_k`` counting the
+    independent chain heads of the scarcest predecessor.  Here the kill-set
+    bookkeeping of the engine decides independence, every predecessor has its
+    ``ε+1`` replicas placed first, so ``θ_k = ε+1`` and the one-to-one
+    procedure is attempted for every replica, falling back to a regular
+    (fully fed) mapping when no independent chain exists.
+    """
 
     def choose(self, engine: MappingEngine, task: str, ctx: TaskContext) -> PlacementPlan | None:
-        preds = engine.graph.predecessors(task)
-        if (
-            preds
-            and engine.options.enable_one_to_one
-            and ctx.one_to_one_done < ctx.theta
-        ):
+        if engine.graph.predecessors(task) and engine.options.enable_one_to_one:
             plan = engine.plan_chain(task, ctx)
             if plan is not None:
                 return plan

@@ -20,24 +20,33 @@ throughput-feasible processor with minimum finish time).
 
 Implementation
 --------------
-The bottom-up traversal is realised by running the shared
-:class:`~repro.core.engine.MappingEngine` on the **reversed** graph, which
-yields a processor assignment per replica; the forward schedule (forward
-communication topology, one-port timing, stages, loads) is then rebuilt with
-:func:`~repro.core.rebuild.build_forward_schedule` on the original graph.
-Reversing the graph leaves both the stage count and the steady-state loads
-essentially unchanged (a processor change along a path costs one stage in
-either orientation, and reversing swaps the in/out communication loads), so
-the rebuilt schedule retains the properties targeted by the two rules; the
-reported metrics are always measured on the rebuilt forward schedule.
+Both passes run the shared :class:`~repro.core.engine.MappingEngine`.  The
+bottom-up traversal maps the **reversed** graph under :class:`RLTFPolicy`,
+which yields a processor per replica.  The forward pass then places the
+original graph in topological order with every replica forced onto that
+processor (:func:`~repro.core.engine.forced_schedule`): the same one-to-one
+procedure, kill-set bookkeeping and condition (1) as LTF derive the forward
+sources, the one-port timing, the stages and the loads.  Reversing the graph
+leaves both the stage count and the steady-state loads essentially unchanged
+(a processor change along a path costs one stage in either orientation, and
+reversing swaps the in/out communication loads), so the forward schedule
+retains the properties targeted by the two rules.  A forward replica that
+meets condition (1) neither chain-fed nor fully fed on its processor is still
+placed and counted in ``stats["relaxed_placements"]``; the reported metrics
+are always measured on the forward schedule.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from repro.core.engine import MappingEngine, SchedulerOptions, TaskContext, resolve_period
-from repro.core.rebuild import build_forward_schedule
+from repro.core.engine import (
+    MappingEngine,
+    SchedulerOptions,
+    TaskContext,
+    forced_schedule,
+    resolve_period,
+)
 from repro.graph.dag import TaskGraph
 from repro.platform.platform import Platform
 from repro.schedule.schedule import PlacementPlan, Schedule
@@ -124,7 +133,7 @@ class RLTFPolicy:
                 plan = engine.plan_chain(task, ctx)
                 if plan is not None:
                     return plan
-            if engine.options.enable_one_to_one and ctx.one_to_one_done < ctx.theta:
+            if engine.options.enable_one_to_one:
                 plan = engine.plan_chain(task, ctx)
                 if plan is not None:
                     return plan
@@ -154,8 +163,9 @@ def rltf_schedule(
     Returns
     -------
     Schedule
-        A complete forward schedule (algorithm name ``"r-ltf"``) meeting the
-        throughput constraint, rebuilt from the bottom-up assignment.
+        A complete forward schedule (algorithm name ``"r-ltf"``) on the
+        bottom-up assignment; ``stats["relaxed_placements"]`` counts its
+        replicas placed against the throughput constraint.
     """
     resolved = resolve_period(throughput, period)
     options = SchedulerOptions(
@@ -176,19 +186,8 @@ def rltf_schedule(
     )
     reverse_schedule = engine.run(RLTFPolicy(enable_rule1=enable_rule1, enable_rule2=enable_rule2))
 
-    assignment = {
-        task: list(reverse_schedule.processors_of_task(task)) for task in graph.task_names
-    }
-    schedule = build_forward_schedule(
-        graph,
-        platform,
-        resolved,
-        epsilon,
-        assignment,
-        algorithm="r-ltf",
-        prefer_one_to_one=enable_one_to_one,
-        strict_resilience=strict_resilience,
-    )
+    assignment = {task: reverse_schedule.processors_of_task(task) for task in graph.task_names}
+    schedule = forced_schedule(graph, platform, resolved, assignment, "r-ltf", options)
     # keep the reverse-pass counters for inspection, prefixed to avoid clashes.
     for key, value in reverse_schedule.stats.items():
         schedule.stats[f"reverse_{key}"] = value

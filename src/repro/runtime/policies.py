@@ -12,11 +12,12 @@ Two policies are provided:
   previous schedule, which never rejects.
 * :class:`RemapReschedulePolicy` (``"remap"``) — keeps the surviving part of
   the previous mapping and only re-places the replicas that were hosted by
-  dead processors (least-loaded survivor first), then rebuilds the forward
-  schedule with :func:`repro.core.rebuild.build_forward_schedule`.  Much
-  cheaper than a full re-run and minimally disruptive, at the price of
-  possibly overloading survivors (the runtime then throttles admission to the
-  achievable rate).
+  dead processors (least-loaded survivor first), then schedules that
+  assignment with :func:`repro.core.engine.forced_schedule`, the mapping
+  engine run with every replica forced onto its processor.  Much cheaper
+  than a full re-run and minimally disruptive, at the price of possibly
+  overloading survivors (the forced placement never rejects; the runtime
+  then throttles admission to the achievable rate).
 
 Both are deterministic: given the same inputs they return the same schedule.
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
-from repro.core.rebuild import build_forward_schedule
+from repro.core.engine import SchedulerOptions, forced_schedule
 from repro.core.rltf import rltf_schedule
 from repro.exceptions import SchedulingError
 from repro.graph.dag import TaskGraph
@@ -112,8 +113,8 @@ class RemapReschedulePolicy:
                 best = min(candidates, key=lambda p: (load[p], p))
                 hosts.append(best)
                 load[best] += platform.execution_time(work, best)
-        return build_forward_schedule(
-            graph, platform, period, eps, assignment, algorithm="online-remap"
+        return forced_schedule(
+            graph, platform, period, assignment, "online-remap", SchedulerOptions(epsilon=eps)
         )
 
 

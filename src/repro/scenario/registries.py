@@ -19,26 +19,22 @@ Three registries live here:
 * :data:`SCHEDULERS` — ``name -> SchedulerEntry`` wrapping the scheduling
   heuristics (LTF, R-LTF, fault-free reference, related-work baselines) with
   the metadata the runner needs (does the heuristic accept ``epsilon``?).
+  A baseline is imported on the first use of its entry, so a run that never
+  names one does not load :mod:`repro.baselines`.
 
 Unknown names raise with the registered names and close-match suggestions.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.baselines import (
-    etf_schedule,
-    expert_schedule,
-    heft_schedule,
-    preclustering_schedule,
-    tda_schedule,
-    wmsh_schedule,
-)
 from repro.core.fault_free import fault_free_schedule
 from repro.core.ltf import ltf_schedule
 from repro.core.rltf import rltf_schedule
@@ -166,11 +162,21 @@ class SchedulerEntry:
     """One named scheduling heuristic plus the metadata the runner needs."""
 
     name: str
-    build: Callable[..., Schedule]
+    #: the heuristic, or its ``"module:function"`` path, which :attr:`build`
+    #: imports on first use.
+    target: Callable[..., Schedule] | str
     #: whether ``build`` accepts the ``epsilon`` replication degree; heuristics
     #: without it (the fault-free reference, the related-work baselines) only
     #: accept scenarios with ``scheduler.epsilon == 0``.
     supports_epsilon: bool = True
+
+    @cached_property
+    def build(self) -> Callable[..., Schedule]:
+        """The heuristic itself."""
+        if not isinstance(self.target, str):
+            return self.target
+        module, _, function = self.target.partition(":")
+        return getattr(importlib.import_module(module), function)
 
 
 SCHEDULERS = PolicyRegistry("scheduler")
@@ -178,12 +184,16 @@ for _entry in (
     SchedulerEntry("rltf", rltf_schedule),
     SchedulerEntry("ltf", ltf_schedule),
     SchedulerEntry("fault-free", fault_free_schedule, supports_epsilon=False),
-    SchedulerEntry("heft", heft_schedule, supports_epsilon=False),
-    SchedulerEntry("etf", etf_schedule, supports_epsilon=False),
-    SchedulerEntry("preclustering", preclustering_schedule, supports_epsilon=False),
-    SchedulerEntry("expert", expert_schedule, supports_epsilon=False),
-    SchedulerEntry("tda", tda_schedule, supports_epsilon=False),
-    SchedulerEntry("wmsh", wmsh_schedule, supports_epsilon=False),
+    SchedulerEntry("heft", "repro.baselines.listsched:heft_schedule", supports_epsilon=False),
+    SchedulerEntry("etf", "repro.baselines.listsched:etf_schedule", supports_epsilon=False),
+    SchedulerEntry(
+        "preclustering",
+        "repro.baselines.clustering:preclustering_schedule",
+        supports_epsilon=False,
+    ),
+    SchedulerEntry("expert", "repro.baselines.expert:expert_schedule", supports_epsilon=False),
+    SchedulerEntry("tda", "repro.baselines.tda:tda_schedule", supports_epsilon=False),
+    SchedulerEntry("wmsh", "repro.baselines.wmsh:wmsh_schedule", supports_epsilon=False),
 ):
     SCHEDULERS.register(_entry, name=_entry.name)
 del _entry

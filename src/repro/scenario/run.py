@@ -17,7 +17,7 @@ spec.
 
 from __future__ import annotations
 
-from repro.exceptions import SchedulingError, SpecificationError
+from repro.exceptions import SchedulingError, SpecificationError, ValidationError
 from repro.experiments.config import ExperimentConfig, workload_period
 from repro.failures.scenarios import FaultTrace, sample_fault_trace
 from repro.graph.generator import PaperWorkload
@@ -28,6 +28,7 @@ from repro.scenario.registries import SCHEDULERS, WORKLOAD_GENERATORS
 from repro.scenario.spec import FaultSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec
 from repro.utils.registry import close_matches_hint
 from repro.schedule.schedule import Schedule
+from repro.schedule.validation import validate_schedule
 from repro.utils.rng import derive_seed, ensure_rng
 
 __all__ = [
@@ -158,6 +159,11 @@ def build_schedule(
     heuristic at each step — a scenario the heuristic cannot schedule
     degrades instead of dying (the online rebuild machinery still exercises
     the failures).  With ``fallback=False`` a single attempt is made.
+
+    Every schedule returned passes
+    :func:`~repro.schedule.validation.validate_schedule`: a build that
+    loads some resource above the period fails its rung like a heuristic
+    that raised, and without a rung left the error names that resource.
     """
     if period is None:
         period = resolve_period(workload, scheduler)
@@ -165,7 +171,9 @@ def build_schedule(
     options = dict(scheduler.options)
     _check_scheduler_options(scheduler.name, entry.build, options)
     if not entry.supports_epsilon:
-        return entry.build(workload.graph, workload.platform, period=period, **options)
+        return _validated(
+            entry.build(workload.graph, workload.platform, period=period, **options)
+        )
     if scheduler.fallback:
         epsilons = dict.fromkeys((scheduler.epsilon, max(0, scheduler.epsilon - 1), 0))
         builders = [entry.build]
@@ -178,7 +186,7 @@ def build_schedule(
     for epsilon in epsilons:
         for builder in builders:
             try:
-                return builder(
+                return _validated(builder(
                     workload.graph,
                     workload.platform,
                     period=period,
@@ -187,7 +195,7 @@ def build_schedule(
                     # must not kill the *fallback* heuristic with a TypeError
                     **(options if builder is entry.build
                        else _accepted_options(builder, options)),
-                )
+                ))
             except SchedulingError as exc:
                 last_error = exc
                 continue
@@ -195,6 +203,17 @@ def build_schedule(
         f"no schedule found for scenario (scheduler {scheduler.name!r}, "
         f"epsilon {scheduler.epsilon}, period {period:g}): {last_error}"
     )
+
+
+def _validated(schedule: Schedule) -> Schedule:
+    """*schedule*, or a :class:`SchedulingError` naming what it violates."""
+    try:
+        validate_schedule(schedule)
+    except ValidationError as exc:
+        raise SchedulingError(
+            f"{schedule.algorithm} schedule at epsilon {schedule.epsilon} is invalid: {exc}"
+        ) from exc
+    return schedule
 
 
 def active_workload(workload: PaperWorkload, faults: FaultSpec) -> PaperWorkload:

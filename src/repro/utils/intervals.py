@@ -151,13 +151,16 @@ class Timeline(_BusyIndex):
         """True when ``[start, start + duration)`` does not overlap any busy interval."""
         if duration <= _EPS:
             return True
-        probe = Interval(start, start + duration)
-        idx = bisect.bisect_left(self._starts, start) - 1
-        for i in range(max(idx, 0), len(self._intervals)):
-            iv = self._intervals[i]
-            if iv.start >= probe.end - _EPS:
+        end = start + duration
+        if math.isnan(end):
+            raise ValueError("interval endpoints must not be NaN")
+        # Interval.overlaps on the parallel lists, without building the probe
+        starts, ends = self._starts, self._ends
+        limit = end - _EPS
+        for i in range(max(bisect.bisect_left(starts, start) - 1, 0), len(starts)):
+            if starts[i] >= limit:
                 break
-            if iv.overlaps(probe):
+            if start < ends[i] - _EPS:
                 return False
         return True
 

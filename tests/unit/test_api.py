@@ -38,6 +38,7 @@ from repro.runtime.engine import OnlineRuntime
 from repro.runtime.trace import summarize_trace
 from repro.scenario import ScenarioSpec, SuiteSpec
 from repro.scenario.run import run_scenario_online
+from repro.schedule.validation import validate_schedule
 from repro.utils.rng import derive_seed, ensure_rng
 
 SCENARIO = ScenarioSpec(name="runtime-trial").updated(
@@ -255,6 +256,28 @@ class TestBuildScheduleFallback:
             SchedulerSpec(name="rltf", epsilon=1, options={"enable_rule1": False}),
         )
         assert schedule.is_complete()
+
+    def test_overloaded_build_fails_its_rung(self):
+        """At slack 1.0 the default spec's R-LTF build at epsilon 2 (workload
+        seed 2) loads P5's in-port above the period: alone it is an error
+        naming the resource, and the ladder moves on to a valid rung."""
+        spec = ScenarioSpec().updated({"scheduler.period_slack": 1.0, "workload.seed": 2})
+        strict = Session(spec.updated({"scheduler.fallback": False}))
+        with pytest.raises(SchedulingError, match="'P5' incoming comm load"):
+            strict.schedule(seed=0)
+        schedule = Session(spec).schedule(seed=0).schedule
+        validate_schedule(schedule)
+        assert schedule.algorithm == "ltf"
+
+    def test_lazy_baseline_options_are_checked(self):
+        """A baseline's builder loads on first lookup, and its signature
+        still vets scheduler.options."""
+        from repro.scenario.run import validate_spec_options
+
+        spec = SCENARIO.updated({"scheduler.name": "tda", "scheduler.epsilon": 0})
+        validate_spec_options(spec.updated({"scheduler.options": {"throughput": 0.1}}))
+        with pytest.raises(SpecificationError, match="'bogus' not accepted by scheduler 'tda'"):
+            validate_spec_options(spec.updated({"scheduler.options": {"bogus": 1}}))
 
 
 class TestCampaignPoint:

@@ -3,10 +3,15 @@
 import pytest
 
 from repro.core.bicriteria import maximize_resilience, maximize_throughput
-from repro.core.engine import MappingEngine, SchedulerOptions, condition_one, resolve_period
+from repro.core.engine import (
+    MappingEngine,
+    SchedulerOptions,
+    condition_one,
+    forced_schedule,
+    resolve_period,
+)
 from repro.core.fault_free import fault_free_latency, fault_free_schedule
 from repro.core.ltf import ltf_schedule
-from repro.core.rebuild import build_forward_schedule
 from repro.core.rltf import rltf_schedule
 from repro.exceptions import (
     ReplicationError,
@@ -180,7 +185,9 @@ class TestRLTF:
     def test_reverse_pass_stats_are_recorded(self, fig2, fig2_platform):
         sch = rltf_schedule(fig2, fig2_platform, throughput=0.05, epsilon=1)
         assert "reverse_chunks" in sch.stats
-        assert "chain_fed" in sch.stats
+        for name in ("one_to_one_calls", "regular_mappings", "chunks", "relaxed_placements"):
+            assert name in sch.stats
+        assert sch.stats["one_to_one_calls"] + sch.stats["regular_mappings"] == 2 * 7
 
     def test_fails_when_period_too_small(self, fig2, fig2_platform):
         with pytest.raises(ThroughputInfeasibleError):
@@ -194,36 +201,40 @@ class TestRLTF:
             assert len(set(sch.processors_of_task(task))) == 4
 
 
-class TestForwardRebuild:
-    def test_rebuild_from_explicit_assignment(self, chain6):
+class TestForcedAssignment:
+    def test_schedule_from_explicit_assignment(self, chain6):
         platform = homogeneous_platform(4)
         assignment = {t: ["P1" if i < 3 else "P2"] for i, t in enumerate(chain6.task_names)}
-        sch = build_forward_schedule(chain6, platform, period=40.0, epsilon=0, assignment=assignment)
+        sch = forced_schedule(chain6, platform, 40.0, assignment, "forced")
         assert num_stages(sch) == 2
+        assert sch.stats["relaxed_placements"] == 0
         validate_schedule(sch)
 
     def test_missing_task_rejected(self, chain6):
         platform = homogeneous_platform(4)
         with pytest.raises(ScheduleError):
-            build_forward_schedule(chain6, platform, 40.0, 0, {"t1": ["P1"]})
+            forced_schedule(chain6, platform, 40.0, {"t1": ["P1"]}, "forced")
 
     def test_wrong_replica_count_rejected(self, chain6):
         platform = homogeneous_platform(4)
         assignment = {t: ["P1"] for t in chain6.task_names}
         with pytest.raises(ScheduleError):
-            build_forward_schedule(chain6, platform, 40.0, 1, assignment)
+            forced_schedule(chain6, platform, 40.0, assignment, "forced", SchedulerOptions(epsilon=1))
 
     def test_duplicate_processors_rejected(self, chain6):
         platform = homogeneous_platform(4)
         assignment = {t: ["P1", "P1"] for t in chain6.task_names}
         with pytest.raises(ScheduleError):
-            build_forward_schedule(chain6, platform, 40.0, 1, assignment)
+            forced_schedule(chain6, platform, 40.0, assignment, "forced", SchedulerOptions(epsilon=1))
 
-    def test_overload_is_reported_not_raised(self, chain6):
+    def test_overload_is_counted_not_raised(self, chain6):
         platform = homogeneous_platform(4)
         assignment = {t: ["P1"] for t in chain6.task_names}  # 60 work on one proc
-        sch = build_forward_schedule(chain6, platform, period=10.0, epsilon=0, assignment=assignment)
-        assert sch.stats["overloaded_processors"] == 1
+        sch = forced_schedule(chain6, platform, 10.0, assignment, "forced")
+        assert sch.is_complete()
+        assert all(sch.processors_of_task(t) == ("P1",) for t in chain6.task_names)
+        # t1 fits in the period of 10; each later task pushes P1 past it
+        assert sch.stats["relaxed_placements"] == len(chain6.task_names) - 1
 
 
 class TestFaultFree:

@@ -13,7 +13,8 @@ what a command really loaded:
   the Gantt renderer and networkx; ``cache ls`` stays off numpy, and the
   runtime trace loads only the metrics of ``repro.obs``;
 * a forked campaign worker or scenario-job child finds everything its run
-  executes already imported in the process it was forked from.
+  executes already imported in the process it was forked from, and a
+  default campaign's set-up leaves the related-work baselines unloaded.
 """
 
 from __future__ import annotations
@@ -238,7 +239,8 @@ def test_runtime_trace_loads_only_the_metrics_of_obs():
 
 # --------------------------------------------------------------- warm forks
 def test_campaign_worker_finds_its_trial_imported():
-    """The imports a campaign makes before its pool forks cover one trial."""
+    """The imports a campaign makes before its pool forks cover one trial,
+    and none of them is a baseline the default spec does not run."""
     done = _python("""
 import json, sys
 import repro.resilience
@@ -257,10 +259,12 @@ repro.resilience.supervised_map = at_fork
 try:
     run_runtime_campaign(ScenarioSpec(), trials=1, seed=0, jobs=2)
 except AtFork as fork:
-    print(json.dumps(fork.args[0]))
+    baselines = [m for m in sys.modules if m.startswith("repro.baselines")]
+    print(json.dumps([fork.args[0], baselines]))
 """)
-    new = json.loads(done.stdout)
+    new, baselines = json.loads(done.stdout)
     assert [m for m in new if m.startswith(("repro.", "numpy.random"))] == []
+    assert baselines == []
 
 
 def test_scenario_job_child_finds_its_run_imported():
