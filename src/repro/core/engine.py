@@ -421,10 +421,8 @@ class MappingEngine:
         predecessor is a source), condition (1) unchecked."""
         flat = ctx.full_sources
         if flat is None:
-            replicas = self.schedule.replicas
-            flat = ctx.full_sources = ordered_sources(
-                self.schedule, task, {pred: replicas(pred) for pred in self.graph.predecessors(task)}
-            )
+            sources = {pred: self.schedule.replicas(pred) for pred in self.graph.predecessors(task)}
+            flat = ctx.full_sources = ordered_sources(self.schedule, task, sources)
         return plan_ordered(self.schedule, task, processor, flat)
 
     def plan_regular(self, task: str, processor: str, ctx: TaskContext) -> PlacementPlan | None:
@@ -545,28 +543,29 @@ class MappingEngine:
         exists, because their outgoing communication would violate
         condition (1) on the source side.
         """
-        if not self.graph.predecessors(task):
-            return None
         available = self.chain_source_candidates(task, ctx)
-        if not all(available.values()):
+        if not available or not all(available.values()):
             return None
         schedule = self.schedule
         processor_of = schedule.processor_of
         limit = self.period + _TOL
         chosen: dict[str, Replica] = {}
         for pred, reps in available.items():
-            pick = next((rep for rep in reps if processor_of(rep) == processor), None)
-            if pick is None:
+            # rep ends as the co-located source, else the first whose
+            # out-port still fits the transfer, else the head
+            for rep in reps:
+                if processor_of(rep) == processor:
+                    break
+            else:
                 volume = self.graph.volume(pred, task)
                 for rep in reps:
                     src_proc = processor_of(rep)
                     duration = schedule.transfer_time(volume, src_proc, processor)
                     if schedule.processor_state(src_proc).comm_out_load + duration <= limit:
-                        pick = rep
                         break
                 else:
-                    pick = reps[0]
-            chosen[pred] = pick
+                    rep = reps[0]
+            chosen[pred] = rep
         return chosen
 
     @property

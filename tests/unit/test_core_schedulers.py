@@ -219,13 +219,17 @@ class TestForcedAssignment:
         platform = homogeneous_platform(4)
         assignment = {t: ["P1"] for t in chain6.task_names}
         with pytest.raises(ScheduleError):
-            forced_schedule(chain6, platform, 40.0, assignment, "forced", SchedulerOptions(epsilon=1))
+            forced_schedule(
+                chain6, platform, 40.0, assignment, "forced", SchedulerOptions(epsilon=1)
+            )
 
     def test_duplicate_processors_rejected(self, chain6):
         platform = homogeneous_platform(4)
         assignment = {t: ["P1", "P1"] for t in chain6.task_names}
         with pytest.raises(ScheduleError):
-            forced_schedule(chain6, platform, 40.0, assignment, "forced", SchedulerOptions(epsilon=1))
+            forced_schedule(
+                chain6, platform, 40.0, assignment, "forced", SchedulerOptions(epsilon=1)
+            )
 
     def test_overload_is_counted_not_raised(self, chain6):
         platform = homogeneous_platform(4)
