@@ -320,7 +320,7 @@ class Schedule:
             raise ScheduleError(f"replica {replica!r} is already placed")
         if replica.task not in self._replicas_of:
             raise ScheduleError(f"unknown task {replica.task!r}")
-        if proc in self.processors_of_task(replica.task):
+        if any(self._assignment[r] == proc for r in self._replicas_of[replica.task]):
             raise ScheduleError(
                 f"processor {proc!r} already hosts a replica of task {replica.task!r}"
             )
