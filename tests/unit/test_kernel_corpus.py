@@ -20,8 +20,11 @@ through ``admit_restored``; the offline simulation (``simulator/*``: one
 crash-free engine run with a crash set down from the start, no rebuild and
 an unbounded queue) against ``admit_batch``; the online runtime with shed
 and queue admission and ``rebuild_on_repair``; correlated, elastic-spare and
-trace-replay fault worlds; and a dyadic (integer durations) workload
-streamed online, quiet and with one crash.
+trace-replay fault worlds; a dyadic (integer durations) workload
+streamed online, quiet and with one crash; and same-instant tie order
+(``ties/*``: the Figure 2 workflow on 6 and 8 identical processors, LTF and
+R-LTF at ε=1 and Δ=32/64, releases every Δ/2), where an event pushed at the
+instant it falls due must pop after every earlier event due then.
 
 The goldens in ``tests/golden/kernel_trace_fingerprints.json`` were generated
 on the kernel *before* its per-dataset record layout, so they pin that
@@ -60,7 +63,7 @@ from repro.failures.scenarios import FaultEvent, FaultTrace
 from repro.graph.examples import figure2_graph
 from repro.graph.generator import random_paper_workload
 from repro.obs.probe import MetricsProbe
-from repro.platform.builders import figure2_platform
+from repro.platform.builders import figure2_platform, homogeneous_platform
 from repro.runtime.admission import QueueAdmissionPolicy
 from repro.runtime.engine import OnlineRuntime
 from repro.scenario import ScenarioSpec
@@ -315,6 +318,34 @@ def _dyadic_online(schedule, crashes: list[float], n: int) -> dict:
     return rec.result()
 
 
+def tie_schedules() -> dict:
+    """Name -> schedule: the Figure 2 workflow on identical processors and
+    links, where co-located replicas exchange data at no cost, so
+    zero-duration transfers fall due at the instant they are sent.
+    ``strict_throughput=False`` keeps R-LTF on 6 processors at Δ=32, which
+    the strict build rejects; every other build is the strict one."""
+    built = {}
+    for name, build in (("ltf", ltf_schedule), ("rltf", rltf_schedule)):
+        for m in (6, 8):
+            for period in (32.0, 64.0):
+                built[f"{name}-m{m}-d{period:g}"] = build(
+                    figure2_graph(), homogeneous_platform(m), period=period,
+                    epsilon=1, strict_throughput=False,
+                )
+    return built
+
+
+def _ties(schedule) -> dict:
+    """admit_batch releases every half period: same-instant events pushed
+    while the clock stands at their instant must pop after every earlier
+    event due at that instant, in push order."""
+    rec = _Record()
+    n = 60
+    kernel = PipelineKernel(schedule, probe=rec.probe)
+    kernel.admit_batch([k * schedule.period / 2 for k in range(n)])
+    return _finish(rec, kernel, n)
+
+
 def corpus() -> dict[str, dict]:
     """Case name -> recorded outputs for the whole frozen corpus."""
     produced: dict[str, dict] = {}
@@ -330,6 +361,8 @@ def corpus() -> dict[str, dict]:
     period = dyadic.period
     produced["dyadic/quiet"] = _dyadic_online(dyadic, [], 2000)
     produced["dyadic/sparse"] = _dyadic_online(dyadic, [700.5 * period], 2000)
+    for name, schedule in tie_schedules().items():
+        produced[f"ties/{name}"] = _ties(schedule)
     return produced
 
 
