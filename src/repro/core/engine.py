@@ -19,8 +19,8 @@ Both heuristics of the paper share the same skeleton (Algorithm 4.1):
 The two heuristics differ only in the *orientation* of the traversal (LTF is
 top-down, R-LTF is bottom-up on the reversed graph) and in the
 processor-selection policy (R-LTF first tries to keep the pipeline-stage
-number constant — Rule 1 — and uses the structural Rule 2 to trigger the
-one-to-one procedure).  The :class:`MappingEngine` below implements the shared
+number constant — Rule 1 — before the one-to-one procedure, whose attempt
+for every replica subsumes the structural Rule 2).  The :class:`MappingEngine` below implements the shared
 skeleton and delegates the per-replica decision to a policy object.
 :func:`forced_schedule` runs it in topological order with every replica
 forced onto an assigned processor (:class:`ForcedPolicy`): R-LTF's forward

@@ -14,9 +14,12 @@ order, when placing the replicas of the current task ``t``:
   join), assign all replicas of ``t`` with the one-to-one mapping procedure,
   which keeps the replication communications at one per source replica.
 
-When neither rule applies, the replica falls back to the LTF selection
+When Rule 1 does not apply, the replica falls back to the LTF selection
 (one-to-one while independent sources remain, otherwise the
-throughput-feasible processor with minimum finish time).
+throughput-feasible processor with minimum finish time).  That fallback
+subsumes Rule 2's trigger: every task keeps ε+1 replicas (θ_k = ε+1), so
+one-to-one is tried for every replica of every task with a successor, join
+or not, and a structural test would only repeat the same attempt.
 
 Implementation
 --------------
@@ -63,9 +66,8 @@ class RLTFPolicy:
     the same total stage count.
     """
 
-    def __init__(self, enable_rule1: bool = True, enable_rule2: bool = True):
+    def __init__(self, enable_rule1: bool = True):
         self.enable_rule1 = enable_rule1
-        self.enable_rule2 = enable_rule2
 
     # ------------------------------------------------------------------ rules
     def _successor_stage_floor(self, engine: MappingEngine, task: str) -> int:
@@ -107,30 +109,12 @@ class RLTFPolicy:
                     best = plan
         return best
 
-    def _rule2_applies(self, engine: MappingEngine, task: str) -> bool:
-        """Structural condition of Rule 2 (expressed on the reversed graph)."""
-        graph = engine.graph
-        succs = graph.predecessors(task)  # original successors
-        if len(succs) != 1:
-            return False
-        join = succs[0]
-        siblings = graph.successors(join)  # original predecessors of the join
-        return all(len(graph.predecessors(s)) == 1 for s in siblings)
-
     # ------------------------------------------------------------------ policy
     def choose(self, engine: MappingEngine, task: str, ctx: TaskContext) -> PlacementPlan | None:
         succs = engine.graph.predecessors(task)
         if succs:
             if self.enable_rule1:
                 plan = self._rule1_plan(engine, task, ctx)
-                if plan is not None:
-                    return plan
-            if (
-                self.enable_rule2
-                and engine.options.enable_one_to_one
-                and self._rule2_applies(engine, task)
-            ):
-                plan = engine.plan_chain(task, ctx)
                 if plan is not None:
                     return plan
             if engine.options.enable_one_to_one:
@@ -149,16 +133,15 @@ def rltf_schedule(
     chunk_size: int | None = None,
     enable_one_to_one: bool = True,
     enable_rule1: bool = True,
-    enable_rule2: bool = True,
     strict_throughput: bool = True,
     strict_resilience: bool = False,
     priorities: Mapping[str, float] | None = None,
 ) -> Schedule:
     """Schedule *graph* on *platform* with the R-LTF heuristic.
 
-    The signature mirrors :func:`~repro.core.ltf.ltf_schedule`; the two extra
-    flags ``enable_rule1`` / ``enable_rule2`` exist for the ablation
-    benchmarks (disabling both degenerates into a bottom-up LTF).
+    The signature mirrors :func:`~repro.core.ltf.ltf_schedule`; the extra
+    flag ``enable_rule1`` exists for the ablation benchmarks (disabling it
+    degenerates into a bottom-up LTF).
 
     Returns
     -------
@@ -184,7 +167,7 @@ def rltf_schedule(
         algorithm="r-ltf/reverse-pass",
         priorities=priorities,
     )
-    reverse_schedule = engine.run(RLTFPolicy(enable_rule1=enable_rule1, enable_rule2=enable_rule2))
+    reverse_schedule = engine.run(RLTFPolicy(enable_rule1=enable_rule1))
 
     assignment = {task: reverse_schedule.processors_of_task(task) for task in graph.task_names}
     schedule = forced_schedule(graph, platform, resolved, assignment, "r-ltf", options)

@@ -177,7 +177,6 @@ class TestRLTF:
             period=period,
             epsilon=1,
             enable_rule1=False,
-            enable_rule2=False,
         )
         assert base.is_complete() and no_rules.is_complete()
         assert num_stages(base) <= num_stages(no_rules)
