@@ -71,6 +71,14 @@ reaches the record without a dictionary lookup.  Compute, out-port and
 in-port free times are lists indexed by processor index, and the crashed set
 holds indices.
 
+An event that falls due at the instant it is pushed — a zero-cost transfer
+between co-located replicas, or a duration absorbed by rounding — skips the
+heap: it goes to a FIFO of ``(kind, operand, record)`` tuples.  Within one
+drain every push draws a sequence number above every heap entry, so such an
+event pops after every heap entry due at that instant, and in push order;
+the loop pops the heap while its top is due now and the FIFO otherwise,
+which is that order exactly.  The FIFO is empty whenever a drain returns.
+
 Memory model — the eviction watermark
 -------------------------------------
 
@@ -89,6 +97,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -465,7 +474,8 @@ class PipelineKernel:
         single step; the record is a list indexed by the replica's fixed
         slots, so an event touches no dictionary.  Pushes go through
         ``heapq.heappush`` directly (the sequence counter is a local,
-        written back on exit).
+        written back on exit), except those due at the current instant,
+        which go to the ``due`` FIFO (module docstring) and draw no number.
 
         The eviction watermark settles after each event: the popped event
         releases one reference, every push takes one, and a completed
@@ -488,19 +498,33 @@ class PipelineKernel:
         retire = self._retire
         now = self._now
         probe = self._probe
+        # events pushed at the current instant, in push order
+        due = deque()
+        due_append = due.append
+        popleft = due.popleft
         # per-kind event tallies, flushed once at loop exit: with no probe
         # attached the loop pays exactly one `is None` check per event
         ev_counts = None if probe is None else [0, 0, 0, 0]
         if len(self._live) > self._peak_live:
             self._peak_live = len(self._live)
 
-        while heap:
-            entry = pop(heap)
-            time, _, kind, operand, rec = entry
-            if time > limit:
-                push(heap, entry)  # same (time, seq): the pop order is unchanged
+        while True:
+            if due:
+                # an entry pushed at the current instant pops after every
+                # heap entry due then, and in push order
+                if heap and heap[0][0] == now:
+                    _, _, kind, operand, rec = pop(heap)
+                else:
+                    kind, operand, rec = popleft()
+            elif heap:
+                entry = pop(heap)
+                time, _, kind, operand, rec = entry
+                if time > limit:
+                    push(heap, entry)  # same (time, seq): the pop order is unchanged
+                    break
+                now = time
+            else:
                 break
-            now = time
             if ev_counts is not None:
                 ev_counts[kind] += 1
             pushed = 0
@@ -525,8 +549,11 @@ class PipelineKernel:
                             finish = start + dst.duration
                             compute_free[dst_proc] = finish
                             rec[dst.finish_slot] = finish
-                            count += 1
-                            push(heap, (finish, count, _COMPUTED, dst, rec))
+                            if finish == now:
+                                due_append((_COMPUTED, dst, rec))
+                            else:
+                                count += 1
+                                push(heap, (finish, count, _COMPUTED, dst, rec))
                             continue
                 # else: the transfer was in flight when an endpoint died
             elif kind == _COMPUTED:
@@ -546,19 +573,22 @@ class PipelineKernel:
                         if dead and dst_proc in dead:
                             continue  # no point sending to a dead receiver
                         pushed += 1
-                        count += 1
                         if duration == 0.0:
-                            push(heap, (now, count, _ARRIVED, link, rec))
+                            due_append((_ARRIVED, link, rec))
+                            continue
+                        start = out_free[src_proc]
+                        if now > start:
+                            start = now
+                        free = in_free[dst_proc]
+                        if free > start:
+                            start = free
+                        arrive = start + duration
+                        out_free[src_proc] = arrive
+                        in_free[dst_proc] = arrive
+                        if arrive == now:
+                            due_append((_ARRIVED, link, rec))
                         else:
-                            start = out_free[src_proc]
-                            if now > start:
-                                start = now
-                            free = in_free[dst_proc]
-                            if free > start:
-                                start = free
-                            arrive = start + duration
-                            out_free[src_proc] = arrive
-                            in_free[dst_proc] = arrive
+                            count += 1
                             push(heap, (arrive, count, _ARRIVED, link, rec))
                 # else: the processor died while this compute was in flight
             else:
@@ -576,8 +606,11 @@ class PipelineKernel:
                     compute_free[proc] = finish
                     rec[state.finish_slot] = finish
                     pushed += 1
-                    count += 1
-                    push(heap, (finish, count, _COMPUTED, state, rec))
+                    if finish == now:
+                        due_append((_COMPUTED, state, rec))
+                    else:
+                        count += 1
+                        push(heap, (finish, count, _COMPUTED, state, rec))
             left = rec[_REFS] + pushed - 1
             rec[_REFS] = left
             if not left and rec[_COMPLETION] is not None:
