@@ -20,8 +20,9 @@ The two heuristics differ only in the *orientation* of the traversal (LTF is
 top-down, R-LTF is bottom-up on the reversed graph) and in the
 processor-selection policy (R-LTF first tries to keep the pipeline-stage
 number constant — Rule 1 — before the one-to-one procedure, whose attempt
-for every replica subsumes the structural Rule 2).  The :class:`MappingEngine` below implements the shared
-skeleton and delegates the per-replica decision to a policy object.
+for every replica subsumes the structural Rule 2).  The
+:class:`MappingEngine` below implements the shared skeleton and delegates
+the per-replica decision to a policy object.
 :func:`forced_schedule` runs it in topological order with every replica
 forced onto an assigned processor (:class:`ForcedPolicy`): R-LTF's forward
 pass, the mapping-only baselines and the ``remap`` policy.

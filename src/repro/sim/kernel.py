@@ -501,7 +501,7 @@ class PipelineKernel:
         # events pushed at the current instant, in push order
         due = deque()
         due_append = due.append
-        popleft = due.popleft
+        due_popleft = due.popleft
         # per-kind event tallies, flushed once at loop exit: with no probe
         # attached the loop pays exactly one `is None` check per event
         ev_counts = None if probe is None else [0, 0, 0, 0]
@@ -515,7 +515,7 @@ class PipelineKernel:
                 if heap and heap[0][0] == now:
                     _, _, kind, operand, rec = pop(heap)
                 else:
-                    kind, operand, rec = popleft()
+                    kind, operand, rec = due_popleft()
             elif heap:
                 entry = pop(heap)
                 time, _, kind, operand, rec = entry
