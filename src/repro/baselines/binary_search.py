@@ -5,17 +5,17 @@ candidate period, a mapping routine partitions the graph into stages top-down
 and reports how many processors it needs; the search keeps the smallest period
 whose mapping fits on the available processors.  Here the mapping routine is
 the fault-free R-LTF scheduler itself (which fails explicitly when the period
-is too small), so the result is directly comparable to the other schedules.
+is too small), so the search is the throughput maximisation of
+:func:`repro.core.bicriteria.maximize_throughput` at ``ε = 0``, and the result
+is directly comparable to the other schedules.
 """
 
 from __future__ import annotations
 
-from repro.core.fault_free import fault_free_schedule
-from repro.exceptions import SchedulingError
+from repro.core.bicriteria import maximize_throughput
 from repro.graph.dag import TaskGraph
 from repro.platform.platform import Platform
 from repro.schedule.schedule import Schedule
-from repro.utils.checks import check_positive
 
 __all__ = ["minimal_period_schedule"]
 
@@ -29,29 +29,12 @@ def minimal_period_schedule(
     """Schedule at (close to) the smallest feasible period for *graph* on *platform*.
 
     Returns the fault-free schedule obtained at the smallest period the binary
-    search could certify; its ``period`` attribute carries the value.
+    search could certify; its ``period`` attribute carries the value.  Raises
+    :class:`~repro.exceptions.SchedulingError` when even the most generous
+    period is infeasible.
     """
-    check_positive(tolerance, "tolerance")
-    low = max(t.work for t in graph.tasks) / platform.max_speed
-    high = graph.total_work / platform.min_speed + graph.total_volume / platform.min_bandwidth
-
-    def probe(period: float) -> Schedule | None:
-        try:
-            return fault_free_schedule(graph, platform, period=period)
-        except SchedulingError:
-            return None
-
-    best = probe(high)
-    if best is None:
-        raise SchedulingError("even the most generous period is infeasible")
-    for _ in range(max_iterations):
-        if high - low <= tolerance * max(1.0, low):
-            break
-        mid = 0.5 * (low + high)
-        schedule = probe(mid)
-        if schedule is None:
-            low = mid
-        else:
-            best, high = schedule, mid
+    best = maximize_throughput(
+        graph, platform, epsilon=0, tolerance=tolerance, max_iterations=max_iterations
+    ).schedule
     best.algorithm = "minimal-period"
     return best

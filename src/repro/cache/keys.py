@@ -142,16 +142,19 @@ def result_key(kind: str, spec, seed: int, **extra) -> str:
     return hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
 
 
-def campaign_key(spec, seed: int, trials: int) -> str:
+def campaign_key(spec, seed: int, trials: int, kind: str = "runtime") -> str:
     """The address of a Monte-Carlo campaign: ``(spec, seed)`` × *trials*.
 
     This is the unit cached by the suite runner — one grid point's campaign —
-    and by :func:`repro.experiments.parallel.run_runtime_campaign`.
+    and by :func:`repro.experiments.parallel.run_runtime_campaign`.  *kind*
+    names what a trial computes (``runtime``: an online run of a scenario;
+    ``figure``: one random graph of a figure point), so campaigns of two
+    kinds never share an address, whatever their specs and seeds.
     """
-    return result_key("runtime-campaign", spec, seed, trials=int(trials))
+    return result_key(f"{kind}-campaign", spec, seed, trials=int(trials))
 
 
-def trial_key(spec, seed: int, trial: int) -> str:
+def trial_key(spec, seed: int, trial: int, kind: str = "runtime") -> str:
     """The address of a *single trial* of a campaign: the checkpoint unit.
 
     Derived like :func:`campaign_key` but per trial index — and deliberately
@@ -165,6 +168,7 @@ def trial_key(spec, seed: int, trial: int) -> str:
     *seed* is the campaign seed (the grid point's seed in a suite), not the
     trial's own derived seed: the trial seed is already a pure function of
     ``(seed, trial)``, so keying on the pair is equivalent and keeps the key
-    derivable before any RNG work happens.
+    derivable before any RNG work happens.  *kind* is the campaign's kind,
+    as in :func:`campaign_key`.
     """
-    return result_key("runtime-trial", spec, seed, trial=int(trial))
+    return result_key(f"{kind}-trial", spec, seed, trial=int(trial))

@@ -11,6 +11,10 @@ granularity points across 4 worker processes (same numbers, less wall-clock)::
 
     repro-streaming figure4c --paper-scale --jobs 4
 
+The figure commands cache their campaigns in the result cache of ``suite
+run`` (``$REPRO_CACHE_DIR`` moves it): panels of one ε share a campaign, and
+a killed run resumes per graph instance.
+
 Print the worked examples and the extra studies::
 
     repro-streaming examples
@@ -992,7 +996,9 @@ def _run_command(argv: Sequence[str] | None) -> int:
 
     jobs = args.jobs
     if command in _FIGURES:
-        series = getattr(fig, command)(_config(args), jobs=jobs)
+        from repro.cache import default_cache_dir
+
+        series = getattr(fig, command)(_config(args), jobs=jobs, cache=default_cache_dir())
     elif command == "ablations":
         series = fig.ablation_rules(_config(args), jobs=jobs)
     elif command == "baselines":

@@ -12,19 +12,19 @@ and the fault-free reference, then records for each heuristic:
 Instances where a heuristic fails to meet the throughput constraint are
 recorded as failures and excluded from the averages (their rate is reported).
 
-Sharding: the unit of parallel work is one **graph instance**, not one
-granularity point.  Every instance derives its own child seed up front from
-:func:`point_seed` (see :func:`instance_seeds`), so
-:func:`run_campaign` can flatten all ``(granularity, instance)`` pairs into a
-single work list and fan them across processes — trials are sharded *within*
-a point as well as across points, and the result is bit-for-bit identical for
-any ``jobs`` value.
+A point is a campaign of the one campaign executor
+(:mod:`repro.experiments.parallel`) whose trials are its graph instances:
+every instance derives its own child seed up front from :func:`point_seed`,
+the instances of all points share one supervised pool — sharded *within* a
+point as well as across points — and the result is bit-for-bit identical for
+any ``jobs`` value.  With a result cache, every point and every instance is
+cached under a key of the ``figure`` kind, so panels of one ε share their
+campaign and an interrupted campaign resumes instance by instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -38,13 +38,13 @@ from repro.failures.evaluation import expected_crash_latency
 from repro.graph.generator import random_paper_workload
 from repro.schedule.metrics import latency_upper_bound
 from repro.schedule.schedule import Schedule
-from repro.utils.rng import derive_seed, ensure_rng
+from repro.utils.rng import ensure_rng
 
 __all__ = [
     "PointResult",
     "CampaignResult",
+    "FigurePoint",
     "point_seed",
-    "instance_seeds",
     "run_graph_instance",
     "run_campaign",
     "ALGORITHMS",
@@ -63,24 +63,28 @@ def point_seed(config: ExperimentConfig, granularity: float, offset: int = 0) ->
     return config.seed + offset + int(round(granularity * 1000))
 
 
-def instance_seeds(
-    config: ExperimentConfig, granularity: float, epsilon: int
-) -> list[int]:
-    """Per-graph child seeds of one (granularity, ε) campaign point.
-
-    Drawn up front from the point seed, so instance ``i`` is a pure function
-    of ``(config, granularity, epsilon, i)`` — the prerequisite for sharding
-    instances across processes without changing the numbers.
-    """
-    rng = ensure_rng(point_seed(config, granularity, offset=31 * epsilon))
-    return [derive_seed(rng) for _ in range(config.num_graphs)]
-
-
 #: the two heuristics of the paper, keyed by their display name.
 ALGORITHMS: dict[str, Callable[..., Schedule]] = {
     "LTF": ltf_schedule,
     "R-LTF": rltf_schedule,
 }
+
+
+@dataclass(frozen=True)
+class FigurePoint:
+    """One (granularity, ε) point of a figure: the spec of its campaign."""
+
+    granularity: float
+    epsilon: int
+    config: ExperimentConfig
+
+    def to_dict(self) -> dict:
+        """The cache identity of the point: ε, the granularity and every
+        configuration field but the granularity axis and the graph count
+        (the campaign's trial count, which instance keys leave out)."""
+        fields = asdict(self.config)
+        del fields["granularities"], fields["num_graphs"]
+        return {"epsilon": self.epsilon, "granularity": self.granularity, **fields}
 
 
 @dataclass
@@ -118,17 +122,16 @@ class CampaignResult:
 
 
 def run_graph_instance(
-    item: tuple[float, int],
-    epsilon: int,
-    config: ExperimentConfig,
+    item: tuple[FigurePoint, int],
 ) -> tuple[dict[str, list[float]], dict[str, int]]:
     """Evaluate one random graph of one campaign point.
 
-    *item* is ``(granularity, instance_seed)``.  Returns the per-metric value
-    lists contributed by this instance plus its failure counters — the unit of
-    work fanned across processes by :func:`run_campaign`.
+    *item* is ``(point, instance_seed)``.  Returns the per-metric value lists
+    contributed by this instance plus its failure counters — the trial of a
+    figure campaign, fanned across processes by :func:`run_campaign`.
     """
-    granularity, seed = item
+    point, seed = item
+    granularity, epsilon, config = point.granularity, point.epsilon, point.config
     crashes = config.crash_counts(epsilon)
     rng = ensure_rng(seed)
     accum: dict[str, list[float]] = {}
@@ -215,57 +218,49 @@ def _reduce_point(
     )
 
 
-def _supervised_units(fn, units, jobs: int | None, what: str, tokens=None) -> list:
-    """``[fn(unit) for unit in units]`` over the supervised pool, in input order.
-
-    The one pool primitive of the figure studies.  They have no partial-result
-    shape (a point averages over *all* its instances), so units still missing
-    after the retry budget raise :class:`~repro.resilience.supervisor.
-    ExecutionError` naming *what* — but a transient worker death no longer
-    costs the whole study.  *tokens* (default: the unit index) name the units
-    in failures and key the chaos decisions of ``$REPRO_CHAOS``.  ``jobs`` of
-    ``None``, 0 or 1 runs serially in-process, with the same results.
-    """
-    from repro.resilience import ExecutionError, resolve_chaos, supervised_map
-
-    outcome = supervised_map(
-        fn, units, jobs=jobs or 1, tokens=tokens, chaos=resolve_chaos(None)
-    )
-    if outcome.failures:
-        raise ExecutionError(outcome.failures, what=what)
-    return outcome.values
-
-
 def run_campaign(
     epsilon: int,
     config: ExperimentConfig,
     jobs: int | None = 1,
+    cache=None,
 ) -> CampaignResult:
     """Sweep every granularity of *config* for the given ε.
 
-    The whole campaign is flattened into one list of ``(granularity, graph
-    instance)`` work units before fan-out, so ``jobs`` workers stay busy even
-    when there are fewer granularity points than workers (per-graph sharding
-    *within* a point).  Every unit carries its own pre-derived seed, so the
-    campaign is bit-for-bit identical for any ``jobs`` value.  Execution runs
-    under the supervised pool of :mod:`repro.resilience`, so a transient
-    worker death retries only the lost instances instead of aborting the
-    campaign; each unit's seed is its supervision token, so failures stay
-    attributable.
+    Each granularity is one campaign of the executor of
+    :mod:`repro.experiments.parallel`: its seed is :func:`point_seed` (offset
+    ``31·ε``), its trials are the ``num_graphs`` graph instances and its trial
+    function is :func:`run_graph_instance`.  The instances of every point
+    share one supervised pool, so ``jobs`` workers stay busy even when there
+    are fewer points than workers, a transient worker death retries only the
+    lost instances, and the campaign is bit-for-bit identical for any
+    ``jobs`` value.  Instances still missing after the retry budget raise
+    :class:`~repro.resilience.supervisor.ExecutionError`.
+
+    *cache* (a cache object from :mod:`repro.cache`, a directory path, or
+    ``None`` for no caching) serves a point whole when it ran before on this
+    code version, and checkpoints every instance as it lands: a re-run after
+    an interruption, or with a larger ``num_graphs``, executes only the
+    missing instances.
     """
-    units: list[tuple[float, int]] = []
-    for granularity in config.granularities:
-        units.extend((granularity, s) for s in instance_seeds(config, granularity, epsilon))
-    results = _supervised_units(
-        partial(run_graph_instance, epsilon=epsilon, config=config),
-        units,
-        jobs,
-        what=f"campaign (epsilon {epsilon})",
-        tokens=[unit_seed for _granularity, unit_seed in units],
+    from repro.cache import open_cache
+    from repro.experiments.parallel import _execute_campaigns
+    from repro.resilience import ExecutionError, resolve_chaos
+
+    points = [FigurePoint(g, epsilon, config) for g in config.granularities]
+    run = _execute_campaigns(
+        [(point, point_seed(config, point.granularity, offset=31 * epsilon))
+         for point in points],
+        config.num_graphs, jobs, open_cache(cache),
+        trial=run_graph_instance, kind="figure",
+        max_retries=2, trial_timeout=None, resume=True,
+        chaos=resolve_chaos(None), stop=None,
     )
-    n = config.num_graphs
-    points = [
-        _reduce_point(granularity, epsilon, config, results[k * n : (k + 1) * n])
-        for k, granularity in enumerate(config.granularities)
-    ]
-    return CampaignResult(epsilon=epsilon, points=points)
+    if run.outcome.failures:
+        raise ExecutionError(run.outcome.failures, what=f"campaign (epsilon {epsilon})")
+    return CampaignResult(
+        epsilon=epsilon,
+        points=[
+            _reduce_point(point.granularity, epsilon, config, list(result.values))
+            for point, result in zip(points, run.results)
+        ],
+    )

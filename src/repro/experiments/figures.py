@@ -2,9 +2,10 @@
 studies behind the ``ablations``, ``baselines`` and ``scaling`` commands.
 
 Each ``figureXY`` function returns a :class:`FigureSeries`: the granularity
-axis plus one named series per curve of the corresponding panel.  Campaign
-results are cached per (ε, config) within the process so that the three panels
-of a figure share a single sweep.
+axis plus one named series per curve of the corresponding panel, read off the
+ε campaign of :func:`~repro.experiments.campaign.run_campaign`.  The three
+panels of a figure share that campaign through the result cache: given one
+*cache*, the second and third panel are served from it.
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ from repro.core.fault_free import fault_free_schedule
 from repro.core.ltf import ltf_schedule
 from repro.core.rltf import rltf_schedule
 from repro.exceptions import SchedulingError
-from repro.experiments.campaign import (
-    CampaignResult,
-    point_seed,
-    run_campaign,
-    _supervised_units,
-)
+from repro.experiments.campaign import point_seed, run_campaign
 from repro.experiments.config import ExperimentConfig, bench_config, workload_period
 from repro.graph.generator import random_paper_workload
 from repro.schedule.metrics import communication_count, latency_upper_bound
@@ -43,7 +39,6 @@ __all__ = [
     "ablation_rules",
     "baseline_comparison",
     "scaling_study",
-    "clear_campaign_cache",
 ]
 
 
@@ -65,23 +60,6 @@ class FigureSeries:
         return rows
 
 
-_CAMPAIGN_CACHE: dict[tuple, CampaignResult] = {}
-
-
-def clear_campaign_cache() -> None:
-    """Drop the per-process campaign cache (used by tests)."""
-    _CAMPAIGN_CACHE.clear()
-
-
-def _campaign(epsilon: int, config: ExperimentConfig, jobs: int | None = 1) -> CampaignResult:
-    # `jobs` affects only the wall-clock, never the numbers (see run_campaign),
-    # so it is deliberately absent from the cache key.
-    key = (epsilon, config)
-    if key not in _CAMPAIGN_CACHE:
-        _CAMPAIGN_CACHE[key] = run_campaign(epsilon, config, jobs=jobs)
-    return _CAMPAIGN_CACHE[key]
-
-
 def _panel(
     name: str,
     epsilon: int,
@@ -89,9 +67,10 @@ def _panel(
     config: ExperimentConfig | None,
     description: str,
     jobs: int | None = 1,
+    cache=None,
 ) -> FigureSeries:
     config = config or bench_config()
-    campaign = _campaign(epsilon, config, jobs=jobs)
+    campaign = run_campaign(epsilon, config, jobs=jobs, cache=cache)
     series = {
         label: tuple(campaign.series(metric)) for label, metric in metrics.items()
     }
@@ -105,7 +84,9 @@ def _panel(
 
 
 # ------------------------------------------------------------------- Figure 3
-def figure3a(config: ExperimentConfig | None = None, jobs: int | None = 1) -> FigureSeries:
+def figure3a(
+    config: ExperimentConfig | None = None, jobs: int | None = 1, cache=None
+) -> FigureSeries:
     """Figure 3(a): normalized latency bounds vs granularity, ε = 1."""
     return _panel(
         "figure3a",
@@ -118,11 +99,14 @@ def figure3a(config: ExperimentConfig | None = None, jobs: int | None = 1) -> Fi
         },
         config=config,
         jobs=jobs,
+        cache=cache,
         description="Average normalized latency (bounds), epsilon=1",
     )
 
 
-def figure3b(config: ExperimentConfig | None = None, jobs: int | None = 1) -> FigureSeries:
+def figure3b(
+    config: ExperimentConfig | None = None, jobs: int | None = 1, cache=None
+) -> FigureSeries:
     """Figure 3(b): normalized latency with crashes vs granularity, ε = 1."""
     return _panel(
         "figure3b",
@@ -135,11 +119,14 @@ def figure3b(config: ExperimentConfig | None = None, jobs: int | None = 1) -> Fi
         },
         config=config,
         jobs=jobs,
+        cache=cache,
         description="Average normalized latency with crashes, epsilon=1",
     )
 
 
-def figure3c(config: ExperimentConfig | None = None, jobs: int | None = 1) -> FigureSeries:
+def figure3c(
+    config: ExperimentConfig | None = None, jobs: int | None = 1, cache=None
+) -> FigureSeries:
     """Figure 3(c): fault-tolerance overhead (%) vs granularity, ε = 1."""
     return _panel(
         "figure3c",
@@ -152,12 +139,15 @@ def figure3c(config: ExperimentConfig | None = None, jobs: int | None = 1) -> Fi
         },
         config=config,
         jobs=jobs,
+        cache=cache,
         description="Average fault-tolerance overhead, epsilon=1",
     )
 
 
 # ------------------------------------------------------------------- Figure 4
-def figure4a(config: ExperimentConfig | None = None, jobs: int | None = 1) -> FigureSeries:
+def figure4a(
+    config: ExperimentConfig | None = None, jobs: int | None = 1, cache=None
+) -> FigureSeries:
     """Figure 4(a): normalized latency bounds vs granularity, ε = 3."""
     return _panel(
         "figure4a",
@@ -170,11 +160,14 @@ def figure4a(config: ExperimentConfig | None = None, jobs: int | None = 1) -> Fi
         },
         config=config,
         jobs=jobs,
+        cache=cache,
         description="Average normalized latency (bounds), epsilon=3",
     )
 
 
-def figure4b(config: ExperimentConfig | None = None, jobs: int | None = 1) -> FigureSeries:
+def figure4b(
+    config: ExperimentConfig | None = None, jobs: int | None = 1, cache=None
+) -> FigureSeries:
     """Figure 4(b): normalized latency with c = 2 crashes vs granularity, ε = 3."""
     return _panel(
         "figure4b",
@@ -187,11 +180,14 @@ def figure4b(config: ExperimentConfig | None = None, jobs: int | None = 1) -> Fi
         },
         config=config,
         jobs=jobs,
+        cache=cache,
         description="Average normalized latency with crashes, epsilon=3",
     )
 
 
-def figure4c(config: ExperimentConfig | None = None, jobs: int | None = 1) -> FigureSeries:
+def figure4c(
+    config: ExperimentConfig | None = None, jobs: int | None = 1, cache=None
+) -> FigureSeries:
     """Figure 4(c): fault-tolerance overhead (%) vs granularity, ε = 3."""
     return _panel(
         "figure4c",
@@ -204,11 +200,34 @@ def figure4c(config: ExperimentConfig | None = None, jobs: int | None = 1) -> Fi
         },
         config=config,
         jobs=jobs,
+        cache=cache,
         description="Average fault-tolerance overhead, epsilon=3",
     )
 
 
 # ------------------------------------------------------------------ ablations
+def _supervised_units(fn, units, jobs: int | None, what: str, tokens=None) -> list:
+    """``[fn(unit) for unit in units]`` over the supervised pool, in input order.
+
+    The pool primitive of the ablation, baseline and scaling studies, which
+    are not campaigns of the executor: an ablation or baseline point draws
+    all its graphs from one RNG stream, and the scaling study's timings must
+    never come from a cache.  Units still missing after the retry budget
+    raise :class:`~repro.resilience.supervisor.ExecutionError` naming *what*.
+    *tokens* (default: the unit index) name the units in failures and key
+    the chaos decisions of ``$REPRO_CHAOS``.  ``jobs`` of ``None``, 0 or 1
+    runs serially in-process, with the same results.
+    """
+    from repro.resilience import ExecutionError, resolve_chaos, supervised_map
+
+    outcome = supervised_map(
+        fn, units, jobs=jobs, tokens=tokens, chaos=resolve_chaos(None)
+    )
+    if outcome.failures:
+        raise ExecutionError(outcome.failures, what=what)
+    return outcome.values
+
+
 def _ablation_point(
     granularity: float, config: ExperimentConfig, epsilon: int
 ) -> tuple[dict[str, float], dict[str, float]]:

@@ -1,11 +1,13 @@
-"""The Monte-Carlo campaign runner of the online runtime.
+"""The campaign executor, and the Monte-Carlo campaign of the online runtime.
 
 One executor runs every campaign of the package: a list of ``(spec, seed)``
 campaigns is probed against the result cache, the missed campaigns unroll
 into their individual trials, and all those trials share one supervised pool
 (:func:`repro.resilience.supervised_map`).  :func:`run_runtime_campaign` is
 the one-campaign call of that executor; :func:`repro.experiments.sweep.
-run_suite` hands it every grid point of a suite at once.
+run_suite` hands it every grid point of a suite at once, and
+:func:`repro.experiments.campaign.run_campaign` every granularity point of a
+figure, whose trials are its random graphs.
 
 Determinism is non-negotiable: every trial receives its own child seed
 derived *before* dispatch from its campaign seed
@@ -69,6 +71,20 @@ class RuntimeCampaignResult:
     def stats(self) -> RuntimeStats:
         """Aggregate statistics over the trials."""
         return combine_summaries(self.summaries)
+
+
+@dataclass(frozen=True)
+class CampaignTrials:
+    """The trial payloads of a campaign whose trials are not online runs.
+
+    What the executor returns (and caches) for a campaign of the ``figure``
+    kind: *values* holds one payload per trial, in trial order.
+    """
+
+    spec: object
+    seed: int
+    trial_seeds: tuple[int, ...]
+    values: tuple
 
 
 def run_runtime_campaign(
@@ -162,6 +178,14 @@ def _run_trial_unit(item: tuple[ScenarioSpec, int]) -> TraceSummary:
     return summarize_trace(run_scenario_online(spec, trial_seed))
 
 
+#: campaign kind -> (campaign result type, trial payload type): the types the
+#: cache must hold under that kind's keys, checked on every read.
+_KINDS = {
+    "runtime": (RuntimeCampaignResult, TraceSummary),
+    "figure": (CampaignTrials, tuple),
+}
+
+
 @dataclass(frozen=True)
 class _CampaignRun:
     """What :func:`_execute_campaigns` delivers, campaign by campaign."""
@@ -184,6 +208,8 @@ def _execute_campaigns(
     jobs: int | None,
     cache,
     *,
+    trial=_run_trial_unit,
+    kind: str = "runtime",
     max_retries: int,
     trial_timeout: float | None,
     resume: bool,
@@ -194,25 +220,29 @@ def _execute_campaigns(
 
     *cache* is an opened cache object and *chaos* a resolved chaos spec (or
     ``None``).  Every campaign is first probed in *cache* under
-    its :func:`~repro.cache.keys.campaign_key`; the missed ones unroll into
-    their trials — minus the trials already checkpointed when *resume* is on —
-    and all those (campaign, trial) units share one supervised pool, so
-    workers stay busy even when there are fewer campaigns than workers, and
-    each unit's return payload is one summary, never a whole
-    campaign pickle.  Completed campaigns are written back from the parent.
+    its :func:`~repro.cache.keys.campaign_key` of *kind*; the missed ones
+    unroll into their trials — minus the trials already checkpointed when
+    *resume* is on — and all those (campaign, trial) units share one
+    supervised pool, so workers stay busy even when there are fewer campaigns
+    than workers, and each unit's return payload is one trial's, never a
+    whole campaign pickle.  Unit ``(spec, trial seed)`` runs
+    ``trial((spec, trial_seed))``; the default is one online run of a
+    scenario, summarized.  Completed campaigns are written back from the
+    parent.
     """
     from repro.cache import MISS, campaign_key, trial_key
     from repro.resilience import supervised_map
     from repro.resilience.supervisor import RetryPolicy
 
+    result_type, trial_type = _KINDS[kind]
     # with caching off there is nothing to address: skip the hashing and the
     # probe loop entirely so a cacheless run carries all-zero stats.
     keys = [
-        campaign_key(spec, seed, trials) if cache.enabled else None
+        campaign_key(spec, seed, trials, kind) if cache.enabled else None
         for spec, seed in campaigns
     ]
     results = [
-        MISS if key is None else cache.get(key, expect=RuntimeCampaignResult)
+        MISS if key is None else cache.get(key, expect=result_type)
         for key in keys
     ]
     cached = [result is not MISS for result in results]
@@ -220,21 +250,27 @@ def _execute_campaigns(
     trial_seeds = {i: campaign_trial_seeds(campaigns[i][1], trials) for i in missed}
     # resume: trials already checkpointed by an interrupted run (or by a
     # smaller-trials run — trial keys ignore the campaign's total count) are
-    # served from the cache; only the missing ones become work units.
-    done = {
-        i: _probe_trial_checkpoints(cache, *campaigns[i], range(trials), resume)
-        for i in missed
-    }
+    # served from the cache; only the missing ones become work units.  Runs
+    # that did not opt in make no per-trial probe, so their cache traffic
+    # stays what it always was.
+    done: dict[int, dict] = {i: {} for i in missed}
+    if resume and cache.enabled:
+        for i in missed:
+            spec, seed = campaigns[i]
+            for t in range(trials):
+                value = cache.get(trial_key(spec, seed, t, kind), expect=trial_type)
+                if value is not MISS:
+                    done[i][t] = value
     resumed_trials = sum(len(found) for found in done.values())
     units = [(i, t) for i in missed for t in range(trials) if t not in done[i]]
 
     def checkpoint(slot: int, value) -> None:
         i, t = units[slot]
         spec, seed = campaigns[i]
-        cache.put(trial_key(spec, seed, t), value)
+        cache.put(trial_key(spec, seed, t, kind), value)
 
     outcome = supervised_map(
-        _run_trial_unit,
+        trial,
         [(campaigns[i][0], trial_seeds[i][t]) for i, t in units],
         jobs=jobs,
         tokens=[trial_seeds[i][t] for i, t in units],
@@ -267,11 +303,8 @@ def _execute_campaigns(
             )
             continue
         spec, seed = campaigns[i]
-        results[i] = RuntimeCampaignResult(
-            spec=spec,
-            seed=seed,
-            trial_seeds=trial_seeds[i],
-            summaries=tuple(values[t] for t in range(trials)),
+        results[i] = result_type(
+            spec, seed, trial_seeds[i], tuple(values[t] for t in range(trials))
         )
         if keys[i] is not None:
             cache.put(keys[i], results[i])
@@ -284,23 +317,3 @@ def _execute_campaigns(
         executed_trials=executed_trials,
     )
 
-
-def _probe_trial_checkpoints(
-    cache, spec, seed: int, trial_indices, resume: bool
-) -> dict[int, TraceSummary]:
-    """The already-checkpointed trials of a campaign: ``{trial index: value}``.
-
-    Empty unless *resume* is on and the cache is real — per-trial probes are
-    extra cache traffic, and runs that did not opt in must keep their exact
-    historical hit/miss accounting.
-    """
-    if not resume or not cache.enabled:
-        return {}
-    from repro.cache import MISS, trial_key
-
-    found: dict[int, TraceSummary] = {}
-    for t in trial_indices:
-        value = cache.get(trial_key(spec, seed, t), expect=TraceSummary)
-        if value is not MISS:
-            found[t] = value
-    return found

@@ -67,9 +67,10 @@ COUNTER_NAMES = (
 class ExecutionError(ReproError):
     """A campaign could not complete after exhausting every retry.
 
-    Raised by :func:`~repro.experiments.parallel.run_runtime_campaign`, which
-    has no partial-result shape to degrade into (suites do — they annotate
-    the failed point instead).  Carries the surviving :class:`UnitFailure`
+    Raised by :func:`~repro.experiments.parallel.run_runtime_campaign` and
+    :func:`~repro.experiments.campaign.run_campaign`, which have no
+    partial-result shape to degrade into (suites do — they annotate the
+    failed point instead).  Carries the surviving :class:`UnitFailure`
     records so the message names which trials died and why.
     """
 
@@ -215,7 +216,7 @@ def _invoke(fn, chaos: ChaosSpec | None, token: int, attempt: int, item):
 def supervised_map(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
-    jobs: int = 1,
+    jobs: int | None = 1,
     *,
     tokens: Sequence[int] | None = None,
     policy: RetryPolicy | None = None,
@@ -232,7 +233,8 @@ def supervised_map(
     ``jobs >= 2`` — a stuck unit cannot be preempted in-process, so serial
     execution ignores it).  ``on_result(index, value)`` fires in the parent
     as each unit completes, in completion order — this is the checkpoint
-    hook.  ``stop`` drains: no new work is started once set.
+    hook.  ``stop`` drains: no new work is started once set.  ``jobs`` of
+    ``None``, 0 or 1 runs serially in-process, with the same results.
     """
     policy = policy or RetryPolicy()
     if timeout is not None and not timeout > 0:  # also rejects nan
@@ -255,7 +257,7 @@ def supervised_map(
     )
     if not items:
         return state.outcome()
-    if jobs <= 1 or len(items) == 1:
+    if jobs is None or jobs <= 1 or len(items) == 1:
         _serial_map(fn, items, chaos, stop, state)
     else:
         _pool_map(fn, items, min(jobs, len(items)), chaos, timeout, stop, state)

@@ -13,7 +13,7 @@ driver: the crash set down from the start, no fault event, no rebuild.
 
 Layering (bottom to top)::
 
-    repro.sim            event queue + one-port pipeline kernel
+    repro.sim            the one-port pipeline kernel and its event heap
       └── repro.runtime.engine       the one driver (OnlineRuntime)
             └── repro.api / repro.experiments / repro.cli
                                  sessions, campaigns, reports
@@ -27,10 +27,6 @@ The kernel only ever *reads* the :class:`~repro.schedule.schedule.Schedule`
 simulation state lives here.
 """
 
-from repro.sim.events import EventQueue
 from repro.sim.kernel import PipelineKernel
 
-__all__ = [
-    "EventQueue",
-    "PipelineKernel",
-]
+__all__ = ["PipelineKernel"]

@@ -63,11 +63,18 @@ per predecessor task), ``finish_i`` the scheduled finish of its compute
 ``first_k`` the first completion of exit task *k*.  Records live in one dict
 keyed by data-set index, in admission order.
 
-Heap entries are flat tuples ``(time, seq, kind, operand, record)``: the
-operand is the replica state (release, compute completion), ``None`` (the
-merged release of every entry replica) or a prebuilt, shared *link* tuple
-(transfer arrival) — so the loop allocates exactly one tuple per event and
-reaches the record without a dictionary lookup.  Compute, out-port and
+Events live in one binary heap keyed by ``(time, seq)``: *seq* is drawn from
+a counter that only grows, so events at the same instant pop in the order
+their numbers were drawn — the tie rule every run relies on to stay bit-for-bit
+reproducible.  A number is normally drawn at push time; :meth:`reserve`
+draws the numbers of later admissions ahead, which is still the one rule: a
+release wins the ties its reservation predates.  Heap entries are flat
+tuples ``(time, seq, kind, operand, record)``, and ``(time, seq)`` is always
+a unique sort key, so the comparison never reaches the kind or the operand.
+The operand is the replica state (release, compute completion), ``None``
+(the merged release of every entry replica) or a prebuilt, shared *link*
+tuple (transfer arrival) — so the loop allocates exactly one tuple per event
+and reaches the record without a dictionary lookup.  Compute, out-port and
 in-port free times are lists indexed by processor index, and the crashed set
 holds indices.
 
@@ -105,7 +112,6 @@ from repro.exceptions import ScheduleError
 from repro.schedule.replica import Replica
 from repro.schedule.schedule import Schedule
 from repro.schedule.validation import valid_replicas_under_failures
-from repro.sim.events import EventQueue
 
 __all__ = ["PipelineKernel", "EVENT_KIND_NAMES"]
 
@@ -263,7 +269,9 @@ class PipelineKernel:
         self._in_free: list[float] = [0.0] * len(names)
 
         self._dead: set[int] = set()  # processors crashed *after* construction
-        self._queue = EventQueue()
+        #: the event heap (module docstring) and the last sequence number drawn
+        self._heap: list[tuple] = []
+        self._seq = 0
         #: the sequence numbers :meth:`reserve` drew ahead for :meth:`admit`:
         #: the next one to hand out and the end of the range
         self._reserved = self._reserved_end = 0
@@ -327,14 +335,14 @@ class PipelineKernel:
         """Draw the sequence numbers of the next *count* :meth:`admit` calls now.
 
         Those admissions take consecutive numbers from this point of the
-        queue's counter, so each of their releases wins every same-instant
+        sequence counter, so each of their releases wins every same-instant
         tie against an event pushed after this call, however late the
         release itself is admitted: a stream admitted window by window then
         pops tie for tie like the same stream admitted here in one go.  A
         later call discards what is left of an earlier reservation.
         """
-        seq = self._queue.next_seq()
-        self._queue.set_next_seq(seq + count)
+        seq = self._seq + 1
+        self._seq += count
         self._reserved, self._reserved_end = seq, seq + count
 
     def admit(self, dataset: int, release: float) -> None:
@@ -345,9 +353,9 @@ class PipelineKernel:
         seq = self._reserved
         if seq < self._reserved_end:
             self._reserved = seq + 1
-            heapq.heappush(self._queue.heap, (release, seq, _RELEASE_ALL, None, rec))
         else:
-            self._queue.push(release, _RELEASE_ALL, None, rec)
+            self._seq = seq = self._seq + 1
+        heapq.heappush(self._heap, (release, seq, _RELEASE_ALL, None, rec))
 
     def admit_batch(self, releases: Sequence[float]) -> None:
         """Admit data sets ``0, 1, ...`` released at *releases*, up front.
@@ -363,18 +371,17 @@ class PipelineKernel:
         # entry replica e draws the sequence numbers seq + e·n + k for its
         # k-th record, exactly what a push loop in that order would draw
         entries = self._entry_states
-        queue = self._queue
-        seq, n = queue.next_seq(), len(records)
+        heap = self._heap
+        seq, n = self._seq + 1, len(records)
         for rec in records:
             rec[_REFS] = len(entries)
         for e, state in enumerate(entries):
-            queue.heap.extend(
+            heap.extend(
                 (t, seq + e * n + k, _RELEASE, state, rec)
                 for k, (t, rec) in enumerate(zip(releases, records))
             )
-        if entries and n:
-            queue.set_next_seq(seq + len(entries) * n)
-        heapq.heapify(queue.heap)
+        self._seq += len(entries) * n
+        heapq.heapify(heap)
 
     def admit_restored(
         self, dataset: int, restore: float, done_tasks: Iterable[str] = ()
@@ -412,7 +419,8 @@ class PipelineKernel:
                 if bits != state.full_mask:
                     continue
             rec[_REFS] += 1
-            self._queue.push(restore, _RELEASE, state, rec)
+            self._seq += 1
+            heapq.heappush(self._heap, (restore, self._seq, _RELEASE, state, rec))
 
     def _register(self, dataset: int, release: float) -> list:
         """The fresh record of *dataset*, registered as live."""
@@ -483,11 +491,10 @@ class PipelineKernel:
         transfer arrival that starts a compute releases and takes one, so
         it skips the book-keeping.
         """
-        queue = self._queue
-        heap = queue.heap
+        heap = self._heap
         pop = heapq.heappop
         push = heapq.heappush
-        count = queue._count
+        count = self._seq
         dead = self._dead
         compute_free = self._compute_free
         out_free = self._out_free
@@ -615,7 +622,7 @@ class PipelineKernel:
             rec[_REFS] = left
             if not left and rec[_COMPLETION] is not None:
                 retire(rec[_INDEX])
-        queue._count = count
+        self._seq = count
         self._now = now
         if ev_counts is not None and any(ev_counts):
             probe.on_kernel_events(ev_counts, now)

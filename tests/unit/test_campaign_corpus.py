@@ -35,7 +35,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import (
     ablation_rules,
     baseline_comparison,
-    clear_campaign_cache,
     figure3a,
     scaling_study,
 )
@@ -151,9 +150,7 @@ def corpus() -> dict[str, dict]:
         produced[f"figures/baseline_comparison/jobs{jobs}"] = _series(
             baseline_comparison(TINY, jobs=jobs)
         )
-        clear_campaign_cache()
         produced[f"figures/figure3a/jobs{jobs}"] = _series(figure3a(TINY, jobs=jobs))
-    clear_campaign_cache()
     scaling = scaling_study(sizes=(10, 20), config=TINY, jobs=2)
     produced["figures/scaling_study/shape"] = {
         "x": repr(scaling.x),

@@ -273,6 +273,15 @@ def test_example_suite_parses_and_expands():
     assert suite.num_points == len(suite.points()) >= 2
 
 
+def test_readme_says_figure_commands_are_cached():
+    """Both README sections that run figure commands say they share the
+    result cache and resume per graph instance."""
+    readme = (REPO / "README.md").read_text()
+    for heading in ("### Monte-Carlo campaigns, in parallel", "## Reproducing the paper"):
+        section = " ".join(readme.split(heading, 1)[1].split("\n#", 1)[0].split())
+        assert "figure commands are cached and resume per graph instance" in section, heading
+
+
 def test_example_campaign_is_a_zero_axis_suite():
     campaign = SuiteSpec.from_file(REPO / "examples" / "campaign.json")
     assert campaign.axes == {} and campaign.points() == [campaign.base]

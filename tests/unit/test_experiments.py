@@ -4,19 +4,23 @@ import math
 
 import pytest
 
-from repro.experiments.campaign import run_campaign
+from repro.cache import campaign_key, open_cache, trial_key
+from repro.experiments import campaign as campaign_module
+from repro.experiments.campaign import FigurePoint, run_campaign
 from repro.experiments.config import ExperimentConfig, bench_config, paper_config, workload_period
 from repro.experiments.figures import (
     FigureSeries,
     ablation_rules,
-    clear_campaign_cache,
     figure3a,
+    figure3b,
+    figure4a,
     scaling_study,
 )
 from repro.experiments.reporting import render_example_rows, render_series
 from repro.experiments.tables import figure1_scenarios, figure2_example
 from repro.cli import build_parser, main
 from repro.graph.generator import random_paper_workload
+from repro.resilience import ExecutionError
 
 
 TINY = ExperimentConfig(
@@ -27,6 +31,19 @@ TINY = ExperimentConfig(
     crash_samples=2,
     seed=1,
 )
+
+
+def _count_instances(monkeypatch) -> list:
+    """Record the seed of every graph instance executed in-process (jobs=1)."""
+    executed = []
+    original = campaign_module.run_graph_instance
+
+    def counting(item):
+        executed.append(item[1])
+        return original(item)
+
+    monkeypatch.setattr(campaign_module, "run_graph_instance", counting)
+    return executed
 
 
 def _point(epsilon):
@@ -104,7 +121,6 @@ class TestCampaign:
 
 class TestFigures:
     def test_figure3a_series_structure(self):
-        clear_campaign_cache()
         series = figure3a(TINY)
         assert isinstance(series, FigureSeries)
         assert series.x == TINY.granularities
@@ -116,14 +132,50 @@ class TestFigures:
         }
         assert all(len(vals) == len(series.x) for vals in series.series.values())
 
-    def test_campaign_cache_reused_across_panels(self):
-        clear_campaign_cache()
-        from repro.experiments import figures as fig
-
-        a = figure3a(TINY)
-        b = fig.figure3b(TINY)
-        assert a.x == b.x
+    def test_campaign_cache_reused_across_panels(self, tmp_path):
+        """Panels of one ε share their campaign through one result cache:
+        figure3b after figure3a is served whole, with no miss."""
+        cache = open_cache(tmp_path)
+        a = figure3a(TINY, cache=cache)
+        before = cache.stats.snapshot()
+        b = figure3b(TINY, cache=cache)
+        assert cache.stats.misses == before.misses
+        assert cache.stats.hits == before.hits + len(TINY.granularities)
+        assert repr(b) == repr(figure3b(TINY))
         assert a.series["LTF With 0 Crash"] == b.series["LTF With 0 Crash"]
+
+    def test_more_graphs_execute_only_the_new_instances(self, tmp_path, monkeypatch):
+        """Instance keys leave the graph count out: growing a figure from 2
+        to 3 graphs per point executes one instance per point."""
+        cache = open_cache(tmp_path)
+        run_campaign(1, TINY.with_overrides(num_graphs=2), cache=cache)
+        grown = TINY.with_overrides(num_graphs=3)
+        executed = _count_instances(monkeypatch)
+        warm = run_campaign(1, grown, cache=cache)
+        assert len(executed) == len(TINY.granularities)
+        assert repr(warm) == repr(run_campaign(1, grown))
+
+    def test_interrupted_campaign_resumes_per_instance(self, tmp_path, monkeypatch):
+        """A figure campaign that loses instances after retry exhaustion
+        keeps its finished instances; a clean re-run on the same cache
+        executes only the lost ones and matches a cold run."""
+        config = TINY.with_overrides(num_graphs=3)
+        cache = open_cache(tmp_path)
+        monkeypatch.setenv("REPRO_CHAOS", "crash=0.6,seed=1")
+        with pytest.raises(ExecutionError) as lost:
+            figure4a(config, cache=cache)
+        monkeypatch.delenv("REPRO_CHAOS")
+        lost_seeds = sorted(failure.token for failure in lost.value.failures)
+        assert 0 < len(lost_seeds) < len(config.granularities) * config.num_graphs
+        executed = _count_instances(monkeypatch)
+        resumed = figure4a(config, cache=cache)
+        assert sorted(executed) == lost_seeds
+        assert repr(resumed) == repr(figure4a(config))
+
+    def test_figure_keys_never_equal_runtime_keys(self):
+        spec = FigurePoint(1.0, 1, TINY).to_dict()
+        assert campaign_key(spec, 5, 2, "figure") != campaign_key(spec, 5, 2)
+        assert trial_key(spec, 5, 0, "figure") != trial_key(spec, 5, 0)
 
     def test_one_to_one_never_adds_remote_communications(self):
         """Ablation A2: LTF's one-to-one procedure sends at most as many

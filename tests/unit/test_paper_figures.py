@@ -16,7 +16,7 @@ The tests read the frozen series only, so they run in milliseconds:
   fix or a new break shows up;
 * at ε=1 every overhead curve ends below where it starts.
 
-Regenerating takes minutes (about 11 on two workers). Do it after an
+Regenerating takes minutes (about 7 on two workers). Do it after an
 intended change of the schedulers or of the paper preset::
 
     PYTHONPATH=src python tests/unit/test_paper_figures.py --write
@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -60,15 +61,20 @@ RLTF_ABOVE_LTF = {
 
 
 def panels(jobs: int | None) -> dict:
-    """The golden document: the paper preset and its six panels."""
+    """The golden document: the paper preset and its six panels.
+
+    The panels share one fresh result cache, so the six panels compute two
+    campaigns (one per ε) and nothing is read from an earlier run.
+    """
     config = paper_config()
     document: dict = {"config": repr(config)}
-    for figure in PANELS:
-        panel = figure(config, jobs=jobs)
-        document[panel.name] = {
-            "x": list(panel.x),
-            "series": {label: list(values) for label, values in panel.series.items()},
-        }
+    with tempfile.TemporaryDirectory() as cache:
+        for figure in PANELS:
+            panel = figure(config, jobs=jobs, cache=cache)
+            document[panel.name] = {
+                "x": list(panel.x),
+                "series": {label: list(values) for label, values in panel.series.items()},
+            }
     return document
 
 

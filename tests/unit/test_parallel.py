@@ -3,13 +3,14 @@
 import pytest
 
 from repro.exceptions import SpecificationError
-from repro.experiments.campaign import (
-    _supervised_units,
-    instance_seeds,
-    run_campaign,
-)
+from repro.experiments.campaign import run_campaign
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import ablation_rules, baseline_comparison, scaling_study
+from repro.experiments.figures import (
+    _supervised_units,
+    ablation_rules,
+    baseline_comparison,
+    scaling_study,
+)
 from repro.experiments.parallel import run_runtime_campaign
 from repro.experiments.sweep import run_suite
 from repro.scenario import ScenarioSpec, SuiteSpec
@@ -66,6 +67,13 @@ class TestParallelMap:
     def test_none_and_zero_jobs_run_serially(self):
         assert _supervised_units(_square, [2], None, what="t") == [4]
         assert _supervised_units(_square, [2, 3], 0, what="t") == [4, 9]
+        serial = run_runtime_campaign(SPEC, trials=2, seed=1, jobs=1)
+        suite = _failure_regimes(SPEC, 1, 0)
+        campaign = run_campaign(1, TINY, jobs=1)
+        for jobs in (None, 0):
+            assert run_runtime_campaign(SPEC, trials=2, seed=1, jobs=jobs) == serial
+            assert repr(run_suite(suite, jobs=jobs).as_rows()) == repr(run_suite(suite).as_rows())
+            assert run_campaign(1, TINY, jobs=jobs) == campaign
 
 
 class TestRuntimeCampaign:
@@ -130,12 +138,6 @@ class TestCampaignJobs:
         fanned = run_campaign(1, TINY, jobs=2)
         assert [p.metrics for p in serial.points] == [p.metrics for p in fanned.points]
         assert [p.failures for p in serial.points] == [p.failures for p in fanned.points]
-
-    def test_instance_seeds_are_stable(self):
-        a = instance_seeds(TINY, 0.5, 1)
-        b = instance_seeds(TINY, 0.5, 1)
-        assert a == b and len(a) == TINY.num_graphs
-        assert instance_seeds(TINY, 1.5, 1) != a
 
     def test_campaign_shards_within_a_point(self):
         """Per-graph fan-out: a single point parallelises bit-for-bit."""

@@ -10,7 +10,7 @@ from repro.core.ltf import ltf_schedule
 from repro.exceptions import ScheduleError
 from repro.graph.examples import figure2_graph
 from repro.platform.builders import figure2_platform
-from repro.sim.events import EventQueue
+from repro.sim import kernel as kernel_module
 from repro.sim.kernel import PipelineKernel
 
 
@@ -23,56 +23,56 @@ def strict():
     )
 
 
-def _pop(q: EventQueue) -> tuple:
-    """Pop the earliest entry the way the kernel does: straight off the heap."""
-    return heapq.heappop(q.heap)
+def _pop(kernel: PipelineKernel) -> tuple:
+    """Pop the earliest entry the way the kernel's loop does: off its heap."""
+    return heapq.heappop(kernel._heap)
 
 
-class TestEventQueue:
-    def test_orders_by_time(self):
-        q = EventQueue()
-        q.push(3.0, 0, 1)
-        q.push(1.0, 1, 2)
-        q.push(2.0, 2, 3)
-        assert [_pop(q)[0] for _ in range(3)] == [1.0, 2.0, 3.0]
+class TestEventHeap:
+    """The kernel's event heap: ``(time, seq)`` order, FIFO on ties."""
 
-    def test_fifo_on_ties(self):
-        q = EventQueue()
-        for k in range(5):
-            q.push(1.0, 0, k)
-        assert [_pop(q)[3] for _ in range(5)] == [0, 1, 2, 3, 4]
+    def test_orders_by_time(self, strict):
+        kernel = PipelineKernel(strict)
+        for j, release in enumerate((3.0, 1.0, 2.0)):
+            kernel.admit(j, release)
+        assert [_pop(kernel)[0] for _ in range(3)] == [1.0, 2.0, 3.0]
 
-    def test_kind_never_participates_in_ordering(self):
-        # (time, seq) is always a unique sort key: same-time events pop in
-        # push order even when their kinds sort the other way
-        q = EventQueue()
-        q.push(1.0, 9, "first")
-        q.push(1.0, 0, "second")
-        assert [_pop(q)[3] for _ in range(2)] == ["first", "second"]
+    def test_fifo_on_ties(self, strict):
+        kernel = PipelineKernel(strict)
+        for j in range(5):
+            kernel.admit(j, 1.0)
+        assert [_pop(kernel)[4][kernel_module._INDEX] for _ in range(5)] == [0, 1, 2, 3, 4]
 
-    def test_push_builds_flat_entries(self):
-        # operands are spliced into the entry: no payload tuple per event
-        q = EventQueue()
-        q.push(4.5, 2, "a", "b", None)
-        assert q.heap == [(4.5, 1, 2, "a", "b", None)]
-        assert len(q) == 1
-        _pop(q)
-        assert not q
+    def test_entries_are_flat(self, strict):
+        # (time, seq, kind, operand, record): no payload tuple per event, and
+        # the unique (time, seq) prefix keeps the kind out of the ordering
+        kernel = PipelineKernel(strict)
+        kernel.admit(0, 4.5)
+        (entry,) = kernel._heap
+        assert entry[:4] == (4.5, 1, kernel_module._RELEASE_ALL, None)
+        assert entry[4][kernel_module._INDEX] == 0
 
-    def test_batch_sequence_numbering_matches_push(self):
-        """next_seq/set_next_seq let batch admission hand-build heap entries
-        with exactly the sequence numbers a push loop would have drawn."""
-        q = EventQueue()
-        q.push(5.0, 0, "pushed")
-        seq = q.next_seq()
-        q.heap.extend((1.0, s, 0, f"batch{i}") for i, s in enumerate((seq, seq + 1)))
-        q.set_next_seq(seq + 2)
-        heapq.heapify(q.heap)
-        assert [_pop(q)[3] for _ in range(3)] == ["batch0", "batch1", "pushed"]
-        q.push(0.5, 0, "after")  # the counter really advanced past the batch
-        assert _pop(q) == (0.5, 4, 0, "after")
-        with pytest.raises(ValueError):
-            q.set_next_seq(1)  # sequence numbers must never move backwards
+    def test_batch_numbering_matches_a_push_loop(self, strict):
+        """admit_batch hand-builds its entries with exactly the sequence
+        numbers a push loop would have drawn, and the counter moves past
+        them."""
+        kernel = PipelineKernel(strict)
+        kernel.admit_batch([1.0, 1.0])
+        entries = 2 * len(kernel._entry_states)
+        kernel.admit(2, 0.5)
+        assert sorted(entry[1] for entry in kernel._heap) == list(range(1, entries + 2))
+        assert _pop(kernel)[:2] == (0.5, entries + 1)
+
+    def test_reserve_draws_numbers_ahead(self, strict):
+        """A reserved admission wins the same-instant ties against every
+        event pushed after its reservation, however late it is admitted."""
+        kernel = PipelineKernel(strict)
+        kernel.reserve(1)
+        kernel.admit_restored(1, 1.0, ())
+        kernel.admit(0, 1.0)
+        first = _pop(kernel)
+        assert first[1] == 1 and first[4][kernel_module._INDEX] == 0
+        assert all(entry[1] > 1 for entry in kernel._heap)
 
 
 class TestBatchKernel:
@@ -197,7 +197,7 @@ class TestCheckpointRestore:
         snapshots = []
         while kernel.pending_datasets():
             snapshots.append(kernel.completed_tasks(0))
-            kernel.run_until(kernel._queue.heap[0][0])
+            kernel.run_until(kernel._heap[0][0])
         assert all(a <= b for a, b in zip(snapshots, snapshots[1:]))
         exits = frozenset(strict.graph.exit_tasks())
         assert snapshots[-1] | exits == frozenset(strict.graph.task_names)
@@ -220,7 +220,7 @@ class TestAdmissionRejectsBadInstants:
         with pytest.raises(ScheduleError, match=match):
             admit()
         assert kernel.live_datasets == 0
-        assert len(kernel._queue) == 0
+        assert not kernel._heap
 
     @pytest.mark.parametrize("bad", BAD_INSTANTS)
     def test_admit(self, strict, bad):
