@@ -26,9 +26,9 @@ rows:
     so runner noise cannot invert the sign: the instrumentation must be
     (near) free when off and cheap when on;
   * ``scheduler_builds`` — LTF and R-LTF build time on seeded paper
-    workloads of 30, 100 and 300 tasks (ε=2, period slack 2.0, 10
-    processors), one row per workload tag.  Each row is gated on its own
-    by ``bench_trajectory.py``;
+    workloads of 30, 100 and 300 tasks on 10 processors, and of 100 tasks
+    on the paper's 20 processors (ε=2, period slack 2.0), one row per
+    workload tag.  Each row is gated on its own by ``bench_trajectory.py``;
   * ``kernel_steady`` — kernel events/s and data sets/s of the bare
     one-port kernel on a *steady* replicated schedule: the pinned ε=1 R-LTF
     schedule of paper seed 2 (30 tasks, 10 processors; fault-free achieved
@@ -118,35 +118,40 @@ def _long_stream_case():
     return rltf_schedule(workload.graph, workload.platform, period=period, epsilon=2)
 
 
-#: task counts of the scheduler rows; every row is gated against the same
-#: workload tag of the previous run, in smoke and full mode alike.
-SCHEDULER_SIZES = (30, 100, 300)
+#: ``(tasks, processors)`` of the scheduler rows; every row is gated against
+#: the same workload tag of the previous run, in smoke and full mode alike.
+SCHEDULER_SIZES = ((30, 10), (100, 10), (300, 10), (100, 20))
 
 
-def scheduler_workload_tag(algorithm: str, num_tasks: int) -> str:
-    """Workload tag of one scheduler row, e.g. ``rltf-n100-eps2-slack2``."""
-    return f"{algorithm}-n{num_tasks}-eps2-slack2"
+def scheduler_workload_tag(algorithm: str, num_tasks: int, num_processors: int = 10) -> str:
+    """Workload tag of one scheduler row, e.g. ``rltf-n100-eps2-slack2`` on
+    10 processors and ``rltf-n100-p20-eps2-slack2`` on 20."""
+    platform = "" if num_processors == 10 else f"-p{num_processors}"
+    return f"{algorithm}-n{num_tasks}{platform}-eps2-slack2"
 
 
 def _scheduler_builds(repeat: int) -> dict[str, dict]:
     """Best-of-*repeat* LTF and R-LTF build times at every SCHEDULER_SIZES.
 
-    The workload is the paper's (granularity 1.0, seed 3, 10 processors)
-    with the campaign period rule at ε=2 and slack 2.0; both heuristics
-    schedule it at every size, so a row never times a failure.
+    The workload is the paper's (granularity 1.0, seed 3) with the
+    campaign period rule at ε=2 and slack 2.0; both heuristics schedule it
+    at every size, so a row never times a failure.
     """
     rows = {}
-    for num_tasks in SCHEDULER_SIZES:
-        workload = random_paper_workload(1.0, seed=3, num_tasks=num_tasks, num_processors=10)
+    for num_tasks, num_processors in SCHEDULER_SIZES:
+        workload = random_paper_workload(
+            1.0, seed=3, num_tasks=num_tasks, num_processors=num_processors
+        )
         period = workload_period(workload, 2, ExperimentConfig(period_slack=2.0))
         for algorithm, build in (("ltf", ltf_schedule), ("rltf", rltf_schedule)):
             seconds = _time(
                 lambda: build(workload.graph, workload.platform, period=period, epsilon=2),
                 repeat,
             )
-            rows[scheduler_workload_tag(algorithm, num_tasks)] = {
+            rows[scheduler_workload_tag(algorithm, num_tasks, num_processors)] = {
                 "algorithm": algorithm,
                 "tasks": num_tasks,
+                "processors": num_processors,
                 "seconds": seconds,
                 "builds_per_sec": 1.0 / seconds if seconds else 0.0,
             }
@@ -303,7 +308,10 @@ def main(argv=None) -> int:
         ],
     ]
     rows += [
-        [f"{row['algorithm']} build, {row['tasks']} tasks (s)", f"{row['seconds']:.3f}"]
+        [
+            f"{row['algorithm']} build, {row['tasks']} tasks, {row['processors']} processors (s)",
+            f"{row['seconds']:.3f}",
+        ]
         for row in report["scheduler_builds"].values()
     ]
     rows += [

@@ -69,6 +69,7 @@ from repro.schedule.replica import Replica
 from repro.schedule.schedule import (
     PlacementPlan,
     Schedule,
+    finish_floor,
     ordered_sources,
     plan_ordered,
     plan_placement,
@@ -401,30 +402,73 @@ class MappingEngine:
             return None
         return plan
 
-    def _best(self, plans: Iterable[PlacementPlan | None]) -> PlacementPlan | None:
-        """The first of *plans* by earliest finish, then the least-loaded
-        processor (ties on finish time are frequent on lightly loaded
-        platforms, and spreading the load keeps later placements feasible),
-        then the processor name for determinism; ``None`` entries are
-        skipped."""
+    def _earliest_finish(self, ranked: list, plan_on) -> PlacementPlan | None:
+        """The plan with the earliest finish, then the least-loaded processor
+        (ties on finish time are frequent on lightly loaded platforms, and
+        spreading the load keeps later placements feasible), then the
+        processor name for determinism.
+
+        *ranked* lists ``(bound, processor)`` pairs, where *bound* is a
+        lower bound of the finish time of ``plan_on(processor)`` (a plan or
+        ``None``).  They are planned in ascending order until a bound
+        exceeds the best finish found: every plan left out finishes after
+        it, so the choice is the one planning every candidate gives.
+        """
+        ranked.sort()
+        compute_load = self.schedule.compute_load
         best: PlacementPlan | None = None
         best_key: tuple | None = None
-        for plan in plans:
+        for bound, proc in ranked:
+            if best is not None and bound > best.finish:
+                break
+            plan = plan_on(proc)
             if plan is None:
                 continue
-            key = (plan.finish, self.schedule.compute_load(plan.processor), plan.processor)
+            key = (plan.finish, compute_load(proc), proc)
             if best_key is None or key < best_key:
                 best, best_key = plan, key
         return best
 
-    def full_plan(self, task: str, processor: str, ctx: TaskContext) -> PlacementPlan:
-        """The fully-fed plan of *task* on *processor* (every replica of every
-        predecessor is a source), condition (1) unchecked."""
+    def _full_sources(self, task: str, ctx: TaskContext) -> list:
+        """The fully-fed source list of *task* (:func:`ordered_sources` over
+        every replica of every predecessor), built once per task."""
         flat = ctx.full_sources
         if flat is None:
             sources = {pred: self.schedule.replicas(pred) for pred in self.graph.predecessors(task)}
             flat = ctx.full_sources = ordered_sources(self.schedule, task, sources)
-        return plan_ordered(self.schedule, task, processor, flat)
+        return flat
+
+    def full_plan(self, task: str, processor: str, ctx: TaskContext) -> PlacementPlan:
+        """The fully-fed plan of *task* on *processor* (every replica of every
+        predecessor is a source), condition (1) unchecked."""
+        return plan_ordered(self.schedule, task, processor, self._full_sources(task, ctx))
+
+    def regular_floor(self, task: str, processor: str, ctx: TaskContext) -> float:
+        """A lower bound of the finish time of the fully-fed plan of *task*
+        on *processor* (see :func:`~repro.schedule.schedule.finish_floor`)."""
+        return self._memoized(
+            ("regular-floor", task, processor),
+            lambda: finish_floor(self.schedule, task, processor, self._full_sources(task, ctx)),
+        )
+
+    def chain_floor(self, task: str, processor: str, ctx: TaskContext) -> float | None:
+        """A lower bound of the finish time of the chain of *task* ending on
+        *processor*; ``None`` when no chain ends there."""
+        return self._memoized(
+            ("chain-floor", task, processor), lambda: self._chain_floor(task, processor, ctx)
+        )
+
+    def _chain_floor(self, task: str, processor: str, ctx: TaskContext) -> float | None:
+        sources = self.chain_sources(task, ctx, processor)
+        if sources is None:
+            return None
+        schedule = self.schedule
+        finish, processor_of, volume = schedule.finish_time, schedule.processor_of, self.graph.volume
+        flat = [
+            (finish(rep), rep, processor_of(rep), volume(pred, task))
+            for pred, rep in sources.items()
+        ]
+        return finish_floor(schedule, task, processor, flat)
 
     def plan_regular(self, task: str, processor: str, ctx: TaskContext) -> PlacementPlan | None:
         """Plan a fully-fed replica of *task* on *processor*; ``None`` if infeasible."""
@@ -435,16 +479,15 @@ class MappingEngine:
             lambda: self._feasible(self.full_plan(task, processor, ctx)),
         )
 
-    def plan_regular_best(
-        self,
-        task: str,
-        ctx: TaskContext,
-        candidates: Iterable[str] | None = None,
-    ) -> PlacementPlan | None:
-        """Fully-fed placement with minimum finish time over *candidates*
-        (all processors by default)."""
-        pool = candidates if candidates is not None else self.platform.processor_names
-        return self._best(self.plan_regular(task, proc, ctx) for proc in pool)
+    def plan_regular_best(self, task: str, ctx: TaskContext) -> PlacementPlan | None:
+        """Fully-fed placement with minimum finish time over every processor."""
+        used = ctx.used_kill
+        ranked = [
+            (self.regular_floor(task, proc, ctx), proc)
+            for proc in self.platform.processor_names
+            if proc not in used
+        ]
+        return self._earliest_finish(ranked, lambda proc: self.plan_regular(task, proc, ctx))
 
     def chain_source_candidates(self, task: str, ctx: TaskContext) -> dict[str, list[Replica]]:
         """For each predecessor of *task*, the replicas still available for a
@@ -470,12 +513,7 @@ class MappingEngine:
             for pred, reps in by_finish.items()
         }
 
-    def plan_chain(
-        self,
-        task: str,
-        ctx: TaskContext,
-        candidates: Iterable[str] | None = None,
-    ) -> PlacementPlan | None:
+    def plan_chain(self, task: str, ctx: TaskContext) -> PlacementPlan | None:
         """One-to-one mapping procedure (Algorithm 4.2).
 
         For every candidate target processor the procedure selects one source
@@ -483,14 +521,25 @@ class MappingEngine:
         head of the availability list — such that the kill sets of the chosen
         sources are pairwise disjoint (and disjoint from the sibling chains),
         simulates the placement, checks condition (1), and finally returns the
-        plan with the earliest finish time.
+        plan with the earliest finish time.  A processor whose finish-time
+        bound (:meth:`chain_floor`) already exceeds the best finish found is
+        not simulated.
         """
-        pool = candidates if candidates is not None else self.platform.processor_names
-        return self._best(
-            self._memoized(
-                ("chain", task, proc), lambda: self._feasible(self.chain_plan(task, ctx, proc))
-            )
-            for proc in pool
+        used = ctx.used_kill
+        ranked = []
+        for proc in self.platform.processor_names:
+            if proc not in used:
+                bound = self.chain_floor(task, proc, ctx)
+                if bound is not None:
+                    ranked.append((bound, proc))
+        return self._earliest_finish(ranked, lambda proc: self.plan_chain_on(task, proc, ctx))
+
+    def plan_chain_on(self, task: str, processor: str, ctx: TaskContext) -> PlacementPlan | None:
+        """Plan a chain-fed replica of *task* on *processor*; ``None`` if no
+        independent chain ends there or the plan is infeasible."""
+        return self._memoized(
+            ("chain", task, processor),
+            lambda: self._feasible(self.chain_plan(task, ctx, processor)),
         )
 
     def chain_sources(

@@ -41,6 +41,7 @@ are always measured on the forward schedule.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Mapping
 
 from repro.core.engine import (
@@ -81,32 +82,50 @@ class RLTFPolicy:
     def _rule1_plan(
         self, engine: MappingEngine, task: str, ctx: TaskContext
     ) -> PlacementPlan | None:
-        """Best placement that keeps the successor stage number unchanged."""
+        """Best placement that keeps the successor stage number unchanged.
+
+        The candidates are the chain and the fully-fed placement on every
+        processor hosting a successor replica, ranked by
+        ``(finish, not one_to_one, processor)``.  They are visited in order
+        of their finish-time bounds, and the visit stops once a bound
+        exceeds the best finish found: a placement left out finishes later.
+        """
         succs = engine.graph.predecessors(task)  # original successors
         if not succs:
             return None
-        floor = self._successor_stage_floor(engine, task)
         successor_replicas = [rep for succ in succs for rep in engine.schedule.replicas(succ)]
-        candidates = {engine.schedule.processor_of(rep) for rep in successor_replicas}
+        processor_of = engine.schedule.processor_of
+        used = ctx.used_kill
+        ranked = []
+        for proc in {processor_of(rep) for rep in successor_replicas}:
+            if proc in used:
+                continue
+            bound = engine.chain_floor(task, proc, ctx)
+            if bound is not None:
+                ranked.append((bound, proc, False, engine.chain_sources(task, ctx, proc).values()))
+            ranked.append((engine.regular_floor(task, proc, ctx), proc, True, successor_replicas))
+        ranked.sort(key=itemgetter(0, 1, 2))
+        floor = self._successor_stage_floor(engine, task)
         best: PlacementPlan | None = None
-        for proc in sorted(candidates):
+        for bound, proc, fully_fed, sources in ranked:
+            if best is not None and bound > best.finish:
+                break
             # the stage is known from the sources, so a placement past the
             # floor is rejected without planning it
-            plans = []
-            chain = engine.chain_sources(task, ctx, proc)
-            if chain is not None and engine.stage_on(task, proc, chain.values()) <= floor:
-                plans.append(engine.plan_chain(task, ctx, candidates=[proc]))
-            if engine.stage_on(task, proc, successor_replicas) <= floor:
-                plans.append(engine.plan_regular(task, proc, ctx))
-            for plan in plans:
-                if plan is None:
-                    continue
-                if best is None or (plan.finish, not plan.one_to_one, plan.processor) < (
-                    best.finish,
-                    not best.one_to_one,
-                    best.processor,
-                ):
-                    best = plan
+            if engine.stage_on(task, proc, sources) > floor:
+                continue
+            if fully_fed:
+                plan = engine.plan_regular(task, proc, ctx)
+            else:
+                plan = engine.plan_chain_on(task, proc, ctx)
+            if plan is None:
+                continue
+            if best is None or (plan.finish, not plan.one_to_one, plan.processor) < (
+                best.finish,
+                not best.one_to_one,
+                best.processor,
+            ):
+                best = plan
         return best
 
     # ------------------------------------------------------------------ policy

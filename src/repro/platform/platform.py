@@ -64,6 +64,8 @@ class Platform:
         #: :meth:`set_bandwidth` (see :meth:`link_bandwidths`).
         self._links: dict[tuple[str, str], float] | None = None
         self._link_stats: tuple[float, float] | None = None
+        #: :attr:`mean_inverse_speed`, built on first use (speeds never change).
+        self._mean_inverse_speed: float | None = None
         self._failure_domains = self._check_domains(failure_domains)
 
         if bandwidths is None:
@@ -218,7 +220,9 @@ class Platform:
     @property
     def mean_inverse_speed(self) -> float:
         """Average of ``1/s_u`` — used for average execution times in priorities."""
-        return float((1.0 / self.speeds).mean())
+        if self._mean_inverse_speed is None:
+            self._mean_inverse_speed = float((1.0 / self.speeds).mean())
+        return self._mean_inverse_speed
 
     def _bandwidth_stats(self) -> tuple[float, float]:
         """``(min_bandwidth, mean_inverse_bandwidth)``, cached with the link table."""

@@ -30,6 +30,8 @@ from repro.utils.intervals import Timeline
 
 __all__ = ["ProcessorTimelines"]
 
+_INF = float("inf")
+
 
 class ProcessorTimelines:
     """Timelines and steady-state loads of a single processor."""
@@ -65,21 +67,28 @@ class ProcessorTimelines:
         return max(self._compute_load, self._comm_in_load, self._comm_out_load)
 
     # ------------------------------------------------------------ reservations
+    # A plain finite float passes one comparison; anything else takes the
+    # full check (NaN and infinity fail the comparison, a bool or an int is
+    # not a float).
+
     def reserve_compute(self, start: float, duration: float, label: object = None) -> None:
         """Reserve the compute resource and update ``Σ_u``."""
-        check_non_negative(duration, "duration")
+        if duration.__class__ is not float or not 0.0 <= duration < _INF:
+            check_non_negative(duration, "duration")
         self.compute.reserve(start, duration, label)
         self._compute_load += duration
 
     def reserve_incoming(self, start: float, duration: float, label: object = None) -> None:
         """Reserve the in-port and update ``C^I_u``."""
-        check_non_negative(duration, "duration")
+        if duration.__class__ is not float or not 0.0 <= duration < _INF:
+            check_non_negative(duration, "duration")
         self.in_port.reserve(start, duration, label)
         self._comm_in_load += duration
 
     def reserve_outgoing(self, start: float, duration: float, label: object = None) -> None:
         """Reserve the out-port and update ``C^O_u``."""
-        check_non_negative(duration, "duration")
+        if duration.__class__ is not float or not 0.0 <= duration < _INF:
+            check_non_negative(duration, "duration")
         self.out_port.reserve(start, duration, label)
         self._comm_out_load += duration
 

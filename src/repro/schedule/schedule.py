@@ -26,8 +26,11 @@ slot search: it plans on check-free
 reads execution times from a per-schedule memo and link bandwidths from the
 platform's cached link table, and a caller planning one task on many
 processors orders its sources once (:func:`ordered_sources`) and plans each
-candidate with :func:`plan_ordered`.  Only :meth:`Schedule.apply_placement`
-reserves, with every overlap and validity check.
+candidate with :func:`plan_ordered`.  :func:`finish_floor` bounds a
+candidate's finish time from below without planning it, so a caller looking
+for the earliest finish plans only the candidates that can still win.  Only
+:meth:`Schedule.apply_placement` reserves, with every overlap and validity
+check, and it builds no object per reservation.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ __all__ = [
     "PlacementPlan",
     "PlannedComm",
     "Schedule",
+    "finish_floor",
     "ordered_sources",
     "plan_ordered",
     "plan_placement",
@@ -159,6 +163,9 @@ class Schedule:
         self._start: dict[Replica, float] = {}
         self._finish: dict[Replica, float] = {}
         self._sources: dict[Replica, dict[str, list[Replica]]] = {}
+        #: committed transfers as ``(source, destination, volume, start,
+        #: duration)`` rows; :attr:`comm_events` builds their events on read.
+        self._comm_rows: list[tuple[Replica, Replica, float, float, float]] = []
         self._comm_events: list[CommEvent] = []
         self._proc_state: dict[str, ProcessorTimelines] = {
             name: ProcessorTimelines(name) for name in platform.processor_names
@@ -273,7 +280,10 @@ class Schedule:
     @property
     def comm_events(self) -> tuple[CommEvent, ...]:
         """Every committed communication, local ones included."""
-        return tuple(self._comm_events)
+        events, rows = self._comm_events, self._comm_rows
+        if len(events) < len(rows):
+            events.extend(CommEvent(*row) for row in rows[len(events) :])
+        return tuple(events)
 
     def processor_state(self, processor: str) -> ProcessorTimelines:
         """One-port state of *processor* (timelines and loads)."""
@@ -315,36 +325,37 @@ class Schedule:
             distinct processors), or if the processor is unknown.
         """
         replica, proc = plan.replica, plan.processor
-        self.platform.processor(proc)
+        state = self._proc_state.get(proc)
+        if state is None:
+            self.platform.processor(proc)  # raises PlatformError
         if replica in self._assignment:
             raise ScheduleError(f"replica {replica!r} is already placed")
-        if replica.task not in self._replicas_of:
+        placed = self._replicas_of.get(replica.task)
+        if placed is None:
             raise ScheduleError(f"unknown task {replica.task!r}")
-        if any(self._assignment[r] == proc for r in self._replicas_of[replica.task]):
-            raise ScheduleError(
-                f"processor {proc!r} already hosts a replica of task {replica.task!r}"
-            )
-
-        state = self._proc_state[proc]
-        # Commit communications first (out-port of the source, in-port of proc).
-        sources: dict[str, list[Replica]] = {}
-        for comm in plan.comms:
-            src_proc = comm.source_processor
-            if comm.duration > 0:
-                self._proc_state[src_proc].reserve_outgoing(
-                    comm.start, comm.duration, (comm.source, replica)
+        assignment = self._assignment
+        for other in placed:
+            if assignment[other] == proc:
+                raise ScheduleError(
+                    f"processor {proc!r} already hosts a replica of task {replica.task!r}"
                 )
-                state.reserve_incoming(comm.start, comm.duration, (comm.source, replica))
-            self._comm_events.append(
-                CommEvent(comm.source, replica, comm.volume, comm.start, comm.duration)
-            )
-            sources.setdefault(comm.source.task, []).append(comm.source)
+
+        # Commit communications first (out-port of the source, in-port of proc).
+        proc_state, rows = self._proc_state, self._comm_rows
+        sources: dict[str, list[Replica]] = {}
+        for source, src_proc, volume, start, duration in plan.comms:
+            if duration > 0:
+                label = (source, replica)
+                proc_state[src_proc].reserve_outgoing(start, duration, label)
+                state.reserve_incoming(start, duration, label)
+            rows.append((source, replica, volume, start, duration))
+            sources.setdefault(source.task, []).append(source)
 
         exec_time = self.execution_time(replica.task, proc)
         state.reserve_compute(plan.start, exec_time, replica)
 
-        self._assignment[replica] = proc
-        self._replicas_of[replica.task].append(replica)
+        assignment[replica] = proc
+        placed.append(replica)
         self._start[replica] = plan.start
         self._finish[replica] = plan.start + exec_time
         self._sources[replica] = sources
@@ -529,3 +540,29 @@ def plan_ordered(
     exec_time = schedule.execution_time(task, processor)
     start = state.compute.earliest_slot(data_ready, exec_time)
     return PlacementPlan(replica, processor, start, start + exec_time, tuple(planned), one_to_one)
+
+
+def finish_floor(
+    schedule: Schedule,
+    task: str,
+    processor: str,
+    flat: Iterable[tuple[float, Replica, str, float]],
+) -> float:
+    """A lower bound of ``plan_ordered(schedule, task, processor, flat).finish``.
+
+    A transfer starts no earlier than its data is ready and port contention
+    only delays it, so the data arrive no earlier than the latest ``ready``
+    plus transfer time.  The compute slot after that instant is bounded by
+    :meth:`~repro.utils.intervals.Timeline.slot_floor`.  The bound costs one
+    pass over the sources and one slot scan; when no port delays a
+    transfer it is usually the plan's finish, or ``2·_EPS`` less.
+    """
+    links = schedule.platform.link_bandwidths()
+    data_ready = 0.0
+    for ready, _src, src_proc, vol in flat:
+        if src_proc != processor:
+            ready = ready + vol / links[(src_proc, processor)]
+        if ready > data_ready:
+            data_ready = ready
+    exec_time = schedule.execution_time(task, processor)
+    return schedule._proc_state[processor].compute.slot_floor(data_ready, exec_time) + exec_time

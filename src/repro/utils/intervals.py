@@ -92,6 +92,35 @@ class _BusyIndex:
                 candidate = end
         return candidate
 
+    def slot_floor(self, ready: float, duration: float) -> float:
+        """A lower bound of ``earliest_slot(x, duration)`` over every ``x >= ready``.
+
+        :meth:`earliest_slot` is not monotone in *ready*: its tolerances
+        let a later request start in a gap that an earlier one skips (a gap
+        shorter than *duration* by between one and two ``_EPS``), so its
+        value at a lower bound of the ready time bounds nothing.  A slot it
+        returns never lies inside the window ``(start - duration + _EPS,
+        end - _EPS)`` of a busy interval.  This returns the first instant
+        ``>= ready`` outside every window shrunk by one more ``_EPS`` on
+        each side, which absorbs the rounding of both computations for
+        instants below about 10⁶ (where ``_EPS`` dwarfs an ulp).  The value
+        is non-decreasing in *ready*; it is usually the slot a request at
+        *ready* gets, or ``2·_EPS`` less when an interval delays that one.
+        """
+        if duration <= _EPS:
+            return ready
+        starts, ends = self._starts, self._ends
+        margin = 2.0 * _EPS
+        candidate = ready
+        for i in range(bisect.bisect_right(ends, ready + margin), len(ends)):
+            # windows open in start order, so none after this one reaches back
+            if starts[i] - duration + margin >= candidate:
+                break
+            end = ends[i] - margin
+            if end > candidate:
+                candidate = end
+        return candidate
+
 
 class Timeline(_BusyIndex):
     """A set of non-overlapping busy intervals on a single resource.
@@ -103,49 +132,54 @@ class Timeline(_BusyIndex):
     * :meth:`reserve` — mark ``[start, start + duration)`` as busy.
 
     The busy intervals are kept sorted by start time, with their end times
-    in a parallel list; both operations are ``O(log n)`` for the search plus
-    ``O(n)`` worst case for the scan / insertion, which is ample for the
-    graph sizes used in the paper (50–150 tasks, 20 processors).
-    Candidate placements plan on a :class:`ScratchTimeline` copy instead
-    of reserving here.
+    and labels in parallel lists; both operations are ``O(log n)`` for the
+    search plus ``O(n)`` worst case for the scan / insertion, which is ample
+    for the graph sizes used in the paper (50–150 tasks, 20 processors).
+    :class:`Interval` objects are built only when :attr:`intervals` or
+    iteration reads them.  Candidate placements plan on a
+    :class:`ScratchTimeline` copy instead of reserving here.
     """
 
     def __init__(self, intervals: Sequence[Interval] | None = None):
         self._starts: list[float] = []
         self._ends: list[float] = []
-        self._intervals: list[Interval] = []
+        self._labels: list[object] = []
+        #: the :attr:`intervals` tuple, built on first read after a change.
+        self._built: tuple[Interval, ...] | None = ()
         if intervals:
             for iv in sorted(intervals):
                 self.reserve(iv.start, iv.duration, iv.label)
 
     # ------------------------------------------------------------------ dunder
     def __len__(self) -> int:
-        return len(self._intervals)
+        return len(self._starts)
 
     def __iter__(self) -> Iterator[Interval]:
-        return iter(self._intervals)
+        return iter(self.intervals)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        body = ", ".join(f"[{iv.start:g},{iv.end:g})" for iv in self._intervals)
+        body = ", ".join(f"[{s:g},{e:g})" for s, e in zip(self._starts, self._ends))
         return f"Timeline({body})"
 
     # ----------------------------------------------------------------- queries
     @property
     def intervals(self) -> tuple[Interval, ...]:
         """The busy intervals, sorted by start time."""
-        return tuple(self._intervals)
+        if self._built is None:
+            self._built = tuple(map(Interval, self._starts, self._ends, self._labels))
+        return self._built
 
     @property
     def busy_time(self) -> float:
         """Total busy duration."""
-        return sum(iv.duration for iv in self._intervals)
+        return sum(end - start for start, end in zip(self._starts, self._ends))
 
     @property
     def makespan(self) -> float:
         """End of the last busy interval (0 when the timeline is empty)."""
-        if not self._intervals:
+        if not self._ends:
             return 0.0
-        return self._intervals[-1].end
+        return self._ends[-1]
 
     def is_free(self, start: float, duration: float) -> bool:
         """True when ``[start, start + duration)`` does not overlap any busy interval."""
@@ -165,33 +199,42 @@ class Timeline(_BusyIndex):
         return True
 
     # --------------------------------------------------------------- mutation
-    def reserve(self, start: float, duration: float, label: object = None) -> Interval:
-        """Mark ``[start, start + duration)`` busy and return the new interval.
+    def reserve(self, start: float, duration: float, label: object = None) -> None:
+        """Mark ``[start, start + duration)`` busy.
+
+        A request no longer than the tolerance reserves nothing.  The
+        checks are :class:`Interval`'s and the overlap test, run on the
+        parallel lists without building an object.
 
         Raises
         ------
         ValueError
-            If the requested span overlaps an existing busy interval.
+            If an endpoint is NaN, if the end precedes the start by more
+            than the tolerance, or if the requested span overlaps an
+            existing busy interval.
         """
-        interval = Interval(start, start + duration, label)
+        end = start + duration
+        if end != end:  # NaN start or duration
+            raise ValueError("interval endpoints must not be NaN")
         if duration <= _EPS:
-            return interval
+            if end < start - _EPS:
+                raise ValueError(f"interval end {end} precedes start {start}")
+            return
         if not self.is_free(start, duration):
-            raise ValueError(
-                f"cannot reserve [{start:g}, {start + duration:g}): resource busy"
-            )
+            raise ValueError(f"cannot reserve [{start:g}, {end:g}): resource busy")
         idx = bisect.bisect_left(self._starts, start)
         self._starts.insert(idx, start)
-        self._ends.insert(idx, interval.end)
-        self._intervals.insert(idx, interval)
-        return interval
+        self._ends.insert(idx, end)
+        self._labels.insert(idx, label)
+        self._built = None
 
     def copy(self) -> "Timeline":
-        """Shallow copy of the timeline (intervals are immutable)."""
+        """Independent copy of the timeline (labels are shared)."""
         clone = Timeline()
         clone._starts = list(self._starts)
         clone._ends = list(self._ends)
-        clone._intervals = list(self._intervals)
+        clone._labels = list(self._labels)
+        clone._built = self._built
         return clone
 
 

@@ -113,10 +113,15 @@ def test_docs_cover_the_scheduler_hot_path():
     performance = (REPO / "docs" / "performance.md").read_text()
     assert "## Scheduler hot path" in performance
     for name in ("ScratchTimeline", "earliest_common_slot", "apply_placement",
-                 "link_bandwidths", "stage_on", "scheduler_builds"):
+                 "link_bandwidths", "stage_on", "scheduler_builds", "finish_floor",
+                 "slot_floor", "### Candidates that cannot win are not planned",
+                 "### The commit builds no objects"):
         assert name in performance, f"performance.md misses {name}"
     for path in ("tests/golden/schedule_fingerprints.json",
-                 "tests/unit/test_schedule_corpus.py"):
+                 "tests/unit/test_schedule_corpus.py",
+                 "tests/property/test_pruning_properties.py",
+                 "src/repro/schedule/schedule.py",
+                 "src/repro/utils/intervals.py"):
         assert path in performance, f"performance.md misses {path}"
         assert (REPO / path).is_file(), f"performance.md names missing {path}"
 

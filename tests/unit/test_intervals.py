@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.intervals import Interval, Timeline, earliest_common_slot
+from repro.utils.intervals import _EPS, Interval, Timeline, earliest_common_slot
 
 
 class TestInterval:
@@ -109,6 +109,56 @@ class TestTimeline:
         tl = Timeline([Interval(3.0, 4.0), Interval(0.0, 1.0)])
         assert len(tl) == 2
         assert tl.makespan == 4.0
+
+    def test_labels_follow_their_intervals(self):
+        tl = Timeline()
+        tl.reserve(5.0, 1.0, "late")
+        assert tl.intervals == (Interval(5.0, 6.0),)
+        tl.reserve(0.0, 1.0, "early")  # a read before this one must not stick
+        assert [(iv.start, iv.end, iv.label) for iv in tl] == [
+            (0.0, 1.0, "early"),
+            (5.0, 6.0, "late"),
+        ]
+        assert tl.intervals is tl.intervals  # built once per change
+
+    @pytest.mark.parametrize(
+        "start,duration",
+        [(float("nan"), 1.0), (0.0, float("nan")), (float("nan"), 0.0), (0.0, -1.0)],
+    )
+    def test_invalid_reservations_rejected(self, start, duration):
+        tl = Timeline()
+        with pytest.raises(ValueError):
+            tl.reserve(start, duration)
+        assert len(tl) == 0
+
+    def test_earliest_slot_tolerance_case(self):
+        """Within ``_EPS`` of the end of [0, 1), a request starts before it."""
+        tl = Timeline()
+        tl.reserve(0.0, 1.0)
+        assert tl.earliest_slot(0.9, 0.5) == 1.0
+        assert tl.earliest_slot(1 - 5e-10, 0.5) == 0.9999999995
+
+    def test_earliest_slot_is_not_monotone(self):
+        """A gap 1.4·_EPS shorter than the request takes it from a ready
+        time just before the gap but not from an earlier one: a slot
+        search at a lower bound of the ready time bounds nothing, and
+        ``slot_floor`` does."""
+        tl = Timeline()
+        tl.reserve(0.0, 1 + 0.9 * _EPS)
+        tl.reserve(1.5 - 0.5 * _EPS, 0.5)
+        assert tl.earliest_slot(0.5, 0.5) == 2.0 - 0.5 * _EPS
+        assert tl.earliest_slot(1.0, 0.5) == 1.0
+        assert tl.slot_floor(0.5, 0.5) <= 1.0
+
+    def test_slot_floor(self):
+        tl = Timeline()
+        assert tl.slot_floor(3.0, 2.0) == 3.0
+        tl.reserve(0.0, 1.0)
+        tl.reserve(4.0, 1.0)
+        assert tl.slot_floor(0.5, 0.0) == 0.5  # zero-length requests never wait
+        assert tl.slot_floor(0.5, 2.0) == 1.0 - 2 * _EPS
+        assert tl.slot_floor(0.5, 4.0) == 5.0 - 2 * _EPS
+        assert tl.slot_floor(2.0, 1.0) == 2.0
 
 
 class TestEarliestCommonSlot:

@@ -79,6 +79,13 @@ class TestPlatform:
         assert p.mean_inverse_speed == pytest.approx(0.75)
         assert p.fastest_processor == "P2"
 
+    def test_mean_inverse_speed_is_cached_exactly(self, hetero8):
+        expected = float((1.0 / hetero8.speeds).mean())
+        assert hetero8.mean_inverse_speed == expected
+        assert hetero8.mean_inverse_speed == expected  # the cached read
+        subset = hetero8.subset(hetero8.processor_names[:3])
+        assert subset.mean_inverse_speed == float((1.0 / subset.speeds).mean())
+
     def test_execution_time(self, homo4):
         assert homo4.execution_time(10.0, "P1") == 10.0
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import ScheduleError, ValidationError
+from repro.exceptions import PlatformError, ScheduleError, ValidationError
 from repro.schedule.metrics import (
     collect_metrics,
     communication_count,
@@ -50,6 +50,18 @@ class TestProcessorTimelines:
         assert pt.utilization(10.0) == 0.5
         with pytest.raises(ValueError):
             pt.utilization(0.0)
+
+    @pytest.mark.parametrize(
+        "duration,error",
+        [(-1.0, ValueError), (float("nan"), ValueError), (float("inf"), ValueError),
+         (True, TypeError), ("1", TypeError)],
+    )
+    def test_invalid_durations_rejected(self, duration, error):
+        pt = ProcessorTimelines("P1")
+        for reserve in (pt.reserve_compute, pt.reserve_incoming, pt.reserve_outgoing):
+            with pytest.raises(error):
+                reserve(0.0, duration)
+        assert (pt.compute_load, pt.comm_in_load, pt.comm_out_load) == (0.0, 0.0, 0.0)
 
     def test_ports_are_independent_resources(self):
         pt = ProcessorTimelines("P1")
@@ -107,6 +119,29 @@ class TestScheduleBasics:
         sch.apply_placement(plan)
         with pytest.raises(ScheduleError):
             sch.apply_placement(plan)
+
+    def test_unknown_processor_rejected(self, fig2, fig2_platform):
+        sch = Schedule(fig2, fig2_platform, period=20.0, epsilon=0)
+        plan = plan_placement(sch, "t1", "P1", {})
+        plan.processor = "P99"
+        with pytest.raises(PlatformError):
+            sch.apply_placement(plan)
+        assert sch.num_placed_replicas == 0
+
+    def test_comm_events_follow_commits(self, manual_schedule):
+        sch = manual_schedule
+        assert sch.comm_events == ()
+        sources = {"t1": sch.replicas("t1")}
+        sch.apply_placement(plan_placement(sch, "t2", "P1", sources))
+        first = sch.comm_events
+        assert [(e.source, e.destination) for e in first] == [
+            (Replica("t1", 1), Replica("t2", 1)),
+            (Replica("t1", 2), Replica("t2", 1)),
+        ]
+        assert first[0].is_local and not first[1].is_local
+        sch.apply_placement(plan_placement(sch, "t3", "P5", sources))
+        assert sch.comm_events[:2] == first
+        assert len(sch.comm_events) == 4
 
     def test_is_complete(self, manual_schedule):
         assert not manual_schedule.is_complete()
